@@ -1,17 +1,20 @@
 """Columnar fast-path target: shard throughput vs distinct-PC count.
 
 The measurement core moved here from ``benchmarks/bench_colpath.py``.
-The committed claims (docs/serving.md): >= 2.5x single-shard speedup at
+The baseline is :class:`_LoopShard`, built here: a shard whose engine
+is one :func:`~repro.sim.vector.apply_chunk` call per distinct PC per
+batch (the service's batch engine before the columnar one).  The
+committed claims (docs/serving.md): >= 2.5x single-shard speedup at
 the wide (4096-PC) sweep point, no regression below 0.9x at the narrow
 (1-PC) point — both ratios measured within one run — and bit-identical
-``export_state()`` across engines at every width.
+``export_state()`` across the two at every width.
 
 Since boundary resolution went columnar, the sweep also drives an
 *adversarial* point: a deterministic train-then-flip square wave over
 4,096 branches whose every window is dense with classify fires,
 deployment landings, misspeculation bursts and counter evictions — the
 traffic that previously fell back to the scalar engine per row.  The
-claim there: >= 2x over the per-PC loop engine with bit-identical
+claim there: >= 2x over the per-PC loop with bit-identical
 ``export_state`` *and* captured transition streams.
 """
 
@@ -31,6 +34,8 @@ from repro.bench.registry import (
     register_benchmark,
 )
 from repro.core.config import ControllerConfig
+from repro.core.controller import ControllerBank
+from repro.sim.vector import apply_chunk
 
 #: Serving-scale controller parameters: branches classify after 64
 #: executions and revisit after 2048, so even the 4096-PC sweep point
@@ -83,11 +88,77 @@ def _adversarial_workload(n_events: int, width: int, flip_every: int):
     return pcs, taken, instrs
 
 
+class _LoopShard:
+    """The per-PC baseline: a :class:`~repro.core.controller.ControllerBank`
+    advanced by one ``apply_chunk`` call per distinct PC per batch, with
+    the per-batch work of ``BankShard.apply`` around it (PC grouping,
+    decision cache, result record), so the two time the same job."""
+
+    def __init__(self, config: ControllerConfig) -> None:
+        # Imported on first use: the serve stack pulls in repro.obs,
+        # which importing the registry (every target module) should not.
+        from repro.obs.tracing import ARC_CODE
+        from repro.serve.shard import ShardApplyResult
+
+        self._arc_code = ARC_CODE
+        self._result = ShardApplyResult
+        self.bank = ControllerBank(config)
+        self.decisions: dict[int, bool] = {}
+        self.capture = False
+        self.events_applied = self.last_instr = 0
+        self.correct = self.incorrect = 0
+
+    def apply(self, pcs, taken, instrs):
+        n = len(pcs)
+        last = int(instrs[-1])
+        if not bool((pcs[1:] >= pcs[:-1]).all()):
+            order = np.argsort(pcs, kind="stable")
+            pcs, taken, instrs = pcs[order], taken[order], instrs[order]
+        bounds = np.flatnonzero(pcs[1:] != pcs[:-1]) + 1
+        correct = incorrect = 0
+        changed: list[int] = []
+        fired: list[tuple[int, int, int, int]] = []
+        for s, e in zip(np.concatenate(([0], bounds)),
+                        np.concatenate((bounds, [n]))):
+            pc = int(pcs[s])
+            ctrl = self.bank.controller(pc)
+            before = ctrl.deployed
+            seen = len(ctrl.transitions)
+            c, x = apply_chunk(ctrl, taken[s:e], instrs[s:e])
+            correct += c
+            incorrect += x
+            if self.capture:
+                fired.extend((pc, self._arc_code[t.kind.value],
+                              t.exec_index, t.instr)
+                             for t in ctrl.transitions[seen:])
+            if ctrl.deployed != before or pc not in self.decisions:
+                self.decisions[pc] = ctrl.deployed
+                if ctrl.deployed != before:
+                    changed.append(pc)
+        self.events_applied += n
+        self.last_instr = max(self.last_instr, last)
+        self.correct += correct
+        self.incorrect += incorrect
+        return self._result(
+            shard=0, events=n, correct=correct, incorrect=incorrect,
+            changed=tuple(changed),
+            changed_deployed=tuple(self.decisions[pc] for pc in changed),
+            last_instr=self.last_instr, transitions=tuple(fired))
+
+    def export_state(self) -> dict:
+        """``BankShard.export_state`` of the same shard."""
+        return {"index": 0, "events_applied": self.events_applied,
+                "last_instr": self.last_instr, "correct": self.correct,
+                "incorrect": self.incorrect,
+                "bank": self.bank.export_state()}
+
+
 def _drive(columnar: bool, pcs, taken, instrs, batch_events: int,
            capture: bool = False):
     from repro.serve.shard import BankShard
 
-    shard = BankShard(0, BENCH_CONFIG, columnar=columnar)
+    shard = (BankShard(0, BENCH_CONFIG) if columnar
+             else _LoopShard(BENCH_CONFIG))
     shard.capture = capture
     n = len(pcs)
     fired: list = []

@@ -278,8 +278,8 @@ class ReactiveBranchController:
     #: The mutable fields a boundary-free run of executions can touch.
     #: Everything else — FSM state, deployment, the pending queue, the
     #: transition log — only changes when an FSM arc fires or a
-    #: re-optimization lands, which the columnar fast path routes to
-    #: :func:`repro.serve.fastpath.apply_chunk` instead.
+    #: re-optimization lands, which the columnar fast path writes
+    #: through to the controller as it resolves them.
     HOT_FIELDS = ("exec_count", "_monitor_taken", "_monitor_samples",
                   "_counter", "correct", "incorrect")
 

@@ -98,10 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="write the final metrics + transition-trace "
                              "snapshot as JSON to FILE on clean shutdown "
                              "(readable by python -m repro.obs --file)")
-    parser.add_argument("--no-columnar", action="store_true",
-                        help="apply batches through the per-PC chunk "
-                             "loop instead of the columnar cross-branch "
-                             "fast path (both are bit-exact)")
     parser.add_argument("--no-obs", action="store_true",
                         help="disable observability capture (latency "
                              "histograms + transition tracing); counters "
@@ -220,8 +216,7 @@ async def _run(args) -> int:
         service, report = recover_service(
             args.wal_dir, snapshot=restore_path,
             n_shards=n_shards, workers=args.workers,
-            transport=args.transport, wal_fsync=args.wal_fsync,
-            columnar=not args.no_columnar)
+            transport=args.transport, wal_fsync=args.wal_fsync)
         print(report.summary())
         print(f"feed resumes at seq {service.last_seq + 1}")
         if args.replicate_to:
@@ -230,8 +225,7 @@ async def _run(args) -> int:
         service = SpeculationService.restore(restore_path,
                                              n_shards=n_shards,
                                              workers=args.workers,
-                                             transport=args.transport,
-                                             columnar=not args.no_columnar)
+                                             transport=args.transport)
         print(f"restored {restore_path} "
               f"(events applied: {service.metrics().dynamic_branches:,}, "
               f"covered-seq watermark: {service.last_seq}; "
@@ -254,7 +248,6 @@ async def _run(args) -> int:
             detect=not args.no_detect,
             trace_ring=args.trace_ring,
             trace_sample=args.trace_sample,
-            columnar=not args.no_columnar,
             tenant_quota_rate=args.tenant_quota_rate,
             tenant_quota_burst=args.tenant_quota_burst,
             tenant_resident_bytes=args.tenant_budget_bytes,

@@ -1,12 +1,12 @@
 """Columnar cross-branch fast path: advance many branches in one shot.
 
-The per-branch chunked engine (:mod:`repro.serve.fastpath`) made the
-*within-branch* work numpy-fast, but :meth:`BankShard.apply` still paid
-one Python ``apply_chunk`` call per distinct PC per micro-batch.  With
-thousands of interleaved static branches the shard loop is interpreter-
-bound: each branch contributes a few events and the per-call overhead
-dwarfs the vector math.  This module removes the Python-per-branch cost
-— including at FSM boundaries.
+The per-branch kernel (:func:`repro.sim.vector.apply_chunk`) makes the
+*within-branch* work numpy-fast, but one Python call per distinct PC
+per micro-batch is interpreter-bound when thousands of static branches
+interleave: each branch contributes a few events and the per-call
+overhead dwarfs the vector math.  This module removes the
+Python-per-branch cost — including at FSM boundaries — and is the
+service's only batch engine.
 
 :class:`ColumnarBank` maintains a PC→row interned index plus
 struct-of-arrays mirrors of the hot controller fields — FSM state code,
@@ -31,33 +31,32 @@ rows:
 * **fire** — rows that reached a boundary apply the transition as a
   batched array op per arc kind: the classify decision (bias test over
   ``mon_taken``/``mon_samples``, vectorized in
-  :func:`~repro.serve.fastpath.classify_split`), revisit re-entry to
+  :func:`~repro.sim.vector.classify_split`), revisit re-entry to
   MONITOR, the eviction arc, and optimization-latency landings.  A
   short per-firing-row sync writes the cold scalar-controller fields
   (FSM state, entry index, the deployment queue, the transition log);
   the loop then iterates on each row's remaining suffix until every
   segment is consumed.
 
-Only two window shapes still take the per-branch scalar engine
+Two window shapes still take the per-branch kernel
 (:meth:`_fallback_segment`): strided monitor windows
 (``monitor_sample_stride > 1`` — sampling is offset-dependent) and
 engaged evict-by-sampling episodes (window bookkeeping is stateful
-mid-window, scalar in :mod:`repro.serve.fastpath` too).  Single-branch
-batches also bypass the cross-branch machinery by design (nothing to
-amortize); they are counted separately (``events_single``) so the
-fallback counters isolate true boundary/config fallbacks.
+mid-window).  Single-branch batches also go to the per-branch kernel
+by design (nothing to amortize); they are counted separately
+(``events_single``) so the fallback counters isolate true
+boundary/config fallbacks.
 
 The contract stays **bit-exactness**: rows are mirrors, the scalar
 :class:`~repro.core.controller.ReactiveBranchController` objects remain
 the source of truth for snapshots and ``export_state()`` and are
 refreshed lazily (:meth:`flush`), so snapshots, WAL replay and obs
-tracing stay interchangeable with offline runs and with
-``--no-columnar`` service instances.  The floored-walk identity —
-``walk = cum - min(0, running_min(cum))`` over the segment's step
-prefix sums with the live counter as carry-in — is the same one
-``apply_chunk`` applies per branch, evaluated here for all engaged
-rows at once, including the first index where the walk reaches the
-eviction ceiling.
+tracing stay interchangeable with offline runs.  The floored-walk
+identity — ``walk = cum - min(0, running_min(cum))`` over the
+segment's step prefix sums with the live counter as carry-in — is the
+same one ``apply_chunk`` applies per branch, evaluated here for all
+engaged rows at once, including the first index where the walk
+reaches the eviction ceiling.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ from repro.core.config import ControllerConfig
 from repro.core.controller import ControllerBank, ReactiveBranchController
 from repro.core.states import BranchState, Transition, TransitionKind
 from repro.obs.tracing import ARC_CODE
-from repro.serve.fastpath import apply_chunk, classify_split, deploy_delay
+from repro.sim.vector import apply_chunk, classify_split, deploy_delay
 
 __all__ = ["ColumnarBank"]
 
@@ -107,8 +106,8 @@ class ColumnarBank:
     shard's :class:`~repro.core.controller.ControllerBank` (``scalars``,
     the authoritative per-branch objects) and its decision cache.
     Scalar controller shells are created eagerly at intern time so bank
-    iteration, ``len()`` and membership behave identically with the
-    columnar path on or off; only the :data:`HOT_FIELDS
+    iteration, ``len()`` and membership behave exactly as if every
+    event had gone through ``observe``; only the :data:`HOT_FIELDS
     <repro.core.controller.ReactiveBranchController.HOT_FIELDS>` go
     stale between :meth:`flush` calls (tracked per row by ``dirty``).
     """
@@ -403,7 +402,7 @@ class ColumnarBank:
         """Monitor period complete for ``crows``: classify each branch.
 
         The bias decision is one vectorized pass
-        (:func:`~repro.serve.fastpath.classify_split`); column updates
+        (:func:`~repro.sim.vector.classify_split`); column updates
         batch per outcome kind; a short per-row loop syncs the cold
         scalar-controller fields and the transition log.  Hot fields
         stay columnar (the rows are already dirty from the prefix
@@ -554,8 +553,8 @@ class ColumnarBank:
         nseg = len(rows)
         controllers = self._scalars._controllers
         # Deployed view at batch entry: the decision-cache invalidation
-        # set is the *net* flips over the whole batch (matching the
-        # per-segment net the loop engine reports), derived at the end.
+        # set is the *net* flips over the whole batch, derived at the
+        # end.
         dep0 = self.deployed[rows].copy()
         # One batch-global exclusive prefix sum of outcomes: any
         # window's taken count is tc[end] - tc[start], O(1) per window.
@@ -583,10 +582,10 @@ class ColumnarBank:
             arows = rows[act]
             st = self.state[arows]
             # Windows the columnar kernels cannot express take their
-            # whole remaining slice through the per-branch engine:
+            # whole remaining slice through the per-branch kernel:
             # strided monitor sampling is offset-dependent, and
             # evict-by-sampling window bookkeeping is stateful
-            # mid-window (scalar in fastpath too).
+            # mid-window.
             bad = None
             if not stride1:
                 bad = st == _MONITOR

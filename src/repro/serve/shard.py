@@ -9,9 +9,9 @@ shards keyed by a hash of the branch PC.  Sharding buys two things:
   shard worker can run wherever its queue lives;
 * **batching density** — a shard's micro-batch draws its events from
   an N×-longer stretch of the trace for the same event count, so each
-  branch contributes longer runs and the vectorized per-branch fast
-  path (:mod:`repro.serve.fastpath`) amortizes its per-branch
-  overhead better.  Under a bursting producer this outweighs the
+  branch contributes longer runs and the columnar engine
+  (:mod:`repro.serve.colpath`) amortizes its per-batch overhead
+  better.  Under a bursting producer this outweighs the
   routing cost even on one core — modestly; the real scaling headroom
   is that shards share nothing and can move to worker processes (see
   ``benchmarks/bench_serve.py`` and docs/serving.md).
@@ -31,10 +31,8 @@ import numpy as np
 
 from repro.core.config import ControllerConfig
 from repro.core.controller import ControllerBank, ReactiveBranchController
-from repro.obs.tracing import ARC_CODE
 from repro.serve.colpath import ColumnarBank
 from repro.serve.events import EventBatch
-from repro.serve.fastpath import apply_chunk
 from repro.sim.metrics import SpeculationMetrics
 
 __all__ = ["shard_of", "shard_ids", "BankShard", "ShardedBank",
@@ -100,9 +98,9 @@ class ShardApplyResult:
     t_recv: float = 0.0
     t_done: float = 0.0
     #: Columnar-engine routing of this batch's events: advanced in the
-    #: cross-branch arrays / true scalar fallbacks (strided monitors,
-    #: engaged evict-by-sampling episodes) / by-design single-branch
-    #: batches.  All zero with the columnar engine off.
+    #: cross-branch arrays / per-branch kernel fallbacks (strided
+    #: monitors, engaged evict-by-sampling episodes) / by-design
+    #: single-branch batches.
     col_fast: int = 0
     col_fallback: int = 0
     col_single: int = 0
@@ -119,10 +117,9 @@ class BankShard:
 
     __slots__ = ("index", "bank", "decisions", "tenant_keys",
                  "events_applied", "last_instr", "correct", "incorrect",
-                 "capture", "columnar", "col")
+                 "capture", "col")
 
-    def __init__(self, index: int, config: ControllerConfig,
-                 columnar: bool = True) -> None:
+    def __init__(self, index: int, config: ControllerConfig) -> None:
         self.index = index
         self.bank = ControllerBank(config)
         self.decisions: dict[int, bool] = {}
@@ -139,10 +136,9 @@ class BankShard:
         #: arc firings of the batch into the result (read-only
         #: observation — controller state is bit-identical either way).
         self.capture = False
-        #: When True, batches advance through the cross-branch columnar
-        #: engine (:mod:`repro.serve.colpath`); when False, through the
-        #: per-PC ``apply_chunk`` loop.  Both are bit-exact.
-        self.columnar = columnar
+        #: The batch engine's row mirror of ``bank``, built lazily by
+        #: the next batch (:meth:`from_state` swaps ``bank`` after
+        #: construction; :meth:`release_controllers` drops the mirror).
         self.col: ColumnarBank | None = None
 
     def apply(self, pcs: np.ndarray, taken: np.ndarray,
@@ -150,9 +146,8 @@ class BankShard:
         """Apply a program-order micro-batch of this shard's events.
 
         Events are grouped per branch (stable, preserving program
-        order); groups advance through the columnar cross-branch fast
-        path (:mod:`repro.serve.colpath`) or, with ``columnar`` off,
-        one per-branch ``apply_chunk`` call each.
+        order); the groups advance together through the columnar
+        cross-branch engine (:mod:`repro.serve.colpath`).
         """
         capture = self.capture
         t0 = perf_counter() if capture else 0.0
@@ -176,25 +171,14 @@ class BankShard:
         bounds = np.flatnonzero(sorted_pcs[1:] != sorted_pcs[:-1]) + 1
         starts = np.concatenate(([0], bounds))
         ends = np.concatenate((bounds, [n]))
-        col_fast = col_fallback = col_single = 0
-        if self.columnar:
-            col = self.col
-            if col is None:
-                col = self.col = ColumnarBank(self.bank.config, self.bank,
-                                              self.decisions,
-                                              tenant_index=self.tenant_keys)
-            f0, b0, s0 = (col.events_fast, col.events_fallback,
-                          col.events_single)
-            correct, incorrect, changed, fired = col.apply_sorted(
-                sorted_pcs, sorted_taken, sorted_instrs,
-                starts, ends, capture)
-            col_fast = col.events_fast - f0
-            col_fallback = col.events_fallback - b0
-            col_single = col.events_single - s0
-        else:
-            correct, incorrect, changed, fired = self._apply_loop(
-                sorted_pcs, sorted_taken, sorted_instrs,
-                starts, ends, capture)
+        col = self.col
+        if col is None:
+            col = self.col = ColumnarBank(self.bank.config, self.bank,
+                                          self.decisions,
+                                          tenant_index=self.tenant_keys)
+        f0, b0, s0 = col.events_fast, col.events_fallback, col.events_single
+        correct, incorrect, changed, fired = col.apply_sorted(
+            sorted_pcs, sorted_taken, sorted_instrs, starts, ends, capture)
         self.events_applied += n
         self.last_instr = max(self.last_instr, int(instrs[-1]))
         self.correct += correct
@@ -205,42 +189,9 @@ class BankShard:
             changed_deployed=tuple(self.decisions[pc] for pc in changed),
             last_instr=self.last_instr, transitions=tuple(fired),
             apply_seconds=perf_counter() - t0 if capture else 0.0,
-            col_fast=col_fast, col_fallback=col_fallback,
-            col_single=col_single)
-
-    def _apply_loop(self, sorted_pcs: np.ndarray, sorted_taken: np.ndarray,
-                    sorted_instrs: np.ndarray, starts: np.ndarray,
-                    ends: np.ndarray, capture: bool,
-                    ) -> tuple[int, int, list[int],
-                               list[tuple[int, int, int, int]]]:
-        """The per-PC chunk loop: one ``apply_chunk`` per distinct PC."""
-        controller = self.bank.controller
-        correct = 0
-        incorrect = 0
-        changed: list[int] = []
-        fired: list[tuple[int, int, int, int]] = []
-        for s, e in zip(starts, ends):
-            pc = int(sorted_pcs[s])
-            if pc not in self.decisions:
-                self.tenant_keys.setdefault(pc >> 32, set()).add(pc)
-            ctrl = controller(pc)
-            before = ctrl._deployed
-            seen = len(ctrl.transitions) if capture else 0
-            c, x = apply_chunk(ctrl, sorted_taken[s:e], sorted_instrs[s:e])
-            correct += c
-            incorrect += x
-            if capture and len(ctrl.transitions) > seen:
-                # The controller logs every arc anyway; capture only
-                # reads the delta this chunk appended.
-                fired.extend(
-                    (pc, ARC_CODE[t.kind.value], t.exec_index, t.instr)
-                    for t in ctrl.transitions[seen:])
-            after = ctrl._deployed
-            if after != before or pc not in self.decisions:
-                self.decisions[pc] = after
-                if after != before:
-                    changed.append(pc)
-        return correct, incorrect, changed, fired
+            col_fast=col.events_fast - f0,
+            col_fallback=col.events_fallback - b0,
+            col_single=col.events_single - s0)
 
     def absorb(self, result: ShardApplyResult) -> None:
         """Mirror a result computed elsewhere (a worker process).
@@ -268,9 +219,9 @@ class BankShard:
     def controller(self, pc: int) -> ReactiveBranchController:
         """The scalar controller for ``pc``, flushed and current.
 
-        With the columnar engine active, a branch's hot counters live
-        in the row arrays between flushes; this accessor writes them
-        back first so callers always read authoritative state.
+        A branch's hot counters live in the columnar row arrays
+        between flushes; this accessor writes them back first so
+        callers always read authoritative state.
         """
         if self.col is not None:
             return self.col.controller(pc)
@@ -344,9 +295,9 @@ class BankShard:
         }
 
     @classmethod
-    def from_state(cls, config: ControllerConfig, state: dict,
-                   columnar: bool = True) -> "BankShard":
-        shard = cls(int(state["index"]), config, columnar=columnar)
+    def from_state(cls, config: ControllerConfig,
+                   state: dict) -> "BankShard":
+        shard = cls(int(state["index"]), config)
         shard.events_applied = int(state["events_applied"])
         shard.last_instr = int(state["last_instr"])
         shard.correct = int(state["correct"])
@@ -388,7 +339,7 @@ class ShardedBank:
     """
 
     def __init__(self, config: ControllerConfig | None = None,
-                 n_shards: int = 4, columnar: bool = True) -> None:
+                 n_shards: int = 4) -> None:
         if n_shards <= 0:
             raise ValueError("n_shards must be positive")
         if config is None:
@@ -396,27 +347,11 @@ class ShardedBank:
 
             config = scaled_config()
         self.config = config
-        self.columnar = columnar
-        self.shards = tuple(BankShard(i, config, columnar=columnar)
-                            for i in range(n_shards))
+        self.shards = tuple(BankShard(i, config) for i in range(n_shards))
 
     @property
     def n_shards(self) -> int:
         return len(self.shards)
-
-    def set_columnar(self, enabled: bool) -> None:
-        """Switch the batch-application engine on every shard.
-
-        Flushes (and drops) any live columnar state first, so the
-        switch is exact at any point between batches.
-        """
-        enabled = bool(enabled)
-        self.columnar = enabled
-        for shard in self.shards:
-            if shard.col is not None and not enabled:
-                shard.col.flush()
-                shard.col = None
-            shard.columnar = enabled
 
     def partition(self, batch: EventBatch) -> list[_Partition]:
         """Split a batch by destination shard (program order kept).
@@ -486,11 +421,10 @@ class ShardedBank:
 
     @classmethod
     def from_state(cls, config: ControllerConfig,
-                   state: dict, columnar: bool = True) -> "ShardedBank":
-        bank = cls(config, int(state["n_shards"]), columnar=columnar)
-        bank.shards = tuple(
-            BankShard.from_state(config, s, columnar=columnar)
-            for s in state["shards"])
+                   state: dict) -> "ShardedBank":
+        bank = cls(config, int(state["n_shards"]))
+        bank.shards = tuple(BankShard.from_state(config, s)
+                            for s in state["shards"])
         if tuple(s.index for s in bank.shards) != tuple(range(bank.n_shards)):
             raise ValueError("snapshot shard indices are not 0..N-1")
         return bank

@@ -46,7 +46,8 @@ logger = logging.getLogger(__name__)
 #: to the embedded service config; version 3 added the WAL knobs
 #: (``wal_dir``/``wal_fsync``/``wal_segment_bytes``); version 4 added
 #: the observability knobs (``obs``/``trace_ring``/``trace_sample``);
-#: version 5 added the batch-engine knob (``columnar``); version 6
+#: version 5 added the batch-engine knob (``columnar``, since retired:
+#: the service has one engine, and loading drops the key); version 6
 #: adds the replication knob (``repl_listen``); version 7 adds the
 #: tenant knobs (``tenant_*``) plus an optional ``tenants`` section
 #: carrying spilled tenants' controller states.  The bank state schema
@@ -169,8 +170,7 @@ def load_snapshot(path: str | Path,
                   workers: int | None = None,
                   transport: str | None = None,
                   wal_dir: str | None = None,
-                  wal_fsync: str | None = None,
-                  columnar: bool | None = None) -> "SpeculationService":
+                  wal_fsync: str | None = None) -> "SpeculationService":
     """Rebuild a :class:`SpeculationService` from a snapshot file.
 
     ``service_config`` overrides the snapshotted tuning knobs (its
@@ -193,7 +193,9 @@ def load_snapshot(path: str | Path,
     if service_config is not None:
         scfg = service_config
     else:
-        scfg = ServiceConfig(**{**state["service_config"],
+        knobs = dict(state["service_config"])
+        knobs.pop("columnar", None)  # retired batch-engine knob (v5-v7)
+        scfg = ServiceConfig(**{**knobs,
                                 "workers": 0, "transport": "pipe",
                                 "wal_dir": None, "repl_listen": None,
                                 "tenant_spill_dir": None})
@@ -210,8 +212,6 @@ def load_snapshot(path: str | Path,
         scfg = replace(scfg, wal_dir=wal_dir)
     if wal_fsync is not None and wal_fsync != scfg.wal_fsync:
         scfg = replace(scfg, wal_fsync=wal_fsync)
-    if columnar is not None and columnar != scfg.columnar:
-        scfg = replace(scfg, columnar=columnar)
     bank = restore_bank(config, state["bank"], n_shards=scfg.n_shards)
     service = SpeculationService(service_config=scfg, bank=bank,
                                  last_seq=int(state["last_seq"]))

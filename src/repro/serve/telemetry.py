@@ -163,8 +163,8 @@ class ServiceTelemetry:
         col_fam = r.counter(
             "repro_colpath_events_total",
             "Events by columnar-engine routing: advanced in the cross-"
-            "branch arrays (fast), through the true scalar fallback "
-            "(fallback), or in by-design single-branch batches (single). "
+            "branch arrays (fast), through the per-branch kernel "
+            "fallback (fallback), or in by-design single-branch batches (single). "
             "fast / total is live fast-path residency.",
             labelnames=("path",))
         self._c_col_fast = col_fam.labels("fast")
@@ -217,8 +217,7 @@ class ServiceTelemetry:
         measured wall time when observability capture is on (None keeps
         the histograms untouched — the obs-off fast path).
         ``col_fast``/``col_fallback``/``col_single`` are the columnar
-        engine's event-routing split for the batch (all zero with the
-        engine off)."""
+        engine's event-routing split for the batch."""
         self._c_events.inc(events)
         self._c_batches.inc()
         self._c_shard_events[shard].inc(events)

@@ -132,7 +132,6 @@ def test_service_records_in_process_stages(bench_trace, bench_config):
     doc, stats = _spans_from_service(
         bench_trace, bench_config, ServiceConfig(n_shards=2))
     assert doc["kind"] == "repro.obs.spans"
-    assert doc["engine"] == "columnar"
     assert doc["begun"] == stats.batches
     spans = doc["spans"]
     assert spans and all(s["complete"] for s in spans)

@@ -1,25 +1,29 @@
-"""The columnar cross-branch fast path must be bit-exact.
+"""The columnar cross-branch engine must be bit-exact.
 
 Property tests drive random interleaved multi-branch batches through
-three engines — per-event scalar ``observe``, the per-PC chunk loop
-(``columnar=False``), and the columnar path (``columnar=True``) — and
-require bit-identical ``export_state()`` plus identical per-batch
-``(correct, incorrect)`` deltas and result metadata, across every
-config family including eviction-by-sampling, monitor-sampling stride
-and long-latency pending landings.  Plus the regression/edge cases
-the refactor introduced: empty batches, pre-sorted batch detection,
-fast-path engagement, and snapshot round-trips across engines.
+the scalar specification (per-event ``observe``) and the shard's
+columnar engine, and require bit-identical ``export_state()`` plus
+identical per-batch ``(correct, incorrect)`` deltas, decision flips
+and captured transitions, across every config family including
+eviction-by-sampling, monitor-sampling stride and long-latency pending
+landings.  Plus the regression/edge cases the engine introduced: empty
+batches, pre-sorted batch detection, fast-path engagement, and
+snapshot round-trips (including snapshots that still carry the
+retired ``columnar`` knob).
 """
 
 from __future__ import annotations
 
 import asyncio
+import gzip
+import json
 
 import numpy as np
 import pytest
 
 from repro.core.config import scaled_config
 from repro.core.controller import ControllerBank
+from repro.obs.tracing import ARC_CODE
 from repro.serve.events import EventBatch
 from repro.serve.service import ServiceConfig, SpeculationService
 from repro.serve.shard import BankShard, ShardedBank
@@ -53,67 +57,101 @@ def _batch_bounds(n: int, rng) -> list[tuple[int, int]]:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-def _scalar_deltas(config, pcs, taken, instrs, bounds):
-    """Per-batch (correct, incorrect) via per-event observe()."""
+def _scalar_batches(config, pcs, taken, instrs, bounds):
+    """Per-batch reference results via per-event observe(): each
+    batch's ``(correct, incorrect)`` deltas, its net decision flips
+    ``{pc: deployed}`` and its sorted FSM arcs in capture form."""
     bank = ControllerBank(config)
-    deltas = []
+    batches = []
     for lo, hi in bounds:
+        touched = {pc: bank.controller(pc)
+                   for pc in np.unique(pcs[lo:hi]).tolist()}
+        before = {pc: (ctrl.deployed, len(ctrl.transitions))
+                  for pc, ctrl in touched.items()}
         c = x = 0
         for j in range(lo, hi):
             out = bank.observe(int(pcs[j]), bool(taken[j]), int(instrs[j]))
-            if out.speculated:
-                c += out.correct
-                x += not out.correct
-        deltas.append((c, x))
-    return bank, deltas
+            c += out.speculated and out.correct
+            x += out.misspeculated
+        flips = {pc: ctrl.deployed for pc, ctrl in touched.items()
+                 if ctrl.deployed != before[pc][0]}
+        fired = sorted((pc, ARC_CODE[t.kind.value], t.exec_index, t.instr)
+                       for pc, ctrl in touched.items()
+                       for t in ctrl.transitions[before[pc][1]:])
+        batches.append(((c, x), flips, fired))
+    return bank, batches
+
+
+def _columnar_equals_scalar(config, pcs, taken, instrs, bounds):
+    """Drive a capturing shard batch by batch against the scalar spec:
+    deltas, decision flips and captured arcs per batch, then the whole
+    exported state and decision cache."""
+    ref_bank, ref_batches = _scalar_batches(config, pcs, taken, instrs,
+                                            bounds)
+    col = BankShard(0, config)
+    col.capture = True
+    for (lo, hi), ((ref_c, ref_x), ref_flips, ref_fired) in zip(
+            bounds, ref_batches):
+        rc = col.apply(pcs[lo:hi], taken[lo:hi], instrs[lo:hi])
+        assert (rc.correct, rc.incorrect) == (ref_c, ref_x)
+        assert rc.events == hi - lo
+        assert rc.last_instr == int(instrs[hi - 1])
+        assert len(rc.changed) == len(set(rc.changed))
+        assert dict(zip(rc.changed, rc.changed_deployed)) == ref_flips
+        assert sorted(rc.transitions) == ref_fired
+    # Full state parity, down to every pending landing and arc.
+    state = col.export_state()
+    assert state["bank"] == ref_bank.export_state()
+    assert (state["correct"], state["incorrect"]) == (
+        sum(c.correct for c in ref_bank), sum(c.incorrect for c in ref_bank))
+    assert col.decisions == {c.branch: c.deployed for c in ref_bank}
 
 
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
 @pytest.mark.parametrize("seed", [0, 1])
 def test_columnar_equals_chunked_equals_scalar(config_name, seed):
+    """Columnar engine vs the scalar spec on random interleaved
+    batches (the id predates the per-PC chunk loop's removal)."""
     config = CONFIGS[config_name]
     pcs, taken, instrs = _interleaved(4_000, 23, seed)
     rng = np.random.default_rng(seed + 77)
     bounds = _batch_bounds(len(pcs), rng)
-    ref_bank, ref_deltas = _scalar_deltas(config, pcs, taken, instrs, bounds)
-    col = BankShard(0, config, columnar=True)
-    loop = BankShard(0, config, columnar=False)
-    col.capture = loop.capture = True
-    for (lo, hi), (ref_c, ref_x) in zip(bounds, ref_deltas):
-        rc = col.apply(pcs[lo:hi], taken[lo:hi], instrs[lo:hi])
-        rl = loop.apply(pcs[lo:hi], taken[lo:hi], instrs[lo:hi])
-        assert (rc.correct, rc.incorrect) == (ref_c, ref_x)
-        assert (rl.correct, rl.incorrect) == (ref_c, ref_x)
-        assert rc.events == rl.events
-        assert rc.last_instr == rl.last_instr
-        assert sorted(rc.changed) == sorted(rl.changed)
-        assert (dict(zip(rc.changed, rc.changed_deployed))
-                == dict(zip(rl.changed, rl.changed_deployed)))
-        assert sorted(rc.transitions) == sorted(rl.transitions)
-    # Full state parity, down to every pending landing and transition.
-    assert col.export_state() == loop.export_state()
-    assert (col.export_state()["bank"]
-            == sorted(ref_bank.export_state(),
-                      key=lambda s: s["branch"]))
-    assert col.decisions == loop.decisions
+    _columnar_equals_scalar(config, pcs, taken, instrs, bounds)
+
+
+def _scalar_bank(config, pcs, taken, instrs):
+    """A scalar bank fed every event through observe()."""
+    bank = ControllerBank(config)
+    for pc, t, i in zip(pcs.tolist(), taken.tolist(), instrs.tolist()):
+        bank.observe(pc, t, i)
+    return bank
+
+
+def _merged_bank(sharded: ShardedBank) -> list[dict]:
+    """Every shard's controller states, merged in branch order."""
+    return sorted((s for shard in sharded.export_state()["shards"]
+                   for s in shard["bank"]), key=lambda s: s["branch"])
 
 
 @pytest.mark.parametrize("seed", [3, 4])
 def test_columnar_equals_chunked_on_wide_random_trace(seed,
                                                       random_trace_fn):
-    """ShardedBank-level parity on an adversarial wide trace."""
+    """ShardedBank-level parity with the scalar spec on an adversarial
+    wide trace."""
     config = scaled_config()
     trace = random_trace_fn(30_000, 700, seed)
-    col = ShardedBank(config, 4, columnar=True)
-    loop = ShardedBank(config, 4, columnar=False)
+    col = ShardedBank(config, 4)
     for lo in range(0, len(trace), 7_000):
         batch = EventBatch(seq=lo, pcs=trace.branch_ids[lo:lo + 7_000],
                            taken=trace.taken[lo:lo + 7_000],
                            instrs=trace.instrs[lo:lo + 7_000])
         col.apply_batch(batch)
-        loop.apply_batch(batch)
-    assert col.metrics() == loop.metrics()
-    assert col.export_state() == loop.export_state()
+    ref = _scalar_bank(config, trace.branch_ids, trace.taken, trace.instrs)
+    metrics = col.metrics()
+    assert metrics.dynamic_branches == len(trace)
+    assert (metrics.correct, metrics.incorrect) == (
+        sum(c.correct for c in ref), sum(c.incorrect for c in ref))
+    assert _merged_bank(col) == ref.export_state()
 
 
 def test_fast_path_engages_on_steady_state():
@@ -124,7 +162,7 @@ def test_fast_path_engages_on_steady_state():
     pcs = rng.integers(0, n_branches, n_events).astype(np.int32)
     taken = rng.uniform(size=n_events) < 0.999   # near-always taken
     instrs = np.cumsum(rng.integers(1, 4, n_events)).astype(np.int64)
-    shard = BankShard(0, config, columnar=True)
+    shard = BankShard(0, config)
     for lo in range(0, n_events, 8_192):
         shard.apply(pcs[lo:lo + 8_192], taken[lo:lo + 8_192],
                     instrs[lo:lo + 8_192])
@@ -135,11 +173,8 @@ def test_fast_path_engages_on_steady_state():
     # early on, but the steady state must dominate.
     assert stats["events_fast"] > 0.8 * n_events
     # And the work must still be exact.
-    loop = BankShard(0, config, columnar=False)
-    for lo in range(0, n_events, 8_192):
-        loop.apply(pcs[lo:lo + 8_192], taken[lo:lo + 8_192],
-                   instrs[lo:lo + 8_192])
-    assert shard.export_state() == loop.export_state()
+    ref = _scalar_bank(config, pcs, taken, instrs)
+    assert shard.export_state()["bank"] == ref.export_state()
 
 
 def _boundary_dense(n_events: int, n_branches: int, seed: int):
@@ -170,36 +205,14 @@ def _boundary_dense(n_events: int, n_branches: int, seed: int):
 def test_boundary_dense_three_engine_parity(config_name, seed):
     """Bit-exactness where arcs fire *inside* segments, for every
     config family: classify both directions, revisit re-entry,
-    latency landings and counter evictions mid-segment."""
+    latency landings and counter evictions mid-segment.  Columnar
+    engine vs the scalar spec (the id predates the per-PC chunk loop's
+    removal)."""
     config = CONFIGS[config_name]
     pcs, taken, instrs = _boundary_dense(5_000, 11, seed)
     rng = np.random.default_rng(seed + 31)
     bounds = _batch_bounds(len(pcs), rng)
-    ref_bank, ref_deltas = _scalar_deltas(config, pcs, taken, instrs, bounds)
-    col = BankShard(0, config, columnar=True)
-    loop = BankShard(0, config, columnar=False)
-    col.capture = loop.capture = True
-    col_trans: list = []
-    loop_trans: list = []
-    for (lo, hi), (ref_c, ref_x) in zip(bounds, ref_deltas):
-        rc = col.apply(pcs[lo:hi], taken[lo:hi], instrs[lo:hi])
-        rl = loop.apply(pcs[lo:hi], taken[lo:hi], instrs[lo:hi])
-        assert (rc.correct, rc.incorrect) == (ref_c, ref_x)
-        assert (rl.correct, rl.incorrect) == (ref_c, ref_x)
-        assert sorted(rc.changed) == sorted(rl.changed)
-        assert (dict(zip(rc.changed, rc.changed_deployed))
-                == dict(zip(rl.changed, rl.changed_deployed)))
-        col_trans.extend(rc.transitions)
-        loop_trans.extend(rl.transitions)
-    # The captured arc stream matches event-for-event (order within a
-    # batch may interleave differently across branches; per-branch
-    # streams are identical, so the sorted streams are equal).
-    assert sorted(col_trans) == sorted(loop_trans)
-    assert col.export_state() == loop.export_state()
-    assert (col.export_state()["bank"]
-            == sorted(ref_bank.export_state(),
-                      key=lambda s: s["branch"]))
-    assert col.decisions == loop.decisions
+    _columnar_equals_scalar(config, pcs, taken, instrs, bounds)
 
 
 def test_events_fallback_near_zero_on_train_then_flip():
@@ -210,14 +223,11 @@ def test_events_fallback_near_zero_on_train_then_flip():
 
     config = scaled_config()
     trace = train_then_flip_trace(n_branches=64, flip_at=700, seed=2)
-    shard = BankShard(0, config, columnar=True)
-    loop = BankShard(0, config, columnar=False)
+    shard = BankShard(0, config)
     for lo in range(0, len(trace), 8_192):
         hi = lo + 8_192
         shard.apply(trace.branch_ids[lo:hi], trace.taken[lo:hi],
                     trace.instrs[lo:hi])
-        loop.apply(trace.branch_ids[lo:hi], trace.taken[lo:hi],
-                   trace.instrs[lo:hi])
     stats = shard.col.stats()
     assert stats["events_fallback"] == 0
     assert stats["rows_fallback"] == 0
@@ -228,13 +238,14 @@ def test_events_fallback_near_zero_on_train_then_flip():
     assert stats["lands_fast"] >= 64 * 2
     state = shard.export_state()
     assert all(s["evictions"] >= 1 for s in state["bank"])
-    assert state == loop.export_state()
+    assert state["bank"] == _scalar_bank(
+        config, trace.branch_ids, trace.taken, trace.instrs).export_state()
 
 
 def test_stats_split_single_vs_fallback():
     """Single-branch batches are counted apart from true fallbacks."""
     config = CONFIGS["tiny"]
-    shard = BankShard(0, config, columnar=True)
+    shard = BankShard(0, config)
     one = np.full(50, 7, dtype=np.int32)
     taken = np.ones(50, dtype=bool)
     instrs = np.arange(1, 51, dtype=np.int64) * 8
@@ -247,7 +258,7 @@ def test_stats_split_single_vs_fallback():
     assert (res.col_fast, res.col_fallback, res.col_single) == (0, 0, 50)
     # A strided-monitor config routes multi-branch batches through the
     # true fallback instead.
-    strided = BankShard(0, CONFIGS["tiny-stride"], columnar=True)
+    strided = BankShard(0, CONFIGS["tiny-stride"])
     pcs = np.tile(np.array([1, 2], dtype=np.int32), 25)
     res = strided.apply(pcs, taken, instrs)
     stats = strided.col.stats()
@@ -255,17 +266,13 @@ def test_stats_split_single_vs_fallback():
     assert stats["events_fallback"] == 50
     assert stats["rows_single"] == 0
     assert res.col_fallback == 50 and res.col_single == 0
-    # The loop engine reports no columnar routing at all.
-    plain = BankShard(0, config, columnar=False)
-    res = plain.apply(pcs, taken, instrs)
-    assert (res.col_fast, res.col_fallback, res.col_single) == (0, 0, 0)
 
 
 def test_apply_result_routing_covers_every_event():
     """fast + fallback + single always adds up to the batch size."""
     config = CONFIGS["tiny-latency"]
     pcs, taken, instrs = _boundary_dense(3_000, 9, 6)
-    shard = BankShard(0, config, columnar=True)
+    shard = BankShard(0, config)
     rng = np.random.default_rng(8)
     for lo, hi in _batch_bounds(len(pcs), rng):
         res = shard.apply(pcs[lo:hi], taken[lo:hi], instrs[lo:hi])
@@ -298,8 +305,8 @@ def test_presorted_batch_skips_the_argsort(monkeypatch):
     rng = np.random.default_rng(1)
     taken = rng.uniform(size=len(pcs)) < 0.9
     instrs = np.cumsum(rng.integers(1, 5, len(pcs))).astype(np.int64)
-    reference = BankShard(0, config, columnar=False)
-    ref = reference.apply(pcs, taken, instrs)
+    ref_bank, ((ref_deltas, _flips, _fired),) = _scalar_batches(
+        config, pcs, taken, instrs, [(0, len(pcs))])
 
     real_argsort = np.argsort
 
@@ -311,57 +318,55 @@ def test_presorted_batch_skips_the_argsort(monkeypatch):
         return real_argsort(*a, **k)
 
     monkeypatch.setattr("repro.serve.shard.np.argsort", boom)
-    for columnar in (False, True):
-        shard = BankShard(0, config, columnar=columnar)
-        res = shard.apply(pcs, taken, instrs)
-        assert (res.correct, res.incorrect) == (ref.correct, ref.incorrect)
-        assert shard.export_state() == reference.export_state()
-        # Single-PC batches take the same skip.
-        one = shard.apply(np.array([3, 3], dtype=np.int32),
-                          np.array([True, True]),
-                          instrs[-1] + np.array([5, 9], dtype=np.int64))
-        assert one.events == 2
+    shard = BankShard(0, config)
+    res = shard.apply(pcs, taken, instrs)
+    assert (res.correct, res.incorrect) == ref_deltas
+    assert shard.export_state()["bank"] == ref_bank.export_state()
+    # Single-PC batches take the same skip.
+    one = shard.apply(np.array([3, 3], dtype=np.int32),
+                      np.array([True, True]),
+                      instrs[-1] + np.array([5, 9], dtype=np.int64))
+    assert one.events == 2
 
 
 def test_controller_accessor_reads_flushed_state():
     """bank.controller(pc) must never expose stale hot fields."""
     config = scaled_config()
-    bank = ShardedBank(config, 2, columnar=True)
+    bank = ShardedBank(config, 2)
     pcs, taken, instrs = _interleaved(20_000, 64, 5)
     bank.apply_batch(EventBatch(seq=0, pcs=pcs, taken=taken, instrs=instrs))
-    loop = ShardedBank(config, 2, columnar=False)
-    loop.apply_batch(EventBatch(seq=0, pcs=pcs, taken=taken, instrs=instrs))
+    ref = _scalar_bank(config, pcs, taken, instrs)
     for pc in range(64):
         assert (bank.controller(pc).export_state()
-                == loop.controller(pc).export_state())
+                == ref.controller(pc).export_state())
 
 
 def test_bank_snapshot_roundtrip_across_engines():
-    """State exported columnar restores exactly onto either engine."""
+    """State exported mid-run (columnar rows flushed into the scalar
+    controllers) restores and continues exactly like the live bank."""
     config = CONFIGS["tiny-latency"]
     pcs, taken, instrs = _interleaved(6_000, 40, 11)
     half = len(pcs) // 2
-    col = ShardedBank(config, 3, columnar=True)
+    col = ShardedBank(config, 3)
     col.apply_batch(EventBatch(seq=0, pcs=pcs[:half], taken=taken[:half],
                                instrs=instrs[:half]))
     state = col.export_state()
-    resumed_loop = ShardedBank.from_state(config, state, columnar=False)
-    resumed_col = ShardedBank.from_state(config, state, columnar=True)
+    resumed = ShardedBank.from_state(config, state)
     tail = EventBatch(seq=1, pcs=pcs[half:], taken=taken[half:],
                       instrs=instrs[half:])
     col.apply_batch(tail)
-    resumed_loop.apply_batch(tail)
-    resumed_col.apply_batch(tail)
-    assert resumed_loop.export_state() == col.export_state()
-    assert resumed_col.export_state() == col.export_state()
+    resumed.apply_batch(tail)
+    assert resumed.export_state() == col.export_state()
 
 
 def test_service_snapshot_roundtrip_with_no_columnar(tmp_path, bench_trace):
-    """Service-level: snapshot from a columnar run restores bit-exactly
-    under ``--no-columnar`` (and vice versa), format version >= 5."""
-    from repro.serve.snapshot import FORMAT_VERSION, load_snapshot
+    """Snapshots written while the service still had a batch-engine
+    knob (formats 5-7) carry ``"columnar"`` in their service config;
+    loading drops it.  A snapshot from a ``--no-columnar`` service
+    restores and continues bit-identically to a run that never
+    paused."""
+    from repro.serve.snapshot import load_snapshot
 
-    assert FORMAT_VERSION >= 5
     half = len(bench_trace) // 2
 
     def batches(lo, hi, base_seq):
@@ -372,30 +377,29 @@ def test_service_snapshot_roundtrip_with_no_columnar(tmp_path, bench_trace):
                              taken=bench_trace.taken[s:e],
                              instrs=bench_trace.instrs[s:e])
 
-    async def first_half():
-        service = SpeculationService(
-            service_config=ServiceConfig(n_shards=2, columnar=True))
+    async def run(service, lo, hi, snapshot=None):
         async with service:
-            for b in batches(0, half, 0):
+            for b in batches(lo, hi, service.last_seq + 1):
                 await service.submit(b)
             await service.drain()
-            return await service.snapshot(tmp_path / "snap.json.gz")
-
-    async def finish(service):
-        async with service:
-            for b in batches(half, len(bench_trace),
-                             service.last_seq + 1):
-                await service.submit(b)
-            await service.drain()
+            if snapshot is not None:
+                return await service.snapshot(snapshot)
             return service.metrics(), service.bank.export_state()
 
-    path = asyncio.run(first_half())
-    on = load_snapshot(path)
-    off = load_snapshot(path, columnar=False)
-    assert on.service_config.columnar is True
-    assert off.service_config.columnar is False
-    assert not any(s.columnar for s in off.bank.shards)
-    m_on, s_on = asyncio.run(finish(on))
-    m_off, s_off = asyncio.run(finish(off))
-    assert m_on == m_off
-    assert s_on == s_off
+    path = asyncio.run(run(
+        SpeculationService(service_config=ServiceConfig(n_shards=2)),
+        0, half, snapshot=tmp_path / "snap.json.gz"))
+    with gzip.open(path, "rt", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert "columnar" not in doc["service_config"]
+    doc["service_config"]["columnar"] = False
+    legacy = tmp_path / "legacy.json.gz"
+    with gzip.open(legacy, "wt", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    restored = load_snapshot(legacy)
+    assert restored.service_config == load_snapshot(path).service_config
+    resumed = asyncio.run(run(restored, half, len(bench_trace)))
+    straight = asyncio.run(run(
+        SpeculationService(service_config=ServiceConfig(n_shards=2)),
+        0, len(bench_trace)))
+    assert resumed == straight

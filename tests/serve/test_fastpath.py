@@ -1,22 +1,26 @@
-"""The chunked fast path must be bit-identical to scalar ``observe``.
+"""The per-branch FSM kernel must be bit-identical to scalar ``observe``.
 
-``apply_chunk`` is the load-bearing kernel of the online service: it
-advances one controller over a run of per-branch events with vectorized
-interior segments and exact handling of FSM boundaries and pending
-deployment landings.  These tests drive a controller event-by-event
-through the scalar reference and a twin through ``apply_chunk`` under
-*randomized chunk boundaries*, then require identical exported state —
-every counter, every transition, every pending landing.
+``apply_chunk`` (:mod:`repro.sim.vector`) is the per-branch kernel: the
+offline simulator runs every branch's whole history through it, and the
+service's columnar engine hands it single-branch batches and the window
+shapes it cannot express.  It advances one controller over a run of
+per-branch events with vectorized interior segments and exact handling
+of FSM boundaries and pending deployment landings.  These tests drive a
+controller event-by-event through the scalar reference and a twin
+through ``apply_chunk`` under *randomized chunk boundaries*, then
+require identical exported state — every counter, every transition,
+every pending landing.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import ControllerConfig, scaled_config
 from repro.core.controller import ReactiveBranchController
-from repro.serve.fastpath import apply_chunk
+from repro.sim.vector import apply_chunk
 
 CONFIGS = {
     "tiny": ControllerConfig(
@@ -118,4 +122,72 @@ def test_chunked_equals_scalar_at_paper_scale_config():
     rng = np.random.default_rng(42)
     fast, c, x = _chunked_run(config, taken, instrs, rng)
     assert fast.export_state() == ref.export_state()
+    assert (c, x) == (ref_c, ref_x)
+
+
+sampling_configs = st.builds(
+    ControllerConfig,
+    monitor_period=st.integers(1, 8),
+    selection_threshold=st.sampled_from([0.6, 0.75, 0.9]),
+    revisit_period=st.integers(1, 10),
+    oscillation_limit=st.integers(1, 4),
+    optimization_latency=st.sampled_from([0, 7, 40]),
+    evict_by_sampling=st.just(True),
+    evict_sample_period=st.sampled_from([5, 8, 12]),
+    evict_sample_len=st.sampled_from([1, 2, 5]),
+    evict_bias_threshold=st.sampled_from([0.6, 0.8, 1.0]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=sampling_configs, seed=st.integers(0, 10_000))
+def test_sampling_eviction_split_at_every_window_offset(config, seed):
+    """Evict-by-sampling carries its window position and count across
+    chunks: cut the history before every execution at window offset
+    ``o``, for each ``o`` of the sample period, and the kernel must
+    still match per-event ``observe`` exactly.  Landings fall inside
+    the chunks (deployment latency splits them mid-window)."""
+    taken, instrs = _branch_events(
+        400, seed, bias_schedule=[0.95, 0.6, 1.0, 0.2, 0.9, 0.97])
+    ref = ReactiveBranchController(config, branch=1)
+    ref_c = ref_x = 0
+    offsets = []  # each execution's sample-window position on entry
+    for t, i in zip(taken, instrs):
+        offsets.append(ref._window_pos)
+        out = ref.observe(bool(t), int(i))
+        ref_c += out.speculated and out.correct
+        ref_x += out.misspeculated
+    offsets = np.array(offsets)
+    for offset in range(config.evict_sample_period):
+        cuts = np.flatnonzero(offsets == offset)
+        bounds = np.unique(np.concatenate(([0], cuts, [len(taken)])))
+        fast = ReactiveBranchController(config, branch=1)
+        c = x = 0
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            dc, dx = apply_chunk(fast, taken[lo:hi], instrs[lo:hi])
+            c += dc
+            x += dx
+        assert fast.export_state() == ref.export_state(), offset
+        assert (c, x) == (ref_c, ref_x)
+
+
+@pytest.mark.parametrize("config_name", sorted(CONFIGS))
+def test_kernel_never_calls_observe(config_name, monkeypatch):
+    """``apply_chunk`` resolves every config family in array code: it
+    must not fall back to the scalar spec's ``observe`` anywhere."""
+    config = CONFIGS[config_name]
+    taken, instrs = _branch_events(
+        600, 5, bias_schedule=[0.95, 0.5, 1.0, 0.1, 0.98])
+    ref, ref_c, ref_x = _scalar_run(config, taken, instrs)
+
+    def forbidden(self, taken, instr):
+        raise AssertionError("apply_chunk called observe()")
+
+    monkeypatch.setattr(ReactiveBranchController, "observe", forbidden)
+    fast, c, x = _chunked_run(config, taken, instrs,
+                              np.random.default_rng(3))
+    whole = ReactiveBranchController(config, branch=1)
+    apply_chunk(whole, taken, instrs)
+    assert fast.export_state() == ref.export_state()
+    assert whole.export_state() == ref.export_state()
     assert (c, x) == (ref_c, ref_x)

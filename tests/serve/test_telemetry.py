@@ -90,7 +90,7 @@ def test_colpath_routing_counters_export_fast_path_residency():
     t.record_apply(0, 100, 50, 1, depth_after=0,
                    col_fast=80, col_fallback=15, col_single=5)
     t.record_apply(0, 40, 20, 0, depth_after=0, col_fast=40)
-    t.record_apply(0, 10, 5, 0, depth_after=0)   # columnar engine off
+    t.record_apply(0, 10, 5, 0, depth_after=0)   # no routing stats
     fam = registry.get("repro_colpath_events_total")
     assert fam.labels("fast").value == 120
     assert fam.labels("fallback").value == 15

@@ -112,16 +112,29 @@ class TestSpeculationFlags:
         assert int(misspec.sum()) == result.metrics.incorrect
         assert np.all(spec[misspec])  # misspec implies speculated
 
-    def test_flags_match_reference_outcomes(self, tiny_config):
-        trace = trace_from_outcomes(
-            {0: [True] * 4 + [False] * 3, 1: [True, False] * 6})
-        spec, misspec, _result = speculation_flags(trace, tiny_config)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        config=config_strategy,
+        outcomes=st.lists(
+            st.lists(st.booleans(), min_size=1, max_size=120),
+            min_size=1, max_size=4),
+        stride=st.integers(1, 20),
+    )
+    def test_flags_match_reference_outcomes(self, config, outcomes, stride):
+        """Deployed windows and their directions are re-derived from the
+        SELECT/EVICT arcs (strided monitor windows included); every
+        event's flags must equal per-event ``observe``'s outcome."""
         from repro.core.controller import ControllerBank
 
-        bank = ControllerBank(tiny_config)
+        trace = trace_from_outcomes(
+            {i: seq for i, seq in enumerate(outcomes)},
+            instr_stride=stride)
+        spec, misspec, result = speculation_flags(trace, config)
+        bank = ControllerBank(config)
         for i in range(len(trace)):
             out = bank.observe(int(trace.branch_ids[i]),
                                bool(trace.taken[i]),
                                int(trace.instrs[i]))
             assert out.speculated == bool(spec[i])
             assert out.misspeculated == bool(misspec[i])
+        assert result.branches == run_reference(trace, config).branches

@@ -218,7 +218,7 @@ class TestSlowPoisonTrace:
                                   misspec_increment=50,
                                   correct_decrement=1, margin=0.5,
                                   seed=3)
-        shard = BankShard(0, config, columnar=True)
+        shard = BankShard(0, config)
         for lo in range(0, len(trace), 4_096):
             hi = lo + 4_096
             shard.apply(trace.branch_ids[lo:hi], trace.taken[lo:hi],
