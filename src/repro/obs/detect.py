@@ -39,15 +39,22 @@ micro-batch than their SELECT: the detector maintains absolute per-PC
 execution counts from the start of the stream, so the onset index
 shares the controller's 0-based ``exec_index`` timebase and
 ``tte = evict.exec_index - onset_exec`` matches the arc-counter ground
-truth.  Counting runs on one of two vectorised representations: a
-dense array indexed directly by key (``np.bincount`` scatter + O(1)
-lookup) while every key stays below :data:`_DENSE_LIMIT`, or
-sorted-parallel arrays (``np.unique`` + sorted-merge) once a huge key
-— e.g. a packed ``(tenant << 32) | pc`` — appears; the switch migrates
-the counts, so totals are exact either way.  One known granularity limit: outcomes in the *same*
-micro-batch as the SELECT are not flip-checked (the deployed set is
-updated from transitions after the batch's outcomes are observed), so
-a flip inside the SELECT batch is attributed to the next batch.
+truth.
+
+Per-key state is one set of slot-indexed arrays: execution count,
+trained-direction code, flip onset.  While every key stays in
+``[0, _DENSE_LIMIT)`` a key's slot is the key itself (a batch costs an
+``np.bincount`` scatter).  Once a larger key appears — a packed
+``(tenant << 32) | pc`` — a key's slot is its position in a sorted key
+index that grows by inserting each batch's new keys (a batch costs a
+sort-path ``np.unique`` and a ``searchsorted``).  Both share one flip
+check over the *armed* slots, deployed keys with no onset yet: per-slot
+event and taken counts find the flips, and each armed key is scanned
+event by event at most once.  One known granularity limit: outcomes in
+the *same* micro-batch as the SELECT are not flip-checked (the
+deployed set is updated from transitions after the batch's outcomes
+are observed), so a flip inside the SELECT batch is attributed to the
+next batch.
 
 Verdicts latch: ``peak_verdict`` and the burst counter never move
 backwards, so a CI step can assert "a burst happened" after the storm
@@ -83,9 +90,9 @@ TTE_BUCKETS = tuple(float(1 << i) for i in range(17))
 #: Most recent per-PC time-to-evict samples kept for ``health_doc``.
 _TTE_KEEP = 1024
 
-#: Keys below this use the dense counting representation (direct
+#: While every key is below this, a key is its own slot (direct
 #: indexing; worst case 16 MiB of int64 counters).  Packed tenant keys
-#: and other huge ids switch the detector to sorted-merge counting.
+#: and other huge ids switch the detector to the sorted key index.
 _DENSE_LIMIT = 1 << 21
 
 
@@ -121,14 +128,14 @@ class DetectorConfig:
             raise ValueError("storm_evictions must be positive")
 
 
-class _PcState:
-    """Flip-tracking state for one deployed (selected) PC."""
-
-    __slots__ = ("direction", "onset_exec")
-
-    def __init__(self) -> None:
-        self.direction: bool | None = None
-        self.onset_exec: int | None = None
+def _lookup(ids: np.ndarray, values: np.ndarray,
+            wanted: np.ndarray) -> np.ndarray:
+    """``values`` at each of ``wanted`` in the sorted ``ids``, 0 where
+    ``ids`` lacks it."""
+    if len(ids) == 0:
+        return np.zeros(len(wanted), dtype=np.int64)
+    pos = np.minimum(np.searchsorted(ids, wanted), len(ids) - 1)
+    return np.where(ids[pos] == wanted, values[pos], 0)
 
 
 class MisspecDetector:
@@ -138,31 +145,25 @@ class MisspecDetector:
                  registry: MetricsRegistry | None = None) -> None:
         self.config = config if config is not None else DetectorConfig()
         self._lock = threading.Lock()
-        # -- absolute per-PC execution counts ---------------------------
-        # Dense representation: counts indexed by key, plus parallel
-        # arrays for flip tracking without per-batch grouping.
-        # ``_dense_dir`` codes: 0 = not armed (untracked, or onset
-        # already recorded), 1 = trained not-taken, 2 = trained taken,
-        # 3 = deployed but direction not yet observed.  ``_dense_onset``
-        # holds the flip-onset exec index (-1 unset).
-        self._dense: np.ndarray | None = None
-        self._dense_dir: np.ndarray | None = None
-        self._dense_onset: np.ndarray | None = None
-        # Sparse representation (sorted-parallel arrays) once a key
-        # >= _DENSE_LIMIT (or negative) appears.
-        self._sparse = False
-        self._pcs_arr: np.ndarray | None = None
-        self._counts_arr: np.ndarray | None = None
-        # -- deployed-PC flip tracking ----------------------------------
-        self._deployed: dict[int, _PcState] = {}
-        self._deployed_arr: np.ndarray | None = None
-        self._deployed_dirty = False
-        # Dense-mode armed set (nonzero _dense_dir entries): a scalar
-        # count (zero lets whole batches skip the flip check) and a
-        # cached index array rebuilt when membership changes.
+        # -- per-key state, one slot per key ----------------------------
+        # While every key seen is in [0, _DENSE_LIMIT) ``_keys`` is None
+        # and a key's slot is the key itself; after that ``_keys`` is
+        # the sorted index of keys with state and a key's slot is its
+        # position in it.
+        # ``_dir`` codes: 0 = not armed (untracked, or onset already
+        # recorded), 1 = trained not-taken, 2 = trained taken, 3 =
+        # deployed but direction not yet observed.  ``_onset`` holds
+        # the flip-onset exec index (-1 unset).
+        self._keys: np.ndarray | None = None
+        self._count = np.zeros(0, dtype=np.int64)
+        self._dir = np.zeros(0, dtype=np.uint8)
+        self._onset = np.zeros(0, dtype=np.int64)
+        self._deployed: set[int] = set()
+        # Armed slots (nonzero ``_dir``): a count (zero lets whole
+        # batches skip the flip check) and a cached index array, None
+        # once membership or slot positions change.
         self._armed = 0
         self._armed_arr: np.ndarray | None = None
-        self._armed_dirty = False
         # -- sliding window ---------------------------------------------
         self._window: deque[tuple[int, int, int, int]] = deque()
         self._win_events = 0
@@ -204,84 +205,60 @@ class MisspecDetector:
                 "Per-PC executions from first flipped outcome to EVICT",
                 buckets=TTE_BUCKETS)
 
-    # -- exact per-PC execution counting --------------------------------
-    def _grow_dense(self, size: int) -> None:
-        """Ensure the dense arrays cover indices ``[0, size)``."""
-        if self._dense is None:
-            grown = max(size, 1024)
-            self._dense = np.zeros(grown, dtype=np.int64)
-            self._dense_dir = np.zeros(grown, dtype=np.uint8)
-            self._dense_onset = np.full(grown, -1, dtype=np.int64)
+    # -- slots -----------------------------------------------------------
+    def _grow(self, size: int) -> None:
+        """Ensure the key-indexed slots cover keys ``[0, size)``."""
+        have = len(self._count)
+        if size <= have:
             return
-        if size <= len(self._dense):
-            return
-        grown = max(size, 2 * len(self._dense))
-        dense = np.zeros(grown, dtype=np.int64)
-        dense[:len(self._dense)] = self._dense
-        direction = np.zeros(grown, dtype=np.uint8)
-        direction[:len(self._dense_dir)] = self._dense_dir
-        onset = np.full(grown, -1, dtype=np.int64)
-        onset[:len(self._dense_onset)] = self._dense_onset
-        self._dense = dense
-        self._dense_dir = direction
-        self._dense_onset = onset
+        extra = max(size, 2 * have, 1024) - have
+        self._count = np.append(self._count, np.zeros(extra, np.int64))
+        self._dir = np.append(self._dir, np.zeros(extra, np.uint8))
+        self._onset = np.append(self._onset, np.full(extra, -1, np.int64))
 
-    def _to_sparse(self) -> None:
-        """Migrate dense counts into the sorted-parallel arrays; used
-        once a key outside the dense range appears."""
-        self._sparse = True
-        if self._dense is None:
-            return
-        # Deployed-PC flip state moves from the dense arrays into the
-        # per-PC state objects the sparse path reads.
-        for pc, state in self._deployed.items():
-            if 0 <= pc < len(self._dense):
-                d = int(self._dense_dir[pc])
-                state.direction = bool(d - 1) if d in (1, 2) else None
-                onset = int(self._dense_onset[pc])
-                state.onset_exec = None if onset < 0 else onset
-        nz = np.flatnonzero(self._dense)
-        self._pcs_arr = nz.astype(np.int64)
-        self._counts_arr = self._dense[nz]
-        self._dense = None
-        self._dense_dir = None
-        self._dense_onset = None
-        self._deployed_dirty = True
+    def _to_sorted(self) -> None:
+        """Switch to the sorted key index; used once a key outside
+        ``[0, _DENSE_LIMIT)`` appears.  Keys with no executions and no
+        armed state carry nothing, so only the others move."""
+        keys = np.flatnonzero((self._count > 0) | (self._dir > 0))
+        self._keys = keys.astype(np.int64)
+        self._count = self._count[keys]
+        self._dir = self._dir[keys]
+        self._onset = self._onset[keys]
+        self._armed_arr = None
 
-    def _count_batch(self, uniq: np.ndarray, counts: np.ndarray) -> None:
-        """Fold one batch's per-PC occurrence counts into the absolute
-        counters (sorted-merge; fully vectorised once the PC set is
-        stable)."""
-        if self._pcs_arr is None:
-            self._pcs_arr = uniq.astype(np.int64, copy=True)
-            self._counts_arr = counts.astype(np.int64, copy=True)
-            return
-        pcs = self._pcs_arr
-        idx = np.searchsorted(pcs, uniq)
-        safe = np.minimum(idx, len(pcs) - 1)
-        known = pcs[safe] == uniq
-        if known.all():
-            np.add.at(self._counts_arr, idx, counts)
-            return
-        merged = np.union1d(pcs, uniq)
-        new_counts = np.zeros(len(merged), dtype=np.int64)
-        new_counts[np.searchsorted(merged, pcs)] = self._counts_arr
-        np.add.at(new_counts, np.searchsorted(merged, uniq), counts)
-        self._pcs_arr = merged
-        self._counts_arr = new_counts
+    def _index(self, uniq: np.ndarray) -> np.ndarray:
+        """Slots of the sorted distinct keys ``uniq`` in the sorted
+        index, inserting the absent ones."""
+        keys = self._keys
+        pos = np.searchsorted(keys, uniq)
+        if len(keys):
+            new = uniq[keys[np.minimum(pos, len(keys) - 1)] != uniq]
+        else:
+            new = uniq
+        if len(new) == 0:
+            return pos
+        at = np.searchsorted(keys, new)
+        self._keys = np.insert(keys, at, new)
+        self._count = np.insert(self._count, at, 0)
+        self._dir = np.insert(self._dir, at, 0)
+        self._onset = np.insert(self._onset, at, -1)
+        self._armed_arr = None
+        return np.searchsorted(self._keys, uniq)
 
-    def _exec_base(self, pc: int) -> int:
-        """Absolute 0-based execution index of ``pc``'s next event."""
-        if not self._sparse:
-            if self._dense is None or pc >= len(self._dense) or pc < 0:
-                return 0
-            return int(self._dense[pc])
-        if self._pcs_arr is None:
-            return 0
-        idx = int(np.searchsorted(self._pcs_arr, pc))
-        if idx < len(self._pcs_arr) and int(self._pcs_arr[idx]) == pc:
-            return int(self._counts_arr[idx])
-        return 0
+    def _slot(self, key: int) -> int:
+        """Slot of one key, added if it has none."""
+        if self._keys is None:
+            if 0 <= key < _DENSE_LIMIT:
+                self._grow(key + 1)
+                return key
+            self._to_sorted()
+        return int(self._index(np.array([key], dtype=np.int64))[0])
+
+    def _armed_slots(self) -> np.ndarray:
+        if self._armed_arr is None:
+            self._armed_arr = np.flatnonzero(self._dir)
+        return self._armed_arr
 
     # -- inputs ----------------------------------------------------------
     def observe_batch(self, keys: np.ndarray, taken: np.ndarray) -> None:
@@ -290,112 +267,74 @@ class MisspecDetector:
         if len(keys) == 0:
             return
         keys64 = np.asarray(keys, dtype=np.int64)
+        taken = np.asarray(taken, dtype=bool)
         with self._lock:
-            if not self._sparse:
-                mx = int(keys64.max())
-                if mx < _DENSE_LIMIT and int(keys64.min()) >= 0:
-                    self._grow_dense(mx + 1)
+            if self._keys is None:
+                top = int(keys64.max())
+                if top < _DENSE_LIMIT and int(keys64.min()) >= 0:
+                    self._grow(top + 1)
                     counts = np.bincount(keys64,
-                                         minlength=len(self._dense))
+                                         minlength=len(self._count))
                     if self._armed:
-                        self._check_flips_dense(keys64, taken, counts)
-                    self._dense += counts
+                        armed = self._armed_slots()
+                        ones = np.bincount(keys64, weights=taken,
+                                           minlength=len(self._count))
+                        self._check_flips(keys64, taken, armed,
+                                          counts[armed],
+                                          ones[armed].astype(np.int64))
+                    self._count += counts
                     return
-                self._to_sparse()
+                self._to_sorted()
             uniq, counts = np.unique(keys64, return_counts=True)
-            if self._deployed:
-                self._check_flips_sparse(keys64, taken, uniq)
-            self._count_batch(uniq, counts)
+            slots = self._index(uniq)
+            if self._armed:
+                armed = self._armed_slots()
+                armed_keys = self._keys[armed]
+                # A second sort over the taken outcomes beats the
+                # inverse-mapping form of ``np.unique`` on a batch.
+                ones_keys, ones = np.unique(keys64[taken],
+                                            return_counts=True)
+                self._check_flips(keys64, taken, armed,
+                                  _lookup(uniq, counts, armed_keys),
+                                  _lookup(ones_keys, ones, armed_keys))
+            self._count[slots] += counts
 
-    def _check_flips_dense(self, keys64: np.ndarray, taken: np.ndarray,
-                           counts: np.ndarray) -> None:
-        """Dense-mode flip check at per-PC count granularity.
+    def _check_flips(self, keys64: np.ndarray, taken: np.ndarray,
+                     armed: np.ndarray, ca: np.ndarray,
+                     ct: np.ndarray) -> None:
+        """Flip check of the armed slots at per-key count granularity.
 
-        ``counts`` is this batch's occurrence bincount (already needed
-        for execution counting); a second bincount over the taken
-        events yields, per armed PC, how many outcomes opposed its
-        trained direction — so the steady state (no armed PC flips)
-        costs two batch-length passes plus a handful of armed-length
-        vector ops, and the per-event scans below run at most once per
-        armed PC's lifetime (finding the onset disarms it)."""
-        if self._armed_dirty or self._armed_arr is None:
-            self._armed_arr = np.flatnonzero(self._dense_dir)
-            self._armed_dirty = False
-        armed = self._armed_arr
-        taken_arr = np.asarray(taken)
-        taken_cnt = np.bincount(keys64, weights=taken_arr,
-                                minlength=len(self._dense))
-        ca = counts[armed]
-        ct = taken_cnt[armed].astype(np.int64)
-        d = self._dense_dir[armed]
+        ``ca`` and ``ct`` are each armed slot's events and taken
+        outcomes in this batch, so the steady state (no armed key
+        flips) costs a handful of armed-length vector ops, and the
+        per-event scans below run at most once per armed key's
+        lifetime (finding the onset disarms it)."""
+        d = self._dir[armed]
         unk = (d == 3) & (ca > 0)
         if unk.any():
-            # First observed post-select batch for these PCs: for a
+            # First observed post-select batch for these keys: for a
             # trained biased branch every outcome here is the bias, so
             # the batch majority is the exact trained direction.
-            for j in np.flatnonzero(unk).tolist():
-                pc = int(armed[j])
-                self._dense_dir[pc] = np.uint8(
-                    2 if 2 * int(ct[j]) >= int(ca[j]) else 1)
-            d = self._dense_dir[armed]
+            d[unk] = np.where(2 * ct[unk] >= ca[unk], 2, 1)
+            self._dir[armed] = d
         # Trained taken (2): flips are the not-taken occurrences;
         # trained not-taken (1): flips are the taken occurrences.
-        # Armed PCs have no onset yet by construction, so any flip is
-        # this PC's first — locate it exactly in program order.
+        # Armed keys have no onset yet by construction, so any flip is
+        # the key's first — locate it exactly in program order.
         hit = np.flatnonzero(np.where(d == 2, ca - ct, ct) > 0)
-        for j in hit.tolist():
-            pc = int(armed[j])
-            trained_taken = int(d[j]) == 2
-            pos = np.flatnonzero((keys64 == pc)
-                                 & (taken_arr != trained_taken))
-            first = int(pos[0])
-            before = int(np.count_nonzero(keys64[:first] == pc))
-            self._dense_onset[pc] = self._exec_base(pc) + before
-            self._dense_dir[pc] = 0  # disarm: flip work for pc is done
-            self._armed -= 1
-            self._armed_dirty = True
-
-    def _check_flips_sparse(self, keys64: np.ndarray, taken: np.ndarray,
-                            uniq: np.ndarray) -> None:
-        if self._deployed_dirty or self._deployed_arr is None:
-            self._deployed_arr = np.fromiter(
-                sorted(self._deployed), dtype=np.int64,
-                count=len(self._deployed))
-            self._deployed_dirty = False
-        hits = self._deployed_arr[
-            np.isin(self._deployed_arr, uniq, assume_unique=True)]
-        if len(hits) == 0:
+        if len(hit) == 0:
             return
-        self._flip_groups(keys64, taken,
-                          np.flatnonzero(np.isin(keys64, hits)))
-
-    def _flip_groups(self, keys64: np.ndarray, taken: np.ndarray,
-                     idx: np.ndarray) -> None:
-        """Group the deployed-PC events at ``idx`` by key (stable, so
-        program order is preserved within each group) and update each
-        PC's trained direction / flip onset."""
-        sub_keys = keys64[idx]
-        order = np.argsort(sub_keys, kind="stable")
-        sub_keys = sub_keys[order]
-        sub_taken = np.asarray(taken)[idx[order]]
-        bounds = np.flatnonzero(np.diff(sub_keys)) + 1
-        starts = np.concatenate(([0], bounds))
-        ends = np.concatenate((bounds, [len(sub_keys)]))
-        for s, e in zip(starts.tolist(), ends.tolist()):
-            pc = int(sub_keys[s])
-            state = self._deployed[pc]
-            outs = sub_taken[s:e]
-            if state.direction is None:
-                # First observed post-select batch: for a trained
-                # biased branch every outcome here is the bias, so the
-                # majority is the exact trained direction.
-                state.direction = bool(
-                    np.count_nonzero(outs) * 2 >= len(outs))
-            if state.onset_exec is None:
-                flipped = outs != state.direction
-                if flipped.any():
-                    state.onset_exec = (self._exec_base(pc)
-                                        + int(np.argmax(flipped)))
+        slots = armed[hit]
+        hit_keys = slots if self._keys is None else self._keys[slots]
+        for slot, key, trained_taken in zip(
+                slots.tolist(), hit_keys.tolist(), (d[hit] == 2).tolist()):
+            mine = keys64 == key
+            first = int(np.argmax(mine & (taken != trained_taken)))
+            self._onset[slot] = (self._count[slot]
+                                 + np.count_nonzero(mine[:first]))
+        self._dir[slots] = 0  # disarm: flip work for these keys is done
+        self._armed -= len(slots)
+        self._armed_arr = None
 
     def observe_apply(self, events: int, correct: int, incorrect: int,
                       first_instr: int, last_instr: int) -> None:
@@ -431,32 +370,28 @@ class MisspecDetector:
         with self._lock:
             for pc, arc, exec_index, _instr in transitions:
                 if arc == _SELECT:
-                    pc = int(pc)
-                    self._deployed[pc] = _PcState()
-                    self._deployed_dirty = True
-                    if not self._sparse and 0 <= pc < _DENSE_LIMIT:
-                        self._grow_dense(pc + 1)
-                        self._dense_dir[pc] = 3
-                        self._dense_onset[pc] = -1
+                    key = int(pc)
+                    self._deployed.add(key)
+                    slot = self._slot(key)
+                    if not self._dir[slot]:
                         self._armed += 1
-                        self._armed_dirty = True
+                        self._armed_arr = None
+                    self._dir[slot] = 3
+                    self._onset[slot] = -1
                 elif arc == _EVICT:
-                    pc = int(pc)
-                    state = self._deployed.pop(pc, None)
-                    self._deployed_dirty = True
-                    if (not self._sparse and self._dense_dir is not None
-                            and 0 <= pc < len(self._dense_dir)):
-                        if self._dense_dir[pc]:
-                            self._armed -= 1
-                            self._armed_dirty = True
-                        self._dense_dir[pc] = 0
-                        onset = int(self._dense_onset[pc])
-                        if state is not None and onset >= 0:
-                            state.onset_exec = onset
+                    key = int(pc)
                     self._evict_marks.append(self._total_events)
-                    if state is not None and state.onset_exec is not None:
-                        self._record_tte(
-                            pc, int(exec_index) - state.onset_exec)
+                    if key not in self._deployed:
+                        continue
+                    self._deployed.remove(key)
+                    slot = self._slot(key)
+                    if self._dir[slot]:
+                        self._dir[slot] = 0
+                        self._armed -= 1
+                        self._armed_arr = None
+                    onset = int(self._onset[slot])
+                    if onset >= 0:
+                        self._record_tte(key, int(exec_index) - onset)
             if self._g_deployed is not None:
                 self._g_deployed.set(len(self._deployed))
             self._update_verdict()

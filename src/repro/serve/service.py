@@ -58,6 +58,7 @@ from repro.serve.shard import BankShard, ShardedBank, shard_of
 from repro.serve.telemetry import ServiceTelemetry, TelemetryReading
 from repro.serve.workers import WorkerDiedError, WorkerPool
 from repro.sim.metrics import SpeculationMetrics
+from repro.tenant.keys import sorted_unique
 from repro.tenant.manager import TenantManager
 
 __all__ = ["ServiceConfig", "BackpressureError", "QuotaExceededError",
@@ -823,7 +824,7 @@ class SpeculationService:
         if tm is None or not tm.spilled_count():
             return
         tenants = ([0] if batch.tenants is None
-                   else np.unique(batch.tenants).tolist())
+                   else sorted_unique(batch.tenants).tolist())
         now = monotonic()
         n = self.bank.n_shards
         for tenant in tenants:

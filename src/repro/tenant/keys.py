@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["TENANT_SHIFT", "MAX_TENANT", "MAX_PC", "pack_key",
-           "key_tenant", "key_pc", "pack_keys"]
+           "key_tenant", "key_pc", "pack_keys", "sorted_unique"]
 
 #: Bit position of the tenant id inside a packed key.
 TENANT_SHIFT = 32
@@ -55,3 +55,17 @@ def pack_keys(tenants: np.ndarray, pcs: np.ndarray) -> np.ndarray:
     """Vectorized :func:`pack_key` over parallel arrays (int64 out)."""
     return ((tenants.astype(np.int64) << np.int64(TENANT_SHIFT))
             | pcs.astype(np.int64))
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct elements of ``values``, by sorting.
+
+    A plain ``np.unique`` (no ``return_*`` flag) takes a hash path on
+    recent numpy (measured on 2.4.6) that is about ten times slower
+    than sorting on packed key arrays, so the per-batch bookkeeping
+    uses this form.
+    """
+    ordered = np.sort(values)
+    distinct = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
+    return ordered[distinct]

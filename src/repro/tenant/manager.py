@@ -10,15 +10,21 @@ is where the tenant dimension actually lives:
   backpressure signal a full queue produces, so existing client retry
   loops handle quotas unchanged.
 * **Resident-set accounting.**  Each resident tenant's footprint is
-  estimated as ``distinct branches × bytes_per_branch``, maintained
-  incrementally from the unique keys of each admitted batch.  The sum
-  is compared against the configured budget after every admission.
+  estimated as ``distinct branches × bytes_per_branch``.  One sorted
+  int64 array holds every resident tenant's keys; a tenant's keys are
+  the contiguous range ``[t << 32, (t + 1) << 32)`` of it.  An admitted
+  batch inserts only the keys the array lacks (a sort-path unique,
+  ``searchsorted``, ``np.insert``) and charges them to their tenants
+  in one ``np.unique`` over the new keys' tenant ids; a restore
+  inserts the blob's keys.  The sum is compared against the
+  configured budget after every admission.
 * **Spill victim selection.**  Residents are kept in touch order
   (an ``OrderedDict`` LRU).  When over budget the manager walks the
   LRU oldest-first and picks the first tenant at or above the average
   resident footprint — falling back to the plain LRU head — so a small
   steadily-active tenant is not evicted to pay for a large one's
-  churn; the tenant creating the pressure is the one that pays.
+  churn; the tenant creating the pressure is the one that pays.  The
+  victims' key ranges leave the key array in one pass per call.
 * **Spill/restore orchestration.**  A spill is not performed here —
   the manager marks the tenant *spilling* and the service enqueues one
   FIFO control job per shard queue, so the spill serializes after
@@ -52,10 +58,15 @@ import numpy as np
 
 from repro.obs.cardinality import LabelCardinalityGuard
 from repro.obs.metrics import MetricsRegistry
-from repro.tenant.keys import TENANT_SHIFT
+from repro.tenant.keys import MAX_PC, TENANT_SHIFT, sorted_unique
 from repro.tenant.spillstore import SpillStore
 
 __all__ = ["AdmissionPlan", "TenantManager"]
+
+
+def _branch_keys(states: list[dict]) -> np.ndarray:
+    """The packed branch keys of a spilled tenant's controller states."""
+    return np.array([s["branch"] for s in states], dtype=np.int64)
 
 
 @dataclass
@@ -83,13 +94,11 @@ class AdmissionPlan:
 class _Resident:
     """Per-resident-tenant state (the only per-tenant memory kept)."""
 
-    __slots__ = ("tokens", "stamp", "keys", "bytes")
+    __slots__ = ("tokens", "stamp", "bytes")
 
-    def __init__(self, tokens: float, stamp: float,
-                 track_keys: bool) -> None:
+    def __init__(self, tokens: float, stamp: float) -> None:
         self.tokens = tokens
         self.stamp = stamp
-        self.keys: set[int] | None = set() if track_keys else None
         self.bytes = 0
 
 
@@ -117,6 +126,9 @@ class TenantManager:
             self._ensure_store()
         #: Resident tenants in touch order (oldest first).
         self._lru: "OrderedDict[int, _Resident]" = OrderedDict()
+        #: Every resident tenant's branch keys, sorted (budgeted
+        #: managers only); tenant t owns ``[t << 32, (t + 1) << 32)``.
+        self._keys = np.zeros(0, dtype=np.int64)
         self.resident_bytes = 0
         self.peak_resident_bytes = 0
         #: Tenants mid-spill: collected per-shard states + shards left.
@@ -227,17 +239,14 @@ class TenantManager:
         batch is accepted (post-WAL), so rejection paths mutate
         nothing."""
         track = self.resident_bytes_budget is not None
-        bpb = self.bytes_per_branch
         for tenant, states in plan.restores:
             self._store.remove(tenant)
             self.restores += 1
             if self._g_spilled is not None:
                 self._c_restores.inc()
-            st = self._touch(tenant, now)
+            self._touch(tenant, now)
             if track:
-                st.keys = {int(s["branch"]) for s in states}
-                st.bytes = len(st.keys) * bpb
-                self.resident_bytes += st.bytes
+                self._add_keys(_branch_keys(states))
         rate = self.quota_rate
         for tenant, n in zip(plan.tenants, plan.counts):
             st = self._touch(tenant, now)
@@ -249,16 +258,7 @@ class TenantManager:
             if self._guard is not None:
                 self._guard.inc(tenant, n)
         if track:
-            ukeys = np.unique(batch.keys())
-            lru = self._lru
-            added = 0
-            for key in ukeys.tolist():
-                st = lru[key >> TENANT_SHIFT]
-                if key not in st.keys:
-                    st.keys.add(key)
-                    st.bytes += bpb
-                    added += bpb
-            self.resident_bytes += added
+            self._add_keys(batch.keys())
             if self.resident_bytes > self.peak_resident_bytes:
                 self.peak_resident_bytes = self.resident_bytes
         self._update_gauges()
@@ -266,12 +266,42 @@ class TenantManager:
     def _touch(self, tenant: int, now: float) -> _Resident:
         st = self._lru.get(tenant)
         if st is None:
-            st = _Resident(float(self.quota_burst), now,
-                           self.resident_bytes_budget is not None)
+            st = _Resident(float(self.quota_burst), now)
             self._lru[tenant] = st
         else:
             self._lru.move_to_end(tenant)
         return st
+
+    def _add_keys(self, keys: np.ndarray) -> None:
+        """Insert the keys of resident tenants that the index lacks and
+        charge each new key to its tenant's footprint."""
+        index = self._keys
+        uniq = sorted_unique(keys)
+        pos = np.searchsorted(index, uniq)
+        if len(index):
+            uniq = uniq[index[np.minimum(pos, len(index) - 1)] != uniq]
+        if len(uniq) == 0:
+            return
+        self._keys = np.insert(index, np.searchsorted(index, uniq), uniq)
+        bpb = self.bytes_per_branch
+        tenants, counts = np.unique(uniq >> TENANT_SHIFT,
+                                    return_counts=True)
+        lru = self._lru
+        for tenant, n in zip(tenants.tolist(), counts.tolist()):
+            lru[tenant].bytes += n * bpb
+        self.resident_bytes += len(uniq) * bpb
+
+    def _drop_keys(self, tenants: list[int]) -> None:
+        """Remove the key ranges of ``tenants`` from the index in one
+        pass."""
+        index = self._keys
+        lo = np.array(tenants, dtype=np.int64) << TENANT_SHIFT
+        starts = np.searchsorted(index, lo)
+        ends = np.searchsorted(index, lo | MAX_PC, side="right")
+        keep = np.ones(len(index), dtype=bool)
+        for start, end in zip(starts.tolist(), ends.tolist()):
+            keep[start:end] = False
+        self._keys = index[keep]
 
     # -- spill ----------------------------------------------------------
     def pick_victims(self) -> list[int]:
@@ -297,6 +327,7 @@ class TenantManager:
             self._begin_spill(chosen)
             victims.append(chosen)
         if victims:
+            self._drop_keys(victims)
             self._update_gauges()
         return victims
 
@@ -341,11 +372,9 @@ class TenantManager:
         self.restores += 1
         if self._g_spilled is not None:
             self._c_restores.inc()
-        st = self._touch(tenant, now)
+        self._touch(tenant, now)
         if self.resident_bytes_budget is not None:
-            st.keys = {int(s["branch"]) for s in states}
-            st.bytes = len(st.keys) * self.bytes_per_branch
-            self.resident_bytes += st.bytes
+            self._add_keys(_branch_keys(states))
         self._update_gauges()
         return states
 

@@ -8,11 +8,14 @@ import asyncio
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.detect import DetectorConfig, MisspecDetector
 from repro.obs.tracing import ARC_CODE
 from repro.serve.client import feed_trace
 from repro.serve.service import ServiceConfig, SpeculationService
+from repro.tenant.keys import MAX_PC, pack_key
 from repro.trace.synthetic import train_then_flip_trace
 
 SEL = ARC_CODE["select"]
@@ -104,8 +107,9 @@ class TestFlipTracking:
         det.observe_batch(np.full(8, 3), _ones(8))        # execs 0..7
         det.observe_transitions([(3, SEL, 7, 0)])
         det.observe_batch(np.full(4, 3), _ones(4))        # 8..11: taken
-        # A packed (tenant << 32) | pc key forces the sparse counters;
-        # pc 3's trained direction and exec count must survive.
+        # A packed (tenant << 32) | pc key switches the detector to the
+        # sorted key index; pc 3's trained direction and exec count
+        # must survive.
         big = (7 << 32) | 3
         det.observe_batch(np.full(5, big), _ones(5))
         det.observe_batch(np.full(2, 3), _zeros(2))       # onset exec 12
@@ -236,3 +240,101 @@ def test_train_then_flip_acceptance(bench_config):
     assert doc["time_to_evict"]["count"] == 8
     assert doc["time_to_evict"]["mean"] == pytest.approx(
         sum(truth.values()) / 8)
+
+
+# -- model check: the slot-indexed detector against a plain-dict model ------
+
+#: Bare PCs and packed keys of three tenants, interleaved so that keys
+#: first seen in any order land below, between and above indexed ones.
+KEY_POOL = (0, 3, 64, 4_000, pack_key(1, 5), pack_key(1, 2),
+            pack_key(2, 0), pack_key(2, 9), pack_key(3, 7),
+            pack_key(1, MAX_PC))
+
+
+class _DetectorModel:
+    """Per-key exec counts, trained direction, first-flip onset and
+    time-to-evict, kept in dicts over pool indices."""
+
+    def __init__(self):
+        self.count = {}
+        self.deployed = {}           # key -> [direction, onset]
+        self.tte = {}
+        self.tte_sum = 0
+        self.tte_count = 0
+
+    def batch(self, keys, taken):
+        for key, state in self.deployed.items():
+            outs = [t for k, t in zip(keys, taken) if k == key]
+            if not outs:
+                continue
+            if state[0] is None:
+                state[0] = 2 * sum(outs) >= len(outs)
+            flips = [i for i, t in enumerate(outs) if t != state[0]]
+            if state[1] is None and flips:
+                state[1] = self.count.get(key, 0) + flips[0]
+        for key in keys:
+            self.count[key] = self.count.get(key, 0) + 1
+
+    def arc(self, key, arc, exec_index):
+        if arc == SEL:
+            self.deployed[key] = [None, None]
+            return
+        state = self.deployed.pop(key, None)
+        if state is not None and state[1] is not None:
+            tte = exec_index - state[1]
+            if tte >= 0:
+                self.tte[key] = tte
+                self.tte_sum += tte
+                self.tte_count += 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_detector_matches_dict_model(data):
+    """Random batches and SELECT/EVICT arcs over a mixed bare/packed
+    key pool match a plain-dict model after every step — in the mixed
+    key space (dense slots, then the sorted index), with every key a
+    bare PC (dense slots only) and with every key moved into tenant 1
+    (the sorted index from the start)."""
+    spaces = {
+        "mixed": KEY_POOL,
+        "bare": tuple(range(len(KEY_POOL))),
+        "tenant1": tuple(pack_key(1, i) for i in range(len(KEY_POOL))),
+    }
+    dets = {name: MisspecDetector() for name in spaces}
+    model = _DetectorModel()
+    idx = st.integers(0, len(KEY_POOL) - 1)
+    for _ in range(data.draw(st.integers(1, 25), label="steps")):
+        if data.draw(st.booleans(), label="is_batch"):
+            events = data.draw(st.lists(st.tuples(idx, st.booleans()),
+                                        min_size=1, max_size=12))
+            keys = [k for k, _ in events]
+            taken = np.array([t for _, t in events], dtype=bool)
+            model.batch(keys, taken.tolist())
+            for name, space in spaces.items():
+                dets[name].observe_batch(
+                    np.array([space[k] for k in keys], dtype=np.int64),
+                    taken)
+        else:
+            arcs = data.draw(st.lists(
+                st.tuples(idx, st.sampled_from((SEL, EV)),
+                          st.integers(-2, 6)), min_size=1, max_size=4))
+            stamped = []
+            for k, arc, offset in arcs:
+                stamped.append((k, arc, model.count.get(k, 0) + offset))
+                model.arc(*stamped[-1])
+            for name, space in spaces.items():
+                dets[name].observe_transitions(
+                    [(space[k], arc, ex, 0) for k, arc, ex in stamped])
+        mean = (round(model.tte_sum / model.tte_count, 3)
+                if model.tte_count else 0.0)
+        for name, space in spaces.items():
+            det = dets[name]
+            assert det.time_to_evict() == {
+                space[k]: tte for k, tte in model.tte.items()}, name
+            doc = det.health_doc()
+            assert doc["deployed_pcs"] == len(model.deployed), name
+            assert doc["time_to_evict"] == {
+                "count": model.tte_count, "mean": mean,
+                "last": {str(space[k]): tte
+                         for k, tte in model.tte.items()}}, name

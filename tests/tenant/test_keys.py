@@ -16,6 +16,7 @@ from repro.tenant.keys import (
     key_tenant,
     pack_key,
     pack_keys,
+    sorted_unique,
 )
 
 
@@ -74,3 +75,16 @@ def test_shift_covers_full_pc_range():
     assert pack_key(1, 0) == 1 << 32
     # Distinct tenants' key ranges never collide.
     assert pack_key(1, MAX_PC) < pack_key(2, 0)
+
+
+@pytest.mark.parametrize("values", [
+    np.array([], dtype=np.int64),
+    np.array([7], dtype=np.int64),
+    np.array([pack_key(3, 1), 5, pack_key(3, 1), 0,
+              pack_key(MAX_TENANT, MAX_PC), 5]),
+    np.array([4, 4, 1, 9, 1], dtype=np.uint32),
+])
+def test_sorted_unique_matches_np_unique(values):
+    got = sorted_unique(values)
+    assert got.dtype == values.dtype
+    assert np.array_equal(got, np.unique(values))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve.events import EventBatch
 from repro.tenant.keys import pack_key
@@ -218,3 +220,136 @@ def test_active_property():
     budgeted = TenantManager(n_shards=1, resident_bytes=1024)
     assert budgeted.active
     budgeted.close()
+
+
+class _ManagerModel:
+    """Per-tenant key sets, the LRU order and the spill lifecycle of
+    :class:`TenantManager`, written with plain dicts and sets."""
+
+    def __init__(self, n_shards, budget):
+        self.n_shards = n_shards
+        self.budget = budget
+        self.resident = {}       # tenant -> set of keys, in LRU order
+        self.spilling = {}       # tenant -> [keys, shards left]
+        self.spilled = {}        # tenant -> sorted states
+        self.peak = 0
+        self.spills = self.restores = self.events = 0
+
+    def nbytes(self, tenant):
+        return len(self.resident[tenant]) * BPB
+
+    def total(self):
+        return sum(len(keys) for keys in self.resident.values()) * BPB
+
+    def touch(self, tenant):
+        self.resident[tenant] = self.resident.pop(tenant, set())
+
+    def restore(self, tenant):
+        states = self.spilled.pop(tenant)
+        self.restores += 1
+        self.touch(tenant)
+        self.resident[tenant] |= {s["branch"] for s in states}
+        return states
+
+    def commit(self, pairs):
+        tenants = sorted({t for t, _ in pairs})
+        for tenant in tenants:
+            if tenant in self.spilled:
+                self.restore(tenant)
+        for tenant in tenants:
+            self.touch(tenant)
+        for tenant, pc in pairs:
+            self.resident[tenant].add(pack_key(tenant, pc))
+        self.events += len(pairs)
+        self.peak = max(self.peak, self.total())
+
+    def pick_victims(self):
+        victims = []
+        while self.total() > self.budget and self.resident:
+            avg = self.total() / len(self.resident)
+            chosen = next((t for t in self.resident
+                           if self.nbytes(t) >= avg),
+                          next(iter(self.resident)))
+            self.spilling[chosen] = [self.resident.pop(chosen),
+                                     self.n_shards]
+            victims.append(chosen)
+        return victims
+
+    def stats(self):
+        return {
+            "resident_tenants": len(self.resident),
+            "spilled_tenants": len(self.spilled),
+            "spilling_tenants": len(self.spilling),
+            "resident_bytes": self.total(),
+            "peak_resident_bytes": self.peak,
+            "resident_budget": self.budget,
+            "spills": self.spills,
+            "restores": self.restores,
+            "quota_rejections": 0,
+            "events": self.events,
+        }
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_manager_matches_set_model(data):
+    """Random commits, victim picks with per-shard contributions,
+    restores carried by plans and synchronous ``take_spilled`` keep
+    the sorted key index's accounting equal to per-tenant sets."""
+    n_shards = data.draw(st.integers(1, 3), label="shards")
+    budget = data.draw(st.integers(2, 12), label="budget") * BPB
+    tm = TenantManager(n_shards=n_shards, resident_bytes=budget,
+                       bytes_per_branch=BPB)
+    model = _ManagerModel(n_shards, budget)
+    tenant = st.integers(0, 5)
+    seq = 0
+    try:
+        for _ in range(data.draw(st.integers(1, 30), label="steps")):
+            op = data.draw(st.sampled_from(
+                ("commit", "commit", "pick", "contribute", "take")))
+            if op == "commit":
+                pairs = data.draw(st.lists(
+                    st.tuples(tenant, st.integers(0, 7)),
+                    min_size=1, max_size=10))
+                batch = make_batch(seq, pairs, start_instr=seq * 100)
+                seq += 1
+                plan = tm.plan(batch, now=float(seq))
+                if any(t in model.spilling for t, _ in pairs):
+                    assert plan.reject_kind == "spilling"
+                    continue
+                assert plan.reject_kind is None
+                assert [t for t, _ in plan.restores] == sorted(
+                    {t for t, _ in pairs if t in model.spilled})
+                model.commit(pairs)
+                tm.commit(plan, batch, now=float(seq))
+            elif op == "pick":
+                assert tm.pick_victims() == model.pick_victims()
+            elif op == "contribute" and model.spilling:
+                # Each spilling tenant's shards contribute in turn;
+                # the last contribution seals the blob.
+                victim = next(iter(model.spilling))
+                keys, left = model.spilling[victim]
+                part = sorted(k for k in keys if k % n_shards == left - 1)
+                tm.spill_contribution(victim, [
+                    {"branch": k, "deployed": False} for k in part])
+                model.spilling[victim][1] -= 1
+                if left == 1:
+                    del model.spilling[victim]
+                    model.spilled[victim] = [
+                        {"branch": k, "deployed": False}
+                        for k in sorted(keys)]
+                    model.spills += 1
+            elif op == "take":
+                t = data.draw(tenant)
+                want = model.restore(t) if t in model.spilled else None
+                assert tm.take_spilled(t, now=float(seq)) == want
+            assert tm.resident_bytes == model.total()
+            assert tm.peak_resident_bytes == model.peak
+            assert {t: res.bytes for t, res in tm._lru.items()} == {
+                t: model.nbytes(t) for t in model.resident}
+            assert list(tm._lru) == list(model.resident)
+            stats = tm.stats()
+            stats.pop("store")
+            assert stats == model.stats()
+    finally:
+        tm.close()
