@@ -4,9 +4,9 @@ One registry declares every benchmark as a *target x instance x config*
 matrix entry (``@register_benchmark``); one parallel job runner executes
 a suite with per-job timeouts; one schema-versioned results document
 carries every metric with its unit and better-direction; one declarative
-gate engine replaces the per-kind dispatch arms that used to live in
-``benchmarks/check_bench.py``; and one report generator diffs a run
-against the committed baselines and the trajectory of prior runs.
+gate engine evaluates every target's gates; and one report generator
+diffs a run against the committed baselines and the trajectory of
+prior runs.
 
 Entry points::
 

@@ -6,8 +6,8 @@ Subcommands::
     run       execute a suite (parallel jobs, per-job timeouts),
               aggregate one unified results document, evaluate gates
     exec      run ONE target in-process (the runner's child entry)
-    gate      compare a results file against a baseline (the engine
-              behind the ``check_bench.py`` compat shim)
+    gate      compare a results file against a baseline (old- or
+              new-format documents on either side)
     report    render the Markdown/JSON trend report
     migrate   convert a pre-unification BENCH_*.json to the v2 schema
 """
@@ -27,7 +27,7 @@ from repro.bench import runner as runner_mod
 from repro.bench import schema
 from repro.bench.registry import all_suites, get_benchmark, iter_benchmarks
 
-#: check_bench-compatible override flags -> gate ``param`` keys.
+#: Gate override flags -> gate ``param`` keys.
 GATE_FLAGS = ("min_speedup", "max_wal_overhead", "max_obs_overhead",
               "max_span_overhead", "min_colpath_speedup",
               "min_narrow_ratio", "min_evict_speedup",
@@ -272,7 +272,7 @@ def cmd_run(args) -> int:
     return exit_code
 
 
-# -- gate (the check_bench.py engine) ---------------------------------------
+# -- gate -------------------------------------------------------------------
 def cmd_gate(args) -> int:
     baseline_doc = schema.load_document(args.baseline)
     current_doc = schema.load_document(args.current)
@@ -406,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gate = sub.add_parser(
         "gate", help="gate a results file against a baseline (old- or "
-                     "new-format; the check_bench.py engine)")
+                     "new-format)")
     p_gate.add_argument("baseline")
     p_gate.add_argument("current")
     _add_gate_flags(p_gate)

@@ -21,8 +21,8 @@ the current run is itself a failure.
 
 ``param`` names a CLI override (``--min-speedup``-style): the limit in
 the spec is the committed default, and the engine substitutes the
-override when one is supplied, which is what lets the thin
-``check_bench.py`` shim keep its historical flags.
+override when one is supplied, which is what keeps the historical
+CI flag sets working.
 """
 
 from __future__ import annotations

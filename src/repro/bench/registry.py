@@ -1,8 +1,8 @@
 """Benchmark registry: declarative target x instance x config entries.
 
 A benchmark is a callable that produces a raw result document (a plain
-dict — for the perf benchmarks this is the same document the standalone
-``benchmarks/bench_*.py`` scripts have always written), plus:
+dict — for the perf benchmarks, the per-kind ``BENCH_*.json`` document
+shape), plus:
 
 * ``extract`` — a function mapping the raw document to a flat
   ``{name: Metric}`` dict.  Every metric carries its unit, its

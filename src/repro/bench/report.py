@@ -3,9 +3,8 @@
 Two consumers:
 
 * the console — ``render_comparison`` prints the per-metric
-  baseline-vs-current table the old ``check_bench.py`` tables showed,
-  but generically from metric metadata instead of one renderer per
-  result kind;
+  baseline-vs-current table, generically from metric metadata
+  instead of one renderer per result kind;
 * CI artifacts — ``render_markdown``/``build_report`` diff a unified
   results document against the committed baselines *and* the
   trajectory of prior runs (a history directory of unified documents,

@@ -1,6 +1,5 @@
 """Columnar fast-path target: shard throughput vs distinct-PC count.
 
-The measurement core moved here from ``benchmarks/bench_colpath.py``.
 The baseline is :class:`_LoopShard`, built here: a shard whose engine
 is one :func:`~repro.sim.vector.apply_chunk` call per distinct PC per
 batch (the service's batch engine before the columnar one).  The

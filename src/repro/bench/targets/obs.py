@@ -1,6 +1,5 @@
 """Observability-tax target: full instrumentation vs none.
 
-The measurement core moved here from ``benchmarks/bench_obs.py``.
 The committed claims (docs/observability.md): with every layer
 instrumented (histograms + transition tracing), ingestion stays
 within 10% of the same run's ``ServiceConfig(obs=False)`` throughput,

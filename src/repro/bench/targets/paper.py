@@ -8,10 +8,10 @@ config fields, and signature rot in the figure/table code are caught
 the moment they land instead of the next time someone regenerates the
 paper.
 
-Each run re-checks the same output marker the pytest-benchmark
-harnesses under ``benchmarks/`` assert (``"open-loop deficit"`` for
-Figure 7 and so on) and fails the job when the marker is gone, so a
-sweep that silently starts printing garbage also fails the lane.
+Each run checks the experiment's report for an output marker
+(``"open-loop deficit"`` for Figure 7 and so on) and fails the job
+when the marker is gone, so a sweep that silently starts printing
+garbage also fails the lane.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ import time
 
 from repro.bench.registry import Metric, flag, register_benchmark
 
-#: Output marker per experiment id — the same substrings the
-#: ``benchmarks/bench_fig*.py``/``bench_tab*.py`` harnesses assert.
+#: Output marker per experiment id: a substring its report must contain.
 MARKERS = {
     "fig1": "Figure 1",
     "fig2": "offline",

@@ -1,7 +1,6 @@
 """Replication-tax target: primary-side streaming overhead + follower
 apply rate and end-to-end exactness.
 
-The measurement core moved here from ``benchmarks/bench_repl.py``.
 The committed claim (docs/durability.md): with a connected,
 continuously acking follower, streaming the WAL costs the primary at
 most 15% of the same run's replication-off ingestion throughput.

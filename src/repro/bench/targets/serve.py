@@ -1,7 +1,5 @@
 """Serve-scaling target: single-process vs per-shard worker processes.
 
-The measurement core moved here from ``benchmarks/bench_serve.py``
-(which remains as a CLI shim plus the pytest-benchmark harnesses).
 The committed claim: worker processes buy at least a 1.8x ingestion
 speedup at 4 workers over single-process mode, measured within one
 run so machine speed cancels out.

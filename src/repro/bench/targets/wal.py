@@ -1,6 +1,5 @@
 """WAL-tax target: ingestion overhead per fsync policy + replay speed.
 
-The measurement core moved here from ``benchmarks/bench_wal.py``.
 The committed claim (docs/durability.md): group commit
 (``wal_fsync="batch"``) costs at most 15% of the same run's WAL-less
 ingestion throughput.

@@ -11,8 +11,8 @@ updated from the service's event loop (and, for the WAL, an executor
 thread) while the exposition endpoint (:mod:`repro.obs.http`) reads
 them from its own thread.  Updates take a per-child lock — the hot
 paths touch instruments once per *micro-batch*, never per event, so
-the lock cost is noise (and the ≤10% overhead gate in
-``benchmarks/bench_obs.py`` holds it to that).
+the lock cost is noise (and the ≤10% overhead gate of the ``obs``
+bench target holds it to that).
 
 Histograms use fixed buckets chosen at declaration time
 (:data:`LATENCY_BUCKETS` suits sub-second latencies); bucket counts

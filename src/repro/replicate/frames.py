@@ -46,7 +46,7 @@ import zlib
 
 import numpy as np
 
-from repro.serve.wire import ProtocolError, frame_type
+from repro.serve.wire import ProtocolError, _expect, frame_type
 
 __all__ = [
     "REPLICATION_MAGIC", "REPLICATION_VERSION",
@@ -86,20 +86,6 @@ _R_SNAPSHOT = struct.Struct("<Bq")
 _R_ACK = struct.Struct("<Bq")
 _RO_QUERY = struct.Struct("<BI")
 _RO_DECISION = struct.Struct("<BI")
-
-
-def _expect(payload: bytes, ftype: int, name: str,
-            min_len: int = 1, exact_len: int | None = None) -> None:
-    if not payload or payload[0] != ftype:
-        got = payload[0] if payload else None
-        raise ProtocolError(f"expected {name} frame, got type {got!r}")
-    if exact_len is not None:
-        if len(payload) != exact_len:
-            raise ProtocolError(f"{name} frame is {len(payload)} bytes, "
-                                f"expected {exact_len}")
-    elif len(payload) < min_len:
-        raise ProtocolError(f"{name} frame truncated: {len(payload)} "
-                            f"bytes, need at least {min_len}")
 
 
 # -- handshake --------------------------------------------------------------

@@ -17,7 +17,7 @@ and, per connection, runs two threads:
 The service's hot path touches the sender exactly once per accepted
 batch — :meth:`offer` sets an event so idle stream threads wake
 without polling delay — which is what keeps the primary-side overhead
-inside the bench gate (``benchmarks/bench_repl.py``).
+inside the ``repl`` bench gate (:mod:`repro.bench.targets.repl`).
 
 ``last_replicated_seq`` is the newest seq any follower has confirmed
 durable in *its own* WAL (acks are sent after the follower's commit).

@@ -23,6 +23,12 @@ Design points:
   halves when it runs dry — small batches (low latency) when lightly
   loaded, large batches (high throughput, denser per-branch runs for
   the vectorized fast path) under pressure.
+* **One shard loop.**  Each shard's task hands every shard operation —
+  apply, tenant spill and restore, state collection — to one pool
+  chosen at :meth:`start`: a :class:`~repro.serve.workers.LocalPool`
+  on the bank's own shards, or a :class:`~repro.serve.workers.WorkerPool`
+  of one OS process per shard (``workers=N``) that keeps the bank's
+  shards as mirrors.  The loop never branches on execution mode.
 * **Quiesced snapshots.**  :meth:`snapshot` drains all queues and then
   checkpoints full controller + deployment-queue state; a service
   restored from the file continues bit-identically (see
@@ -54,9 +60,9 @@ from repro.core.config import ControllerConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import TransitionTrace
 from repro.serve.events import EventBatch
-from repro.serve.shard import BankShard, ShardedBank, shard_of
+from repro.serve.shard import ShardedBank, shard_of
 from repro.serve.telemetry import ServiceTelemetry, TelemetryReading
-from repro.serve.workers import WorkerDiedError, WorkerPool
+from repro.serve.workers import LocalPool, WorkerDiedError, WorkerPool
 from repro.sim.metrics import SpeculationMetrics
 from repro.tenant.keys import sorted_unique
 from repro.tenant.manager import TenantManager
@@ -109,7 +115,7 @@ class ServiceConfig:
     #: gauges stay on either way (they replace the old plain-int
     #: telemetry); turning this off removes every per-apply
     #: ``perf_counter`` call and transition copy — the obs-off
-    #: baseline of ``benchmarks/bench_obs.py``.
+    #: baseline of the ``obs`` bench target.
     obs: bool = True
     #: Span tracing: stamp every accepted batch with a trace context
     #: and record per-stage latency spans (enqueue → queue wait → wire
@@ -321,7 +327,9 @@ class SpeculationService:
         self.snapshots_written: list[Path] = []
         self._running = False
         self._quiescing = False
-        self._pool: WorkerPool | None = None
+        #: Where shard operations run while the service is started:
+        #: a LocalPool or a WorkerPool (None while stopped).
+        self._pool: LocalPool | WorkerPool | None = None
         self._fatal: Exception | None = None
         #: Newest batch seq covered by an on-disk snapshot.  A service
         #: built from a snapshot starts durable up to its own last_seq.
@@ -372,8 +380,8 @@ class SpeculationService:
 
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> None:
-        """Spawn one worker task — and, in multi-process mode, one OS
-        worker process — per shard (idempotent)."""
+        """Start the shard pool — in multi-process mode, one OS worker
+        process per shard — and one worker task per shard (idempotent)."""
         if self._running:
             return
         if self._bank_stale:
@@ -382,25 +390,19 @@ class SpeculationService:
                 "processes were stopped without draining; restore a "
                 "snapshot instead")
         self._running = True
-        if self.service_config.obs:
-            for shard in self.bank.shards:
-                shard.capture = True
-        if self.service_config.workers and self._pool is None:
-            pool = WorkerPool(self.config, self.bank.n_shards,
-                              transport=self.service_config.transport,
-                              capture=self.service_config.obs)
-            try:
-                await pool.start([s.export_state()
-                                  for s in self.bank.shards])
-            except Exception:
-                self._running = False
-                await pool.shutdown()
-                raise
-            # Workers own the live controllers now; the parent keeps
-            # only mirror counters and the decision cache per shard.
-            for shard in self.bank.shards:
-                shard.release_controllers()
-            self._pool = pool
+        scfg = self.service_config
+        if scfg.workers:
+            pool = WorkerPool(self.bank, transport=scfg.transport,
+                              capture=scfg.obs)
+        else:
+            pool = LocalPool(self.bank, capture=scfg.obs)
+        try:
+            await pool.start()
+        except Exception:
+            self._running = False
+            await pool.shutdown()
+            raise
+        self._pool = pool
         self._workers = [asyncio.create_task(self._worker(i),
                                              name=f"repro-serve-shard-{i}")
                          for i in range(self.bank.n_shards)]
@@ -442,15 +444,7 @@ class SpeculationService:
                 None, self._repl.close)
         if self._pool is not None:
             pool, self._pool = self._pool, None
-            states = await pool.shutdown(gather=drain)
-            if states is not None:
-                # Re-absorb the authoritative shard state so the parent
-                # bank is complete again (snapshotable, restartable).
-                self.bank.shards = tuple(
-                    BankShard.from_state(self.config, s) for s in states)
-                self._bank_stale = False
-            else:
-                self._bank_stale = True
+            self._bank_stale = not await pool.shutdown(gather=drain)
 
     async def __aenter__(self) -> "SpeculationService":
         await self.start()
@@ -593,6 +587,26 @@ class SpeculationService:
         if self._fatal is not None:
             raise self._fatal
 
+    def _abandon_shard(self, shard_index: int, err: WorkerDiedError,
+                       unfinished: int) -> None:
+        """Latch a worker death and account the shard's queue out.
+
+        The shard's events can never be applied, so its ``unfinished``
+        dequeued items and everything still queued are marked done,
+        releasing :meth:`drain` and other joiners.
+        """
+        self._set_fatal(err)
+        queue = self._queues[shard_index]
+        for _ in range(unfinished):
+            queue.task_done()
+        while True:
+            try:
+                queue.get_nowait()
+            except asyncio.QueueEmpty:
+                break
+            queue.task_done()
+        self._queued_events[shard_index] = 0
+
     def _set_fatal(self, err: WorkerDiedError) -> WorkerDiedError:
         """Annotate a worker death with the durability watermark plus
         the exact recovery command, and latch it as the service's
@@ -610,7 +624,7 @@ class SpeculationService:
     # -- shard workers --------------------------------------------------
     async def _worker(self, shard_index: int) -> None:
         queue = self._queues[shard_index]
-        shard = self.bank.shards[shard_index]
+        pool = self._pool
         scfg = self.service_config
         while True:
             part = await queue.get()
@@ -644,27 +658,12 @@ class SpeculationService:
             spans = self.spans
             t_dequeue = monotonic() if spans is not None else 0.0
             t_send = t_dequeue
-            if self._pool is not None:
-                try:
-                    result = await self._pool.apply(shard_index, pcs,
-                                                    taken, instrs)
-                except WorkerDiedError as err:
-                    self._set_fatal(err)
-                    # Release joiners: this shard's events can never be
-                    # applied, so account them out of the queue.
-                    for _ in (*parts, *jobs):
-                        queue.task_done()
-                    while True:
-                        try:
-                            queue.get_nowait()
-                        except asyncio.QueueEmpty:
-                            break
-                        queue.task_done()
-                    self._queued_events[shard_index] = 0
-                    return
-                shard.absorb(result)
-            else:
-                result = shard.apply(pcs, taken, instrs)
+            try:
+                result = await pool.apply(shard_index, pcs, taken, instrs)
+            except WorkerDiedError as err:
+                self._abandon_shard(shard_index, err,
+                                    len(parts) + len(jobs))
+                return
             depth = self._queued_events[shard_index] - events
             self._queued_events[shard_index] = depth
             if scfg.obs:
@@ -733,43 +732,19 @@ class SpeculationService:
         """Run dequeued spill/restore control jobs on one shard.
 
         Marks each job done on the queue; returns False after latching
-        a fatal worker death (mirroring the apply path's cleanup).
+        a fatal worker death.
         """
         queue = self._queues[shard_index]
-        shard = self.bank.shards[shard_index]
+        pool = self._pool
         for i, job in enumerate(jobs):
             try:
                 if job.kind == "spill":
-                    if self._pool is not None:
-                        states = await self._pool.spill(shard_index,
-                                                        job.tenant)
-                        # The parent mirror learns decision flips from
-                        # APPLY_RESULT frames; evictions it learns here.
-                        for state in states:
-                            shard.decisions.pop(int(state["branch"]), None)
-                        shard.tenant_keys.pop(job.tenant, None)
-                    else:
-                        states = shard.spill_tenant(job.tenant)
+                    states = await pool.spill(shard_index, job.tenant)
                     self._tenants.spill_contribution(job.tenant, states)
                 else:
-                    if self._pool is not None:
-                        await self._pool.restore(shard_index, job.states)
-                        for state in job.states:
-                            shard.decisions[int(state["branch"])] = bool(
-                                state["deployed"])
-                    else:
-                        shard.restore_tenant(job.states)
+                    await pool.restore(shard_index, job.states)
             except WorkerDiedError as err:
-                self._set_fatal(err)
-                for _ in jobs[i:]:
-                    queue.task_done()
-                while True:
-                    try:
-                        queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                    queue.task_done()
-                self._queued_events[shard_index] = 0
+                self._abandon_shard(shard_index, err, len(jobs) - i)
                 return False
             queue.task_done()
         return True
@@ -891,7 +866,7 @@ class SpeculationService:
         """
         from repro.serve.snapshot import save_snapshot
 
-        if self._bank_stale and self._pool is None:
+        if self._bank_stale:
             raise RuntimeError(
                 "cannot snapshot: live shard state was lost when worker "
                 "processes were stopped without draining")
@@ -904,19 +879,18 @@ class SpeculationService:
                         "snapshot() without a path needs snapshot_dir")
                 path = Path(self.service_config.snapshot_dir) / (
                     f"snapshot-{self.bank.events_applied:012d}.json.gz")
+            bank_state = None
             if self._pool is not None:
-                # Phase two of the cross-process quiesce: every worker
-                # is drained (intake closed + queues joined above), so
-                # barrier them and collect per-shard state for one
-                # atomic checkpoint in the single-process format.
+                # Phase two of the quiesce: every shard is drained
+                # (intake closed + queues joined above), so the pool
+                # collects per-shard state for one atomic checkpoint.
                 try:
                     states = await self._pool.collect_states()
                 except WorkerDiedError as err:
                     raise self._set_fatal(err)
-                out = save_snapshot(path, self, bank_state={
-                    "n_shards": self.bank.n_shards, "shards": states})
-            else:
-                out = save_snapshot(path, self)
+                bank_state = {"n_shards": self.bank.n_shards,
+                              "shards": states}
+            out = save_snapshot(path, self, bank_state=bank_state)
         finally:
             self._quiescing = False
         self._snapshot_seq = self._last_seq

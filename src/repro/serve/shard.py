@@ -14,7 +14,7 @@ shards keyed by a hash of the branch PC.  Sharding buys two things:
   better.  Under a bursting producer this outweighs the
   routing cost even on one core — modestly; the real scaling headroom
   is that shards share nothing and can move to worker processes (see
-  ``benchmarks/bench_serve.py`` and docs/serving.md).
+  the ``serve`` bench target and docs/serving.md).
 
 Routing uses a SplitMix64 finalizer rather than ``pc % n_shards``:
 static branch ids (or real branch addresses) are clustered and stride-

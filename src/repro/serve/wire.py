@@ -2,10 +2,10 @@
 
 Frames are the unit of exchange: a one-byte frame type followed by a
 struct-packed, little-endian body.  Event payloads travel as raw
-columnar array bytes (int32 pcs / uint8 taken / int64 instrs — see
-:func:`repro.serve.events.pack_events`), so encoding a micro-batch is
-three ``tobytes`` calls and decoding is three zero-copy ``frombuffer``
-views; shard state travels as zlib-compressed JSON.
+columnar array bytes (int64 keys / uint8 taken / int64 instrs), so
+encoding a micro-batch is three ``tobytes`` calls and decoding is three
+zero-copy ``frombuffer`` views; shard and controller state travels as
+zlib-compressed JSON.
 
 Transports carry opaque frame payloads and differ only in framing:
 
@@ -23,7 +23,9 @@ Frame catalogue (body layouts, all little-endian)::
 
     LOAD         uint32 zlen | zlib(JSON shard state)   parent → worker
     HELLO        uint16 shard | uint32 pid              worker → parent
-    APPLY        uint64 ticket | uint32 n | events      parent → worker
+    APPLY        uint64 ticket | uint32 n
+                 | int64 key[n] | uint8 taken[n]
+                 | int64 instr[n]                       parent → worker
     APPLY_RESULT uint64 ticket | uint32 events
                  | uint64 correct | uint64 incorrect
                  | int64 last_instr | uint32 n_changed
@@ -32,18 +34,14 @@ Frame catalogue (body layouts, all little-endian)::
                  | float64 apply_seconds
                  | float64 t_recv | float64 t_done
                  | int64 key[n_changed] | uint8 deployed[n_changed]
-                 | int64 trans_key[n_trans] | uint8 trans_arc[n_trans]
-                 | int64 trans_exec[n_trans] | int64 trans_instr[n_trans]
-                                                        worker → parent
+                 | int64 transitions[4][n_trans]        worker → parent
     BARRIER      uint64 ticket                          parent → worker
     BARRIER_ACK  uint64 ticket                          worker → parent
-    STATE_REQ    (empty)                                parent → worker
-    STATE        zlib(JSON shard state)                 worker → parent
+    STATE_REQ    uint64 ticket                          parent → worker
+    STATE        uint64 ticket | uint32 zlen
+                 | zlib(JSON shard state)               worker → parent
     SHUTDOWN     (empty)                                parent → worker
     ERROR        utf-8 message                          worker → parent
-    TAPPLY       uint64 ticket | uint32 n
-                 | int64 key[n] | uint8 taken[n]
-                 | int64 instr[n]                       parent → worker
     TSPILL       uint64 ticket | uint32 tenant          parent → worker
     TSPILL_RESULT uint64 ticket | uint32 zlen
                  | zlib(JSON state list)                worker → parent
@@ -51,12 +49,16 @@ Frame catalogue (body layouts, all little-endian)::
                  | zlib(JSON state list)                parent → worker
     TRESTORE_ACK uint64 ticket                          worker → parent
 
-``APPLY`` carries bare int32 PCs — the legacy tenant-less frame, still
-what tenant-0-only deployments speak — while ``TAPPLY`` carries packed
-int64 ``(tenant << 32) | pc`` keys (see :mod:`repro.tenant.keys`).
-Both produce the same ``APPLY_RESULT``, whose changed/transition id
-columns are int64 keys; the frame is parent↔worker only and never
-persisted, so widening it costs no compatibility.
+``APPLY`` keys are packed int64 ``(tenant << 32) | pc`` keys (see
+:mod:`repro.tenant.keys`); a bare PC is tenant 0's key, so tenant-less
+traffic rides the same frame.  The transition block's four rows are
+key, arc code, exec index and instruction stamp, one column per arc
+firing.  Every parent → worker request but ``LOAD`` and ``SHUTDOWN``
+carries a ticket that its reply echoes, which is how the supervisor
+pairs replies with awaiting requests.  These frames pass only between
+a parent and its workers and are never persisted; the WAL and
+replication byte form of a batch is :meth:`EventBatch.to_bytes
+<repro.serve.events.EventBatch.to_bytes>`.
 """
 
 from __future__ import annotations
@@ -68,20 +70,20 @@ import zlib
 
 import numpy as np
 
-from repro.serve.events import pack_events, unpack_events
+from repro.serve.shard import ShardApplyResult
 
 __all__ = [
     "LOAD", "HELLO", "APPLY", "APPLY_RESULT", "BARRIER", "BARRIER_ACK",
-    "STATE_REQ", "STATE", "SHUTDOWN", "ERROR", "TAPPLY", "TSPILL",
+    "STATE_REQ", "STATE", "SHUTDOWN", "ERROR", "TSPILL",
     "TSPILL_RESULT", "TRESTORE", "TRESTORE_ACK", "ProtocolError",
     "encode_load", "decode_load", "encode_hello", "decode_hello",
-    "encode_apply", "decode_apply", "encode_tapply", "decode_tapply",
+    "encode_apply", "decode_apply",
     "encode_apply_result", "decode_apply_result",
     "encode_tspill", "decode_tspill", "encode_tspill_result",
     "decode_tspill_result", "encode_trestore", "decode_trestore",
     "encode_trestore_ack", "decode_trestore_ack",
     "encode_barrier", "decode_barrier",
-    "encode_state_req", "encode_state", "decode_state",
+    "encode_state_req", "decode_state_req", "encode_state", "decode_state",
     "encode_shutdown", "encode_error", "decode_error", "frame_type",
     "PipeTransport", "SocketTransport",
 ]
@@ -96,7 +98,6 @@ STATE_REQ = 0x07
 STATE = 0x08
 SHUTDOWN = 0x09
 ERROR = 0x0A
-TAPPLY = 0x0B
 TSPILL = 0x0C
 TSPILL_RESULT = 0x0D
 TRESTORE = 0x0E
@@ -104,17 +105,15 @@ TRESTORE_ACK = 0x0F
 
 _HELLO = struct.Struct("<BHI")
 _APPLY = struct.Struct("<BQI")
-_TAPPLY = struct.Struct("<BQI")
 _RESULT = struct.Struct("<BQIQQqIIQQQddd")
-_BARRIER = struct.Struct("<BQ")
+_TICKET = struct.Struct("<BQ")
 _LOAD = struct.Struct("<BI")
 _TSPILL = struct.Struct("<BQI")
 _TBLOB = struct.Struct("<BQI")
-_TACK = struct.Struct("<BQ")
 _LEN = struct.Struct("<I")
 
-#: Bytes per event in a TAPPLY frame: int64 key + uint8 taken + int64 instr.
-TKEY_EVENT_WIRE_BYTES = 8 + 1 + 8
+#: Bytes per event in an APPLY frame: int64 key + uint8 taken + int64 instr.
+_EVENT_BYTES = 8 + 1 + 8
 
 
 class ProtocolError(Exception):
@@ -185,116 +184,24 @@ def decode_hello(payload: bytes) -> tuple[int, int]:
 
 
 # -- event application ------------------------------------------------------
-def encode_apply(ticket: int, pcs: np.ndarray, taken: np.ndarray,
+def encode_apply(ticket: int, keys: np.ndarray, taken: np.ndarray,
                  instrs: np.ndarray) -> bytes:
-    return _APPLY.pack(APPLY, ticket, len(pcs)) + pack_events(
-        pcs, taken, instrs)
-
-
-def decode_apply(payload: bytes,
-                 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """Returns ``(ticket, pcs, taken, instrs)`` — arrays are zero-copy
-    read-only views into ``payload``."""
-    _expect(payload, APPLY, "APPLY", min_len=_APPLY.size)
-    _, ticket, n = _APPLY.unpack_from(payload)
-    try:
-        pcs, taken, instrs = unpack_events(payload, _APPLY.size, n)
-    except ValueError as err:
-        raise ProtocolError(f"APPLY frame truncated: {err}") from err
-    return ticket, pcs, taken, instrs
-
-
-def encode_apply_result(ticket: int, events: int, correct: int,
-                        incorrect: int, last_instr: int,
-                        changed_pcs, changed_deployed,
-                        transitions=(), apply_seconds: float = 0.0,
-                        t_recv: float = 0.0, t_done: float = 0.0,
-                        col_fast: int = 0, col_fallback: int = 0,
-                        col_single: int = 0) -> bytes:
-    """``transitions`` piggybacks the worker's FSM arc firings —
-    ``(pc, arc_code, exec_index, instr)`` tuples — and
-    ``apply_seconds`` its measured apply latency, so observability
-    data rides the result frame instead of needing a side channel.
-    ``t_recv``/``t_done`` are the worker's CLOCK_MONOTONIC stamps at
-    frame receipt and apply completion (system-wide on Linux, so they
-    compare against parent-side stamps); 0.0 when capture is off.
-    ``col_fast``/``col_fallback``/``col_single`` report how the
-    columnar engine routed the batch's events."""
-    pcs = np.asarray(changed_pcs, dtype=np.int64)
-    dep = np.asarray(changed_deployed, dtype=np.uint8)
-    head = _RESULT.pack(APPLY_RESULT, ticket, events, correct, incorrect,
-                        last_instr, len(pcs), len(transitions),
-                        col_fast, col_fallback, col_single,
-                        apply_seconds, t_recv, t_done)
-    body = head + pcs.tobytes() + dep.tobytes()
-    if transitions:
-        t_pc = np.fromiter((t[0] for t in transitions), dtype=np.int64,
-                           count=len(transitions))
-        t_arc = np.fromiter((t[1] for t in transitions), dtype=np.uint8,
-                            count=len(transitions))
-        t_exec = np.fromiter((t[2] for t in transitions), dtype=np.int64,
-                             count=len(transitions))
-        t_instr = np.fromiter((t[3] for t in transitions), dtype=np.int64,
-                              count=len(transitions))
-        body += (t_pc.tobytes() + t_arc.tobytes() + t_exec.tobytes()
-                 + t_instr.tobytes())
-    return body
-
-
-def decode_apply_result(payload: bytes) -> tuple:
-    """Returns ``(ticket, events, correct, incorrect, last_instr,
-    changed_pcs, changed_deployed, transitions, apply_seconds,
-    t_recv, t_done, col_fast, col_fallback, col_single)``."""
-    _expect(payload, APPLY_RESULT, "APPLY_RESULT", min_len=_RESULT.size)
-    (_, ticket, events, correct, incorrect, last_instr, n_changed,
-     n_trans, col_fast, col_fallback, col_single, apply_seconds,
-     t_recv, t_done) = _RESULT.unpack_from(payload)
-    off = _RESULT.size
-    if len(payload) != off + 9 * n_changed + 25 * n_trans:
-        raise ProtocolError("APPLY_RESULT frame length mismatch")
-    pcs = np.frombuffer(payload, dtype=np.int64, count=n_changed,
-                        offset=off)
-    dep = np.frombuffer(payload, dtype=np.uint8, count=n_changed,
-                        offset=off + 8 * n_changed)
-    transitions: tuple = ()
-    if n_trans:
-        t_off = off + 9 * n_changed
-        t_pc = np.frombuffer(payload, dtype=np.int64, count=n_trans,
-                             offset=t_off)
-        t_arc = np.frombuffer(payload, dtype=np.uint8, count=n_trans,
-                              offset=t_off + 8 * n_trans)
-        t_exec = np.frombuffer(payload, dtype=np.int64, count=n_trans,
-                               offset=t_off + 9 * n_trans)
-        t_instr = np.frombuffer(payload, dtype=np.int64, count=n_trans,
-                                offset=t_off + 17 * n_trans)
-        transitions = tuple(
-            (int(a), int(b), int(c), int(d))
-            for a, b, c, d in zip(t_pc, t_arc, t_exec, t_instr))
-    return (ticket, events, correct, incorrect, last_instr,
-            tuple(int(p) for p in pcs), tuple(bool(d) for d in dep),
-            transitions, float(apply_seconds), float(t_recv),
-            float(t_done), col_fast, col_fallback, col_single)
-
-
-# -- tenant frames ----------------------------------------------------------
-def encode_tapply(ticket: int, keys: np.ndarray, taken: np.ndarray,
-                  instrs: np.ndarray) -> bytes:
-    """Like :func:`encode_apply` but with packed int64 tenant keys."""
-    return (_TAPPLY.pack(TAPPLY, ticket, len(keys))
+    """Parent → worker: one micro-batch; int32 PCs widen to int64 keys."""
+    return (_APPLY.pack(APPLY, ticket, len(keys))
             + np.ascontiguousarray(keys, dtype=np.int64).tobytes()
             + np.ascontiguousarray(taken, dtype=np.uint8).tobytes()
             + np.ascontiguousarray(instrs, dtype=np.int64).tobytes())
 
 
-def decode_tapply(payload: bytes,
-                  ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+def decode_apply(payload: bytes,
+                 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """Returns ``(ticket, keys, taken, instrs)`` — arrays are zero-copy
     read-only views into ``payload``."""
-    _expect(payload, TAPPLY, "TAPPLY", min_len=_TAPPLY.size)
-    _, ticket, n = _TAPPLY.unpack_from(payload)
-    off = _TAPPLY.size
-    if len(payload) != off + n * TKEY_EVENT_WIRE_BYTES:
-        raise ProtocolError("TAPPLY frame length mismatch")
+    _expect(payload, APPLY, "APPLY", min_len=_APPLY.size)
+    _, ticket, n = _APPLY.unpack_from(payload)
+    off = _APPLY.size
+    if len(payload) != off + n * _EVENT_BYTES:
+        raise ProtocolError("APPLY frame length mismatch")
     keys = np.frombuffer(payload, dtype=np.int64, count=n, offset=off)
     taken = np.frombuffer(payload, dtype=np.uint8, count=n,
                           offset=off + 8 * n).view(np.bool_)
@@ -303,6 +210,82 @@ def decode_tapply(payload: bytes,
     return ticket, keys, taken, instrs
 
 
+def encode_apply_result(ticket: int, result: ShardApplyResult,
+                        t_recv: float, t_done: float) -> bytes:
+    """Worker → parent: the outcome of one APPLY.
+
+    ``t_recv``/``t_done`` are the worker's CLOCK_MONOTONIC stamps at
+    frame receipt and apply completion (system-wide on Linux, so they
+    compare against parent-side stamps); 0.0 when capture is off.
+    """
+    keys = np.asarray(result.changed, dtype=np.int64)
+    deployed = np.asarray(result.changed_deployed, dtype=np.uint8)
+    trans = np.asarray(result.transitions, dtype=np.int64).reshape(-1, 4)
+    head = _RESULT.pack(
+        APPLY_RESULT, ticket, result.events, result.correct,
+        result.incorrect, result.last_instr, len(keys), len(trans),
+        result.col_fast, result.col_fallback, result.col_single,
+        result.apply_seconds, t_recv, t_done)
+    return head + keys.tobytes() + deployed.tobytes() + trans.T.tobytes()
+
+
+def decode_apply_result(payload: bytes, shard: int,
+                        ) -> tuple[int, ShardApplyResult]:
+    """Returns ``(ticket, result)``, ``result`` attributed to ``shard``."""
+    _expect(payload, APPLY_RESULT, "APPLY_RESULT", min_len=_RESULT.size)
+    (_, ticket, events, correct, incorrect, last_instr, n_changed,
+     n_trans, col_fast, col_fallback, col_single, apply_seconds,
+     t_recv, t_done) = _RESULT.unpack_from(payload)
+    off = _RESULT.size
+    if len(payload) != off + 9 * n_changed + 32 * n_trans:
+        raise ProtocolError("APPLY_RESULT frame length mismatch")
+    keys = np.frombuffer(payload, dtype=np.int64, count=n_changed,
+                         offset=off)
+    deployed = np.frombuffer(payload, dtype=np.uint8, count=n_changed,
+                             offset=off + 8 * n_changed).view(np.bool_)
+    trans = np.frombuffer(payload, dtype=np.int64, count=4 * n_trans,
+                          offset=off + 9 * n_changed).reshape(4, n_trans)
+    return ticket, ShardApplyResult(
+        shard=shard, events=events, correct=correct, incorrect=incorrect,
+        changed=tuple(keys.tolist()),
+        changed_deployed=tuple(deployed.tolist()),
+        last_instr=last_instr, transitions=tuple(zip(*trans.tolist())),
+        apply_seconds=apply_seconds, t_recv=t_recv, t_done=t_done,
+        col_fast=col_fast, col_fallback=col_fallback,
+        col_single=col_single)
+
+
+# -- state blobs (zlib JSON) ------------------------------------------------
+def _encode_blob(ftype: int, ticket: int, value) -> bytes:
+    blob = zlib.compress(json.dumps(value, separators=(",", ":"))
+                         .encode("utf-8"))
+    return _TBLOB.pack(ftype, ticket, len(blob)) + blob
+
+
+def _decode_blob(payload: bytes, ftype: int, name: str, kind: type,
+                 ) -> tuple[int, list | dict]:
+    _expect(payload, ftype, name, min_len=_TBLOB.size)
+    _, ticket, zlen = _TBLOB.unpack_from(payload)
+    if len(payload) != _TBLOB.size + zlen:
+        raise ProtocolError(f"{name} frame length mismatch")
+    try:
+        value = json.loads(zlib.decompress(payload[_TBLOB.size:])
+                           .decode("utf-8"))
+    except (zlib.error, ValueError) as err:
+        raise ProtocolError(f"{name} frame body is not zlib JSON: {err}") \
+            from err
+    if not isinstance(value, kind):
+        raise ProtocolError(f"{name} frame body is not a state "
+                            f"{kind.__name__}")
+    return ticket, value
+
+
+def _decode_ticket(payload: bytes, ftype: int, name: str) -> int:
+    _expect(payload, ftype, name, exact_len=_TICKET.size)
+    return _TICKET.unpack(payload)[1]
+
+
+# -- tenant frames ----------------------------------------------------------
 def encode_tspill(ticket: int, tenant: int) -> bytes:
     return _TSPILL.pack(TSPILL, ticket, tenant)
 
@@ -314,88 +297,59 @@ def decode_tspill(payload: bytes) -> tuple[int, int]:
     return ticket, tenant
 
 
-def _encode_state_blob(ftype: int, ticket: int, states: list) -> bytes:
-    blob = zlib.compress(json.dumps(states, separators=(",", ":"))
-                         .encode("utf-8"))
-    return _TBLOB.pack(ftype, ticket, len(blob)) + blob
-
-
-def _decode_state_blob(payload: bytes, ftype: int, name: str,
-                       ) -> tuple[int, list]:
-    _expect(payload, ftype, name, min_len=_TBLOB.size)
-    _, ticket, zlen = _TBLOB.unpack_from(payload)
-    if len(payload) != _TBLOB.size + zlen:
-        raise ProtocolError(f"{name} frame length mismatch")
-    try:
-        states = json.loads(zlib.decompress(payload[_TBLOB.size:])
-                            .decode("utf-8"))
-    except (zlib.error, ValueError) as err:
-        raise ProtocolError(f"{name} frame body is not zlib JSON: {err}") \
-            from err
-    if not isinstance(states, list):
-        raise ProtocolError(f"{name} frame body is not a state list")
-    return ticket, states
-
-
 def encode_tspill_result(ticket: int, states: list) -> bytes:
     """Worker → parent: controller states evicted by a TSPILL."""
-    return _encode_state_blob(TSPILL_RESULT, ticket, states)
+    return _encode_blob(TSPILL_RESULT, ticket, states)
 
 
 def decode_tspill_result(payload: bytes) -> tuple[int, list]:
-    return _decode_state_blob(payload, TSPILL_RESULT, "TSPILL_RESULT")
+    return _decode_blob(payload, TSPILL_RESULT, "TSPILL_RESULT", list)
 
 
 def encode_trestore(ticket: int, states: list) -> bytes:
     """Parent → worker: controller states to re-intern into the shard."""
-    return _encode_state_blob(TRESTORE, ticket, states)
+    return _encode_blob(TRESTORE, ticket, states)
 
 
 def decode_trestore(payload: bytes) -> tuple[int, list]:
-    return _decode_state_blob(payload, TRESTORE, "TRESTORE")
+    return _decode_blob(payload, TRESTORE, "TRESTORE", list)
 
 
 def encode_trestore_ack(ticket: int) -> bytes:
-    return _TACK.pack(TRESTORE_ACK, ticket)
+    return _TICKET.pack(TRESTORE_ACK, ticket)
 
 
 def decode_trestore_ack(payload: bytes) -> int:
-    _expect(payload, TRESTORE_ACK, "TRESTORE_ACK", exact_len=_TACK.size)
-    return _TACK.unpack(payload)[1]
+    return _decode_ticket(payload, TRESTORE_ACK, "TRESTORE_ACK")
 
 
 # -- control frames ---------------------------------------------------------
 def encode_barrier(ticket: int, ack: bool = False) -> bytes:
-    return _BARRIER.pack(BARRIER_ACK if ack else BARRIER, ticket)
+    return _TICKET.pack(BARRIER_ACK if ack else BARRIER, ticket)
 
 
 def decode_barrier(payload: bytes) -> int:
-    if not payload or payload[0] not in (BARRIER, BARRIER_ACK):
-        raise ProtocolError("expected BARRIER/BARRIER_ACK frame")
-    if len(payload) != _BARRIER.size:
-        raise ProtocolError(
-            f"BARRIER frame is {len(payload)} bytes, expected "
-            f"{_BARRIER.size}")
-    return _BARRIER.unpack(payload)[1]
+    """Ticket of a BARRIER or BARRIER_ACK frame."""
+    ack = bool(payload) and payload[0] == BARRIER_ACK
+    return _decode_ticket(payload, BARRIER_ACK if ack else BARRIER,
+                          "BARRIER")
 
 
-def encode_state_req() -> bytes:
-    return bytes([STATE_REQ])
+def encode_state_req(ticket: int) -> bytes:
+    return _TICKET.pack(STATE_REQ, ticket)
 
 
-def encode_state(state: dict) -> bytes:
-    blob = zlib.compress(json.dumps(state, separators=(",", ":"))
-                         .encode("utf-8"))
-    return bytes([STATE]) + blob
+def decode_state_req(payload: bytes) -> int:
+    return _decode_ticket(payload, STATE_REQ, "STATE_REQ")
 
 
-def decode_state(payload: bytes) -> dict:
-    _expect(payload, STATE, "STATE", min_len=2)
-    try:
-        return json.loads(zlib.decompress(payload[1:]).decode("utf-8"))
-    except (zlib.error, ValueError) as err:
-        raise ProtocolError(f"STATE frame body is not zlib JSON: {err}") \
-            from err
+def encode_state(ticket: int, state: dict) -> bytes:
+    """Worker → parent: the shard's full ``export_state()``."""
+    return _encode_blob(STATE, ticket, state)
+
+
+def decode_state(payload: bytes) -> tuple[int, dict]:
+    return _decode_blob(payload, STATE, "STATE", dict)
 
 
 def encode_shutdown() -> bytes:

@@ -1,24 +1,32 @@
-"""Per-shard worker processes: real multi-core speculation control.
+"""Shard pools: where the service's shard operations run.
 
-Shards share nothing — each owns its controllers, decision cache and
-fast-path engine — so the natural scaling step beyond one asyncio loop
-is one OS process per shard.  This module supplies both halves:
+:class:`~repro.serve.service.SpeculationService` keeps intake, routing,
+queues and the decision cache in its own loop and hands every shard
+operation to a pool — ``start``, ``apply``, ``spill``, ``restore``,
+``collect_states``, ``shutdown`` and ``pids`` — choosing the pool once,
+at start:
 
-* :func:`worker_main` is the child entry point: a blocking
-  ``recv → apply → reply`` loop over the binary wire protocol
+* :class:`LocalPool` runs each operation on the bank's own shards, in
+  the service's event loop.
+* :class:`WorkerPool` runs one OS process per shard.  Shards share
+  nothing — each owns its controllers and columnar engine — so this is
+  the natural multi-core step.  The pool spawns the processes, ships
+  each its shard state (``LOAD``), sends micro-batches (``APPLY``) from
+  executor threads so the event loop never blocks on a full pipe, and
+  routes every ticketed reply back to its awaiting future through one
+  reader thread per worker.  :func:`worker_main` is the child half: a
+  blocking ``recv → apply → reply`` loop over the binary wire protocol
   (:mod:`repro.serve.wire`), owning exactly one
   :class:`~repro.serve.shard.BankShard`.
-* :class:`WorkerPool` is the supervisor half, embedded in the asyncio
-  service: it spawns the processes, ships each its initial shard state
-  (``LOAD``), sends micro-batches (``APPLY``) from executor threads so
-  the event loop never blocks on a full pipe, and routes replies back
-  to awaiting futures via one reader thread per worker.
 
-The parent keeps mirror shards (counters + decision cache, no
-controllers) fed from ``APPLY_RESULT`` frames, so ``metrics()`` and
-``should_speculate()`` stay local reads.  Transports are selectable:
-``pipe`` (``multiprocessing.Pipe``) or ``socket`` (AF_UNIX stream with
-explicit length prefixes) — same frames either way.
+The worker pool keeps the bank's shards as mirrors (counters and the
+decision cache, no controllers) and owns all their upkeep: it absorbs
+each ``APPLY_RESULT``, drops spilled keys from the decision cache and
+re-seeds restored ones, and on a drained shutdown gathers every shard's
+state back into the bank.  So ``metrics()`` and ``should_speculate()``
+stay local reads in both modes.  Transports are selectable: ``pipe``
+(``multiprocessing.Pipe``) or ``socket`` (AF_UNIX stream with explicit
+length prefixes) — same frames either way.
 
 Failure model: a worker that disappears (kill -9, OOM) surfaces as
 :class:`WorkerDiedError` on the next interaction.  The error names the
@@ -42,30 +50,21 @@ import os
 import socket
 import tempfile
 import threading
+from dataclasses import asdict
 from pathlib import Path
 from time import monotonic
 
 import numpy as np
 
 from repro.serve import wire
-from repro.serve.shard import BankShard, ShardApplyResult
+from repro.serve.shard import BankShard, ShardApplyResult, ShardedBank
 
-__all__ = ["WorkerDiedError", "WorkerPool", "worker_main"]
+__all__ = ["LocalPool", "WorkerDiedError", "WorkerPool", "worker_main"]
 
 #: Seconds to wait for a spawned worker's HELLO before giving up.
 _HELLO_TIMEOUT = 60.0
 #: Seconds to wait for a worker to exit after SHUTDOWN.
 _JOIN_TIMEOUT = 5.0
-
-
-def _start_method() -> str:
-    """Process start method (``REPRO_SERVE_MP_START`` overrides).
-
-    ``spawn`` by default: the supervisor runs inside a live asyncio
-    loop with reader threads, which forked children must not inherit
-    mid-flight.
-    """
-    return os.environ.get("REPRO_SERVE_MP_START", "spawn")
 
 
 class WorkerDiedError(RuntimeError):
@@ -144,22 +143,16 @@ def worker_main(index: int, config_dict: dict, endpoint, kind: str,
         while True:
             payload = transport.recv()
             ftype = payload[0]
-            if ftype in (wire.APPLY, wire.TAPPLY):
+            if ftype == wire.APPLY:
                 # Monotonic stamps bracket the apply so the parent's
                 # span tracer can attribute wire_out/wire_back time
                 # (CLOCK_MONOTONIC is system-wide on Linux).
                 t_recv = monotonic() if capture else 0.0
-                if ftype == wire.APPLY:
-                    ticket, pcs, taken, instrs = wire.decode_apply(payload)
-                else:
-                    ticket, pcs, taken, instrs = wire.decode_tapply(payload)
-                res = shard.apply(pcs, taken, instrs)
+                ticket, keys, taken, instrs = wire.decode_apply(payload)
+                res = shard.apply(keys, taken, instrs)
                 t_done = monotonic() if capture else 0.0
                 transport.send(wire.encode_apply_result(
-                    ticket, res.events, res.correct, res.incorrect,
-                    res.last_instr, res.changed, res.changed_deployed,
-                    res.transitions, res.apply_seconds, t_recv, t_done,
-                    res.col_fast, res.col_fallback, res.col_single))
+                    ticket, res, t_recv, t_done))
             elif ftype == wire.TSPILL:
                 ticket, tenant = wire.decode_tspill(payload)
                 transport.send(wire.encode_tspill_result(
@@ -183,7 +176,8 @@ def worker_main(index: int, config_dict: dict, endpoint, kind: str,
                             f"this worker owns shard {index}")
                 shard.capture = capture
             elif ftype == wire.STATE_REQ:
-                transport.send(wire.encode_state(shard.export_state()))
+                transport.send(wire.encode_state(
+                    wire.decode_state_req(payload), shard.export_state()))
             elif ftype == wire.SHUTDOWN:
                 break
             else:
@@ -202,6 +196,18 @@ def worker_main(index: int, config_dict: dict, endpoint, kind: str,
 
 
 # -- supervisor side --------------------------------------------------------
+#: Decoder of each ticketed worker → parent reply, to ``(ticket, value)``
+#: (the second argument is the replying worker's shard index).
+_REPLIES = {
+    wire.APPLY_RESULT: wire.decode_apply_result,
+    wire.TSPILL_RESULT: lambda payload, _: wire.decode_tspill_result(payload),
+    wire.STATE: lambda payload, _: wire.decode_state(payload),
+    wire.BARRIER_ACK: lambda payload, _: (wire.decode_barrier(payload), None),
+    wire.TRESTORE_ACK: lambda payload, _: (
+        wire.decode_trestore_ack(payload), None),
+}
+
+
 class _WorkerHandle:
     """Supervisor-side state of one worker process."""
 
@@ -215,7 +221,6 @@ class _WorkerHandle:
         self.next_ticket = 0
         self.pending: dict[int, asyncio.Future] = {}
         self.hello: asyncio.Future = loop.create_future()
-        self.state_fut: asyncio.Future | None = None
         self.dead: WorkerDiedError | None = None
         self.closing = False
         self.reader: threading.Thread | None = None
@@ -224,36 +229,12 @@ class _WorkerHandle:
     # (call_soon_threadsafe from the reader thread).
     def _on_frame(self, payload: bytes) -> None:
         ftype = payload[0]
-        if ftype == wire.APPLY_RESULT:
-            (ticket, events, correct, incorrect, last_instr,
-             changed, deployed, transitions, apply_seconds,
-             t_recv, t_done, col_fast, col_fallback,
-             col_single) = wire.decode_apply_result(payload)
+        decode = _REPLIES.get(ftype)
+        if decode is not None:
+            ticket, value = decode(payload, self.shard)
             fut = self.pending.pop(ticket, None)
             if fut is not None and not fut.done():
-                fut.set_result(ShardApplyResult(
-                    shard=self.shard, events=events, correct=correct,
-                    incorrect=incorrect, changed=changed,
-                    changed_deployed=deployed, last_instr=last_instr,
-                    transitions=transitions, apply_seconds=apply_seconds,
-                    t_recv=t_recv, t_done=t_done, col_fast=col_fast,
-                    col_fallback=col_fallback, col_single=col_single))
-        elif ftype == wire.BARRIER_ACK:
-            fut = self.pending.pop(wire.decode_barrier(payload), None)
-            if fut is not None and not fut.done():
-                fut.set_result(None)
-        elif ftype == wire.TSPILL_RESULT:
-            ticket, states = wire.decode_tspill_result(payload)
-            fut = self.pending.pop(ticket, None)
-            if fut is not None and not fut.done():
-                fut.set_result(states)
-        elif ftype == wire.TRESTORE_ACK:
-            fut = self.pending.pop(wire.decode_trestore_ack(payload), None)
-            if fut is not None and not fut.done():
-                fut.set_result(None)
-        elif ftype == wire.STATE:
-            if self.state_fut is not None and not self.state_fut.done():
-                self.state_fut.set_result(wire.decode_state(payload))
+                fut.set_result(value)
         elif ftype == wire.HELLO:
             shard, pid = wire.decode_hello(payload)
             self.pid = pid
@@ -276,8 +257,8 @@ class _WorkerHandle:
     def _fail(self, err: Exception) -> None:
         if isinstance(err, WorkerDiedError) and self.dead is None:
             self.dead = err
-        for fut in (*self.pending.values(), self.hello, self.state_fut):
-            if fut is not None and not fut.done():
+        for fut in (*self.pending.values(), self.hello):
+            if not fut.done():
                 fut.set_exception(err)
         self.pending.clear()
 
@@ -313,22 +294,57 @@ class _WorkerHandle:
                 raise died from err
 
 
-class WorkerPool:
-    """One worker process per shard, driven from the asyncio service."""
+class LocalPool:
+    """In-process execution: every operation is one call on the bank's
+    own shard, in the service's event loop."""
 
-    def __init__(self, config, n_workers: int,
-                 transport: str = "pipe", capture: bool = False) -> None:
-        if n_workers <= 0:
-            raise ValueError("n_workers must be positive")
+    def __init__(self, bank: ShardedBank, capture: bool = False) -> None:
+        self.bank = bank
+        self.capture = capture
+
+    @property
+    def pids(self) -> list[int | None]:
+        return []
+
+    async def start(self) -> None:
+        for shard in self.bank.shards:
+            shard.capture = self.capture
+
+    async def apply(self, shard: int, pcs: np.ndarray, taken: np.ndarray,
+                    instrs: np.ndarray) -> ShardApplyResult:
+        return self.bank.shards[shard].apply(pcs, taken, instrs)
+
+    async def spill(self, shard: int, tenant: int) -> list[dict]:
+        return self.bank.shards[shard].spill_tenant(tenant)
+
+    async def restore(self, shard: int, states: list[dict]) -> None:
+        self.bank.shards[shard].restore_tenant(states)
+
+    async def collect_states(self) -> list[dict]:
+        return [s.export_state() for s in self.bank.shards]
+
+    async def shutdown(self, gather: bool = False) -> bool:
+        """Nothing to stop; the bank is the live state, so it is whole."""
+        return True
+
+
+class WorkerPool:
+    """One worker process per shard of ``bank``, driven from the asyncio
+    service; the bank's shards become the workers' mirrors."""
+
+    def __init__(self, bank: ShardedBank, transport: str = "pipe",
+                 capture: bool = False) -> None:
         if transport not in ("pipe", "socket"):
             raise ValueError(f"unknown transport {transport!r} "
                              "(expected 'pipe' or 'socket')")
-        self.config = config
-        self.n_workers = n_workers
+        self.bank = bank
         self.transport = transport
         self.capture = capture
         self.handles: list[_WorkerHandle] = []
-        self._ctx = multiprocessing.get_context(_start_method())
+        # spawn, never fork: the supervisor runs inside a live asyncio
+        # loop with reader threads, which forked children must not
+        # inherit mid-flight.
+        self._ctx = multiprocessing.get_context("spawn")
         self._tmpdir = None
         self._started = False
 
@@ -337,22 +353,16 @@ class WorkerPool:
         return [h.pid for h in self.handles]
 
     # -- lifecycle ------------------------------------------------------
-    async def start(self, shard_states: list[dict | None] | None = None,
-                    ) -> None:
-        """Spawn workers and ship each its initial shard state.
-
-        ``shard_states[i]`` is shard *i*'s ``export_state()`` dict (or
-        None / an empty-bank state for a fresh shard), e.g. from a
-        restored snapshot re-partitioned to this worker count.
-        """
+    async def start(self) -> None:
+        """Spawn the workers, ship each its shard's state, then release
+        the parent's controllers: the workers own them from here on."""
         if self._started:
             return
         loop = asyncio.get_running_loop()
-        from dataclasses import asdict
-
-        config_dict = asdict(self.config)
+        states = [s.export_state() for s in self.bank.shards]
+        config_dict = asdict(self.bank.config)
         self.handles = [_WorkerHandle(i, loop)
-                        for i in range(self.n_workers)]
+                        for i in range(self.bank.n_shards)]
         if self.transport == "socket":
             await loop.run_in_executor(None, self._spawn_socket,
                                        config_dict)
@@ -362,25 +372,24 @@ class WorkerPool:
             handle.start_reader()
         await asyncio.gather(*(asyncio.wait_for(h.hello, _HELLO_TIMEOUT)
                                for h in self.handles))
+        await asyncio.gather(*(handle.send(wire.encode_load(state))
+                               for handle, state in zip(self.handles, states)))
+        for shard in self.bank.shards:
+            shard.release_controllers()
         self._started = True
-        loads = []
-        for i, handle in enumerate(self.handles):
-            state = shard_states[i] if shard_states is not None else None
-            if state is not None and not state.get("bank"):
-                state = None  # empty bank: fresh shard is identical
-            loads.append(handle.send(wire.encode_load(state)))
-        await asyncio.gather(*loads)
 
     def _spawn_pipe(self, config_dict: dict) -> None:
         for handle in self.handles:
             parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-            handle.process = self._ctx.Process(
+            proc = self._ctx.Process(
                 target=worker_main,
                 args=(handle.shard, config_dict, child_conn, "pipe",
                       self.capture),
                 name=f"repro-serve-worker-{handle.shard}", daemon=True)
-            handle.process.start()
+            proc.start()
             child_conn.close()
+            # Set only once started: shutdown joins every set process.
+            handle.process = proc
             handle.transport = wire.PipeTransport(parent_conn)
 
     def _spawn_socket(self, config_dict: dict) -> None:
@@ -389,15 +398,16 @@ class WorkerPool:
         listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         try:
             listener.bind(path)
-            listener.listen(self.n_workers)
+            listener.listen(len(self.handles))
             listener.settimeout(_HELLO_TIMEOUT)
             for handle in self.handles:
-                handle.process = self._ctx.Process(
+                proc = self._ctx.Process(
                     target=worker_main,
                     args=(handle.shard, config_dict, path, "socket",
                           self.capture),
                     name=f"repro-serve-worker-{handle.shard}", daemon=True)
-                handle.process.start()
+                proc.start()
+                handle.process = proc
             accepted = []
             for _ in self.handles:
                 conn, _addr = listener.accept()
@@ -414,13 +424,17 @@ class WorkerPool:
         finally:
             listener.close()
 
-    async def shutdown(self, gather: bool = False) -> list[dict] | None:
-        """Stop all workers; optionally collect final shard states first."""
-        if not self.handles:
-            return None
-        states = None
-        if gather and all(h.dead is None for h in self.handles):
+    async def shutdown(self, gather: bool = False) -> bool:
+        """Stop all workers.  With ``gather`` (and every worker alive),
+        first pull each shard's state back into the bank.  Returns
+        whether the bank holds the live state again."""
+        whole = not self._started
+        if gather and self._started and all(h.dead is None
+                                            for h in self.handles):
             states = await self.collect_states()
+            self.bank.shards = tuple(
+                BankShard.from_state(self.bank.config, s) for s in states)
+            whole = True
         for handle in self.handles:
             handle.closing = True
             if handle.dead is None and handle.transport is not None:
@@ -441,7 +455,7 @@ class WorkerPool:
             self._tmpdir = None
         self.handles = []
         self._started = False
-        return states
+        return whole
 
     def _join_all(self) -> None:
         for handle in self.handles:
@@ -457,91 +471,60 @@ class WorkerPool:
                 proc.join()
 
     # -- protocol -------------------------------------------------------
-    async def apply(self, shard: int, pcs: np.ndarray, taken: np.ndarray,
-                    instrs: np.ndarray) -> ShardApplyResult:
-        """Ship one micro-batch to its worker; await the result.
-
-        int64 ``pcs`` are packed tenant keys and travel as ``TAPPLY``;
-        int32 arrays keep the legacy ``APPLY`` frame byte-for-byte.
-        """
+    async def _call(self, shard: int, encode):
+        """Send ``encode(ticket)`` to one worker; await its reply."""
         handle = self.handles[shard]
         handle.check_alive()
         ticket = handle.next_ticket
         handle.next_ticket += 1
         fut = handle.loop.create_future()
         handle.pending[ticket] = fut
-        if pcs.dtype == np.int64:
-            frame = wire.encode_tapply(ticket, pcs, taken, instrs)
-        else:
-            frame = wire.encode_apply(ticket, pcs, taken, instrs)
         try:
-            await handle.send(frame)
+            await handle.send(encode(ticket))
         except Exception:
             handle.pending.pop(ticket, None)
             raise
         return await fut
+
+    async def apply(self, shard: int, pcs: np.ndarray, taken: np.ndarray,
+                    instrs: np.ndarray) -> ShardApplyResult:
+        """Ship one micro-batch to its worker, await the result, and
+        absorb it into the mirror shard."""
+        result = await self._call(shard, lambda ticket: wire.encode_apply(
+            ticket, pcs, taken, instrs))
+        self.bank.shards[shard].absorb(result)
+        return result
 
     async def spill(self, shard: int, tenant: int) -> list[dict]:
         """Evict one tenant's controllers from a worker's shard;
         returns their exported states."""
-        handle = self.handles[shard]
-        handle.check_alive()
-        ticket = handle.next_ticket
-        handle.next_ticket += 1
-        fut = handle.loop.create_future()
-        handle.pending[ticket] = fut
-        try:
-            await handle.send(wire.encode_tspill(ticket, tenant))
-        except Exception:
-            handle.pending.pop(ticket, None)
-            raise
-        return await fut
+        states = await self._call(shard, lambda ticket: wire.encode_tspill(
+            ticket, tenant))
+        # The mirror learns decision flips from APPLY_RESULT frames;
+        # evictions it learns here.
+        decisions = self.bank.shards[shard].decisions
+        for state in states:
+            decisions.pop(int(state["branch"]), None)
+        return states
 
     async def restore(self, shard: int, states: list[dict]) -> None:
         """Re-intern spilled controller states into a worker's shard."""
-        handle = self.handles[shard]
-        handle.check_alive()
-        ticket = handle.next_ticket
-        handle.next_ticket += 1
-        fut = handle.loop.create_future()
-        handle.pending[ticket] = fut
-        try:
-            await handle.send(wire.encode_trestore(ticket, states))
-        except Exception:
-            handle.pending.pop(ticket, None)
-            raise
-        await fut
+        await self._call(shard, lambda ticket: wire.encode_trestore(
+            ticket, states))
+        decisions = self.bank.shards[shard].decisions
+        for state in states:
+            decisions[int(state["branch"])] = bool(state["deployed"])
 
     async def barrier(self) -> None:
         """Wait until every worker has processed all frames sent so far
         (transports are FIFO, so an acked barrier proves it)."""
-        async def one(handle: _WorkerHandle):
-            handle.check_alive()
-            ticket = handle.next_ticket
-            handle.next_ticket += 1
-            fut = handle.loop.create_future()
-            handle.pending[ticket] = fut
-            try:
-                await handle.send(wire.encode_barrier(ticket))
-            except Exception:
-                handle.pending.pop(ticket, None)
-                raise
-            await fut
-
-        await asyncio.gather(*(one(h) for h in self.handles))
+        await asyncio.gather(*(self._call(i, wire.encode_barrier)
+                               for i in range(len(self.handles))))
 
     async def collect_states(self) -> list[dict]:
         """Two-phase state collection: barrier, then gather each
         worker's full shard state (ordered by shard index)."""
         await self.barrier()
-
-        async def one(handle: _WorkerHandle) -> dict:
-            handle.check_alive()
-            handle.state_fut = handle.loop.create_future()
-            await handle.send(wire.encode_state_req())
-            try:
-                return await handle.state_fut
-            finally:
-                handle.state_fut = None
-
-        return list(await asyncio.gather(*(one(h) for h in self.handles)))
+        return list(await asyncio.gather(*(
+            self._call(i, wire.encode_state_req)
+            for i in range(len(self.handles)))))

@@ -4,6 +4,8 @@ for every committed CI gate."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from bench.legacy_docs import (
@@ -13,7 +15,7 @@ from bench.legacy_docs import (
     serve_doc,
     wal_doc,
 )
-from repro.bench import cli
+from repro.bench import cli, schema
 from repro.bench.gates import ceil, evaluate, exact, floor
 from repro.bench.registry import Metric, eps, flag, fraction, ratio
 
@@ -218,3 +220,71 @@ def test_inexact_document_fails_gate(write_doc, capsys):
     assert cli.main(["gate", baseline, current]) == 1
     assert "diverged from the reference engine" \
         in capsys.readouterr().err
+
+
+# -- historical flag sets and document formats through `gate` ---------------
+
+def test_historical_serve_invocation_passes(write_doc, capsys):
+    """The exact serve flag set CI used before the unified runner."""
+    baseline = write_doc(serve_doc(), "BENCH_serve.json")
+    current = write_doc(serve_doc(), "BENCH_serve.current.json")
+    rc = cli.main(["gate", baseline, current, "--min-speedup", "1.8",
+                   "--tolerance", "0.4", "--min-cpus", "4", "--strict"])
+    assert rc == 0
+    assert "bench gate: OK" in capsys.readouterr().out
+
+
+def test_regression_still_exits_nonzero(write_doc, capsys):
+    baseline = write_doc(serve_doc(), "BENCH_serve.json")
+    current = write_doc(serve_doc(eps4=3_000_000.0),  # 1.2x < 1.8x
+                        "BENCH_serve.current.json")
+    rc = cli.main(["gate", baseline, current, "--min-speedup", "1.8",
+                   "--tolerance", "0.4"])
+    assert rc == 1
+    assert "scaling floor" in capsys.readouterr().err
+
+
+def test_wal_flags_still_work(write_doc, capsys):
+    baseline = write_doc(wal_doc(), "BENCH_wal.json")
+    current = write_doc(wal_doc(batch=1_500_000.0),  # 40% overhead
+                        "BENCH_wal.current.json")
+    assert cli.main(["gate", baseline, current,
+                     "--max-wal-overhead", "0.15",
+                     "--tolerance", "0.4"]) == 1
+    assert "wal overhead" in capsys.readouterr().err
+    relaxed = cli.main(["gate", baseline, current,
+                        "--max-wal-overhead", "0.5", "--tolerance", "0.4"])
+    assert relaxed == 0
+
+
+def test_kind_mismatch_rejected(write_doc):
+    baseline = write_doc(serve_doc(), "BENCH_serve.json")
+    current = write_doc(wal_doc(), "BENCH_wal.current.json")
+    with pytest.raises(SystemExit, match="mismatch"):
+        cli.main(["gate", baseline, current])
+
+
+def test_new_format_baseline_old_format_current(write_doc, tmp_path,
+                                                capsys):
+    """A migrated (unified) committed baseline gates an old-format
+    current file, and vice versa."""
+    unified = schema.wrap_legacy(serve_doc())
+    new_path = tmp_path / "BENCH_serve.json"
+    schema.dump_document(unified, str(new_path))
+    old_path = write_doc(serve_doc(), "BENCH_serve.current.json")
+
+    assert cli.main(["gate", str(new_path), old_path,
+                     "--min-speedup", "1.8"]) == 0
+    assert cli.main(["gate", old_path, str(new_path),
+                     "--min-speedup", "1.8"]) == 0
+    assert "bench gate: OK" in capsys.readouterr().out
+
+
+def test_committed_baselines_self_gate():
+    """Every committed BENCH_*.json passes its own gate — the
+    repository ships a self-consistent baseline set."""
+    repo = Path(__file__).resolve().parents[2]
+    for name in ("serve", "wal", "obs", "colpath", "repl"):
+        path = repo / f"BENCH_{name}.json"
+        assert path.exists(), f"missing committed baseline {path}"
+        assert cli.main(["gate", str(path), str(path)]) == 0, name

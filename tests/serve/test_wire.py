@@ -10,6 +10,7 @@ import pytest
 
 from repro.serve import wire
 from repro.serve.events import EventBatch, pack_events, unpack_events
+from repro.serve.shard import ShardApplyResult
 
 
 def _arrays(n=100, seed=3):
@@ -57,65 +58,65 @@ def test_event_batch_wire_roundtrip():
 
 
 def test_apply_frame_roundtrip():
+    """APPLY carries int64 keys: bare int32 PCs widen to tenant 0's
+    keys."""
     pcs, taken, instrs = _arrays(50)
     frame = wire.encode_apply(42, pcs, taken, instrs)
-    ticket, out_pcs, out_taken, out_instrs = wire.decode_apply(frame)
+    assert len(frame) == 13 + 17 * len(pcs)
+    ticket, out_keys, out_taken, out_instrs = wire.decode_apply(frame)
     assert ticket == 42
-    np.testing.assert_array_equal(out_pcs, pcs)
+    assert out_keys.dtype == np.int64
+    np.testing.assert_array_equal(out_keys, pcs)
     np.testing.assert_array_equal(out_taken, taken)
     np.testing.assert_array_equal(out_instrs, instrs)
 
 
-def test_apply_result_frame_roundtrip():
-    frame = wire.encode_apply_result(
-        7, events=1000, correct=800, incorrect=3, last_instr=123456,
-        changed_pcs=(5, 9, 1000), changed_deployed=(True, False, True),
-        col_fast=900, col_fallback=36, col_single=64)
-    out = wire.decode_apply_result(frame)
-    assert out == (7, 1000, 800, 3, 123456, (5, 9, 1000),
-                   (True, False, True), (), 0.0, 0.0, 0.0, 900, 36, 64)
-    with pytest.raises(wire.ProtocolError, match="length mismatch"):
-        wire.decode_apply_result(frame[:-1])
-
-
-def test_apply_result_frame_carries_transitions_and_latency():
-    transitions = ((5, 0, 100, 12345), (9, 2, 2048, 99999),
-                   (1000, 3, 7, -1))
-    frame = wire.encode_apply_result(
-        8, events=64, correct=50, incorrect=2, last_instr=777,
-        changed_pcs=(5,), changed_deployed=(True,),
-        transitions=transitions, apply_seconds=0.0125,
-        t_recv=100.5, t_done=100.75)
-    (ticket, events, correct, incorrect, last_instr, changed,
-     deployed, out_trans, apply_seconds, t_recv,
-     t_done, col_fast, col_fallback, col_single) = \
-        wire.decode_apply_result(frame)
-    assert (ticket, events, correct, incorrect, last_instr) == (
-        8, 64, 50, 2, 777)
-    assert changed == (5,) and deployed == (True,)
-    assert out_trans == transitions
-    assert apply_seconds == pytest.approx(0.0125)
-    # The worker-side monotonic stamps ride along so the parent can
-    # attribute wire_out / wire_back span stages.
-    assert t_recv == pytest.approx(100.5)
-    assert t_done == pytest.approx(100.75)
-    # Columnar routing counters default to zero when not supplied.
-    assert (col_fast, col_fallback, col_single) == (0, 0, 0)
-    with pytest.raises(wire.ProtocolError, match="length mismatch"):
-        wire.decode_apply_result(frame[:-1])
-
-
 def test_tapply_frame_roundtrip_with_packed_keys():
-    """TAPPLY is APPLY with int64 (tenant << 32) | pc keys."""
+    """Packed (tenant << 32) | pc keys travel through APPLY unchanged."""
     pcs, taken, instrs = _arrays(50)
     keys = pcs.astype(np.int64) | (np.int64(9) << 32)
-    frame = wire.encode_tapply(42, keys, taken, instrs)
-    ticket, out_keys, out_taken, out_instrs = wire.decode_tapply(frame)
+    frame = wire.encode_apply(42, keys, taken, instrs)
+    assert len(frame) == 13 + 17 * len(keys)
+    ticket, out_keys, out_taken, out_instrs = wire.decode_apply(frame)
     assert ticket == 42
     assert out_keys.dtype == np.int64
     np.testing.assert_array_equal(out_keys, keys)
     np.testing.assert_array_equal(out_taken, taken)
     np.testing.assert_array_equal(out_instrs, instrs)
+
+
+def test_apply_result_frame_roundtrip():
+    result = ShardApplyResult(
+        shard=3, events=1000, correct=800, incorrect=3,
+        changed=(5, 9, (7 << 32) | 1000),
+        changed_deployed=(True, False, True), last_instr=123456,
+        col_fast=900, col_fallback=36, col_single=64)
+    frame = wire.encode_apply_result(7, result, 0.0, 0.0)
+    assert wire.decode_apply_result(frame, 3) == (7, result)
+    with pytest.raises(wire.ProtocolError, match="length mismatch"):
+        wire.decode_apply_result(frame[:-1], 3)
+
+
+def test_apply_result_frame_carries_transitions_and_latency():
+    transitions = ((5, 0, 100, 12345), (9, 2, 2048, 99999),
+                   (1000, 3, 7, -1))
+    result = ShardApplyResult(
+        shard=0, events=64, correct=50, incorrect=2, changed=(5,),
+        changed_deployed=(True,), last_instr=777,
+        transitions=transitions, apply_seconds=0.0125)
+    frame = wire.encode_apply_result(8, result, 100.5, 100.75)
+    ticket, out = wire.decode_apply_result(frame, 0)
+    assert ticket == 8
+    assert out.transitions == transitions
+    assert out.apply_seconds == pytest.approx(0.0125)
+    # The worker-side monotonic stamps ride along so the parent can
+    # attribute wire_out / wire_back span stages.
+    assert out.t_recv == pytest.approx(100.5)
+    assert out.t_done == pytest.approx(100.75)
+    assert out == ShardApplyResult(**{**result.__dict__, "t_recv": 100.5,
+                                      "t_done": 100.75})
+    with pytest.raises(wire.ProtocolError, match="length mismatch"):
+        wire.decode_apply_result(frame[:-1], 0)
 
 
 def test_tenant_control_frames_roundtrip():
@@ -146,7 +147,7 @@ def test_load_and_state_frames_roundtrip():
              "events_applied": 99}
     assert wire.decode_load(wire.encode_load(state)) == state
     assert wire.decode_load(wire.encode_load(None)) is None
-    assert wire.decode_state(wire.encode_state(state)) == state
+    assert wire.decode_state(wire.encode_state(5, state)) == (5, state)
 
 
 def test_control_frames():
@@ -155,6 +156,7 @@ def test_control_frames():
     ack = wire.encode_barrier(9, ack=True)
     assert wire.frame_type(ack) == wire.BARRIER_ACK
     assert wire.decode_barrier(ack) == 9
+    assert wire.decode_state_req(wire.encode_state_req(11)) == 11
     assert wire.frame_type(wire.encode_shutdown()) == wire.SHUTDOWN
     assert wire.decode_error(wire.encode_error("boom")) == "boom"
 
@@ -198,30 +200,32 @@ def test_every_decoder_rejects_malformed_frames():
     on empty, truncated, oversized, or mistyped payloads."""
     pcs, taken, instrs = _arrays(16)
     state = {"index": 1, "bank": []}
+    result = ShardApplyResult(
+        shard=1, events=16, correct=9, incorrect=1, changed=(5,),
+        changed_deployed=(True,), last_instr=64,
+        transitions=((5, 0, 3, 60),))
     # (decoder, valid frame, name, every-truncation-fails,
     #  trailing-bytes-fail) — ERROR carries a free-form message, so a
-    # bare type byte or extra bytes are legitimate for it; APPLY's body
-    # length is derived from its count field, so only shortfalls fail.
+    # bare type byte or extra bytes are legitimate for it.
     cases = [
         (wire.decode_load, wire.encode_load(state), "LOAD", True, True),
         (wire.decode_hello, wire.encode_hello(1, 99), "HELLO",
          True, True),
         (wire.decode_apply, wire.encode_apply(3, pcs, taken, instrs),
-         "APPLY", True, False),
-        (wire.decode_apply_result,
-         wire.encode_apply_result(1, events=16, correct=9, incorrect=1,
-                                  last_instr=64, changed_pcs=(5,),
-                                  changed_deployed=(True,)),
+         "APPLY", True, True),
+        (lambda payload: wire.decode_apply_result(payload, 1),
+         wire.encode_apply_result(1, result, 0.0, 0.0),
          "APPLY_RESULT", True, True),
         (wire.decode_barrier, wire.encode_barrier(4), "BARRIER",
          True, True),
-        (wire.decode_state, wire.encode_state(state), "STATE",
-         True, False),
+        (wire.decode_barrier, wire.encode_barrier(4, ack=True), "BARRIER",
+         True, True),
+        (wire.decode_state_req, wire.encode_state_req(8), "STATE_REQ",
+         True, True),
+        (wire.decode_state, wire.encode_state(9, state), "STATE",
+         True, True),
         (wire.decode_error, wire.encode_error("x"), "ERROR",
          False, False),
-        (wire.decode_tapply,
-         wire.encode_tapply(3, pcs.astype(np.int64), taken, instrs),
-         "TAPPLY", True, True),
         (wire.decode_tspill, wire.encode_tspill(4, 77), "TSPILL",
          True, True),
         (wire.decode_tspill_result,
@@ -248,9 +252,14 @@ def test_every_decoder_rejects_malformed_frames():
 
 
 def test_zlib_body_decoders_reject_garbage():
-    blob = bytes([wire.STATE]) + b"\xde\xad\xbe\xef"
+    garbage = b"\xde\xad\xbe\xef"
+    blob = wire.encode_state(1, {})[:9] + len(garbage).to_bytes(
+        4, "little") + garbage
     with pytest.raises(wire.ProtocolError, match="not zlib JSON"):
         wire.decode_state(blob)
+    listed = wire.encode_tspill_result(1, [])
+    with pytest.raises(wire.ProtocolError, match="not a state dict"):
+        wire.decode_state(bytes([wire.STATE]) + listed[1:])
     bad_load = wire.encode_load({"k": 1})
     bad_load = bad_load[:6] + b"\xff" * (len(bad_load) - 6)
     with pytest.raises(wire.ProtocolError, match="not zlib JSON"):

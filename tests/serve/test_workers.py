@@ -225,6 +225,54 @@ def test_fatal_service_refuses_submissions_and_snapshots(
     asyncio.run(run())
 
 
+def test_failed_worker_spawn_raises_its_own_error(monkeypatch,
+                                                 bench_config):
+    """A worker process that cannot be spawned fails start() with the
+    spawn's own error, and leaves no child process behind."""
+    import errno
+    import multiprocessing
+    import time
+
+    from repro.serve import workers
+
+    real_get_context = multiprocessing.get_context
+
+    class FlakyContext:
+        """Spawn context whose second worker process fails to start."""
+
+        def __init__(self, ctx):
+            self._ctx = ctx
+
+        def __getattr__(self, name):
+            return getattr(self._ctx, name)
+
+        def Process(self, *args, **kwargs):
+            proc = self._ctx.Process(*args, **kwargs)
+            if proc.name.endswith("-1"):
+                def start():
+                    raise OSError(errno.EMFILE, "Too many open files")
+                proc.start = start
+            return proc
+
+    monkeypatch.setattr(
+        workers.multiprocessing, "get_context",
+        lambda method=None: FlakyContext(real_get_context(method)))
+
+    async def run():
+        service = SpeculationService(bench_config,
+                                     ServiceConfig(n_shards=2, workers=2))
+        with pytest.raises(OSError) as excinfo:
+            await service.start()
+        assert excinfo.value.errno == errno.EMFILE
+        assert service.worker_pids == []
+
+    asyncio.run(run())
+    deadline = time.monotonic() + 10.0
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert multiprocessing.active_children() == []
+
+
 def test_service_config_validates_worker_mode():
     with pytest.raises(ValueError, match="one worker process per shard"):
         ServiceConfig(n_shards=4, workers=2)

@@ -204,6 +204,43 @@ def test_spilled_tenant_answers_false_while_cold():
                 after=after)
 
 
+def test_worker_mode_spill_restore_matches_in_process():
+    """Spill and restore through worker processes: after every drained
+    batch the parent's mirrored decision cache answers exactly like the
+    in-process bank, and after a drained stop the resident plus spilled
+    controller states equal a run that never spilled."""
+    tenants = list(range(1, 7))
+    batches = mixed_batches(12_000, tenants, 2, seed=17, batch_events=16)
+    keys = [(tenant, pc) for tenant in tenants for pc in range(2)]
+    reference = run_service(batches, ServiceConfig(n_shards=2),
+                            after=controller_states)
+
+    async def run(workers):
+        scfg = ServiceConfig(n_shards=2, workers=workers,
+                             tenant_resident_bytes=4 * BPB,
+                             tenant_bytes_per_branch=BPB)
+        service = SpeculationService(scaled_config(), scfg)
+        decisions = []
+        async with service:
+            for batch in batches:
+                await submit_retry(service, batch)
+                await service.drain()
+                decisions.append([service.should_speculate(pc, tenant)
+                                  for tenant, pc in keys])
+        stats = service.tenant_stats()
+        assert stats["spills"] > 0 and stats["restores"] > 0
+        states = controller_states(service)
+        for spilled in service._export_tenants().values():
+            states.update((s["branch"], s) for s in spilled)
+        return decisions, states
+
+    local_decisions, local_states = asyncio.run(run(0))
+    worker_decisions, worker_states = asyncio.run(run(2))
+    assert worker_decisions == local_decisions
+    assert local_states == reference
+    assert worker_states == reference
+
+
 # -- quota isolation -------------------------------------------------------
 def test_overloaded_tenant_cannot_starve_another():
     """The isolation property behind per-tenant quotas: a flooding
