@@ -73,7 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, RollingWindow
 from repro.obs.tracing import ARC_CODE
 
 __all__ = ["DetectorConfig", "MisspecDetector", "VERDICTS", "VERDICT_LEVEL"]
@@ -165,9 +165,8 @@ class MisspecDetector:
         self._armed = 0
         self._armed_arr: np.ndarray | None = None
         # -- sliding window ---------------------------------------------
-        self._window: deque[tuple[int, int, int, int]] = deque()
-        self._win_events = 0
-        self._win_mis = 0
+        #: Rows of (events, misspeculated, first_instr, last_instr).
+        self._window = RollingWindow(self.config.window_events, summed=2)
         self._total_events = 0
         self._evict_marks: deque[int] = deque()
         # -- verdict / results ------------------------------------------
@@ -341,20 +340,10 @@ class MisspecDetector:
         """Feed one apply's aggregate counts into the sliding window."""
         if events <= 0:
             return
-        cfg = self.config
         with self._lock:
             self._total_events += events
-            self._window.append((events, incorrect, first_instr,
-                                 last_instr))
-            self._win_events += events
-            self._win_mis += incorrect
-            while (len(self._window) > 1
-                   and self._win_events - self._window[0][0]
-                   >= cfg.window_events):
-                e0, m0, _, _ = self._window.popleft()
-                self._win_events -= e0
-                self._win_mis -= m0
-            floor = self._total_events - self._win_events
+            self._window.add((events, incorrect, first_instr, last_instr))
+            floor = self._total_events - self._window.sums[0]
             while self._evict_marks and self._evict_marks[0] <= floor:
                 self._evict_marks.popleft()
             self._update_verdict()
@@ -410,12 +399,18 @@ class MisspecDetector:
     # -- verdict ---------------------------------------------------------
     def _window_stats(self) -> tuple[float, float]:
         """(misspec rate, misspec per kilo-instruction) of the window."""
-        if self._win_events < self.config.min_window_events:
+        events, mis = self._window.sums
+        if events < self.config.min_window_events:
             return 0.0, 0.0
-        rate = self._win_mis / self._win_events
-        instrs = self._window[-1][3] - self._window[0][2]
-        mpki = self._win_mis / instrs * 1000.0 if instrs > 0 else 0.0
+        rate = mis / events
+        instrs = self._window_instrs()
+        mpki = mis / instrs * 1000.0 if instrs > 0 else 0.0
         return rate, mpki
+
+    def _window_instrs(self) -> int:
+        """Instructions the window spans, first row to last (0 empty)."""
+        rows = self._window.rows
+        return rows[-1][3] - rows[0][2] if rows else 0
 
     def _update_verdict(self) -> None:
         rate, mpki = self._window_stats()
@@ -463,8 +458,7 @@ class MisspecDetector:
         cfg = self.config
         with self._lock:
             rate, mpki = self._window_stats()
-            instrs = (self._window[-1][3] - self._window[0][2]
-                      if self._window else 0)
+            events, mis = self._window.sums
             return {
                 "kind": "repro.obs.health",
                 "verdict": self._verdict,
@@ -472,12 +466,12 @@ class MisspecDetector:
                 "bursts": self._bursts,
                 "events_observed": self._total_events,
                 "window": {
-                    "events": self._win_events,
-                    "misspeculated": self._win_mis,
+                    "events": events,
+                    "misspeculated": mis,
                     "misspec_rate": round(rate, 6),
                     "mpki": round(mpki, 6),
                     "evictions": len(self._evict_marks),
-                    "instrs": int(instrs),
+                    "instrs": int(self._window_instrs()),
                 },
                 "deployed_pcs": len(self._deployed),
                 "time_to_evict": {

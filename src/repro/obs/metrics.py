@@ -25,6 +25,8 @@ from __future__ import annotations
 import re
 import threading
 from bisect import bisect_left
+from collections import deque
+from operator import add, sub
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -34,6 +36,7 @@ __all__ = [
     "Histogram",
     "MetricFamily",
     "MetricsRegistry",
+    "RollingWindow",
 ]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -45,6 +48,34 @@ LATENCY_BUCKETS = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
     0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
 )
+
+
+class RollingWindow:
+    """The newest per-apply rows that still cover ``limit`` events.
+
+    A row is a tuple of ints whose first field is its event count;
+    ``sums`` holds running totals of its first ``summed`` fields.
+    :meth:`add` drops the oldest row while the rows after it still
+    cover ``limit`` (> 0) events, so the newest row always stays.
+    """
+
+    __slots__ = ("limit", "rows", "sums")
+
+    def __init__(self, limit: int, summed: int) -> None:
+        self.limit = limit
+        self.rows: deque[tuple[int, ...]] = deque()
+        self.sums = [0] * summed
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def add(self, row: tuple[int, ...]) -> None:
+        rows = self.rows
+        rows.append(row)
+        sums = list(map(add, self.sums, row))
+        while sums[0] - rows[0][0] >= self.limit:
+            sums = list(map(sub, sums, rows.popleft()))
+        self.sums = sums
 
 
 class Counter:

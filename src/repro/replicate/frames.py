@@ -39,14 +39,12 @@ Read-only serving (client ⇄ follower)::
 
 from __future__ import annotations
 
-import json
 import socket
 import struct
-import zlib
 
 import numpy as np
 
-from repro.serve.wire import ProtocolError, _expect, frame_type
+from repro.serve.wire import ProtocolError, _expect, _seal, _unseal, frame_type
 
 __all__ = [
     "REPLICATION_MAGIC", "REPLICATION_VERSION",
@@ -111,8 +109,7 @@ def decode_r_hello(payload: bytes) -> int:
 def encode_r_welcome(last_seq: int, config: dict) -> bytes:
     """Primary → follower: accepted; here is the primary's watermark
     and the controller configuration a fresh follower must adopt."""
-    blob = zlib.compress(json.dumps(config, separators=(",", ":"))
-                         .encode("utf-8"))
+    blob = _seal(config)
     return _R_WELCOME.pack(R_WELCOME, REPLICATION_VERSION, last_seq,
                            len(blob)) + blob
 
@@ -126,13 +123,7 @@ def decode_r_welcome(payload: bytes) -> tuple[int, dict]:
                             f"(speaking {REPLICATION_VERSION})")
     if len(payload) != _R_WELCOME.size + zlen:
         raise ProtocolError("R_WELCOME frame length mismatch")
-    try:
-        config = json.loads(zlib.decompress(payload[_R_WELCOME.size:])
-                            .decode("utf-8"))
-    except (zlib.error, ValueError) as err:
-        raise ProtocolError(
-            f"R_WELCOME config body is not zlib JSON: {err}") from err
-    return last_seq, config
+    return last_seq, _unseal(payload[_R_WELCOME.size:], "R_WELCOME")
 
 
 # -- stream -----------------------------------------------------------------
@@ -233,18 +224,12 @@ def encode_ro_status_req() -> bytes:
 
 
 def encode_ro_status(status: dict) -> bytes:
-    blob = zlib.compress(json.dumps(status, separators=(",", ":"))
-                         .encode("utf-8"))
-    return bytes([RO_STATUS]) + blob
+    return bytes([RO_STATUS]) + _seal(status)
 
 
 def decode_ro_status(payload: bytes) -> dict:
     _expect(payload, RO_STATUS, "RO_STATUS", min_len=2)
-    try:
-        return json.loads(zlib.decompress(payload[1:]).decode("utf-8"))
-    except (zlib.error, ValueError) as err:
-        raise ProtocolError(
-            f"RO_STATUS frame body is not zlib JSON: {err}") from err
+    return _unseal(payload[1:], "RO_STATUS")
 
 
 # -- addresses --------------------------------------------------------------

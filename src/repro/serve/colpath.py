@@ -51,12 +51,14 @@ The contract stays **bit-exactness**: rows are mirrors, the scalar
 :class:`~repro.core.controller.ReactiveBranchController` objects remain
 the source of truth for snapshots and ``export_state()`` and are
 refreshed lazily (:meth:`flush`), so snapshots, WAL replay and obs
-tracing stay interchangeable with offline runs.  The floored-walk
-identity — ``walk = cum - min(0, running_min(cum))`` over the
-segment's step prefix sums with the live counter as carry-in — is the
-same one ``apply_chunk`` applies per branch, evaluated here for all
-engaged rows at once, including the first index where the walk
-reaches the eviction ceiling.
+tracing stay interchangeable with offline runs.  Every controller of
+the owning shard has a row from the moment it enters, so the sorted
+key index is also the shard's record of which controllers it holds.
+The floored-walk identity — ``walk = cum - min(0, running_min(cum))``
+over the segment's step prefix sums with the live counter as
+carry-in — is the same one ``apply_chunk`` applies per branch,
+evaluated here for all engaged rows at once, including the first
+index where the walk reaches the eviction ceiling.
 """
 
 from __future__ import annotations
@@ -113,21 +115,17 @@ class ColumnarBank:
     """
 
     __slots__ = ("config", "_scalars", "_decisions", "n_rows", "n_dead",
-                 "_cap", "_keys", "_key_rows", "_tenant_index",
+                 "_cap", "_keys", "_key_rows",
                  "rows_fast", "rows_fallback", "rows_single",
                  "events_fast", "events_fallback", "events_single",
                  "arcs_fast", "lands_fast",
                  "state", *_I64_COLS, *_BOOL_COLS)
 
     def __init__(self, config: ControllerConfig, scalars: ControllerBank,
-                 decisions: dict[int, bool],
-                 tenant_index: dict[int, set[int]] | None = None) -> None:
+                 decisions: dict[int, bool]) -> None:
         self.config = config
         self._scalars = scalars
         self._decisions = decisions
-        #: Shard-owned tenant → key-set index, maintained wherever
-        #: controllers are minted so tenant spill stays O(tenant keys).
-        self._tenant_index = tenant_index
         self.n_rows = 0
         self.n_dead = 0
         self._cap = 0
@@ -244,7 +242,6 @@ class ColumnarBank:
             getattr(self, name)[rows] = False
         controllers = self._scalars._controllers
         decisions = self._decisions
-        tenant_index = self._tenant_index
         config = self.config
         for offset, pc in enumerate(new_pcs.tolist()):
             ctrl = controllers.get(pc)
@@ -253,15 +250,19 @@ class ColumnarBank:
                 # branch immediately; hot fields live in the columns.
                 controllers[pc] = ReactiveBranchController(config, pc)
                 decisions.setdefault(pc, False)
-                if tenant_index is not None:
-                    tenant_index.setdefault(pc >> 32, set()).add(pc)
             else:
-                # Pre-existing controller (restored snapshot, or made
-                # via the controller() accessor): the row starts from
-                # its live state, not from defaults.
+                # Controller installed from a state (restore, snapshot
+                # load, reshard): the row starts from its live state,
+                # not from defaults.
                 self._refresh_row(base + offset, ctrl)
-                decisions.setdefault(pc, ctrl._deployed)
+                decisions[pc] = ctrl._deployed
         return rows
+
+    def key_range(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """The live keys in ``[lo, hi]`` (ascending) and their rows."""
+        a = int(np.searchsorted(self._keys, lo, side="left"))
+        b = int(np.searchsorted(self._keys, hi, side="right"))
+        return self._keys[a:b], self._key_rows[a:b]
 
     def _row_of(self, pc: int) -> int | None:
         keys = self._keys
@@ -316,10 +317,13 @@ class ColumnarBank:
             self._flush_row(row, controllers[int(pc[row])])
 
     def controller(self, pc: int) -> ReactiveBranchController:
-        """The (flushed) scalar controller for ``pc``."""
-        ctrl = self._scalars.controller(pc)
+        """The (flushed) scalar controller for ``pc``; an unseen ``pc``
+        is interned first, exactly as a batch would mint it."""
         row = self._row_of(pc)
-        if row is not None and self.dirty[row]:
+        if row is None:
+            row = int(self._intern(np.array([pc], dtype=np.int64))[0])
+        ctrl = self._scalars._controllers[pc]
+        if self.dirty[row]:
             self._flush_row(row, ctrl)
         return ctrl
 
@@ -327,12 +331,14 @@ class ColumnarBank:
     def evict_keys(self, keys: np.ndarray) -> None:
         """Drop the rows for ``keys`` (sorted int64) from the mirror.
 
-        Used by tenant spill after the rows were flushed: the rows are
-        tombstoned (``dead``) and removed from the lookup index, so a
-        later re-intern of the same key mints a fresh row seeded from
-        the restored scalar controller.  Tombstones are compacted away
-        once they outnumber live rows, keeping resident memory
-        proportional to the *resident* working set.
+        Used by tenant spill after the rows were flushed, and by
+        :meth:`~repro.serve.shard.BankShard.install` before it replaces
+        a key's controller: the rows are tombstoned (``dead``) and
+        removed from the lookup index, so a later re-intern of the same
+        key mints a fresh row seeded from the installed controller.
+        Tombstones are compacted away once they outnumber live rows,
+        keeping resident memory proportional to the *resident* working
+        set.
         """
         keys = np.asarray(keys, dtype=np.int64)
         if not keys.size or not self._keys.size:

@@ -60,7 +60,7 @@ from repro.core.config import ControllerConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import TransitionTrace
 from repro.serve.events import EventBatch
-from repro.serve.shard import ShardedBank, shard_of
+from repro.serve.shard import ShardedBank, split_states
 from repro.serve.telemetry import ServiceTelemetry, TelemetryReading
 from repro.serve.workers import LocalPool, WorkerDiedError, WorkerPool
 from repro.sim.metrics import SpeculationMetrics
@@ -568,14 +568,11 @@ class SpeculationService:
     def _enqueue_restores(self, states: list[dict]) -> None:
         """Split one spilled tenant's blob by live shard and enqueue
         the restore jobs (ahead of the triggering batch's partitions)."""
-        n = self.bank.n_shards
-        by_shard: dict[int, list[dict]] = {}
-        for state in states:
-            key = int(state["branch"])
-            by_shard.setdefault(shard_of(key, n), []).append(state)
-        for sh, part in by_shard.items():
-            self._queues[sh].put_nowait(
-                _TenantJob("restore", part[0]["branch"] >> 32, part))
+        for queue, part in zip(self._queues,
+                               split_states(states, self.bank.n_shards)):
+            if part:
+                queue.put_nowait(
+                    _TenantJob("restore", part[0]["branch"] >> 32, part))
 
     async def drain(self) -> None:
         """Wait until every queued event has been applied.
@@ -801,17 +798,13 @@ class SpeculationService:
         tenants = ([0] if batch.tenants is None
                    else sorted_unique(batch.tenants).tolist())
         now = monotonic()
-        n = self.bank.n_shards
         for tenant in tenants:
             states = tm.take_spilled(int(tenant), now)
             if not states:
                 continue
-            by_shard: dict[int, list[dict]] = {}
-            for state in states:
-                key = int(state["branch"])
-                by_shard.setdefault(shard_of(key, n), []).append(state)
-            for sh, part in by_shard.items():
-                self.bank.shards[sh].restore_tenant(part)
+            for shard, part in zip(self.bank.shards,
+                                   split_states(states, self.bank.n_shards)):
+                shard.restore_tenant(part)
 
     def _export_tenants(self) -> dict[str, list[dict]]:
         """Spilled tenants' controller states (snapshot embedding)."""

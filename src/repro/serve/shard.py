@@ -20,6 +20,11 @@ Routing uses a SplitMix64 finalizer rather than ``pc % n_shards``:
 static branch ids (or real branch addresses) are clustered and stride-
 patterned, and a multiplicative avalanche keeps shard loads balanced
 regardless of the id distribution.
+
+A shard's one record of which controllers it holds is its columnar
+engine's sorted key index: every controller gets a row as it enters.
+One tenant's controllers are the slice ``[t << 32, (t + 1) << 32)`` of
+that index, which is all :meth:`BankShard.spill_tenant` reads.
 """
 
 from __future__ import annotations
@@ -34,9 +39,10 @@ from repro.core.controller import ControllerBank, ReactiveBranchController
 from repro.serve.colpath import ColumnarBank
 from repro.serve.events import EventBatch
 from repro.sim.metrics import SpeculationMetrics
+from repro.tenant.keys import MAX_PC, TENANT_SHIFT, sorted_unique
 
-__all__ = ["shard_of", "shard_ids", "BankShard", "ShardedBank",
-           "ShardApplyResult"]
+__all__ = ["shard_of", "shard_ids", "split_states", "BankShard",
+           "ShardedBank", "ShardApplyResult"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -59,6 +65,14 @@ def shard_ids(pcs: np.ndarray, n_shards: int) -> np.ndarray:
     x *= np.uint64(0x94D049BB133111EB)
     x ^= x >> np.uint64(31)
     return (x % np.uint64(n_shards)).astype(np.int64)
+
+
+def split_states(states: list[dict], n_shards: int) -> list[list[dict]]:
+    """Controller states grouped by owning shard (input order kept)."""
+    parts: list[list[dict]] = [[] for _ in range(n_shards)]
+    for state in states:
+        parts[shard_of(int(state["branch"]), n_shards)].append(state)
+    return parts
 
 
 @dataclass(frozen=True)
@@ -115,19 +129,13 @@ class BankShard:
     is updated only when a batch application lands a SELECT or EVICT.
     """
 
-    __slots__ = ("index", "bank", "decisions", "tenant_keys",
-                 "events_applied", "last_instr", "correct", "incorrect",
-                 "capture", "col")
+    __slots__ = ("index", "bank", "decisions", "events_applied",
+                 "last_instr", "correct", "incorrect", "capture", "col")
 
     def __init__(self, index: int, config: ControllerConfig) -> None:
         self.index = index
         self.bank = ControllerBank(config)
         self.decisions: dict[int, bool] = {}
-        #: Tenant → set of this shard's controller keys for that tenant
-        #: (key >> 32).  Maintained wherever controllers are minted so
-        #: :meth:`spill_tenant` never scans the whole bank.  Tenant-less
-        #: traffic lands under tenant 0 (bare PCs *are* tenant-0 keys).
-        self.tenant_keys: dict[int, set[int]] = {}
         self.events_applied = 0
         self.last_instr = 0
         self.correct = 0
@@ -136,10 +144,9 @@ class BankShard:
         #: arc firings of the batch into the result (read-only
         #: observation — controller state is bit-identical either way).
         self.capture = False
-        #: The batch engine's row mirror of ``bank``, built lazily by
-        #: the next batch (:meth:`from_state` swaps ``bank`` after
-        #: construction; :meth:`release_controllers` drops the mirror).
-        self.col: ColumnarBank | None = None
+        #: The batch engine's rows over ``bank``: one row per controller
+        #: the shard holds, and the sorted key index that records them.
+        self.col = ColumnarBank(config, self.bank, self.decisions)
 
     def apply(self, pcs: np.ndarray, taken: np.ndarray,
               instrs: np.ndarray) -> ShardApplyResult:
@@ -172,10 +179,6 @@ class BankShard:
         starts = np.concatenate(([0], bounds))
         ends = np.concatenate((bounds, [n]))
         col = self.col
-        if col is None:
-            col = self.col = ColumnarBank(self.bank.config, self.bank,
-                                          self.decisions,
-                                          tenant_index=self.tenant_keys)
         f0, b0, s0 = col.events_fast, col.events_fallback, col.events_single
         correct, incorrect, changed, fired = col.apply_sorted(
             sorted_pcs, sorted_taken, sorted_instrs, starts, ends, capture)
@@ -221,19 +224,40 @@ class BankShard:
 
         A branch's hot counters live in the columnar row arrays
         between flushes; this accessor writes them back first so
-        callers always read authoritative state.
+        callers always read authoritative state.  An unseen ``pc``
+        enters the shard like a batch-minted one, with a fresh row.
         """
-        if self.col is not None:
-            return self.col.controller(pc)
-        return self.bank.controller(pc)
+        return self.col.controller(pc)
 
     def release_controllers(self) -> None:
         """Drop live controller state (supervisor-mirror mode: a worker
         process owns the real shard; this one keeps only counters and
         the decision cache)."""
-        self.col = None
         self.bank._controllers.clear()
-        self.tenant_keys.clear()
+        self.col = ColumnarBank(self.bank.config, self.bank, self.decisions)
+
+    def install(self, states: list[dict]) -> None:
+        """Enter controllers from their ``export_state()`` dicts.
+
+        The one way controller state arrives in a shard: tenant
+        restore, snapshot load, reshard and a worker's LOAD all come
+        through here.  Each state replaces any controller the shard
+        held under its key and gets a row (and decision) seeded from it.
+        """
+        if not states:
+            return
+        controllers = self.bank._controllers
+        config = self.bank.config
+        keys = []
+        for state in states:
+            ctrl = ReactiveBranchController.from_state(config, state)
+            controllers[ctrl.branch] = ctrl
+            keys.append(ctrl.branch)
+        entered = sorted_unique(np.array(keys, dtype=np.int64))
+        # A key minted while its tenant was spilled (say, by the
+        # controller() accessor) has a row the new state makes stale.
+        self.col.evict_keys(entered)
+        self.col._intern(entered)
 
     # -- tenant spill / restore -----------------------------------------
     def spill_tenant(self, tenant: int) -> list[dict]:
@@ -241,50 +265,32 @@ class BankShard:
 
         Returns the controllers' ``export_state()`` dicts in ascending
         key order (deterministic blobs) and removes the keys from the
-        bank, the decision cache, and the columnar mirror.  Restoring
+        bank, the decision cache, and the columnar rows.  Restoring
         the same states via :meth:`restore_tenant` is bit-exact.
         """
-        keys = self.tenant_keys.pop(tenant, None)
-        if not keys:
-            return []
-        sorted_keys = np.fromiter(keys, dtype=np.int64, count=len(keys))
-        sorted_keys.sort()
-        controllers = self.bank._controllers
         col = self.col
-        if col is not None:
-            for key in sorted_keys.tolist():
-                row = col._row_of(key)
-                if row is not None and col.dirty[row]:
-                    col._flush_row(row, controllers[key])
-            col.evict_keys(sorted_keys)
+        keys, rows = col.key_range(tenant << TENANT_SHIFT,
+                                   (tenant << TENANT_SHIFT) | MAX_PC)
+        controllers = self.bank._controllers
+        decisions = self.decisions
         states = []
-        for key in sorted_keys.tolist():
-            ctrl = controllers.pop(key, None)
-            self.decisions.pop(key, None)
-            if ctrl is not None:
-                states.append(ctrl.export_state())
+        for key, row, stale in zip(keys.tolist(), rows.tolist(),
+                                   col.dirty[rows].tolist()):
+            ctrl = controllers.pop(key)
+            if stale:
+                col._flush_row(row, ctrl)
+            decisions.pop(key, None)
+            states.append(ctrl.export_state())
+        col.evict_keys(keys)
         return states
 
     def restore_tenant(self, states: list[dict]) -> None:
-        """Re-intern spilled controller states into this shard.
-
-        Columnar rows are *not* rebuilt eagerly — the next batch that
-        touches a restored key re-interns it through the pre-existing-
-        controller path, seeding the row from the live state.
-        """
-        controllers = self.bank._controllers
-        config = self.bank.config
-        for state in states:
-            ctrl = ReactiveBranchController.from_state(config, state)
-            key = ctrl.branch
-            controllers[key] = ctrl
-            self.decisions[key] = ctrl.deployed
-            self.tenant_keys.setdefault(key >> 32, set()).add(key)
+        """Re-intern spilled controller states into this shard."""
+        self.install(states)
 
     # -- snapshot hooks -------------------------------------------------
     def export_state(self) -> dict:
-        if self.col is not None:
-            self.col.flush()
+        self.col.flush()
         return {
             "index": self.index,
             "events_applied": int(self.events_applied),
@@ -302,11 +308,7 @@ class BankShard:
         shard.last_instr = int(state["last_instr"])
         shard.correct = int(state["correct"])
         shard.incorrect = int(state["incorrect"])
-        shard.bank = ControllerBank.from_state(config, state["bank"])
-        for ctrl in shard.bank:
-            shard.decisions[ctrl.branch] = ctrl.deployed
-            shard.tenant_keys.setdefault(ctrl.branch >> 32,
-                                         set()).add(ctrl.branch)
+        shard.install(state["bank"])
         return shard
 
 

@@ -30,8 +30,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.core.config import ControllerConfig
-from repro.core.controller import ReactiveBranchController
-from repro.serve.shard import ShardedBank, shard_of
+from repro.serve.shard import ShardedBank, split_states
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.serve.service import SpeculationService
@@ -150,16 +149,12 @@ def restore_bank(config: ControllerConfig, bank_state: dict,
     bank = ShardedBank(config, n_shards)
     last_instr = max((int(s["last_instr"]) for s in bank_state["shards"]),
                      default=0)
-    for shard_state in bank_state["shards"]:
-        for ctrl_state in shard_state["bank"]:
-            ctrl = ReactiveBranchController.from_state(config, ctrl_state)
-            shard = bank.shards[shard_of(ctrl.branch, n_shards)]
-            shard.bank._controllers[ctrl.branch] = ctrl
-            shard.decisions[ctrl.branch] = ctrl.deployed
-    for shard in bank.shards:
-        shard.events_applied = sum(c.exec_count for c in shard.bank)
-        shard.correct = sum(c.correct for c in shard.bank)
-        shard.incorrect = sum(c.incorrect for c in shard.bank)
+    states = [ctrl for s in bank_state["shards"] for ctrl in s["bank"]]
+    for shard, part in zip(bank.shards, split_states(states, n_shards)):
+        shard.install(part)
+        shard.events_applied = sum(int(c["exec_count"]) for c in part)
+        shard.correct = sum(int(c["correct"]) for c in part)
+        shard.incorrect = sum(int(c["incorrect"]) for c in part)
         shard.last_instr = last_instr
     return bank
 

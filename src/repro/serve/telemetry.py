@@ -13,8 +13,8 @@ Since the observability PR, the accumulator is a thin view over a
 maintains lives in the registry (so ``/metrics`` exports them for
 free), and per-shard apply-latency / batch-size histograms are filled
 in whenever the service passes a measured ``apply_seconds``.  Only the
-rolling window and its deque stay private — they are a derived view,
-exported as gauges.
+rolling window (a :class:`~repro.obs.metrics.RollingWindow`) stays
+private — it is a derived view, exported as gauges.
 
 Telemetry is deliberately *not* part of snapshots: it describes the
 process, not the controller state, and restoring it would make resumed
@@ -24,11 +24,10 @@ runs depend on the crashed process's wall clock.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.obs.metrics import LATENCY_BUCKETS, MetricsRegistry
+from repro.obs.metrics import LATENCY_BUCKETS, MetricsRegistry, RollingWindow
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.wal.writer import WalStats
@@ -110,12 +109,9 @@ class ServiceTelemetry:
                  registry: MetricsRegistry | None = None) -> None:
         if window_events <= 0:
             raise ValueError("window_events must be positive")
-        self.window_events_limit = window_events
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._window: deque[tuple[int, int, int]] = deque()
-        self._win_events = 0
-        self._win_spec = 0
-        self._win_mis = 0
+        #: Rows of (events, speculated, misspeculated) per apply.
+        self._window = RollingWindow(window_events, summed=3)
         self._rate_ema = 0.0
         self._last_apply_t: float | None = None
 
@@ -231,20 +227,11 @@ class ServiceTelemetry:
         if apply_seconds is not None:
             self._h_latency[shard].observe(apply_seconds)
             self._h_batch[shard].observe(events)
-        spec = correct + incorrect
-        self._window.append((events, spec, incorrect))
-        self._win_events += events
-        self._win_spec += spec
-        self._win_mis += incorrect
-        while (self._win_events - self._window[0][0]
-               >= self.window_events_limit):
-            e, s, m = self._window.popleft()
-            self._win_events -= e
-            self._win_spec -= s
-            self._win_mis -= m
-        self._g_win_events.set(self._win_events)
-        self._g_win_spec.set(self._win_spec)
-        self._g_win_mis.set(self._win_mis)
+        self._window.add((events, correct + incorrect, incorrect))
+        win_events, win_spec, win_mis = self._window.sums
+        self._g_win_events.set(win_events)
+        self._g_win_spec.set(win_spec)
+        self._g_win_mis.set(win_mis)
         now = time.monotonic()
         if self._last_apply_t is not None:
             dt = now - self._last_apply_t
@@ -282,12 +269,13 @@ class ServiceTelemetry:
             }
         events_applied = self._c_events.value
         batches_applied = self._c_batches.value
+        win_events, win_spec, win_mis = self._window.sums
         return TelemetryReading(
             events_applied=events_applied,
             batches_applied=batches_applied,
-            window_events=self._win_events,
-            window_speculated=self._win_spec,
-            window_misspeculated=self._win_mis,
+            window_events=win_events,
+            window_speculated=win_spec,
+            window_misspeculated=win_mis,
             drain_rate=self._rate_ema,
             queue_depths=tuple(self.queue_depths),
             queue_high_water=tuple(self.queue_high_water),

@@ -21,7 +21,8 @@ executor thread and receives on a dedicated reader thread per worker
 
 Frame catalogue (body layouts, all little-endian)::
 
-    LOAD         uint32 zlen | zlib(JSON shard state)   parent → worker
+    LOAD         uint64 ticket (0) | uint32 zlen
+                 | zlib(JSON shard state)               parent → worker
     HELLO        uint16 shard | uint32 pid              worker → parent
     APPLY        uint64 ticket | uint32 n
                  | int64 key[n] | uint8 taken[n]
@@ -53,9 +54,12 @@ Frame catalogue (body layouts, all little-endian)::
 :mod:`repro.tenant.keys`); a bare PC is tenant 0's key, so tenant-less
 traffic rides the same frame.  The transition block's four rows are
 key, arc code, exec index and instruction stamp, one column per arc
-firing.  Every parent → worker request but ``LOAD`` and ``SHUTDOWN``
-carries a ticket that its reply echoes, which is how the supervisor
-pairs replies with awaiting requests.  These frames pass only between
+firing.  Every parent → worker request but ``SHUTDOWN`` carries a
+ticket that its reply echoes, which is how the supervisor pairs
+replies with awaiting requests (``LOAD`` has no reply and always
+carries ticket 0).  Every zlib JSON body, here and in the replication
+frames (:mod:`repro.replicate.frames`), is made by :func:`_seal` and
+read by :func:`_unseal`.  These frames pass only between
 a parent and its workers and are never persisted; the WAL and
 replication byte form of a batch is :meth:`EventBatch.to_bytes
 <repro.serve.events.EventBatch.to_bytes>`.
@@ -107,7 +111,6 @@ _HELLO = struct.Struct("<BHI")
 _APPLY = struct.Struct("<BQI")
 _RESULT = struct.Struct("<BQIQQqIIQQQddd")
 _TICKET = struct.Struct("<BQ")
-_LOAD = struct.Struct("<BI")
 _TSPILL = struct.Struct("<BQI")
 _TBLOB = struct.Struct("<BQI")
 _LEN = struct.Struct("<I")
@@ -148,29 +151,29 @@ def _expect(payload: bytes, ftype: int, name: str,
             f"least {min_len}")
 
 
-# -- shard state (zlib JSON) ------------------------------------------------
-def encode_load(state: dict | None) -> bytes:
-    """Parent → worker: initial shard state (None = start fresh)."""
-    if state is None:
-        return _LOAD.pack(LOAD, 0)
-    blob = zlib.compress(json.dumps(state, separators=(",", ":"))
+# -- zlib JSON bodies -------------------------------------------------------
+def _seal(value) -> bytes:
+    """A JSON value as a zlib-compressed frame body."""
+    return zlib.compress(json.dumps(value, separators=(",", ":"))
                          .encode("utf-8"))
-    return _LOAD.pack(LOAD, len(blob)) + blob
 
 
-def decode_load(payload: bytes) -> dict | None:
-    _expect(payload, LOAD, "LOAD", min_len=_LOAD.size)
-    _, zlen = _LOAD.unpack_from(payload)
-    if len(payload) != _LOAD.size + zlen:
-        raise ProtocolError("LOAD frame length mismatch")
-    if zlen == 0:
-        return None
+def _unseal(body: bytes, name: str):
+    """The JSON value in a :func:`_seal` body of a ``name`` frame."""
     try:
-        return json.loads(zlib.decompress(payload[_LOAD.size:])
-                          .decode("utf-8"))
+        return json.loads(zlib.decompress(body).decode("utf-8"))
     except (zlib.error, ValueError) as err:
-        raise ProtocolError(f"LOAD frame body is not zlib JSON: {err}") \
+        raise ProtocolError(f"{name} frame body is not zlib JSON: {err}") \
             from err
+
+
+def encode_load(state: dict) -> bytes:
+    """Parent → worker: the shard's full state, to start from."""
+    return _encode_blob(LOAD, 0, state)
+
+
+def decode_load(payload: bytes) -> dict:
+    return _decode_blob(payload, LOAD, "LOAD", dict)[1]
 
 
 def encode_hello(shard: int, pid: int) -> bytes:
@@ -257,8 +260,7 @@ def decode_apply_result(payload: bytes, shard: int,
 
 # -- state blobs (zlib JSON) ------------------------------------------------
 def _encode_blob(ftype: int, ticket: int, value) -> bytes:
-    blob = zlib.compress(json.dumps(value, separators=(",", ":"))
-                         .encode("utf-8"))
+    blob = _seal(value)
     return _TBLOB.pack(ftype, ticket, len(blob)) + blob
 
 
@@ -268,12 +270,7 @@ def _decode_blob(payload: bytes, ftype: int, name: str, kind: type,
     _, ticket, zlen = _TBLOB.unpack_from(payload)
     if len(payload) != _TBLOB.size + zlen:
         raise ProtocolError(f"{name} frame length mismatch")
-    try:
-        value = json.loads(zlib.decompress(payload[_TBLOB.size:])
-                           .decode("utf-8"))
-    except (zlib.error, ValueError) as err:
-        raise ProtocolError(f"{name} frame body is not zlib JSON: {err}") \
-            from err
+    value = _unseal(payload[_TBLOB.size:], name)
     if not isinstance(value, kind):
         raise ProtocolError(f"{name} frame body is not a state "
                             f"{kind.__name__}")

@@ -165,15 +165,11 @@ def worker_main(index: int, config_dict: dict, endpoint, kind: str,
                 transport.send(wire.encode_barrier(
                     wire.decode_barrier(payload), ack=True))
             elif ftype == wire.LOAD:
-                state = wire.decode_load(payload)
-                if state is None:
-                    shard = BankShard(index, config)
-                else:
-                    shard = BankShard.from_state(config, state)
-                    if shard.index != index:
-                        raise ValueError(
-                            f"LOAD state is for shard {shard.index}, "
-                            f"this worker owns shard {index}")
+                shard = BankShard.from_state(config, wire.decode_load(payload))
+                if shard.index != index:
+                    raise ValueError(
+                        f"LOAD state is for shard {shard.index}, "
+                        f"this worker owns shard {index}")
                 shard.capture = capture
             elif ftype == wire.STATE_REQ:
                 transport.send(wire.encode_state(

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.config import ControllerConfig, scaled_config
+from repro.core.controller import ReactiveBranchController
 from repro.serve.events import iter_trace_batches
-from repro.serve.shard import ShardedBank, shard_ids, shard_of
+from repro.serve.shard import BankShard, ShardedBank, shard_ids, shard_of
 from repro.sim.runner import run_reactive
 from tests.serve.conftest import random_trace
 
@@ -99,3 +103,134 @@ def test_apply_reports_decision_invalidations(bench_trace, bench_config):
                        if views.get(pc, False) != dec}
             assert set(result.changed) == flipped
             views.update(shard.decisions)
+
+
+# -- shard membership --------------------------------------------------------
+def test_accessor_minted_key_spills():
+    """A key first created by the ``controller()`` accessor is part of
+    its tenant like a batch-minted one: the spill returns it and the
+    shard keeps nothing of the tenant."""
+    shard = BankShard(0, scaled_config())
+    k5, k6 = (7 << 32) | 5, (7 << 32) | 6
+    shard.controller(k5)
+    rng = np.random.default_rng(0)
+    keys = rng.choice(np.array([k5, k6], dtype=np.int64), 200)
+    taken = rng.uniform(size=200) < 0.9
+    shard.apply(keys, taken, np.arange(1, 201, dtype=np.int64) * 8)
+    states = shard.spill_tenant(7)
+    assert [s["branch"] for s in states] == [k5, k6]
+    assert len(shard.bank) == 0
+    assert not shard.should_speculate(k5)
+    assert not shard.should_speculate(k6)
+
+
+def test_install_replaces_a_resident_controller():
+    """Installing a state over a resident key replaces the controller
+    and its row: later batches continue from the installed state."""
+    cfg = scaled_config()
+    shard = BankShard(0, cfg)
+    rng = np.random.default_rng(1)
+    keys = np.array([3, 4], dtype=np.int64)
+    instr = 0
+
+    def feed(n):
+        nonlocal instr
+        pcs = rng.choice(keys, n)
+        taken = rng.uniform(size=n) < 0.8
+        instrs = instr + 8 * np.arange(1, n + 1, dtype=np.int64)
+        instr = int(instrs[-1])
+        shard.apply(pcs, taken, instrs)
+        return pcs, taken, instrs
+
+    feed(300)
+    saved = shard.controller(3).export_state()
+    feed(300)  # the row for key 3 moves on and goes dirty
+    shard.install([saved])
+    assert shard.controller(3).export_state() == saved
+    expect = ReactiveBranchController.from_state(cfg, saved)
+    for pc, t, at in zip(*(a.tolist() for a in feed(300))):
+        if pc == 3:
+            expect.observe(t, at)
+    assert shard.controller(3).export_state() == expect.export_state()
+    assert sorted(c.branch for c in shard.bank) == [3, 4]
+
+
+#: Small thresholds so a few dozen events fire SELECT, REJECT, REVISIT
+#: and EVICT arcs, with deployments landing a few events later.
+_MODEL_CONFIG = ControllerConfig(
+    monitor_period=4, selection_threshold=0.75, evict_counter_max=100,
+    misspec_increment=50, correct_decrement=1, revisit_period=6,
+    oscillation_limit=3, optimization_latency=20)
+#: Tenants 0-3 x pcs 0-5 as packed keys.
+_KEY_POOL = [(t << 32) | pc for t in range(4) for pc in range(6)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_shard_membership_matches_dict_model(data):
+    """Random applies, accessor reads, tenant spills, restores of
+    stashed spills and state round trips keep one ``BankShard`` equal
+    to a plain dict of scalar controllers: the bank holds exactly the
+    model's resident keys, a spill returns exactly the tenant's keys in
+    ascending order, spilled keys never speculate, and a restored
+    controller re-exports bit-identically."""
+    cfg = _MODEL_CONFIG
+    shard = BankShard(0, cfg)
+    model: dict[int, ReactiveBranchController] = {}  # resident keys
+    stash: dict[int, list[dict]] = {}  # tenant -> its latest spill
+    spilled: set[int] = set()
+    instr = 0
+    idx = st.integers(0, len(_KEY_POOL) - 1)
+    for _ in range(data.draw(st.integers(1, 25), label="steps")):
+        op = data.draw(st.sampled_from(
+            ("apply", "apply", "controller", "spill", "restore",
+             "roundtrip")), label="op")
+        if op == "apply":
+            events = data.draw(st.lists(st.tuples(idx, st.booleans()),
+                                        min_size=1, max_size=40))
+            keys = np.array([_KEY_POOL[i] for i, _ in events], np.int64)
+            taken = np.array([t for _, t in events], dtype=bool)
+            instrs = instr + 8 * np.arange(1, len(events) + 1,
+                                           dtype=np.int64)
+            instr = int(instrs[-1])
+            shard.apply(keys, taken, instrs)
+            for key, t, at in zip(keys.tolist(), taken.tolist(),
+                                  instrs.tolist()):
+                model.setdefault(key, ReactiveBranchController(cfg, key))
+                model[key].observe(t, at)
+                spilled.discard(key)
+        elif op == "controller":
+            key = _KEY_POOL[data.draw(idx)]
+            ctrl = model.setdefault(key, ReactiveBranchController(cfg, key))
+            spilled.discard(key)
+            assert shard.controller(key).export_state() == \
+                ctrl.export_state()
+        elif op == "spill":
+            tenant = data.draw(st.integers(0, 3), label="tenant")
+            mine = sorted(k for k in model if k >> 32 == tenant)
+            states = shard.spill_tenant(tenant)
+            assert states == [model.pop(k).export_state() for k in mine]
+            if states:
+                stash[tenant] = states
+            spilled.update(mine)
+        elif op == "restore":
+            # A stash goes back only while none of its tenant's keys
+            # are resident, as the service's tenant manager ensures.
+            ready = sorted(t for t in stash
+                           if not any(k >> 32 == t for k in model))
+            if not ready:
+                continue
+            states = stash.pop(data.draw(st.sampled_from(ready)))
+            shard.restore_tenant(states)
+            for state in states:
+                key = state["branch"]
+                model[key] = ReactiveBranchController.from_state(cfg, state)
+                spilled.discard(key)
+                assert shard.controller(key).export_state() == state
+        else:
+            shard = BankShard.from_state(cfg, shard.export_state())
+        assert sorted(c.branch for c in shard.bank) == sorted(model)
+        for key in spilled:
+            assert not shard.should_speculate(key)
+        for key, ctrl in model.items():
+            assert shard.should_speculate(key) == ctrl.deployed

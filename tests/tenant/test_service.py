@@ -241,6 +241,68 @@ def test_worker_mode_spill_restore_matches_in_process():
     assert worker_states == reference
 
 
+def test_resharded_restore_spills_whole_tenants(tmp_path):
+    """A snapshot restored onto a different shard count holds each
+    tenant's controllers exactly where a spill finds them: after every
+    drained batch no spilled tenant keeps a controller in any shard,
+    and its branches answer False; recalled, every state equals an
+    unbudgeted restore of the same snapshot fed the same batches."""
+    tenants = [1, 2, 3]
+    snap = tmp_path / "two-shards.json.gz"
+
+    def after(service):
+        save_snapshot(snap, service)
+        return service.last_seq, int(service.metrics().instructions)
+
+    last_seq, instr = run_service(
+        mixed_batches(60_000, tenants, 4, seed=9),
+        ServiceConfig(n_shards=2), after=after)
+    rng = np.random.default_rng(9)
+    batches = []
+    for i in range(12):
+        instrs = instr + np.cumsum(rng.integers(1, 20, 64))
+        instr = int(instrs[-1])
+        batches.append(EventBatch(
+            seq=last_seq + 1 + i,
+            pcs=rng.integers(0, 4, 64).astype(np.int32),
+            taken=rng.uniform(size=64) < 0.5,
+            instrs=instrs.astype(np.int64),
+            tenants=np.full(64, (3, 2, 1)[i % 3], dtype=np.uint32)))
+
+    async def feed(service, check):
+        async with service:
+            for batch in batches:
+                await submit_retry(service, batch)
+                await service.drain()
+                check(service)
+            probe = EventBatch(
+                seq=batches[-1].seq + 1,
+                pcs=np.zeros(len(tenants), dtype=np.int32),
+                taken=np.zeros(len(tenants), dtype=bool),
+                instrs=np.zeros(len(tenants), dtype=np.int64),
+                tenants=np.array(tenants, dtype=np.uint32))
+            service._ensure_resident(probe)
+            return controller_states(service)
+
+    def cold_tenants_are_gone(service):
+        spilled = set(service._tenants._store.tenants())
+        assert not {tenant_of(k) for k in controller_states(service)} \
+            & spilled
+        for tenant in spilled:
+            for pc in range(4):
+                assert not service.should_speculate(pc, tenant)
+
+    reference = asyncio.run(feed(load_snapshot(snap, n_shards=3),
+                                 lambda service: None))
+    budgeted = load_snapshot(
+        snap, n_shards=3,
+        service_config=ServiceConfig(
+            n_shards=3, tenant_resident_bytes=2 * 4 * BPB + 1,
+            tenant_bytes_per_branch=BPB))
+    assert asyncio.run(feed(budgeted, cold_tenants_are_gone)) == reference
+    assert budgeted.tenant_stats()["spills"] > 0
+
+
 # -- quota isolation -------------------------------------------------------
 def test_overloaded_tenant_cannot_starve_another():
     """The isolation property behind per-tenant quotas: a flooding
