@@ -274,34 +274,6 @@ class ReactiveBranchController:
         self.transitions.append(
             Transition(self.branch, kind, exec_idx, instr))
 
-    # -- columnar row hooks (repro.serve.colpath) -----------------------
-    #: The mutable fields a boundary-free run of executions can touch.
-    #: Everything else — FSM state, deployment, the pending queue, the
-    #: transition log — only changes when an FSM arc fires or a
-    #: re-optimization lands, which the columnar fast path writes
-    #: through to the controller as it resolves them.
-    HOT_FIELDS = ("exec_count", "_monitor_taken", "_monitor_samples",
-                  "_counter", "correct", "incorrect")
-
-    def export_hot(self) -> tuple[int, int, int, int, int, int]:
-        """The :data:`HOT_FIELDS` values, for a columnar row mirror."""
-        return (self.exec_count, self._monitor_taken,
-                self._monitor_samples, self._counter,
-                self.correct, self.incorrect)
-
-    def import_hot(self, exec_count: int, monitor_taken: int,
-                   monitor_samples: int, counter: int,
-                   correct: int, incorrect: int) -> None:
-        """Write back a columnar row's hot fields (plain ``int``s, so a
-        flushed controller exports/serializes exactly like one that was
-        advanced scalar)."""
-        self.exec_count = int(exec_count)
-        self._monitor_taken = int(monitor_taken)
-        self._monitor_samples = int(monitor_samples)
-        self._counter = int(counter)
-        self.correct = int(correct)
-        self.incorrect = int(incorrect)
-
     # -- snapshot hooks -------------------------------------------------
     def export_state(self) -> dict:
         """Full mutable state as JSON-serializable plain types.

@@ -343,12 +343,7 @@ class ReplicationFollower:
         if batch.seq <= service.last_seq:
             return False
         service._wal.append(batch)
-        # Follower apply bypasses admission (like WAL replay): restore
-        # any spilled tenants the batch touches before it lands.
-        service._ensure_resident(batch)
-        results = service.bank.apply_batch(batch)
-        service._last_seq = batch.seq
-        service._events_submitted += batch.n_events
+        results = service.apply_logged(batch)
         self.stats.batches_applied += 1
         self.stats.events_applied += batch.n_events
         self._detector.observe_apply(

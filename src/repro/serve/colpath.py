@@ -8,57 +8,51 @@ overhead dwarfs the vector math.  This module removes the
 Python-per-branch cost — including at FSM boundaries — and is the
 service's only batch engine.
 
-:class:`ColumnarBank` maintains a PC→row interned index plus
-struct-of-arrays mirrors of the hot controller fields — FSM state code,
-execution count, monitor counters, the eviction counter, the deployed
-flag/direction, the next FSM boundary's execution index and the next
-pending re-optimization landing stamp.  For each PC-sorted micro-batch
-it runs a **split / advance / fire** loop, fully vectorized across
-rows:
+:class:`ColumnarBank` holds one shard's controller state as
+struct-of-arrays columns (the rows of one int64 and one bool table)
+behind a sorted PC→row index: every field of
+``ReactiveBranchController.export_state()`` has a column (two slots
+hold the pending-deployment queue) except the transition log, a
+per-row list.  For each PC-sorted micro-batch it runs a **split /
+advance / fire** loop, fully vectorized across rows:
 
 * **split** — every active row's next boundary offset is computed in
-  array code: the classify/revisit fire from the ``next_fire`` column,
-  the pending-landing offset by counting the window's instruction
-  stamps below the ``land`` column (a segmented ``add.reduceat``), and
-  the eviction arc's exact first-threshold-crossing index from the
-  segmented floored-walk cumsum (a running minimum over per-segment
-  offsets) for every engaged episode at once;
+  array code: the classify/revisit fire from the state and its entry
+  index, the pending-landing offset by counting the window's
+  instruction stamps below the ``land`` column (a segmented
+  ``add.reduceat``), and the eviction arc's exact first-threshold-
+  crossing index from the segmented floored-walk cumsum (a running
+  minimum over per-segment offsets) for every engaged episode at once;
 * **advance** — the pre-boundary prefix of every row moves with the
   columnar kernels: one batch-global prefix sum of outcomes yields any
   window's taken count in O(1), driving execution counts, monitor
   tallies, outcome accounting against the deployed direction, and the
   exact floored-at-zero eviction-walk endpoint;
-* **fire** — rows that reached a boundary apply the transition as a
-  batched array op per arc kind: the classify decision (bias test over
-  ``mon_taken``/``mon_samples``, vectorized in
-  :func:`~repro.sim.vector.classify_split`), revisit re-entry to
-  MONITOR, the eviction arc, and optimization-latency landings.  A
-  short per-firing-row sync writes the cold scalar-controller fields
-  (FSM state, entry index, the deployment queue, the transition log);
-  the loop then iterates on each row's remaining suffix until every
-  segment is consumed.
+* **fire** — rows that reached a boundary apply the transition as
+  array writes per arc kind: the classify decision
+  (:func:`~repro.sim.vector.classify_split`), revisit re-entry to
+  MONITOR, the eviction arc, and optimization-latency landings; only
+  each arc's log entry is appended per row.  The loop then iterates on
+  each row's remaining suffix until every segment is consumed.
 
 Two window shapes still take the per-branch kernel
-(:meth:`_fallback_segment`): strided monitor windows
-(``monitor_sample_stride > 1`` — sampling is offset-dependent) and
-engaged evict-by-sampling episodes (window bookkeeping is stateful
-mid-window).  Single-branch batches also go to the per-branch kernel
-by design (nothing to amortize); they are counted separately
-(``events_single``) so the fallback counters isolate true
-boundary/config fallbacks.
+(:meth:`_kernel_segment`), on a temporary controller built from the
+row and written back: strided monitor windows (sampling is
+offset-dependent) and engaged evict-by-sampling episodes (window
+bookkeeping is stateful mid-window).  Single-branch batches go there
+too by design (nothing to amortize) and are counted separately
+(``events_single``).
 
-The contract stays **bit-exactness**: rows are mirrors, the scalar
-:class:`~repro.core.controller.ReactiveBranchController` objects remain
-the source of truth for snapshots and ``export_state()`` and are
-refreshed lazily (:meth:`flush`), so snapshots, WAL replay and obs
-tracing stay interchangeable with offline runs.  Every controller of
-the owning shard has a row from the moment it enters, so the sorted
-key index is also the shard's record of which controllers it holds.
-The floored-walk identity — ``walk = cum - min(0, running_min(cum))``
-over the segment's step prefix sums with the live counter as
-carry-in — is the same one ``apply_chunk`` applies per branch,
-evaluated here for all engaged rows at once, including the first
-index where the walk reaches the eviction ceiling.
+The contract stays **bit-exactness** with the scalar
+:class:`~repro.core.controller.ReactiveBranchController`:
+:meth:`ColumnarBank.export` emits exactly its ``export_state()``
+dicts, so snapshots, WAL replay and obs tracing stay interchangeable
+with offline runs.  Every controller of the owning shard has a row
+from the moment it enters, so the sorted key index is also the
+shard's record of which controllers it holds.  The floored-walk
+identity — ``walk = cum - min(0, running_min(cum))`` with the live
+counter as carry-in — is the one ``apply_chunk`` applies per branch,
+evaluated here for all engaged rows at once.
 """
 
 from __future__ import annotations
@@ -66,9 +60,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import ControllerConfig
-from repro.core.controller import ControllerBank, ReactiveBranchController
+from repro.core.controller import ReactiveBranchController
 from repro.core.states import BranchState, Transition, TransitionKind
-from repro.obs.tracing import ARC_CODE
+from repro.obs.tracing import ARC_CODE, ARCS
 from repro.sim.vector import apply_chunk, classify_split, deploy_delay
 
 __all__ = ["ColumnarBank"]
@@ -76,16 +70,14 @@ __all__ = ["ColumnarBank"]
 #: Integer codes of :class:`~repro.core.states.BranchState` in the
 #: ``state`` column.
 _MONITOR, _BIASED, _UNBIASED, _DISABLED = range(4)
-_STATE_CODE = {
-    BranchState.MONITOR: _MONITOR,
-    BranchState.BIASED: _BIASED,
-    BranchState.UNBIASED: _UNBIASED,
-    BranchState.DISABLED: _DISABLED,
-}
+_STATES = (BranchState.MONITOR, BranchState.BIASED, BranchState.UNBIASED,
+           BranchState.DISABLED)
+_STATE_CODE = {state: code for code, state in enumerate(_STATES)}
+_STATE_OF_VALUE = {state.value: code for code, state in enumerate(_STATES)}
 
-#: "No boundary scheduled" sentinel for the next-fire execution index
-#: and the next-landing instruction stamp: far beyond any real count,
-#: safely below int64 overflow under ``exec + batch_len`` arithmetic.
+#: "No boundary scheduled" sentinel for fire offsets and "empty slot"
+#: for the landing stamps: far beyond any real count, safely below
+#: int64 overflow under ``exec + batch_len`` arithmetic.
 _NEVER = 1 << 62
 
 _CODE_SELECT = ARC_CODE[TransitionKind.SELECT.value]
@@ -94,44 +86,53 @@ _CODE_EVICT = ARC_CODE[TransitionKind.EVICT.value]
 _CODE_REVISIT = ARC_CODE[TransitionKind.REVISIT.value]
 _CODE_DISABLE = ARC_CODE[TransitionKind.DISABLE.value]
 
-#: int64 columns, in (attribute, default) order.
-_I64_COLS = ("pc", "exec", "next_fire", "land", "counter",
-             "mon_taken", "mon_samples", "bias_entries",
-             "correct", "incorrect")
-_BOOL_COLS = ("deployed", "dep_dir", "episode", "dirty", "dead")
-
+#: The columns: the rows of one int64 table and one bool table, in the
+#: order the codec reads and writes them.  ``land``/``land2`` are the
+#: two pending-deployment slots' landing stamps (``_NEVER`` when free);
+#: ``spec``/``dir`` and ``spec2``/``dir2`` are what each slot deploys.
+_INT_COLS = ("pc", "state", "exec", "entry", "mon_taken", "mon_samples",
+             "counter", "bias_entries", "land", "land2", "win_correct",
+             "win_pos", "correct", "incorrect", "evictions")
+_FLAG_COLS = ("deployed", "dep_dir", "spec", "dir", "spec2", "dir2",
+              "episode", "dead")
+_SLOTS = (("land", "spec", "dir"), ("land2", "spec2", "dir2"))
+_FREE_SLOTS = ((_NEVER, False, False),) * len(_SLOTS)
 
 class ColumnarBank:
-    """Struct-of-arrays mirror of one shard's hot controller fields.
+    """One shard's controller state, as columns.
 
-    Owned by a :class:`~repro.serve.shard.BankShard`; shares the
-    shard's :class:`~repro.core.controller.ControllerBank` (``scalars``,
-    the authoritative per-branch objects) and its decision cache.
-    Scalar controller shells are created eagerly at intern time so bank
-    iteration, ``len()`` and membership behave exactly as if every
-    event had gone through ``observe``; only the :data:`HOT_FIELDS
-    <repro.core.controller.ReactiveBranchController.HOT_FIELDS>` go
-    stale between :meth:`flush` calls (tracked per row by ``dirty``).
+    Owned by a :class:`~repro.serve.shard.BankShard`, whose decision
+    cache it keeps current.  The columns are the only copy of the
+    state: :meth:`export` and :meth:`install` are its codec, and a
+    scalar controller exists only as :meth:`controller`'s detached
+    copy or for one per-branch-kernel window.
     """
 
-    __slots__ = ("config", "_scalars", "_decisions", "n_rows", "n_dead",
-                 "_cap", "_keys", "_key_rows",
+    __slots__ = ("config", "_decisions", "_fire_after", "n_rows", "n_dead",
+                 "_cap", "_keys", "_key_rows", "log",
                  "rows_fast", "rows_fallback", "rows_single",
                  "events_fast", "events_fallback", "events_single",
                  "arcs_fast", "lands_fast",
-                 "state", *_I64_COLS, *_BOOL_COLS)
+                 "_ints", "_flags", *_INT_COLS, *_FLAG_COLS)
 
-    def __init__(self, config: ControllerConfig, scalars: ControllerBank,
+    def __init__(self, config: ControllerConfig,
                  decisions: dict[int, bool]) -> None:
         self.config = config
-        self._scalars = scalars
         self._decisions = decisions
+        #: Executions from state entry to the classify/revisit fire,
+        #: by state code.
+        self._fire_after = np.array(
+            [config.monitor_period, _NEVER,
+             config.revisit_period if config.revisit_enabled else _NEVER,
+             _NEVER], dtype=np.int64)
         self.n_rows = 0
         self.n_dead = 0
         self._cap = 0
         self._grow(1024)
         self._keys = np.empty(0, dtype=np.int64)
         self._key_rows = np.empty(0, dtype=np.int64)
+        #: Per-row transition log of ``(kind, exec_index, instr)``.
+        self.log: list[list[tuple[str, int, int]]] = []
         #: Fast-path engagement counters (see ``stats()``).
         self.rows_fast = 0
         self.rows_fallback = 0
@@ -150,20 +151,15 @@ class ColumnarBank:
         if cap == self._cap:
             return
         n = self.n_rows
-        for name in _I64_COLS:
-            new = np.zeros(cap, dtype=np.int64)
+        for table, names, dtype in (("_ints", _INT_COLS, np.int64),
+                                    ("_flags", _FLAG_COLS, bool)):
+            new = np.zeros((len(names), cap), dtype=dtype)
             if n:
-                new[:n] = getattr(self, name)[:n]
-            setattr(self, name, new)
-        new_state = np.zeros(cap, dtype=np.int8)
-        if n:
-            new_state[:n] = self.state[:n]
-        self.state = new_state
-        for name in _BOOL_COLS:
-            new = np.zeros(cap, dtype=bool)
-            if n:
-                new[:n] = getattr(self, name)[:n]
-            setattr(self, name, new)
+                new[:, :n] = getattr(self, table)[:, :n]
+            setattr(self, table, new)
+            # Each column is a contiguous row view of its table.
+            for name, column in zip(names, new):
+                setattr(self, name, column)
         self._cap = cap
 
     def __len__(self) -> int:
@@ -174,7 +170,7 @@ class ColumnarBank:
 
         ``fast`` counts rows/events advanced in the columnar arrays
         (including resolved boundary suffixes), ``fallback`` the true
-        scalar-engine fallbacks (strided monitors, engaged
+        per-branch-kernel fallbacks (strided monitors, engaged
         evict-by-sampling episodes), and ``single`` the by-design
         single-branch batches that bypass the cross-branch machinery.
         ``arcs_fast``/``lands_fast`` count FSM arcs and deployment
@@ -226,37 +222,23 @@ class ColumnarBank:
         self._keys = self.pc[self._key_rows]
 
     def _add_rows(self, new_pcs: np.ndarray) -> np.ndarray:
+        """Rows for ``new_pcs`` in a never-executed controller's state."""
         base = self.n_rows
         m = len(new_pcs)
         self._grow(base + m)
         self.n_rows = base + m
-        rows = np.arange(base, base + m, dtype=np.int64)
-        self.pc[rows] = new_pcs
-        self.state[rows] = _MONITOR
-        self.next_fire[rows] = self.config.monitor_period
-        self.land[rows] = _NEVER
-        for name in ("exec", "counter", "mon_taken", "mon_samples",
-                     "bias_entries", "correct", "incorrect"):
-            getattr(self, name)[rows] = 0
-        for name in _BOOL_COLS:
-            getattr(self, name)[rows] = False
-        controllers = self._scalars._controllers
+        new = slice(base, base + m)
+        self._ints[:, new] = 0
+        self._flags[:, new] = False
+        self.pc[new] = new_pcs
+        self.state[new] = _MONITOR
+        self.land[new] = _NEVER
+        self.land2[new] = _NEVER
+        self.log.extend([] for _ in range(m))
         decisions = self._decisions
-        config = self.config
-        for offset, pc in enumerate(new_pcs.tolist()):
-            ctrl = controllers.get(pc)
-            if ctrl is None:
-                # Eager shell: bank iteration/len/snapshot see the
-                # branch immediately; hot fields live in the columns.
-                controllers[pc] = ReactiveBranchController(config, pc)
-                decisions.setdefault(pc, False)
-            else:
-                # Controller installed from a state (restore, snapshot
-                # load, reshard): the row starts from its live state,
-                # not from defaults.
-                self._refresh_row(base + offset, ctrl)
-                decisions[pc] = ctrl._deployed
-        return rows
+        for pc in new_pcs.tolist():
+            decisions.setdefault(pc, False)
+        return np.arange(base, base + m, dtype=np.int64)
 
     def key_range(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """The live keys in ``[lo, hi]`` (ascending) and their rows."""
@@ -273,72 +255,148 @@ class ColumnarBank:
             return None
         return int(self._key_rows[pos])
 
-    # -- row <-> controller transfer ------------------------------------
-    def _refresh_row(self, row: int, ctrl: ReactiveBranchController) -> None:
-        """Import a controller's full live state into its row."""
-        cfg = self.config
-        state = ctrl.state
-        self.state[row] = _STATE_CODE[state]
-        (self.exec[row], self.mon_taken[row], self.mon_samples[row],
-         self.counter[row], self.correct[row],
-         self.incorrect[row]) = ctrl.export_hot()
-        self.bias_entries[row] = ctrl._bias_entries
-        self.deployed[row] = ctrl._deployed
-        self.dep_dir[row] = ctrl._deployed_direction
-        self.episode[row] = ctrl._episode_active
-        self.land[row] = ctrl._pending[0][0] if ctrl._pending else _NEVER
-        if state is BranchState.MONITOR:
-            fire = ctrl._state_entry_exec + cfg.monitor_period
-        elif state is BranchState.UNBIASED and cfg.revisit_enabled:
-            fire = ctrl._state_entry_exec + cfg.revisit_period
-        else:
-            fire = _NEVER
-        self.next_fire[row] = fire
-        self.dirty[row] = False
+    # -- the state codec ------------------------------------------------
+    def export(self, rows: np.ndarray) -> list[dict]:
+        """The ``export_state()`` dicts of ``rows``, in order: the
+        schema, key order and plain Python types of
+        :meth:`ReactiveBranchController.export_state`."""
+        rows = np.asarray(rows, dtype=np.int64)
+        log = self.log
+        out = []
+        for (row, pc, st, ex, entry, mt, ms, ctr, be, l1, l2, wc, wp, c, x,
+             ev, dep, ddir, s1, d1, s2, d2, ep) in zip(
+                rows.tolist(), *self._ints[:, rows].tolist(),
+                *self._flags[:-1, rows].tolist()):
+            pending = []
+            if l1 != _NEVER:
+                pending.append([l1, s1, d1])
+                if l2 != _NEVER:
+                    pending.append([l2, s2, d2])
+            out.append({
+                "branch": pc, "state": _STATES[st].value, "exec_count": ex,
+                "state_entry_exec": entry, "monitor_taken": mt,
+                "monitor_samples": ms, "counter": ctr, "bias_entries": be,
+                "deployed": dep, "deployed_direction": ddir,
+                "pending": pending, "episode_active": ep,
+                "window_correct": wc, "window_pos": wp, "correct": c,
+                "incorrect": x, "evictions": ev,
+                "transitions": [[k, e, i] for k, e, i in log[row]],
+            })
+        return out
 
-    def _flush_row(self, row: int, ctrl: ReactiveBranchController) -> None:
-        ctrl.import_hot(self.exec[row], self.mon_taken[row],
-                        self.mon_samples[row], self.counter[row],
-                        self.correct[row], self.incorrect[row])
-        self.dirty[row] = False
+    def install(self, states: list[dict]) -> None:
+        """Enter controllers from their ``export_state()`` dicts.
 
-    def flush(self) -> None:
-        """Write every dirty row's hot fields back to its controller.
-
-        After this the scalar bank is fully authoritative — safe to
-        export, snapshot, or iterate field-by-field.
+        Each state replaces any row held under its key (a later state
+        wins over an earlier one for the same key) and sets the key's
+        decision.  Raises :class:`ValueError`, naming the branch and
+        changing nothing, for a state with more pending deployments
+        than a row's two slots.
         """
-        n = self.n_rows
-        if not n:
+        by_key = {int(state["branch"]): state for state in states}
+        for key, state in by_key.items():
+            if len(state["pending"]) > len(_SLOTS):
+                raise ValueError(
+                    f"branch {key}: {len(state['pending'])} pending "
+                    f"deployments, more than the controller can queue "
+                    f"({len(_SLOTS)})")
+        if not by_key:
             return
-        controllers = self._scalars._controllers
-        pc = self.pc
-        for row in np.flatnonzero(self.dirty[:n]).tolist():
-            self._flush_row(row, controllers[int(pc[row])])
+        keys = np.array(sorted(by_key), dtype=np.int64)
+        ordered = [by_key[key] for key in keys.tolist()]
+        # A key minted while its tenant was spilled (say, by the
+        # controller() accessor) has a row the new state makes stale.
+        self.evict_keys(keys)
+        rows = self._add_rows(keys)
+        ints, flags = [], []
+        for state in ordered:
+            (l1, s1, d1), (l2, s2, d2) = (*state["pending"], *_FREE_SLOTS)[:2]
+            ints.append((
+                state["branch"], _STATE_OF_VALUE[state["state"]],
+                state["exec_count"], state["state_entry_exec"],
+                state["monitor_taken"], state["monitor_samples"],
+                state["counter"], state["bias_entries"], l1, l2,
+                state["window_correct"], state["window_pos"],
+                state["correct"], state["incorrect"], state["evictions"]))
+            flags.append((state["deployed"], state["deployed_direction"],
+                          s1, d1, s2, d2, state["episode_active"], False))
+        self._ints[:, rows] = np.array(ints, dtype=np.int64).T
+        self._flags[:, rows] = np.array(flags, dtype=bool).T
+        log = self.log
+        decisions = self._decisions
+        for row, key, state in zip(rows.tolist(), keys.tolist(), ordered):
+            log[row] = [(k, e, i) for k, e, i in state["transitions"]]
+            decisions[key] = bool(state["deployed"])
+        self._rebuild_index()
+
+    # -- scalar controllers on request ----------------------------------
+    def _controller_of(self, row: int) -> ReactiveBranchController:
+        """A scalar controller in ``row``'s state, with an empty
+        transition log (the row's log stays the row's)."""
+        (pc, state, ex, entry, mt, ms, ctr, be, l1, l2, wc, wp, c, x,
+         ev) = self._ints[:, row].tolist()
+        dep, ddir, s1, d1, s2, d2, ep, _dead = self._flags[:, row].tolist()
+        # Every slot is set below, so skip __init__'s defaults.
+        ctrl = object.__new__(ReactiveBranchController)
+        ctrl.config = self.config
+        ctrl.branch = pc
+        ctrl.state = _STATES[state]
+        ctrl.exec_count = ex
+        ctrl._state_entry_exec = entry
+        ctrl._monitor_taken = mt
+        ctrl._monitor_samples = ms
+        ctrl._counter = ctr
+        ctrl._bias_entries = be
+        ctrl._deployed = dep
+        ctrl._deployed_direction = ddir
+        ctrl._pending = ([] if l1 == _NEVER else [(l1, s1, d1)]
+                         if l2 == _NEVER else [(l1, s1, d1), (l2, s2, d2)])
+        ctrl._episode_active = ep
+        ctrl._window_correct = wc
+        ctrl._window_pos = wp
+        ctrl.correct = c
+        ctrl.incorrect = x
+        ctrl.evictions = ev
+        ctrl.transitions = []
+        return ctrl
+
+    def _store(self, row: int, ctrl: ReactiveBranchController) -> None:
+        """Write a :meth:`_controller_of` controller back into ``row``,
+        appending its transitions to the row's log."""
+        (l1, s1, d1), (l2, s2, d2) = (*ctrl._pending, *_FREE_SLOTS)[:2]
+        self._ints[1:, row] = (
+            _STATE_CODE[ctrl.state], ctrl.exec_count, ctrl._state_entry_exec,
+            ctrl._monitor_taken, ctrl._monitor_samples, ctrl._counter,
+            ctrl._bias_entries, l1, l2, ctrl._window_correct,
+            ctrl._window_pos, ctrl.correct, ctrl.incorrect, ctrl.evictions)
+        self._flags[:-1, row] = (ctrl._deployed, ctrl._deployed_direction,
+                                 s1, d1, s2, d2, ctrl._episode_active)
+        if ctrl.transitions:
+            self.log[row].extend((t.kind.value, t.exec_index, t.instr)
+                                 for t in ctrl.transitions)
 
     def controller(self, pc: int) -> ReactiveBranchController:
-        """The (flushed) scalar controller for ``pc``; an unseen ``pc``
-        is interned first, exactly as a batch would mint it."""
+        """A detached scalar copy of ``pc``'s controller, transition log
+        included; changing it does not change the shard.  An unseen
+        ``pc`` is interned first, exactly as a batch would mint it."""
         row = self._row_of(pc)
         if row is None:
             row = int(self._intern(np.array([pc], dtype=np.int64))[0])
-        ctrl = self._scalars._controllers[pc]
-        if self.dirty[row]:
-            self._flush_row(row, ctrl)
+        ctrl = self._controller_of(row)
+        ctrl.transitions = [Transition(pc, TransitionKind(k), e, i)
+                            for k, e, i in self.log[row]]
         return ctrl
 
     # -- eviction -------------------------------------------------------
     def evict_keys(self, keys: np.ndarray) -> None:
-        """Drop the rows for ``keys`` (sorted int64) from the mirror.
+        """Drop the rows for ``keys`` (sorted int64).
 
-        Used by tenant spill after the rows were flushed, and by
-        :meth:`~repro.serve.shard.BankShard.install` before it replaces
-        a key's controller: the rows are tombstoned (``dead``) and
-        removed from the lookup index, so a later re-intern of the same
-        key mints a fresh row seeded from the installed controller.
-        Tombstones are compacted away once they outnumber live rows,
-        keeping resident memory proportional to the *resident* working
-        set.
+        Used by tenant spill after the rows were exported, and by
+        :meth:`install` before it replaces a key's row: the rows are
+        tombstoned (``dead``) and removed from the lookup index, so a
+        later re-intern of the same key mints a fresh row.  Tombstones
+        are compacted away once they outnumber live rows, keeping
+        resident memory proportional to the *resident* working set.
         """
         keys = np.asarray(keys, dtype=np.int64)
         if not keys.size or not self._keys.size:
@@ -351,7 +409,6 @@ class ColumnarBank:
         slots = clip[hit]
         rows = self._key_rows[slots]
         self.dead[rows] = True
-        self.dirty[rows] = False
         self.n_dead += int(rows.size)
         keep = np.ones(self._keys.size, dtype=bool)
         keep[slots] = False
@@ -365,167 +422,128 @@ class ColumnarBank:
         n = self.n_rows
         alive = np.flatnonzero(~self.dead[:n])
         m = int(alive.size)
-        for name in _I64_COLS:
-            col = getattr(self, name)
-            col[:m] = col[alive]
-        self.state[:m] = self.state[alive]
-        for name in _BOOL_COLS:
-            col = getattr(self, name)
-            col[:m] = col[alive]
+        self._ints[:, :m] = self._ints[:, alive]
+        self._flags[:, :m] = self._flags[:, alive]
+        log = self.log
+        self.log = [log[row] for row in alive.tolist()]
         self.n_rows = m
         self.n_dead = 0
         self._rebuild_index()
 
-    # -- the fast path --------------------------------------------------
-    def _fallback_segment(self, row: int, taken: np.ndarray,
-                          instrs: np.ndarray, capture: bool,
-                          changed: list[int],
-                          fired: list[tuple[int, int, int, int]],
-                          ) -> tuple[int, int]:
-        """One segment through the per-branch engine: flush the row,
-        :func:`apply_chunk` the scalar controller, re-import."""
-        pc = int(self.pc[row])
-        ctrl = self._scalars._controllers[pc]
-        if self.dirty[row]:
-            self._flush_row(row, ctrl)
-        before = ctrl._deployed
-        seen = len(ctrl.transitions) if capture else 0
+    # -- the per-branch kernel ------------------------------------------
+    def _kernel_segment(self, row: int, taken: np.ndarray,
+                        instrs: np.ndarray, capture: bool,
+                        fired: list[tuple[int, int, int, int]],
+                        ) -> tuple[int, int]:
+        """One segment through :func:`apply_chunk` on a controller built
+        from the row, then written back."""
+        ctrl = self._controller_of(row)
         c, x = apply_chunk(ctrl, taken, instrs)
-        if capture and len(ctrl.transitions) > seen:
-            fired.extend((pc, ARC_CODE[t.kind.value], t.exec_index, t.instr)
-                         for t in ctrl.transitions[seen:])
-        after = ctrl._deployed
-        if after != before:
-            self._decisions[pc] = after
-            changed.append(pc)
-        self._refresh_row(row, ctrl)
+        if capture and ctrl.transitions:
+            fired.extend((ctrl.branch, ARC_CODE[t.kind.value],
+                          t.exec_index, t.instr) for t in ctrl.transitions)
+        self._store(row, ctrl)
         return c, x
 
     # -- batched boundary arcs ------------------------------------------
+    def _log_arcs(self, rows: np.ndarray, codes: np.ndarray,
+                  fexec: np.ndarray, finstr: np.ndarray, capture: bool,
+                  fired: list[tuple[int, int, int, int]]) -> None:
+        """Append one arc per row to the rows' logs (and the capture)."""
+        codes = codes.tolist()
+        fexec = fexec.tolist()
+        finstr = finstr.tolist()
+        log = self.log
+        for row, code, e, ins in zip(rows.tolist(), codes, fexec, finstr):
+            log[row].append((ARCS[code], e, ins))
+        if capture:
+            fired.extend(zip(self.pc[rows].tolist(), codes, fexec, finstr))
+        self.arcs_fast += len(codes)
+
+    def _schedule(self, rows: np.ndarray, when: np.ndarray,
+                  speculative: bool, direction: np.ndarray) -> None:
+        """Queue a deployment per row: into slot one if it is free,
+        else behind it in slot two."""
+        free = self.land[rows] == _NEVER
+        for (land, spec, dirn), take in zip(_SLOTS, (free, ~free)):
+            r = rows[take]
+            getattr(self, land)[r] = when[take]
+            getattr(self, spec)[r] = speculative
+            getattr(self, dirn)[r] = direction[take]
+
+    def _land(self, rows: np.ndarray, stamps: np.ndarray) -> None:
+        """Land every deployment due by ``stamps`` (slot one is), in
+        queue order: slot two moves up into slot one as slot one lands.
+        """
+        while rows.size:
+            spec = self.spec[rows]
+            self.deployed[rows] = spec
+            s = rows[spec]
+            self.dep_dir[s] = self.dir[s]
+            self.episode[s] = True
+            self.win_correct[s] = 0
+            self.win_pos[s] = 0
+            self.land[rows] = self.land2[rows]
+            self.spec[rows] = self.spec2[rows]
+            self.dir[rows] = self.dir2[rows]
+            self.land2[rows] = _NEVER
+            due = self.land[rows] <= stamps
+            rows, stamps = rows[due], stamps[due]
+
     def _fire_classify(self, crows: np.ndarray, fexec: np.ndarray,
                        finstr: np.ndarray, capture: bool,
                        fired: list[tuple[int, int, int, int]]) -> None:
-        """Monitor period complete for ``crows``: classify each branch.
-
-        The bias decision is one vectorized pass
-        (:func:`~repro.sim.vector.classify_split`); column updates
-        batch per outcome kind; a short per-row loop syncs the cold
-        scalar-controller fields and the transition log.  Hot fields
-        stay columnar (the rows are already dirty from the prefix
-        advance).
-        """
+        """Monitor period complete for ``crows``: classify each branch
+        (the bias test is :func:`~repro.sim.vector.classify_split`)."""
         cfg = self.config
-        select, reject, disable = np.empty(0), np.empty(0), np.empty(0)
         select, reject, disable, direction = classify_split(
             self.mon_taken[crows], self.mon_samples[crows],
             self.bias_entries[crows], cfg)
+        self.entry[crows] = fexec + 1
         if select.any():
             r = crows[select]
             self.state[r] = _BIASED
-            self.next_fire[r] = _NEVER
             self.counter[r] = 0
             self.episode[r] = False
             self.bias_entries[r] += 1
-        if reject.any():
-            r = crows[reject]
-            self.state[r] = _UNBIASED
-            if cfg.revisit_enabled:
-                self.next_fire[r] = fexec[reject] + 1 + cfg.revisit_period
-            else:
-                self.next_fire[r] = _NEVER
-        if disable.any():
-            r = crows[disable]
-            self.state[r] = _DISABLED
-            self.next_fire[r] = _NEVER
-        controllers = self._scalars._controllers
-        pc_col = self.pc
-        land_col = self.land
-        delay = deploy_delay(cfg)
-        sel_l = select.tolist()
-        dis_l = disable.tolist()
-        dir_l = direction.tolist()
-        for j, row in enumerate(crows.tolist()):
-            pc = int(pc_col[row])
-            ctrl = controllers[pc]
-            e = int(fexec[j])
-            ins = int(finstr[j])
-            if sel_l[j]:
-                ctrl._bias_entries += 1
-                ctrl._episode_active = False
-                if not ctrl._pending:
-                    land_col[row] = ins + delay
-                ctrl._pending.append((ins + delay, True, dir_l[j]))
-                ctrl.state = BranchState.BIASED
-                kind, code = TransitionKind.SELECT, _CODE_SELECT
-            elif dis_l[j]:
-                ctrl.state = BranchState.DISABLED
-                kind, code = TransitionKind.DISABLE, _CODE_DISABLE
-            else:
-                ctrl.state = BranchState.UNBIASED
-                kind, code = TransitionKind.REJECT, _CODE_REJECT
-            ctrl._state_entry_exec = e + 1
-            ctrl.transitions.append(Transition(pc, kind, e, ins))
-            if capture:
-                fired.append((pc, code, e, ins))
-        self.arcs_fast += int(crows.size)
+            self._schedule(r, finstr[select] + deploy_delay(cfg), True,
+                           direction[select])
+        self.state[crows[reject]] = _UNBIASED
+        self.state[crows[disable]] = _DISABLED
+        codes = np.where(select, _CODE_SELECT,
+                         np.where(disable, _CODE_DISABLE, _CODE_REJECT))
+        self._log_arcs(crows, codes, fexec, finstr, capture, fired)
 
     def _fire_revisit(self, rrows: np.ndarray, fexec: np.ndarray,
                       finstr: np.ndarray, capture: bool,
                       fired: list[tuple[int, int, int, int]]) -> None:
         """Revisit countdown expired for ``rrows``: re-enter MONITOR."""
-        cfg = self.config
         self.state[rrows] = _MONITOR
+        self.entry[rrows] = fexec + 1
         self.mon_taken[rrows] = 0
         self.mon_samples[rrows] = 0
-        self.next_fire[rrows] = fexec + 1 + cfg.monitor_period
-        controllers = self._scalars._controllers
-        pc_col = self.pc
-        for j, row in enumerate(rrows.tolist()):
-            pc = int(pc_col[row])
-            ctrl = controllers[pc]
-            e = int(fexec[j])
-            ctrl.state = BranchState.MONITOR
-            ctrl._state_entry_exec = e + 1
-            ctrl.transitions.append(
-                Transition(pc, TransitionKind.REVISIT, e, int(finstr[j])))
-            if capture:
-                fired.append((pc, _CODE_REVISIT, e, int(finstr[j])))
-        self.arcs_fast += int(rrows.size)
+        self._log_arcs(rrows, np.full(rrows.size, _CODE_REVISIT), fexec,
+                       finstr, capture, fired)
 
     def _fire_evict(self, erows: np.ndarray, fexec: np.ndarray,
                     finstr: np.ndarray, capture: bool,
                     fired: list[tuple[int, int, int, int]]) -> None:
-        """Eviction walk crossed its ceiling for ``erows``: evict."""
+        """Eviction walk crossed its ceiling for ``erows``: evict, and
+        queue the repair (non-speculative code)."""
         cfg = self.config
         self.state[erows] = _MONITOR
+        self.entry[erows] = fexec + 1
         self.mon_taken[erows] = 0
         self.mon_samples[erows] = 0
         self.counter[erows] = cfg.evict_counter_max
         self.episode[erows] = False
-        self.next_fire[erows] = fexec + 1 + cfg.monitor_period
-        controllers = self._scalars._controllers
-        pc_col = self.pc
-        land_col = self.land
-        delay = deploy_delay(cfg)
-        for j, row in enumerate(erows.tolist()):
-            pc = int(pc_col[row])
-            ctrl = controllers[pc]
-            e = int(fexec[j])
-            ins = int(finstr[j])
-            ctrl.evictions += 1
-            ctrl._episode_active = False
-            if not ctrl._pending:
-                land_col[row] = ins + delay
-            ctrl._pending.append((ins + delay, False,
-                                  ctrl._deployed_direction))
-            ctrl.state = BranchState.MONITOR
-            ctrl._state_entry_exec = e + 1
-            ctrl.transitions.append(
-                Transition(pc, TransitionKind.EVICT, e, ins))
-            if capture:
-                fired.append((pc, _CODE_EVICT, e, ins))
-        self.arcs_fast += int(erows.size)
+        self.evictions[erows] += 1
+        self._schedule(erows, finstr + deploy_delay(cfg), False,
+                       self.dep_dir[erows])
+        self._log_arcs(erows, np.full(erows.size, _CODE_EVICT), fexec,
+                       finstr, capture, fired)
 
+    # -- the fast path --------------------------------------------------
     def apply_sorted(self, pcs: np.ndarray, taken: np.ndarray,
                      instrs: np.ndarray, starts: np.ndarray,
                      ends: np.ndarray, capture: bool,
@@ -538,6 +556,7 @@ class ColumnarBank:
         preserved within each).  Must not be called with an empty
         batch.
         """
+        fired: list[tuple[int, int, int, int]] = []
         if len(starts) == 1:
             # Single-branch batch: there is nothing for the cross-
             # branch machinery to amortize, and its small-array kernel
@@ -547,17 +566,18 @@ class ColumnarBank:
             row = self._row_of(pc)
             if row is None:
                 row = int(self._intern(pcs[:1].astype(np.int64))[0])
-            changed: list[int] = []
-            fired: list[tuple[int, int, int, int]] = []
-            c, x = self._fallback_segment(row, taken, instrs, capture,
-                                          changed, fired)
+            before = self.deployed.item(row)
+            c, x = self._kernel_segment(row, taken, instrs, capture, fired)
             self.rows_single += 1
             self.events_single += len(taken)
-            return c, x, changed, fired
+            after = self.deployed.item(row)
+            if after == before:
+                return c, x, [], fired
+            self._decisions[pc] = after
+            return c, x, [pc], fired
         cfg = self.config
         rows = self._intern(pcs[starts].astype(np.int64))
         nseg = len(rows)
-        controllers = self._scalars._controllers
         # Deployed view at batch entry: the decision-cache invalidation
         # set is the *net* flips over the whole batch, derived at the
         # end.
@@ -571,9 +591,6 @@ class ColumnarBank:
         cur = starts.astype(np.int64)
         seg_end = ends.astype(np.int64)
         seg_last = instrs[ends - 1]
-        changed = []
-        fired = []
-        scratch: list[int] = []  # fallback flips; net re-derived below
         correct_delta = 0
         incorrect_delta = 0
         stride1 = cfg.monitor_sample_stride == 1
@@ -604,9 +621,9 @@ class ColumnarBank:
                     e = int(seg_end[k])
                     self.rows_fallback += 1
                     self.events_fallback += e - s
-                    c, x = self._fallback_segment(
+                    c, x = self._kernel_segment(
                         int(rows[k]), taken[s:e], instrs[s:e], capture,
-                        scratch, fired)
+                        fired)
                     correct_delta += c
                     incorrect_delta += x
                 fell_back += int(bad.sum())
@@ -623,9 +640,9 @@ class ColumnarBank:
             land = self.land[arows]
             counter0 = self.counter[arows]
             # -- split: each row's next boundary offset ----------------
-            # Classify/revisit fire: consumes next_fire - exec events,
+            # Classify/revisit fire: consumes fire - exec events,
             # firing during the last of them.
-            m_fire = self.next_fire[arows] - exec0
+            m_fire = self.entry[arows] + self._fire_after[st] - exec0
             # Pending landing: fires *before* the first event whose
             # stamp reaches the land column (consumes no event).
             due = land <= seg_last[act]
@@ -718,7 +735,6 @@ class ColumnarBank:
                 walked = live & need_walk & (adv > 0)
                 if walked.any():
                     self.counter[arows[walked]] = walk_end[walked]
-            self.dirty[arows[adv > 0]] = True
             self.events_fast += int(adv.sum())
             # -- fire: batched boundary transitions --------------------
             if arc.any():
@@ -738,38 +754,18 @@ class ColumnarBank:
                                      finstr[evi], capture, fired)
             lidx = np.flatnonzero(landing)
             if lidx.size:
-                lrows = arows[lidx]
-                ev = acur[lidx] + adv[lidx]
-                pc_col = self.pc
-                for j in range(lidx.size):
-                    row = int(lrows[j])
-                    ctrl = controllers[int(pc_col[row])]
-                    ctrl._land_due(int(instrs[int(ev[j])]))
-                    self.deployed[row] = ctrl._deployed
-                    self.dep_dir[row] = ctrl._deployed_direction
-                    self.episode[row] = ctrl._episode_active
-                    self.land[row] = (ctrl._pending[0][0]
-                                      if ctrl._pending else _NEVER)
+                self._land(arows[lidx], instrs[acur[lidx] + adv[lidx]])
                 self.lands_fast += int(lidx.size)
             new_cur = acur + adv
             cur[act] = new_cur
             act = act[new_cur < seg_end[act]]
         self.rows_fast += nseg - fell_back
-        # Net decision flips over the whole batch (landing and fallback
-        # rows alike; the columns are current for both).
+        # Net decision flips over the whole batch, landing and fallback
+        # rows alike.
         fin = self.deployed[rows]
         flips = np.flatnonzero(fin != dep0)
+        changed = self.pc[rows[flips]].tolist()
         decisions = self._decisions
-        if flips.size:
-            flip_pcs = self.pc[rows[flips]].tolist()
-            for pc, v in zip(flip_pcs, fin[flips].tolist()):
-                decisions[pc] = v
-            changed.extend(flip_pcs)
-        if scratch:
-            # A fallback window may have flipped and flipped back
-            # within the batch; pin its cache entry to the final view.
-            for pc in set(scratch):
-                row = self._row_of(pc)
-                if row is not None:
-                    decisions[pc] = bool(self.deployed[row])
+        for pc, v in zip(changed, fin[flips].tolist()):
+            decisions[pc] = v
         return correct_delta, incorrect_delta, changed, fired

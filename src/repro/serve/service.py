@@ -60,7 +60,7 @@ from repro.core.config import ControllerConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import TransitionTrace
 from repro.serve.events import EventBatch
-from repro.serve.shard import ShardedBank, split_states
+from repro.serve.shard import ShardApplyResult, ShardedBank, split_states
 from repro.serve.telemetry import ServiceTelemetry, TelemetryReading
 from repro.serve.workers import LocalPool, WorkerDiedError, WorkerPool
 from repro.sim.metrics import SpeculationMetrics
@@ -783,15 +783,24 @@ class SpeculationService:
         """
         return self.bank.should_speculate(pc, tenant)
 
+    def apply_logged(self, batch: EventBatch) -> list[ShardApplyResult]:
+        """Apply an already-logged batch (WAL replay, follower apply)
+        straight to the bank, bypassing admission and the queues: first
+        restore any spilled tenants it touches, then apply and advance
+        ``last_seq``.  A running service's shard loop would race it."""
+        if self._running:
+            raise RuntimeError("apply_logged requires a stopped service")
+        self._ensure_resident(batch)
+        results = self.bank.apply_batch(batch)
+        self._last_seq = batch.seq
+        self._events_submitted += batch.n_events
+        return results
+
     # -- tenant plumbing ------------------------------------------------
     def _ensure_resident(self, batch: EventBatch) -> None:
-        """Synchronously restore any spilled tenants ``batch`` touches.
-
-        WAL replay and follower apply push events straight into the
-        bank, bypassing admission and the queues; they call this first
-        so a spilled tenant's controllers are re-interned before its
-        events land — the offline equivalent of the queued restore job.
-        """
+        """Synchronously restore any spilled tenants ``batch`` touches:
+        the offline equivalent of the queued restore job, run by
+        :meth:`apply_logged` before its events land."""
         tm = self._tenants
         if tm is None or not tm.spilled_count():
             return

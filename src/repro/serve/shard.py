@@ -21,10 +21,12 @@ static branch ids (or real branch addresses) are clustered and stride-
 patterned, and a multiplicative avalanche keeps shard loads balanced
 regardless of the id distribution.
 
-A shard's one record of which controllers it holds is its columnar
-engine's sorted key index: every controller gets a row as it enters.
-One tenant's controllers are the slice ``[t << 32, (t + 1) << 32)`` of
-that index, which is all :meth:`BankShard.spill_tenant` reads.
+A shard's controllers live only in its columnar engine's rows
+(:class:`~repro.serve.colpath.ColumnarBank`), and its sorted key index
+is the shard's one record of which controllers it holds: every
+controller gets a row as it enters.  One tenant's controllers are the
+slice ``[t << 32, (t + 1) << 32)`` of that index, which is all
+:meth:`BankShard.spill_tenant` reads.
 """
 
 from __future__ import annotations
@@ -35,11 +37,11 @@ from time import perf_counter
 import numpy as np
 
 from repro.core.config import ControllerConfig
-from repro.core.controller import ControllerBank, ReactiveBranchController
+from repro.core.controller import ReactiveBranchController
 from repro.serve.colpath import ColumnarBank
 from repro.serve.events import EventBatch
 from repro.sim.metrics import SpeculationMetrics
-from repro.tenant.keys import MAX_PC, TENANT_SHIFT, sorted_unique
+from repro.tenant.keys import MAX_PC, TENANT_SHIFT
 
 __all__ = ["shard_of", "shard_ids", "split_states", "BankShard",
            "ShardedBank", "ShardApplyResult"]
@@ -121,20 +123,19 @@ class ShardApplyResult:
 
 
 class BankShard:
-    """One shard: a :class:`ControllerBank` plus its decision cache.
+    """One shard: its controllers' columnar rows plus a decision cache.
 
     The decision cache is the read-mostly, deployed-code view of every
     branch the shard has seen — ``decisions[pc]`` answers
-    ``should_speculate(pc)`` without touching controller internals, and
+    ``should_speculate(pc)`` without touching controller state, and
     is updated only when a batch application lands a SELECT or EVICT.
     """
 
-    __slots__ = ("index", "bank", "decisions", "events_applied",
+    __slots__ = ("index", "decisions", "events_applied",
                  "last_instr", "correct", "incorrect", "capture", "col")
 
     def __init__(self, index: int, config: ControllerConfig) -> None:
         self.index = index
-        self.bank = ControllerBank(config)
         self.decisions: dict[int, bool] = {}
         self.events_applied = 0
         self.last_instr = 0
@@ -144,9 +145,10 @@ class BankShard:
         #: arc firings of the batch into the result (read-only
         #: observation — controller state is bit-identical either way).
         self.capture = False
-        #: The batch engine's rows over ``bank``: one row per controller
-        #: the shard holds, and the sorted key index that records them.
-        self.col = ColumnarBank(config, self.bank, self.decisions)
+        #: The batch engine and the only copy of controller state: one
+        #: row per controller the shard holds, and the sorted key index
+        #: that records them.
+        self.col = ColumnarBank(config, self.decisions)
 
     def apply(self, pcs: np.ndarray, taken: np.ndarray,
               instrs: np.ndarray) -> ShardApplyResult:
@@ -220,12 +222,10 @@ class BankShard:
         return self.decisions.get(pc, False)
 
     def controller(self, pc: int) -> ReactiveBranchController:
-        """The scalar controller for ``pc``, flushed and current.
-
-        A branch's hot counters live in the columnar row arrays
-        between flushes; this accessor writes them back first so
-        callers always read authoritative state.  An unseen ``pc``
-        enters the shard like a batch-minted one, with a fresh row.
+        """A detached scalar copy of ``pc``'s controller, built from its
+        row: reading it is exact, changing it changes nothing here.  An
+        unseen ``pc`` enters the shard like a batch-minted one, with a
+        fresh row.
         """
         return self.col.controller(pc)
 
@@ -233,8 +233,7 @@ class BankShard:
         """Drop live controller state (supervisor-mirror mode: a worker
         process owns the real shard; this one keeps only counters and
         the decision cache)."""
-        self.bank._controllers.clear()
-        self.col = ColumnarBank(self.bank.config, self.bank, self.decisions)
+        self.col = ColumnarBank(self.col.config, self.decisions)
 
     def install(self, states: list[dict]) -> None:
         """Enter controllers from their ``export_state()`` dicts.
@@ -242,45 +241,28 @@ class BankShard:
         The one way controller state arrives in a shard: tenant
         restore, snapshot load, reshard and a worker's LOAD all come
         through here.  Each state replaces any controller the shard
-        held under its key and gets a row (and decision) seeded from it.
+        held under its key (see :meth:`ColumnarBank.install
+        <repro.serve.colpath.ColumnarBank.install>`, which refuses a
+        state the controller could not have reached).
         """
-        if not states:
-            return
-        controllers = self.bank._controllers
-        config = self.bank.config
-        keys = []
-        for state in states:
-            ctrl = ReactiveBranchController.from_state(config, state)
-            controllers[ctrl.branch] = ctrl
-            keys.append(ctrl.branch)
-        entered = sorted_unique(np.array(keys, dtype=np.int64))
-        # A key minted while its tenant was spilled (say, by the
-        # controller() accessor) has a row the new state makes stale.
-        self.col.evict_keys(entered)
-        self.col._intern(entered)
+        self.col.install(states)
 
     # -- tenant spill / restore -----------------------------------------
     def spill_tenant(self, tenant: int) -> list[dict]:
         """Extract and evict every controller of ``tenant``.
 
         Returns the controllers' ``export_state()`` dicts in ascending
-        key order (deterministic blobs) and removes the keys from the
-        bank, the decision cache, and the columnar rows.  Restoring
-        the same states via :meth:`restore_tenant` is bit-exact.
+        key order (deterministic blobs) and removes the keys' rows and
+        decisions.  Restoring the same states via :meth:`restore_tenant`
+        is bit-exact.
         """
         col = self.col
         keys, rows = col.key_range(tenant << TENANT_SHIFT,
                                    (tenant << TENANT_SHIFT) | MAX_PC)
-        controllers = self.bank._controllers
+        states = col.export(rows)
         decisions = self.decisions
-        states = []
-        for key, row, stale in zip(keys.tolist(), rows.tolist(),
-                                   col.dirty[rows].tolist()):
-            ctrl = controllers.pop(key)
-            if stale:
-                col._flush_row(row, ctrl)
+        for key in keys.tolist():
             decisions.pop(key, None)
-            states.append(ctrl.export_state())
         col.evict_keys(keys)
         return states
 
@@ -290,14 +272,13 @@ class BankShard:
 
     # -- snapshot hooks -------------------------------------------------
     def export_state(self) -> dict:
-        self.col.flush()
         return {
             "index": self.index,
             "events_applied": int(self.events_applied),
             "last_instr": int(self.last_instr),
             "correct": int(self.correct),
             "incorrect": int(self.incorrect),
-            "bank": self.bank.export_state(),
+            "bank": self.col.export(self.col._key_rows),
         }
 
     @classmethod

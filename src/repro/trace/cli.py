@@ -59,7 +59,10 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--poison-margin", type=float, default=0.9,
                      help="slow-poison: post-train miss rate as a "
                           "fraction of the eviction walk's break-even "
-                          "drift (default: 0.9 — just under eviction)")
+                          "drift (default: 0.9 — slows eviction but "
+                          "does not prevent it: half the branches of "
+                          "slow_poison_trace(64, 4096) evict under "
+                          "scaled_config)")
     gen.add_argument("--misspec-increment", type=int, default=50,
                      help="slow-poison: target controller's counter "
                           "increment per miss (default: 50)")

@@ -156,11 +156,18 @@ def slow_poison(train_for: int = 4_096,
     walk drifts up and eventually evicts, just slowly).
 
     This is the adversary the paper's hysteresis *tolerates by design*:
-    the branch extracts a permanent misspeculation tax while the
-    controller keeps it deployed.  It stresses the detectors (the
-    window misspec rate rises with no EVICT arc ever firing) and the
-    columnar engine's eviction-walk scan (every window bears misses
-    that never cross the threshold).
+    the branch pays a misspeculation tax while the controller keeps it
+    deployed.  Negative drift bounds the walk's mean, not its
+    excursions, so eviction is slowed, not prevented: at the default
+    margin under :func:`~repro.core.config.scaled_config` (ten misses
+    take an empty counter to its ceiling),
+    ``slow_poison_trace(64, 4096)`` fed through a 1-shard
+    :class:`~repro.serve.shard.ShardedBank` in 8,192-event batches
+    evicted 128 of 256 branches over seeds 0-3, with the median first
+    EVICT at execution ~8,350.  It stresses the detectors (the window
+    misspec rate rises long before any EVICT) and the columnar
+    engine's eviction-walk scan (windows bear misses that mostly do
+    not cross the threshold).
     """
     _check_probability(p_train, "p_train")
     if misspec_increment <= 0 or correct_decrement <= 0:

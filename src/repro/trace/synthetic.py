@@ -170,12 +170,15 @@ def slow_poison_trace(n_branches: int = 8, train_for: int = 4_096,
     """The stealthy adversarial workload: ``n_branches`` branches train
     perfectly biased for ``train_for`` executions each, then soften to
     a miss rate at ``margin`` × the eviction counter's break-even drift
-    (see :func:`repro.trace.patterns.slow_poison`) — a permanent
-    misspeculation tax that never triggers the EVICT arc.
+    (see :func:`repro.trace.patterns.slow_poison`) — a misspeculation
+    tax that slows the EVICT arc but does not prevent it: at the
+    defaults under ``scaled_config``, ``slow_poison_trace(64, 4096)``
+    evicted 128 of 256 branches over seeds 0-3 (median first EVICT at
+    execution ~8,350).
 
     ``misspec_increment``/``correct_decrement`` should match the
-    controller config under test so the tuned rate actually sits just
-    under *its* threshold.  The default length runs each branch for
+    controller config under test so the tuned rate actually sits
+    under *its* break-even drift.  The default length runs each branch for
     ``3 * train_for`` executions, mirroring
     :func:`train_then_flip_trace`.
     """

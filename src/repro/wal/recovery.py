@@ -81,12 +81,7 @@ def replay_into_service(service: "SpeculationService",
     batches = events = 0
     for batch in reader.batches(after_seq=snapshot_seq,
                                 up_to_seq=up_to_seq):
-        # Replay bypasses admission: re-intern any spilled tenants the
-        # batch touches before pushing its events into the bank.
-        service._ensure_resident(batch)
-        service.bank.apply_batch(batch)
-        service._last_seq = batch.seq
-        service._events_submitted += batch.n_events
+        service.apply_logged(batch)
         batches += 1
         events += batch.n_events
     torn = reader.torn_tail

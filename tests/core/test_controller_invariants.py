@@ -12,6 +12,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import ControllerConfig
+from repro.core.controller import ReactiveBranchController
 from repro.core.states import BranchState, TransitionKind
 from repro.sim.vector import simulate_branch
 
@@ -137,3 +138,42 @@ class TestArcRemovalInvariants:
         summary = run(config, [True] * len(outcomes))
         assert summary.evictions == 0
         assert summary.incorrect == 0
+
+
+@st.composite
+def _latency_config(draw):
+    period = draw(st.integers(1, 4))
+    return ControllerConfig(
+        monitor_period=draw(st.integers(1, 6)),
+        selection_threshold=draw(st.sampled_from([0.6, 0.75, 1.0])),
+        evict_counter_max=draw(st.integers(1, 4)),
+        misspec_increment=draw(st.integers(1, 3)),
+        correct_decrement=1,
+        revisit_period=draw(st.integers(1, 8)),
+        oscillation_limit=draw(st.integers(1, 4)),
+        optimization_latency=draw(st.integers(0, 64)),
+        eviction_enabled=draw(st.booleans()),
+        revisit_enabled=draw(st.booleans()),
+        evict_by_sampling=draw(st.booleans()),
+        evict_sample_period=period,
+        evict_sample_len=draw(st.integers(1, period)),
+        evict_bias_threshold=0.75,
+    )
+
+
+class TestDeploymentQueue:
+    @settings(max_examples=300, deadline=None)
+    @given(config=_latency_config(),
+           events=st.lists(st.tuples(st.booleans(), st.integers(1, 9)),
+                           min_size=1, max_size=300))
+    def test_at_most_two_deployments_pending(self, config, events):
+        """A SELECT leaves the branch BIASED with its episode off until
+        its own code lands, and only an engaged episode can EVICT, so
+        the queue never holds more than [repair, select] — the two
+        slots a columnar row keeps."""
+        ctrl = ReactiveBranchController(config, 0)
+        instr = 0
+        for taken, gap in events:
+            instr += gap
+            ctrl.observe(taken, instr)
+            assert len(ctrl._pending) <= 2

@@ -46,9 +46,9 @@ def test_trace_ring_captures_controller_transitions(bench_trace,
         ServiceConfig(n_shards=2, trace_ring=1 << 20))
     expected: dict[str, int] = dict.fromkeys(ARCS, 0)
     for shard in service.bank.shards:
-        for ctrl in shard.bank:
-            for t in ctrl.transitions:
-                expected[t.kind.value] += 1
+        for ctrl in shard.export_state()["bank"]:
+            for kind, _exec_index, _instr in ctrl["transitions"]:
+                expected[kind] += 1
     assert sum(expected.values()) > 0
     assert service.trace.arc_counts() == expected
     # Ring big enough to hold everything → one record per transition.

@@ -165,9 +165,9 @@ def test_should_speculate_passthrough(bench_trace, bench_config):
             client = SpeculationClient(service)
             await feed_trace(service, bench_trace)
             await service.drain()
-            deployed = [int(c.branch)
+            deployed = [c["branch"]
                         for s in service.bank.shards
-                        for c in s.bank if c.deployed]
+                        for c in s.export_state()["bank"] if c["deployed"]]
             assert deployed, "trace must deploy some branches"
             for pc in deployed[:10]:
                 assert client.should_speculate(pc) is True

@@ -102,6 +102,9 @@ def _columnar_equals_scalar(config, pcs, taken, instrs, bounds):
     # Full state parity, down to every pending landing and arc.
     state = col.export_state()
     assert state["bank"] == ref_bank.export_state()
+    # Same text too: key order and plain int/bool types, so snapshot
+    # bytes cannot drift.
+    assert json.dumps(state["bank"]) == json.dumps(ref_bank.export_state())
     assert (state["correct"], state["incorrect"]) == (
         sum(c.correct for c in ref_bank), sum(c.incorrect for c in ref_bank))
     assert col.decisions == {c.branch: c.deployed for c in ref_bank}

@@ -83,10 +83,10 @@ def test_decision_cache_tracks_deployed_view(bench_trace, bench_config):
         bank.apply_batch(batch)
     seen = set()
     for shard in bank.shards:
-        for ctrl in shard.bank:
-            seen.add(ctrl.branch)
-            assert shard.decisions[ctrl.branch] == ctrl.deployed
-            assert bank.should_speculate(ctrl.branch) == ctrl.deployed
+        for ctrl in shard.export_state()["bank"]:
+            seen.add(ctrl["branch"])
+            assert shard.decisions[ctrl["branch"]] == ctrl["deployed"]
+            assert bank.should_speculate(ctrl["branch"]) == ctrl["deployed"]
     assert seen  # the trace exercised at least some branches
     # Unknown branches never speculate.
     assert bank.should_speculate(10**9 + 7) is False
@@ -119,7 +119,7 @@ def test_accessor_minted_key_spills():
     shard.apply(keys, taken, np.arange(1, 201, dtype=np.int64) * 8)
     states = shard.spill_tenant(7)
     assert [s["branch"] for s in states] == [k5, k6]
-    assert len(shard.bank) == 0
+    assert len(shard.export_state()["bank"]) == 0
     assert not shard.should_speculate(k5)
     assert not shard.should_speculate(k6)
 
@@ -152,8 +152,20 @@ def test_install_replaces_a_resident_controller():
         if pc == 3:
             expect.observe(t, at)
     assert shard.controller(3).export_state() == expect.export_state()
-    assert sorted(c.branch for c in shard.bank) == [3, 4]
+    assert [c["branch"] for c in shard.export_state()["bank"]] == [3, 4]
 
+
+
+def test_install_refuses_three_pending_deployments():
+    """A row holds two pending deployments; the controller never queues
+    more (tests/core/test_controller_invariants.py), so a state holding
+    three is refused with its branch named rather than truncated."""
+    state = ReactiveBranchController(scaled_config(), 42).export_state()
+    state["pending"] = [[100, True, True], [200, False, True],
+                        [300, True, True]]
+    shard = BankShard(0, scaled_config())
+    with pytest.raises(ValueError, match="branch 42"):
+        shard.install([state])
 
 #: Small thresholds so a few dozen events fire SELECT, REJECT, REVISIT
 #: and EVICT arcs, with deployments landing a few events later.
@@ -229,7 +241,8 @@ def test_shard_membership_matches_dict_model(data):
                 assert shard.controller(key).export_state() == state
         else:
             shard = BankShard.from_state(cfg, shard.export_state())
-        assert sorted(c.branch for c in shard.bank) == sorted(model)
+        assert [c["branch"] for c in shard.export_state()["bank"]] == \
+            sorted(model)
         for key in spilled:
             assert not shard.should_speculate(key)
         for key, ctrl in model.items():

@@ -150,6 +150,28 @@ def test_snapshot_write_is_atomic(tmp_path, bench_config):
     asyncio.run(run())
 
 
+
+def test_snapshot_with_three_pending_deployments_is_refused(
+        tmp_path, bench_trace, bench_config):
+    """A snapshot file whose controller queues three deployments fails
+    to load with a ValueError naming the branch."""
+    async def run():
+        async with SpeculationService(bench_config) as service:
+            await feed_trace(service, bench_trace, max_events=20_000)
+            await service.drain()
+            await service.snapshot(tmp_path / "good.json.gz")
+
+    asyncio.run(run())
+    with gzip.open(tmp_path / "good.json.gz", "rt") as fh:
+        state = json.load(fh)
+    ctrl = state["bank"]["shards"][0]["bank"][0]
+    ctrl["pending"] = [[1, True, True], [2, False, True], [3, True, True]]
+    bad = tmp_path / "bad.json.gz"
+    with gzip.open(bad, "wt") as fh:
+        json.dump(state, fh)
+    with pytest.raises(ValueError, match=f"branch {ctrl['branch']}"):
+        load_snapshot(bad)
+
 def test_restore_on_random_trace_with_reshard():
     """Adversarial trace + tiny thresholds + reshard mid-episode."""
     from repro.core.config import ControllerConfig

@@ -100,7 +100,8 @@ def test_clean_stop_regathers_worker_state(bench_trace, bench_config):
             await service.drain()
         # Workers are gone; the parent bank must be whole again.
         assert service.worker_pids == []
-        total = sum(len(s.bank) for s in service.bank.shards)
+        total = sum(len(s.export_state()["bank"])
+                    for s in service.bank.shards)
         assert total == len(set(map(int, bench_trace.branch_ids)))
         return service.metrics()
 

@@ -163,6 +163,18 @@ def test_replay_requires_a_stopped_service(tmp_path, bench_config):
     asyncio.run(run())
 
 
+def test_apply_logged_refuses_a_running_service(bench_config):
+    """The non-queued apply path (WAL replay, follower apply) would race
+    a running service's shard loop."""
+    async def run():
+        async with SpeculationService(bench_config) as service:
+            with pytest.raises(RuntimeError, match="stopped"):
+                service.apply_logged(make_batches(1, events=64)[0])
+            assert service.last_seq == -1
+
+    asyncio.run(run())
+
+
 def test_service_refuses_stale_wal_directory(tmp_path, bench_config):
     """A fresh service pointed at a directory holding a newer log must
     fail loudly on its first append, not silently fork history."""
