@@ -102,7 +102,7 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def run_reactive(trace, config=None, engine="vector"):
+def run_reactive(trace, config=None):
     """Run the reactive controller over a trace (convenience wrapper).
 
     See :func:`repro.sim.runner.run_reactive` for details; imported
@@ -110,4 +110,4 @@ def run_reactive(trace, config=None, engine="vector"):
     """
     from repro.sim.runner import run_reactive as _run
 
-    return _run(trace, config=config, engine=engine)
+    return _run(trace, config=config)

@@ -25,7 +25,7 @@ WORKER_COUNTS = (1, 2, 4)
 
 
 def ingest(trace, n_shards: int, queue_events: int = 65_536,
-           workers: int = 0, transport: str = "pipe"):
+           workers: int = 0):
     """One full replay; timing excludes worker-process startup."""
     from repro.serve.client import feed_trace
     from repro.serve.service import ServiceConfig, SpeculationService
@@ -34,8 +34,7 @@ def ingest(trace, n_shards: int, queue_events: int = 65_536,
         # spans/detect off: this target tracks raw ingest scaling; the
         # instrumentation tax has its own gated target (obs).
         scfg = ServiceConfig(n_shards=n_shards, queue_events=queue_events,
-                             workers=workers, transport=transport,
-                             spans=False, detect=False)
+                             workers=workers, spans=False, detect=False)
         async with SpeculationService(scaled_config(), scfg) as service:
             started = time.perf_counter()
             await feed_trace(service, trace, batch_events=8192)
@@ -81,7 +80,7 @@ def extract(doc: dict) -> dict[str, Metric]:
     timeout=900.0,
 )
 def run_scaling(events: int = 400_000, trace_name: str = "gcc",
-                worker_counts=WORKER_COUNTS, transport: str = "pipe",
+                worker_counts=WORKER_COUNTS,
                 verbose: bool = True) -> dict:
     """Measure single-process vs worker-process ingestion throughput.
 
@@ -102,8 +101,8 @@ def run_scaling(events: int = 400_000, trace_name: str = "gcc",
     def measure(workers: int) -> float:
         nonlocal exact_flag
         shards = workers if workers else 4
-        metrics, _reading, elapsed = ingest(
-            trace, n_shards=shards, workers=workers, transport=transport)
+        metrics, _reading, elapsed = ingest(trace, n_shards=shards,
+                                            workers=workers)
         if metrics != offline:
             exact_flag = False
         return len(trace) / elapsed
@@ -117,7 +116,6 @@ def run_scaling(events: int = 400_000, trace_name: str = "gcc",
         "schema": 1,
         "trace": {"name": trace_name, "events": len(trace)},
         "machine": {"cpus": os.cpu_count()},
-        "transport": transport,
         "single_process_eps": single_eps,
         "multi_process_eps": multi,
         "speedup_at_max_workers": multi[top] / single_eps,
@@ -126,7 +124,7 @@ def run_scaling(events: int = 400_000, trace_name: str = "gcc",
     }
     if verbose:
         print(f"serve scaling, {trace_name} {len(trace):,} events, "
-              f"{os.cpu_count()} cpu(s), transport={transport}")
+              f"{os.cpu_count()} cpu(s)")
         print(f"  single-process (4 shards) {single_eps:>12,.0f} ev/s")
         for w in worker_counts:
             rate = multi[str(w)]

@@ -57,15 +57,14 @@ class PromotionReport:
 def promote_follower(follower: "ReplicationFollower",
                      n_shards: int | None = None,
                      workers: int | None = None,
-                     transport: str | None = None,
                      wal_fsync: str | None = None,
                      ) -> tuple["SpeculationService", PromotionReport]:
     """Seal the standby's log and come up as a read-write primary.
 
     Returns the promoted (stopped, WAL-attached) service and a
-    report.  ``n_shards``/``workers``/``transport`` pick the promoted
-    service's execution shape; by default it keeps the follower's
-    shard count, in-process.
+    report.  ``n_shards``/``workers`` pick the promoted service's
+    execution shape; by default it keeps the follower's shard count,
+    in-process.
     """
     from repro.serve.snapshot import find_latest_snapshot
     from repro.wal.recovery import recover_service
@@ -81,7 +80,6 @@ def promote_follower(follower: "ReplicationFollower",
         n_shards=(n_shards if n_shards is not None
                   else follower.config.n_shards),
         workers=workers,
-        transport=transport,
         wal_fsync=(wal_fsync if wal_fsync is not None
                    else follower.config.wal_fsync))
     if replica is not None and service.last_seq != replica.last_seq:

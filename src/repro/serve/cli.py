@@ -54,9 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=0, metavar="N",
                         help="run N per-shard worker processes (implies "
                              "--shards N; default: 0 = in-process)")
-    parser.add_argument("--transport", choices=("pipe", "socket"),
-                        default="pipe",
-                        help="worker wire transport (default: pipe)")
     parser.add_argument("--batch-events", type=int, default=4096,
                         help="events per submitted batch (default: 4096)")
     parser.add_argument("--queue-events", type=int, default=32768,
@@ -216,7 +213,7 @@ async def _run(args) -> int:
         service, report = recover_service(
             args.wal_dir, snapshot=restore_path,
             n_shards=n_shards, workers=args.workers,
-            transport=args.transport, wal_fsync=args.wal_fsync)
+            wal_fsync=args.wal_fsync)
         print(report.summary())
         print(f"feed resumes at seq {service.last_seq + 1}")
         if args.replicate_to:
@@ -224,8 +221,7 @@ async def _run(args) -> int:
     elif restoring:
         service = SpeculationService.restore(restore_path,
                                              n_shards=n_shards,
-                                             workers=args.workers,
-                                             transport=args.transport)
+                                             workers=args.workers)
         print(f"restored {restore_path} "
               f"(events applied: {service.metrics().dynamic_branches:,}, "
               f"covered-seq watermark: {service.last_seq}; "
@@ -237,7 +233,6 @@ async def _run(args) -> int:
             snapshot_interval_events=args.snapshot_every,
             snapshot_dir=args.snapshot_dir,
             workers=args.workers,
-            transport=args.transport,
             wal_dir=args.wal_dir,
             wal_fsync=args.wal_fsync,
             wal_segment_bytes=args.wal_segment_bytes,
@@ -304,8 +299,7 @@ async def _run(args) -> int:
           f"({stats.retry_wait:.2f}s waited)")
     if args.workers:
         pids = ", ".join(str(p) for p in worker_pids)
-        print(f"workers    {args.workers} processes over "
-              f"{args.transport} transport (pids {pids})")
+        print(f"workers    {args.workers} processes (pids {pids})")
     print(f"sustained  {metrics.dynamic_branches / elapsed / 1e3:,.0f}k "
           f"events/sec over {elapsed:.2f}s")
     print(f"queues     high water {max(reading.queue_high_water):,} "
@@ -369,7 +363,6 @@ async def _run(args) -> int:
                       "events": len(trace)},
             "service": {"shards": service.bank.n_shards,
                         "workers": args.workers,
-                        "transport": args.transport,
                         "batch_events": args.batch_events},
             "elapsed_sec": elapsed,
             "events_per_sec": (metrics.dynamic_branches / elapsed
@@ -456,8 +449,7 @@ def _run_follower(args) -> int:
           f"{status['snapshots_installed']} snapshot re-anchors")
     if reason == "gave-up" and args.on_disconnect == "promote":
         service, report = promote_follower(
-            follower, workers=args.workers or None,
-            transport=args.transport)
+            follower, workers=args.workers or None)
         print(report.summary())
         print(f"metrics    {service.metrics().summary()}")
         print(f"state is read-write in {cfg.wal_dir}; resume serving "

@@ -70,6 +70,12 @@ from repro.tenant.manager import TenantManager
 __all__ = ["ServiceConfig", "BackpressureError", "QuotaExceededError",
            "SequenceError", "SpeculationService"]
 
+#: Adaptive micro-batch coalescing floor and ceiling, in events.
+MIN_BATCH_EVENTS = 512
+MAX_BATCH_EVENTS = 8_192
+#: Retry hint, in seconds, when no drain rate has been observed yet.
+DEFAULT_RETRY_AFTER = 0.02
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -78,13 +84,6 @@ class ServiceConfig:
     n_shards: int = 4
     #: Per-shard queue bound, in events.  Overflow → backpressure.
     queue_events: int = 32_768
-    #: Adaptive micro-batch coalescing floor/ceiling, in events.
-    min_batch_events: int = 512
-    max_batch_events: int = 8_192
-    #: Rolling telemetry window, in events.
-    telemetry_window: int = 65_536
-    #: Retry hint when no drain rate has been observed yet.
-    default_retry_after: float = 0.02
     #: Auto-snapshot every N applied events (None = disabled).
     snapshot_interval_events: int | None = None
     snapshot_dir: str | None = None
@@ -92,9 +91,6 @@ class ServiceConfig:
     #: worker process per shard (requires ``workers == n_shards``) fed
     #: over the binary wire protocol for real multi-core scaling.
     workers: int = 0
-    #: Worker transport: ``pipe`` (multiprocessing.Pipe) or ``socket``
-    #: (AF_UNIX stream with explicit length-prefixed frames).
-    transport: str = "pipe"
     #: Write-ahead log directory (None = WAL disabled).  Every accepted
     #: batch is appended before it is enqueued; see :mod:`repro.wal`.
     wal_dir: str | None = None
@@ -149,9 +145,6 @@ class ServiceConfig:
     tenant_spill_dir: str | None = None
     #: Footprint estimate per distinct resident branch key.
     tenant_bytes_per_branch: int = 512
-    #: Per-tenant metric labels kept: top-K tenants by traffic get
-    #: dedicated labels, the rest aggregate under ``__overflow__``.
-    tenant_top_k: int = 16
 
     def __post_init__(self) -> None:
         if self.n_shards <= 0:
@@ -163,15 +156,8 @@ class ServiceConfig:
                 f"workers ({self.workers}) must equal n_shards "
                 f"({self.n_shards}): the execution model is one worker "
                 "process per shard")
-        if self.transport not in ("pipe", "socket"):
-            raise ValueError(f"unknown transport {self.transport!r} "
-                             "(expected 'pipe' or 'socket')")
         if self.queue_events <= 0:
             raise ValueError("queue_events must be positive")
-        if not 0 < self.min_batch_events <= self.max_batch_events:
-            raise ValueError("need 0 < min_batch_events <= max_batch_events")
-        if self.telemetry_window <= 0:
-            raise ValueError("telemetry_window must be positive")
         if (self.snapshot_interval_events is not None
                 and self.snapshot_interval_events <= 0):
             raise ValueError("snapshot_interval_events must be positive")
@@ -203,8 +189,6 @@ class ServiceConfig:
             raise ValueError("tenant_resident_bytes must be positive")
         if self.tenant_bytes_per_branch <= 0:
             raise ValueError("tenant_bytes_per_branch must be positive")
-        if self.tenant_top_k <= 0:
-            raise ValueError("tenant_top_k must be positive")
 
 
 class BackpressureError(Exception):
@@ -290,9 +274,7 @@ class SpeculationService:
             capacity=self.service_config.trace_ring,
             sample=self.service_config.trace_sample,
             registry=self.registry)
-        self.telemetry = ServiceTelemetry(
-            n, self.service_config.telemetry_window,
-            registry=self.registry)
+        self.telemetry = ServiceTelemetry(n, registry=self.registry)
         #: Span tracer and misspeculation health detector (obs v2).
         #: Both are pure observers — they read timestamps, counts and
         #: the transition stream, never controller state, so results
@@ -315,7 +297,7 @@ class SpeculationService:
         self._queues: list[asyncio.Queue] = [asyncio.Queue()
                                              for _ in range(n)]
         self._queued_events = [0] * n
-        self._targets = [self.service_config.min_batch_events] * n
+        self._targets = [MIN_BATCH_EVENTS] * n
         self._last_seq = last_seq
         self._events_submitted = self.bank.events_applied
         self._workers: list[asyncio.Task] = []
@@ -375,7 +357,6 @@ class SpeculationService:
             resident_bytes=scfg.tenant_resident_bytes,
             bytes_per_branch=scfg.tenant_bytes_per_branch,
             spill_dir=scfg.tenant_spill_dir,
-            top_k=scfg.tenant_top_k,
             registry=self.registry if scfg.obs else None)
 
     # -- lifecycle ------------------------------------------------------
@@ -392,8 +373,7 @@ class SpeculationService:
         self._running = True
         scfg = self.service_config
         if scfg.workers:
-            pool = WorkerPool(self.bank, transport=scfg.transport,
-                              capture=scfg.obs)
+            pool = WorkerPool(self.bank, capture=scfg.obs)
         else:
             pool = LocalPool(self.bank, capture=scfg.obs)
         try:
@@ -560,7 +540,7 @@ class SpeculationService:
     def _retry_after(self, shard: int) -> float:
         rate = self.telemetry.drain_rate
         if rate <= 0:
-            return self.service_config.default_retry_after
+            return DEFAULT_RETRY_AFTER
         # Time for the offending shard to drain half its queue.
         eta = self._queued_events[shard] / (2 * rate)
         return float(min(max(eta, 0.001), 1.0))
@@ -708,12 +688,12 @@ class SpeculationService:
                     col_fallback=result.col_fallback,
                     col_single=result.col_single)
             # Adapt the coalescing target to the observed queue depth.
-            if depth >= target and target < scfg.max_batch_events:
-                self._targets[shard_index] = min(
-                    scfg.max_batch_events, target * 2)
-            elif depth == 0 and target > scfg.min_batch_events:
-                self._targets[shard_index] = max(
-                    scfg.min_batch_events, target // 2)
+            if depth >= target and target < MAX_BATCH_EVENTS:
+                self._targets[shard_index] = min(MAX_BATCH_EVENTS,
+                                                 target * 2)
+            elif depth == 0 and target > MIN_BATCH_EVENTS:
+                self._targets[shard_index] = max(MIN_BATCH_EVENTS,
+                                                 target // 2)
             if (scfg.snapshot_interval_events is not None
                     and self.bank.events_applied >= self._next_snapshot_at):
                 self._snap_due.set()
@@ -980,7 +960,6 @@ class SpeculationService:
                 service_config: ServiceConfig | None = None,
                 n_shards: int | None = None,
                 workers: int | None = None,
-                transport: str | None = None,
                 wal_dir: str | None = None,
                 wal_fsync: str | None = None) -> "SpeculationService":
         """Rebuild a service from a snapshot file.
@@ -988,8 +967,8 @@ class SpeculationService:
         ``service_config`` overrides the snapshotted tuning knobs;
         ``n_shards`` re-partitions the bank onto a different shard
         count (controllers are branch-independent, so resharding is
-        exact).  ``workers``/``transport`` select the execution mode of
-        the restored service — snapshots are mode-agnostic, so a
+        exact).  ``workers`` selects the execution mode of the
+        restored service — snapshots are mode-agnostic, so a
         single-process snapshot restores onto worker processes and vice
         versa, onto any worker count.  ``wal_dir`` attaches a
         write-ahead log to the restored service; note this restores the
@@ -1000,5 +979,4 @@ class SpeculationService:
 
         return load_snapshot(path, service_config=service_config,
                              n_shards=n_shards, workers=workers,
-                             transport=transport, wal_dir=wal_dir,
-                             wal_fsync=wal_fsync)
+                             wal_dir=wal_dir, wal_fsync=wal_fsync)

@@ -25,7 +25,7 @@ import gzip
 import json
 import logging
 import os
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -45,15 +45,16 @@ logger = logging.getLogger(__name__)
 #: to the embedded service config; version 3 added the WAL knobs
 #: (``wal_dir``/``wal_fsync``/``wal_segment_bytes``); version 4 added
 #: the observability knobs (``obs``/``trace_ring``/``trace_sample``);
-#: version 5 added the batch-engine knob (``columnar``, since retired:
-#: the service has one engine, and loading drops the key); version 6
+#: version 5 added the batch-engine knob (``columnar``); version 6
 #: adds the replication knob (``repl_listen``); version 7 adds the
 #: tenant knobs (``tenant_*``) plus an optional ``tenants`` section
 #: carrying spilled tenants' controller states.  The bank state schema
-#: is otherwise unchanged, so every older version loads fine (missing
-#: knobs take their defaults, and every pre-tenant controller key *is*
-#: a tenant-0 key); see
-#: ``tests/serve/test_snapshot.py::test_version1_snapshot_still_loads``.
+#: is otherwise unchanged, so every older version loads fine: missing
+#: knobs take their defaults, knobs :class:`ServiceConfig` no longer
+#: has (``columnar``, ``transport``, the batch, telemetry and retry
+#: tuning, ``tenant_top_k``) are dropped, and every pre-tenant
+#: controller key *is* a tenant-0 key; see the ``test_version*``
+#: tests in ``tests/serve/test_snapshot.py``.
 FORMAT_VERSION = 7
 _COMPATIBLE_FORMATS = (1, 2, 3, 4, 5, 6, 7)
 _KIND = "repro.serve.snapshot"
@@ -163,15 +164,14 @@ def load_snapshot(path: str | Path,
                   service_config=None,
                   n_shards: int | None = None,
                   workers: int | None = None,
-                  transport: str | None = None,
                   wal_dir: str | None = None,
                   wal_fsync: str | None = None) -> "SpeculationService":
     """Rebuild a :class:`SpeculationService` from a snapshot file.
 
     ``service_config`` overrides the snapshotted tuning knobs (its
     ``n_shards`` must then match the bank layout being restored);
-    ``n_shards`` re-partitions the bank.  ``workers``/``transport``
-    select the restored service's execution mode.  The snapshotted
+    ``n_shards`` re-partitions the bank.  ``workers`` selects the
+    restored service's execution mode.  The snapshotted
     ``workers`` and ``wal_dir`` knobs are deliberately *not*
     inherited: they describe the dead process's deployment, not the
     model, so a restore runs in-process and WAL-less unless the caller
@@ -188,11 +188,11 @@ def load_snapshot(path: str | Path,
     if service_config is not None:
         scfg = service_config
     else:
-        knobs = dict(state["service_config"])
-        knobs.pop("columnar", None)  # retired batch-engine knob (v5-v7)
-        scfg = ServiceConfig(**{**knobs,
-                                "workers": 0, "transport": "pipe",
-                                "wal_dir": None, "repl_listen": None,
+        known = {f.name for f in fields(ServiceConfig)}
+        knobs = {k: v for k, v in state["service_config"].items()
+                 if k in known}
+        scfg = ServiceConfig(**{**knobs, "workers": 0, "wal_dir": None,
+                                "repl_listen": None,
                                 "tenant_spill_dir": None})
     if n_shards is not None and n_shards != scfg.n_shards:
         scfg = replace(scfg, n_shards=n_shards)
@@ -201,8 +201,6 @@ def load_snapshot(path: str | Path,
         if workers and n_shards is None and scfg.n_shards != workers:
             overrides["n_shards"] = workers
         scfg = replace(scfg, **overrides)
-    if transport is not None and transport != scfg.transport:
-        scfg = replace(scfg, transport=transport)
     if wal_dir is not None and wal_dir != scfg.wal_dir:
         scfg = replace(scfg, wal_dir=wal_dir)
     if wal_fsync is not None and wal_fsync != scfg.wal_fsync:

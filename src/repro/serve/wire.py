@@ -10,14 +10,16 @@ zlib-compressed JSON.
 Transports carry opaque frame payloads and differ only in framing:
 
 * :class:`PipeTransport` wraps a ``multiprocessing.Pipe`` connection,
-  whose ``send_bytes``/``recv_bytes`` already delimit messages;
+  whose ``send_bytes``/``recv_bytes`` already delimit messages; it is
+  the worker link.  The supervisor sends from an executor thread and
+  receives on a dedicated reader thread per worker
+  (:mod:`repro.serve.workers`), while the worker process just loops
+  ``recv → dispatch → send``;
 * :class:`SocketTransport` wraps a stream socket and adds the
-  explicit ``<uint32 length><payload>`` prefix itself.
+  explicit ``<uint32 length><payload>`` prefix itself; it carries
+  replication (:mod:`repro.replicate`).
 
-Both are blocking and thread-compatible: the supervisor sends from an
-executor thread and receives on a dedicated reader thread per worker
-(:mod:`repro.serve.workers`), while the worker process just loops
-``recv → dispatch → send``.
+Both are blocking and thread-compatible.
 
 Frame catalogue (body layouts, all little-endian)::
 

@@ -24,9 +24,8 @@ decision cache, no controllers) and owns all their upkeep: it absorbs
 each ``APPLY_RESULT``, drops spilled keys from the decision cache and
 re-seeds restored ones, and on a drained shutdown gathers every shard's
 state back into the bank.  So ``metrics()`` and ``should_speculate()``
-stay local reads in both modes.  Transports are selectable: ``pipe``
-(``multiprocessing.Pipe``) or ``socket`` (AF_UNIX stream with explicit
-length prefixes) — same frames either way.
+stay local reads in both modes.  Frames travel over one
+``multiprocessing.Pipe`` per worker.
 
 Failure model: a worker that disappears (kill -9, OOM) surfaces as
 :class:`WorkerDiedError` on the next interaction.  The error names the
@@ -47,11 +46,8 @@ from __future__ import annotations
 import asyncio
 import multiprocessing
 import os
-import socket
-import tempfile
 import threading
 from dataclasses import asdict
-from pathlib import Path
 from time import monotonic
 
 import numpy as np
@@ -116,17 +112,10 @@ class WorkerDiedError(RuntimeError):
 
 
 # -- child side -------------------------------------------------------------
-def _connect_child(endpoint, kind: str):
-    if kind == "pipe":
-        return wire.PipeTransport(endpoint)
-    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    sock.connect(endpoint)
-    return wire.SocketTransport(sock)
-
-
-def worker_main(index: int, config_dict: dict, endpoint, kind: str,
+def worker_main(index: int, config_dict: dict, conn,
                 capture: bool = False) -> None:
-    """Child entry point: own one shard, serve the wire protocol.
+    """Child entry point: own one shard, serve the wire protocol over
+    ``conn``, the child's end of the worker pipe.
 
     ``capture`` turns on the shard's observability hooks (apply timing
     + transition capture); the extra data rides home piggybacked on
@@ -134,7 +123,7 @@ def worker_main(index: int, config_dict: dict, endpoint, kind: str,
     """
     from repro.core.config import ControllerConfig
 
-    transport = _connect_child(endpoint, kind)
+    transport = wire.PipeTransport(conn)
     config = ControllerConfig(**config_dict)
     shard = BankShard(index, config)
     shard.capture = capture
@@ -328,20 +317,14 @@ class WorkerPool:
     """One worker process per shard of ``bank``, driven from the asyncio
     service; the bank's shards become the workers' mirrors."""
 
-    def __init__(self, bank: ShardedBank, transport: str = "pipe",
-                 capture: bool = False) -> None:
-        if transport not in ("pipe", "socket"):
-            raise ValueError(f"unknown transport {transport!r} "
-                             "(expected 'pipe' or 'socket')")
+    def __init__(self, bank: ShardedBank, capture: bool = False) -> None:
         self.bank = bank
-        self.transport = transport
         self.capture = capture
         self.handles: list[_WorkerHandle] = []
         # spawn, never fork: the supervisor runs inside a live asyncio
         # loop with reader threads, which forked children must not
         # inherit mid-flight.
         self._ctx = multiprocessing.get_context("spawn")
-        self._tmpdir = None
         self._started = False
 
     @property
@@ -359,11 +342,7 @@ class WorkerPool:
         config_dict = asdict(self.bank.config)
         self.handles = [_WorkerHandle(i, loop)
                         for i in range(self.bank.n_shards)]
-        if self.transport == "socket":
-            await loop.run_in_executor(None, self._spawn_socket,
-                                       config_dict)
-        else:
-            await loop.run_in_executor(None, self._spawn_pipe, config_dict)
+        await loop.run_in_executor(None, self._spawn, config_dict)
         for handle in self.handles:
             handle.start_reader()
         await asyncio.gather(*(asyncio.wait_for(h.hello, _HELLO_TIMEOUT)
@@ -374,51 +353,18 @@ class WorkerPool:
             shard.release_controllers()
         self._started = True
 
-    def _spawn_pipe(self, config_dict: dict) -> None:
+    def _spawn(self, config_dict: dict) -> None:
         for handle in self.handles:
             parent_conn, child_conn = self._ctx.Pipe(duplex=True)
             proc = self._ctx.Process(
                 target=worker_main,
-                args=(handle.shard, config_dict, child_conn, "pipe",
-                      self.capture),
+                args=(handle.shard, config_dict, child_conn, self.capture),
                 name=f"repro-serve-worker-{handle.shard}", daemon=True)
             proc.start()
             child_conn.close()
             # Set only once started: shutdown joins every set process.
             handle.process = proc
             handle.transport = wire.PipeTransport(parent_conn)
-
-    def _spawn_socket(self, config_dict: dict) -> None:
-        self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-serve-")
-        path = str(Path(self._tmpdir.name) / "workers.sock")
-        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        try:
-            listener.bind(path)
-            listener.listen(len(self.handles))
-            listener.settimeout(_HELLO_TIMEOUT)
-            for handle in self.handles:
-                proc = self._ctx.Process(
-                    target=worker_main,
-                    args=(handle.shard, config_dict, path, "socket",
-                          self.capture),
-                    name=f"repro-serve-worker-{handle.shard}", daemon=True)
-                proc.start()
-                handle.process = proc
-            accepted = []
-            for _ in self.handles:
-                conn, _addr = listener.accept()
-                accepted.append(wire.SocketTransport(conn))
-            # Connections arrive in arbitrary order; the HELLO frame
-            # (first thing each worker sends) identifies the shard.
-            for transport in accepted:
-                payload = transport.recv()
-                shard, pid = wire.decode_hello(payload)
-                handle = self.handles[shard]
-                handle.transport = transport
-                handle.pid = pid
-                handle.loop.call_soon_threadsafe(handle._on_frame, payload)
-        finally:
-            listener.close()
 
     async def shutdown(self, gather: bool = False) -> bool:
         """Stop all workers.  With ``gather`` (and every worker alive),
@@ -446,9 +392,6 @@ class WorkerPool:
                     handle.transport.close()
                 except OSError:
                     pass
-        if self._tmpdir is not None:
-            self._tmpdir.cleanup()
-            self._tmpdir = None
         self.handles = []
         self._started = False
         return whole
@@ -513,7 +456,7 @@ class WorkerPool:
 
     async def barrier(self) -> None:
         """Wait until every worker has processed all frames sent so far
-        (transports are FIFO, so an acked barrier proves it)."""
+        (pipes are FIFO, so an acked barrier proves it)."""
         await asyncio.gather(*(self._call(i, wire.encode_barrier)
                                for i in range(len(self.handles))))
 

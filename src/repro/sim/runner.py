@@ -1,7 +1,7 @@
 """High-level simulation entry points: single runs, suites and sweeps.
 
 This is the layer experiment drivers and examples talk to; it hides the
-choice of engine and the trace cache.
+vectorized engine and the trace cache.
 """
 
 from __future__ import annotations
@@ -17,29 +17,19 @@ from repro.trace.stream import Trace
 __all__ = ["run_reactive", "run_suite", "run_config_sweep", "TraceCache",
            "aggregate_metrics"]
 
-_ENGINES = ("vector", "reference")
 
+def run_reactive(trace: Trace, config: ControllerConfig | None = None
+                 ) -> ReactiveRunResult:
+    """Run the reactive controller over one trace (vectorized engine).
 
-def run_reactive(trace: Trace, config: ControllerConfig | None = None,
-                 engine: str = "vector") -> ReactiveRunResult:
-    """Run the reactive controller over one trace.
-
-    ``engine`` selects the implementation: ``"vector"`` (fast, default)
-    or ``"reference"`` (per-event executable specification).  Both
-    produce identical results; the reference engine additionally retains
-    live per-branch controllers on ``result.bank``.
+    :func:`repro.sim.engine.run_reference` is the per-event executable
+    specification it is tested against; that one also retains live
+    per-branch controllers on ``result.bank``.
     """
-    if config is None:
-        config = scaled_config()
-    if engine == "vector":
-        from repro.sim.vector import run_vector
+    from repro.sim.vector import run_vector
 
-        return run_vector(trace, config)
-    if engine == "reference":
-        from repro.sim.engine import run_reference
-
-        return run_reference(trace, config)
-    raise ValueError(f"unknown engine {engine!r}; choose from {_ENGINES}")
+    return run_vector(trace, config if config is not None
+                      else scaled_config())
 
 
 class TraceCache:
@@ -102,25 +92,23 @@ class TraceCache:
 def run_suite(config: ControllerConfig | None = None,
               benchmarks: Iterable[str] | None = None,
               cache: TraceCache | None = None,
-              engine: str = "vector") -> dict[str, ReactiveRunResult]:
+              ) -> dict[str, ReactiveRunResult]:
     """Run one configuration over the whole benchmark suite."""
     cache = cache or TraceCache()
     names = tuple(benchmarks) if benchmarks is not None else BENCHMARK_NAMES
-    return {name: run_reactive(cache.get(name), config, engine)
-            for name in names}
+    return {name: run_reactive(cache.get(name), config) for name in names}
 
 
 def run_config_sweep(configs: Mapping[str, ControllerConfig],
                      benchmarks: Iterable[str] | None = None,
                      cache: TraceCache | None = None,
-                     engine: str = "vector",
                      ) -> dict[str, dict[str, ReactiveRunResult]]:
     """Run several named configurations over the suite.
 
     Returns ``{config_name: {benchmark: result}}``.
     """
     cache = cache or TraceCache()
-    return {cfg_name: run_suite(cfg, benchmarks, cache, engine)
+    return {cfg_name: run_suite(cfg, benchmarks, cache)
             for cfg_name, cfg in configs.items()}
 
 

@@ -63,6 +63,10 @@ from repro.tenant.spillstore import SpillStore
 
 __all__ = ["AdmissionPlan", "TenantManager"]
 
+#: Per-tenant metric labels kept: the top-K tenants by traffic get
+#: dedicated labels, the rest aggregate under ``__overflow__``.
+TOP_K = 16
+
 
 def _branch_keys(states: list[dict]) -> np.ndarray:
     """The packed branch keys of a spilled tenant's controller states."""
@@ -111,14 +115,12 @@ class TenantManager:
                  resident_bytes: int | None = None,
                  bytes_per_branch: int = 512,
                  spill_dir: str | None = None,
-                 top_k: int = 16,
                  registry: MetricsRegistry | None = None) -> None:
         self.n_shards = n_shards
         self.quota_rate = quota_rate
         self.quota_burst = quota_burst
         self.resident_bytes_budget = resident_bytes
         self.bytes_per_branch = bytes_per_branch
-        self.top_k = top_k
         self._spill_dir = spill_dir
         self._tmpdir: tempfile.TemporaryDirectory | None = None
         self._store: SpillStore | None = None
@@ -145,11 +147,11 @@ class TenantManager:
             self._guard = LabelCardinalityGuard(registry.counter(
                 "repro_tenant_events_total",
                 "Events admitted per tenant (top-K by traffic; the rest "
-                "aggregate under __overflow__)", ("tenant",)), top_k)
+                "aggregate under __overflow__)", ("tenant",)), TOP_K)
             self._reject_guard = LabelCardinalityGuard(registry.counter(
                 "repro_tenant_rejections_total",
                 "Quota-rejected submissions per tenant (top-K by "
-                "traffic)", ("tenant",)), top_k)
+                "traffic)", ("tenant",)), TOP_K)
             self._c_spills = registry.counter(
                 "repro_tenant_spills_total",
                 "Tenants spilled out of the resident set")
@@ -238,15 +240,9 @@ class TenantManager:
         account footprints, finalize restores.  Called only after the
         batch is accepted (post-WAL), so rejection paths mutate
         nothing."""
-        track = self.resident_bytes_budget is not None
         for tenant, states in plan.restores:
             self._store.remove(tenant)
-            self.restores += 1
-            if self._g_spilled is not None:
-                self._c_restores.inc()
-            self._touch(tenant, now)
-            if track:
-                self._add_keys(_branch_keys(states))
+            self._note_restored(tenant, states, now)
         rate = self.quota_rate
         for tenant, n in zip(plan.tenants, plan.counts):
             st = self._touch(tenant, now)
@@ -257,11 +253,22 @@ class TenantManager:
             self.events += n
             if self._guard is not None:
                 self._guard.inc(tenant, n)
-        if track:
+        if self.resident_bytes_budget is not None:
             self._add_keys(batch.keys())
             if self.resident_bytes > self.peak_resident_bytes:
                 self.peak_resident_bytes = self.resident_bytes
         self._update_gauges()
+
+    def _note_restored(self, tenant: int, states: list[dict],
+                       now: float) -> None:
+        """Count a restore and make the tenant resident again: touch
+        the LRU and index the blob's keys."""
+        self.restores += 1
+        if self._g_spilled is not None:
+            self._c_restores.inc()
+        self._touch(tenant, now)
+        if self.resident_bytes_budget is not None:
+            self._add_keys(_branch_keys(states))
 
     def _touch(self, tenant: int, now: float) -> _Resident:
         st = self._lru.get(tenant)
@@ -369,12 +376,7 @@ class TenantManager:
         if blob is None:
             return None
         states = json.loads(zlib.decompress(blob))
-        self.restores += 1
-        if self._g_spilled is not None:
-            self._c_restores.inc()
-        self._touch(tenant, now)
-        if self.resident_bytes_budget is not None:
-            self._add_keys(_branch_keys(states))
+        self._note_restored(tenant, states, now)
         self._update_gauges()
         return states
 

@@ -59,8 +59,9 @@ class SpillStore:
         """Rebuild the index by scanning the log (restart path).
 
         A truncated tail record — the process died mid-append — is
-        dropped; everything before it is intact because records are
-        never modified in place.
+        cut off the file, so the next put lands right after the last
+        intact record; everything before it is intact because records
+        are never modified in place.
         """
         offset = 0
         size = self.path.stat().st_size
@@ -78,6 +79,8 @@ class SpillStore:
                 self.live_bytes += _RECORD.size + length
                 offset += _RECORD.size + length
                 fh.seek(offset)
+        if offset < size:
+            os.truncate(self.path, offset)
 
     def __len__(self) -> int:
         return len(self._index)

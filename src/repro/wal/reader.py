@@ -36,13 +36,13 @@ from typing import Iterator
 from repro.serve.events import EventBatch
 from repro.wal.segment import (
     HEADER,
-    MAX_RECORD_BYTES,
-    RECORD_HEADER,
     SegmentInfo,
     WalCorruptionError,
+    iter_frames,
     iter_segment_records,
     list_segments,
     parse_segment_name,
+    read_header,
     scan_segment,
 )
 
@@ -200,15 +200,8 @@ class WalTailer:
 
     # -- segment selection ----------------------------------------------
     def _segments(self) -> list[tuple[int, Path]]:
-        if not self.directory.exists():
-            return []
-        named = []
-        for path in self.directory.iterdir():
-            base = parse_segment_name(path.name)
-            if base is not None:
-                named.append((base, path))
-        named.sort()
-        return named
+        return [(parse_segment_name(path.name), path)
+                for path in list_segments(self.directory)]
 
     def _open_segment_for_cursor(self) -> bool:
         """Open the segment that should hold ``last_seq + 1``.
@@ -271,38 +264,30 @@ class WalTailer:
 
     # -- record parsing -------------------------------------------------
     def _parse_available(self, limit: int) -> list[tuple[int, bytes]]:
-        """Parse complete records out of ``_buf``; keep partial bytes."""
-        import zlib
+        """Parse complete records out of ``_buf``; keep partial bytes.
 
+        A frame that fails its checks is an append still in flight (or
+        a garbage length at the tail): parsing stops there and the
+        bytes wait for the next poll.
+        """
         out: list[tuple[int, bytes]] = []
         buf = self._buf
         offset = 0
         if self._header_pending:
             if len(buf) < HEADER.size:
                 return out
-            from repro.wal.segment import read_header
-
             read_header(self._fh and Path(self._fh.name)
                         or self.directory, buf)
             offset = HEADER.size
             self._header_pending = False
-        while len(out) < limit:
-            if offset + RECORD_HEADER.size > len(buf):
-                break
-            length, crc = RECORD_HEADER.unpack_from(buf, offset)
-            if length > MAX_RECORD_BYTES:
-                break  # garbage length: treat as not-yet-complete tail
-            body_at = offset + RECORD_HEADER.size
-            if body_at + length > len(buf):
-                break
-            payload = buf[body_at:body_at + length]
-            if zlib.crc32(payload) != crc:
-                break  # in-flight append: payload bytes not all visible
+        for end, payload in iter_frames(buf, offset):
             (seq,) = _SEQ_PREFIX.unpack_from(payload)
-            offset = body_at + length
+            offset = end
             if seq > self.last_seq:
                 self.last_seq = seq
-                out.append((seq, payload))
+                out.append((seq, bytes(payload)))
+                if len(out) >= limit:
+                    break
         self._buf = buf[offset:]
         return out
 

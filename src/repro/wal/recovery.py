@@ -104,7 +104,6 @@ def recover_service(wal_dir: str | Path,
                     service_config: "ServiceConfig | None" = None,
                     n_shards: int | None = None,
                     workers: int | None = None,
-                    transport: str | None = None,
                     attach_wal: bool = True,
                     wal_fsync: str | None = None,
                     up_to_seq: int | None = None,
@@ -117,8 +116,8 @@ def recover_service(wal_dir: str | Path,
     ``attach_wal`` (the default) the recovered service keeps logging
     into the same directory — its writer re-opens the newest segment,
     truncating any torn tail first — so the crash/recover cycle
-    composes.  ``n_shards``/``workers``/``transport`` choose the
-    recovered service's execution shape exactly as
+    composes.  ``n_shards``/``workers`` choose the recovered
+    service's execution shape exactly as
     :meth:`SpeculationService.restore` does; replay itself is
     shape-independent.  ``up_to_seq`` gives point-in-time recovery
     (replay stops at that watermark, inclusive); it requires
@@ -137,7 +136,7 @@ def recover_service(wal_dir: str | Path,
     if snapshot is not None:
         service = load_snapshot(snapshot, service_config=service_config,
                                 n_shards=n_shards, workers=workers,
-                                transport=transport, **wal_kwargs)
+                                **wal_kwargs)
     else:
         from dataclasses import replace
 
@@ -151,8 +150,6 @@ def recover_service(wal_dir: str | Path,
             overrides["workers"] = workers
             if workers and n_shards is None:
                 overrides["n_shards"] = workers
-        if transport is not None:
-            overrides["transport"] = transport
         if overrides:
             scfg = replace(scfg, **overrides)
         service = SpeculationService(config, scfg)

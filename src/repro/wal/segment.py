@@ -37,7 +37,7 @@ from repro.serve.events import EventBatch
 __all__ = ["MAGIC", "SEGMENT_VERSION", "HEADER", "RECORD_HEADER",
            "MAX_RECORD_BYTES", "WalCorruptionError", "SegmentInfo",
            "segment_name", "parse_segment_name", "write_header",
-           "read_header", "encode_record", "scan_segment",
+           "read_header", "encode_record", "iter_frames", "scan_segment",
            "iter_segment_records", "list_segments"]
 
 MAGIC = b"REPROWAL"
@@ -129,46 +129,56 @@ class SegmentInfo:
         return self.size_bytes - self.valid_bytes
 
 
-def _scan(path: Path, raw: bytes) -> SegmentInfo:
-    base_seq = read_header(path, raw)
-    offset = HEADER.size
-    first_seq = last_seq = -1
-    records = 0
-    torn = False
-    valid = offset
+def iter_frames(raw: bytes, offset: int) -> Iterator[tuple[int, memoryview]]:
+    """Yield ``(end, payload)`` for each intact record from ``offset``.
+
+    ``end`` is the byte offset just past the record.  Iteration stops
+    at the first frame that fails a check — no room for its header, a
+    length above :data:`MAX_RECORD_BYTES`, no room for its body, or a
+    CRC mismatch — and callers judge what a stop short of
+    ``len(raw)`` means (a torn tail, or an append still in flight).
+    Payloads are zero-copy views into ``raw``.
+    """
     size = len(raw)
-    while offset < size:
-        if offset + RECORD_HEADER.size > size:
-            torn = True
-            break
+    view = memoryview(raw)
+    while offset + RECORD_HEADER.size <= size:
         length, crc = RECORD_HEADER.unpack_from(raw, offset)
         body_at = offset + RECORD_HEADER.size
-        if length > MAX_RECORD_BYTES:
-            # A garbage length can only be trusted as "torn" at the
-            # very tail; earlier it means the framing chain is broken.
-            torn = True
-            break
-        if body_at + length > size:
-            torn = True
-            break
-        payload = memoryview(raw)[body_at:body_at + length]
+        end = body_at + length
+        # A garbage length is rejected before it can drive a huge read.
+        if length > MAX_RECORD_BYTES or end > size:
+            return
+        payload = view[body_at:end]
         if zlib.crc32(payload) != crc:
-            torn = True
-            break
+            return
+        yield end, payload
+        offset = end
+
+
+def _scan(path: Path, raw: bytes) -> tuple[SegmentInfo, list[EventBatch]]:
+    """A segment's info plus its intact records, decoded (zero-copy)."""
+    base_seq = read_header(path, raw)
+    batches: list[EventBatch] = []
+    last_seq = -1
+    valid = HEADER.size
+    for end, payload in iter_frames(raw, valid):
         batch = EventBatch.from_bytes(payload)
         if batch.seq <= last_seq:
             raise WalCorruptionError(
-                path, offset, f"record seq {batch.seq} not above "
-                              f"predecessor {last_seq}")
-        if first_seq < 0:
-            first_seq = batch.seq
+                path, valid, f"record seq {batch.seq} not above "
+                             f"predecessor {last_seq}")
         last_seq = batch.seq
-        records += 1
-        offset = body_at + length
-        valid = offset
-    return SegmentInfo(path=path, base_seq=base_seq, first_seq=first_seq,
-                       last_seq=last_seq, records=records,
-                       size_bytes=size, valid_bytes=valid, torn=torn)
+        batches.append(batch)
+        valid = end
+    info = SegmentInfo(
+        path=path, base_seq=base_seq,
+        first_seq=batches[0].seq if batches else -1, last_seq=last_seq,
+        records=len(batches), size_bytes=len(raw), valid_bytes=valid,
+        # A defect can only be trusted as "torn" at the very tail;
+        # earlier it means the framing chain is broken, which callers
+        # judge by the segment's position in the log.
+        torn=valid < len(raw))
+    return info, batches
 
 
 def scan_segment(path: str | Path) -> SegmentInfo:
@@ -180,7 +190,7 @@ def scan_segment(path: str | Path) -> SegmentInfo:
     (acceptable in the newest segment, fatal elsewhere).
     """
     path = Path(path)
-    return _scan(path, path.read_bytes())
+    return _scan(path, path.read_bytes())[0]
 
 
 def iter_segment_records(path: str | Path,
@@ -188,27 +198,21 @@ def iter_segment_records(path: str | Path,
                          ) -> Iterator[EventBatch]:
     """Yield every intact record of one segment, in order.
 
+    The whole segment is checked before the first record is yielded.
     With ``tolerate_torn_tail`` a trailing partial record ends the
     iteration silently (the torn bytes are dropped); otherwise it
     raises :class:`WalCorruptionError`.
     """
     path = Path(path)
-    raw = path.read_bytes()
-    info = _scan(path, raw)
+    info, batches = _scan(path, path.read_bytes())
     if info.torn and not tolerate_torn_tail:
         raise WalCorruptionError(
             path, info.valid_bytes,
             f"torn record ({info.torn_bytes} trailing bytes fail the "
             "CRC/length check)")
-    offset = HEADER.size
-    view = memoryview(raw)
-    for _ in range(info.records):
-        length, _crc = RECORD_HEADER.unpack_from(raw, offset)
-        body_at = offset + RECORD_HEADER.size
-        # memoryview slice: the batch arrays alias the segment buffer
-        # (zero-copy), same as the worker wire path.
-        yield EventBatch.from_bytes(view[body_at:body_at + length])
-        offset = body_at + length
+    # The batch arrays alias the segment buffer (zero-copy), same as
+    # the worker wire path.
+    yield from batches
 
 
 def list_segments(directory: str | Path) -> list[Path]:

@@ -64,7 +64,7 @@ def test_cli_workers_mode_verifies_and_dumps_telemetry(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "verify     OK" in out
-    assert "workers    2 processes over pipe transport" in out
+    assert "workers    2 processes (pids " in out
     payload = json.loads(dump.read_text())
     assert payload["service"]["workers"] == 2
     assert payload["metrics"]["dynamic_branches"] == 20000

@@ -27,8 +27,7 @@ def test_client_retries_until_capacity(bench_trace, bench_config):
     lands once a worker frees capacity."""
 
     async def run():
-        scfg = ServiceConfig(n_shards=1, queue_events=1024,
-                             default_retry_after=0.001)
+        scfg = ServiceConfig(n_shards=1, queue_events=1024)
         service = SpeculationService(bench_config, scfg)
         client = SpeculationClient(service)
         batches = list(iter_trace_batches(bench_trace, 512, max_events=2048))
@@ -62,8 +61,7 @@ def test_submit_burst_fills_queues_without_yielding(bench_trace,
     backpressure (or an explicit await) lets them."""
 
     async def run():
-        scfg = ServiceConfig(n_shards=2, queue_events=4096,
-                             default_retry_after=0.001)
+        scfg = ServiceConfig(n_shards=2, queue_events=4096)
         async with SpeculationService(bench_config, scfg) as service:
             client = SpeculationClient(service)
             batches = list(iter_trace_batches(bench_trace, 1024,
@@ -102,8 +100,7 @@ def test_feed_trace_burst_matches_offline(bench_trace, bench_config):
 
 def test_client_gives_up_after_max_retries(bench_trace, bench_config):
     async def run():
-        scfg = ServiceConfig(n_shards=1, queue_events=512,
-                             default_retry_after=0.0005)
+        scfg = ServiceConfig(n_shards=1, queue_events=512)
         service = SpeculationService(bench_config, scfg)  # never started
         client = SpeculationClient(service, max_retries=3)
         batches = list(iter_trace_batches(bench_trace, 512, max_events=1024))

@@ -19,9 +19,6 @@ from repro.sim.runner import run_reactive
 
 def test_service_config_validation():
     for bad in (dict(n_shards=0), dict(queue_events=0),
-                dict(min_batch_events=0),
-                dict(min_batch_events=100, max_batch_events=50),
-                dict(telemetry_window=0),
                 dict(snapshot_interval_events=0, snapshot_dir="/tmp/x"),
                 dict(snapshot_interval_events=100)):
         with pytest.raises(ValueError):

@@ -221,7 +221,6 @@ def test_version1_snapshot_still_loads(bench_trace, bench_config):
     assert service.last_seq == 10_240 // 1024 - 1
     # Knobs born after v1 take their defaults.
     assert service.service_config.workers == 0
-    assert service.service_config.transport == "pipe"
     assert service.service_config.wal_dir is None
     assert service.service_config.wal_fsync == "batch"
 
@@ -278,6 +277,53 @@ def test_version6_snapshot_loads_as_tenant_zero(bench_trace,
 
     assert (asyncio.run(finish())
             == run_reactive(bench_trace, bench_config).metrics)
+
+
+def test_version7_snapshot_resumes_spilled_tenants(bench_trace,
+                                                   bench_config):
+    """Format-compat anchor for tenant state: a committed v7 fixture
+    (a ``tenants`` section of spilled controllers, and a service config
+    that carries every knob of its day) must load and resume
+    bit-identically to an uninterrupted run of the same batches.
+
+    Same recipe as the v1 fixture, plus a tenant column
+    (``with_tenants(trace, 4, seed=7)``, zipf) and a resident budget of
+    40 branches at 512 B, which leaves three of the four tenants
+    spilled at the checkpoint.
+    """
+    from pathlib import Path
+
+    import numpy as np
+
+    from repro.serve.events import EventBatch
+    from repro.trace.synthetic import with_tenants
+
+    trace = with_tenants(bench_trace, 4, seed=7)
+    fixture = Path(__file__).parent / "data" / "snapshot-v7.json.gz"
+    service = load_snapshot(fixture)
+    assert service.last_seq == 10_240 // 1024 - 1
+    assert service.tenant_stats()["spilled_tenants"] == 3
+    assert service.service_config.tenant_resident_bytes == 40 * 512
+
+    async def finish(service):
+        async with service:
+            await feed_trace(service, trace, batch_events=1024)
+            await service.drain()
+        # Recall every tenant still cold, then read the whole model.
+        everyone = np.arange(4, dtype=np.uint32)
+        service._ensure_resident(EventBatch(
+            seq=service.last_seq + 1, pcs=np.zeros(4, dtype=np.int32),
+            taken=np.zeros(4, dtype=bool), instrs=np.zeros(4, dtype=np.int64),
+            tenants=everyone))
+        assert service.tenant_stats()["spilled_tenants"] == 0
+        states = {s["branch"]: s for shard in
+                  service.bank.export_state()["shards"]
+                  for s in shard["bank"]}
+        return service.metrics(), states
+
+    uninterrupted = SpeculationService(bench_config, ServiceConfig(
+        n_shards=2, tenant_resident_bytes=40 * 512))
+    assert asyncio.run(finish(service)) == asyncio.run(finish(uninterrupted))
 
 
 def test_find_latest_snapshot_skips_corrupt(tmp_path, bench_config):

@@ -31,13 +31,12 @@ def _offline(trace, config):
     return run_reactive(trace, config).metrics
 
 
-@pytest.mark.parametrize("transport", ["pipe", "socket"])
-def test_multiprocess_matches_offline(bench_trace, bench_config, transport):
-    """Both transports produce metrics identical to run_reactive, and
+def test_multiprocess_matches_offline(bench_trace, bench_config):
+    """Worker processes produce metrics identical to run_reactive, and
     the parent's mirrored decision cache matches an in-process run."""
 
     async def multiprocess():
-        scfg = ServiceConfig(n_shards=2, workers=2, transport=transport)
+        scfg = ServiceConfig(n_shards=2, workers=2)
         async with SpeculationService(bench_config, scfg) as service:
             await feed_trace(service, bench_trace, batch_events=2048)
             await service.drain()
@@ -62,7 +61,8 @@ def test_multiprocess_matches_offline(bench_trace, bench_config, transport):
 def test_snapshot_roundtrips_across_modes_and_worker_counts(
         tmp_path, bench_trace, bench_config):
     """A snapshot taken under worker processes restores bit-identically
-    in-process, and onto a different worker count."""
+    in-process, resharded in-process, and onto a different worker
+    count."""
     snap = tmp_path / "mid.json.gz"
 
     async def first_half():
@@ -83,9 +83,8 @@ def test_snapshot_roundtrips_across_modes_and_worker_counts(
     asyncio.run(first_half())
     offline = _offline(bench_trace, bench_config)
     assert asyncio.run(second_half()) == offline                 # in-process
-    assert asyncio.run(second_half(workers=3)) == offline        # reshard
-    assert asyncio.run(second_half(workers=2,
-                                   transport="socket")) == offline
+    assert asyncio.run(second_half(n_shards=3)) == offline       # reshard
+    assert asyncio.run(second_half(workers=3)) == offline        # 3 workers
 
 
 def test_clean_stop_regathers_worker_state(bench_trace, bench_config):
@@ -277,7 +276,5 @@ def test_failed_worker_spawn_raises_its_own_error(monkeypatch,
 def test_service_config_validates_worker_mode():
     with pytest.raises(ValueError, match="one worker process per shard"):
         ServiceConfig(n_shards=4, workers=2)
-    with pytest.raises(ValueError, match="transport"):
-        ServiceConfig(n_shards=2, workers=2, transport="carrier-pigeon")
     with pytest.raises(ValueError, match="non-negative"):
         ServiceConfig(workers=-1)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import scaled_config
+from repro.sim.engine import run_reference
 from repro.sim.metrics import SpeculationMetrics
 from repro.sim.runner import (
     TraceCache,
@@ -22,20 +23,15 @@ def small_cache():
 class TestRunReactive:
     def test_engines_agree(self):
         trace = load_trace("gzip", length=30_000)
-        vec = run_reactive(trace, engine="vector")
-        ref = run_reactive(trace, engine="reference")
+        vec = run_reactive(trace)
+        ref = run_reference(trace, scaled_config())
         assert vec.metrics == ref.metrics
         assert vec.branches == ref.branches
 
     def test_reference_engine_retains_bank(self):
         trace = load_trace("gzip", length=5_000)
-        assert run_reactive(trace, engine="reference").bank is not None
-        assert run_reactive(trace, engine="vector").bank is None
-
-    def test_unknown_engine_rejected(self):
-        trace = load_trace("gzip", length=1_000)
-        with pytest.raises(ValueError):
-            run_reactive(trace, engine="quantum")
+        assert run_reference(trace, scaled_config()).bank is not None
+        assert run_reactive(trace).bank is None
 
     def test_default_config_is_scaled(self):
         trace = load_trace("gzip", length=5_000)

@@ -74,7 +74,19 @@ def test_restart_drops_torn_tail(tmp_path):
     reopened = SpillStore(tmp_path)
     assert reopened.get(1) == b"intact"
     assert 9 not in reopened
+    # Records put after the reopen must not land behind the torn
+    # bytes, where the next reopen would read the torn header's length
+    # across them (and find a 1000-byte "blob" for tenant 9).
+    four, five = b"4" * 600, b"5" * 600
+    reopened.put(4, four)
+    reopened.put(5, five)
     reopened.close()
+    again = SpillStore(tmp_path)
+    assert sorted(again.tenants()) == [1, 4, 5]
+    assert again.get(1) == b"intact"
+    assert again.get(4) == four
+    assert again.get(5) == five
+    again.close()
 
 
 def test_compaction_reclaims_garbage(tmp_path):
