@@ -34,6 +34,7 @@ import urllib.request
 
 from repro.obs.spans import STAGES
 from repro.obs.tracing import TraceRecord, explain_records
+from repro.tenant.keys import TENANT_SHIFT, key_pc, mix64
 
 __all__ = ["main"]
 
@@ -258,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
         # explain
         pc = args.pc
         if args.tenant is not None:
-            pc = (args.tenant << 32) | (pc & 0xFFFFFFFF)
+            pc = (args.tenant << TENANT_SHIFT) | key_pc(pc)
             if args.url is not None:   # re-query with the packed key
                 doc = _load_trace_doc(args, pc=pc)
                 records = _records(doc)
@@ -266,9 +267,7 @@ def main(argv: list[str] | None = None) -> int:
         sample = int(doc.get("sample", 1))
         traced = True
         if sample > 1:
-            from repro.obs.tracing import _mix64
-
-            traced = _mix64(pc) % sample == 0
+            traced = mix64(pc) % sample == 0
         print(explain_records(matching, pc, traced=traced))
         return 0 if matching else 1
     except (OSError, ValueError, KeyError,

@@ -35,6 +35,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
+from repro.tenant.keys import mix64
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
 
@@ -68,17 +70,6 @@ ARC_REASONS = {
     "disable": ("oscillation limit reached; the branch is permanently "
                 "excluded from speculation"),
 }
-
-_MASK64 = (1 << 64) - 1
-
-
-def _mix64(pc: int) -> int:
-    """SplitMix64 finalizer (same avalanche the shard router uses)."""
-    x = (pc + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
-
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -137,7 +128,7 @@ class TransitionTrace:
     # -- recording ------------------------------------------------------
     def traced(self, pc: int) -> bool:
         """Deterministic sampling decision for one PC."""
-        return self.sample <= 1 or _mix64(pc) % self.sample == 0
+        return self.sample <= 1 or mix64(pc) % self.sample == 0
 
     def record(self, pc: int, arc: int | str, exec_index: int,
                instr: int) -> None:

@@ -9,8 +9,10 @@ applies whatever arrives:
   primary's ingest path), and acknowledged only after a group commit,
   so an ``R_ACK`` promises follower-side durability;
 * ``R_SNAPSHOT`` — a re-anchor for a follower behind the primary's
-  compaction horizon: the file is written into the follower's
-  snapshot directory and the local service is rebuilt from it;
+  compaction horizon: the file is written durably into the follower's
+  snapshot directory (fsynced, then renamed, then the directory
+  fsynced, all before the ack) and the local service is rebuilt from
+  it;
 * records at or below the local watermark are skipped (idempotent
   seq-based replay), which is what makes reconnect-after-drop safe:
   the follower resumes from its watermark and duplicates cannot
@@ -45,6 +47,8 @@ from repro.replicate import frames
 from repro.serve.events import EventBatch
 from repro.serve.service import ServiceConfig, SpeculationService
 from repro.serve.wire import ProtocolError, SocketTransport
+from repro.tenant.keys import key_pc, key_tenant
+from repro.wal.recovery import RecoveryReport, recover_service
 
 __all__ = ["FollowerConfig", "ReplicationFollower", "ReplicationError",
            "ReadOnlyServer"]
@@ -248,59 +252,47 @@ class ReplicationFollower:
                 pass
 
     def _build_service(self, controller_config: dict) -> None:
-        """First contact: recover from local disk if this standby has
-        history, else start an empty replica with the primary's
-        controller parameters."""
+        """First contact: recover whatever this standby has on local
+        disk; with nothing there, that is an empty replica with the
+        primary's controller parameters."""
         from repro.serve.snapshot import find_latest_snapshot
-        from repro.wal.recovery import recover_service
-        from repro.wal.segment import list_segments
 
-        config = ControllerConfig(**controller_config)
-        scfg = ServiceConfig(n_shards=self.config.n_shards,
-                             wal_dir=self.config.wal_dir,
-                             wal_fsync=self.config.wal_fsync)
-        snap = find_latest_snapshot(self.config.resolved_snapshot_dir())
-        if snap is not None or list_segments(self.config.wal_dir):
-            service, report = recover_service(
-                self.config.wal_dir, snapshot=snap, config=config,
-                service_config=scfg)
-            logger.info("replication: local state recovered — %s",
-                        report.summary())
-        else:
-            service = SpeculationService(config, scfg)
-        with self._lock:
-            if self._sealed:
-                raise ReplicationError("follower already sealed")
-            self.service = service
+        report = self._recover(
+            find_latest_snapshot(self.config.resolved_snapshot_dir()),
+            ControllerConfig(**controller_config))
+        logger.info("replication: local state recovered — %s",
+                    report.summary())
 
     def _install_snapshot(self, covered_seq: int, blob: bytes) -> None:
-        """Re-anchor: persist the shipped snapshot and rebuild the
-        replica from it (the local log cannot bridge the gap)."""
-        from repro.wal.recovery import recover_service
+        """Re-anchor: persist the shipped snapshot durably (the ack
+        that follows promises it) and rebuild the replica from it (the
+        local log cannot bridge the gap)."""
+        from repro.serve.snapshot import write_durably
 
-        snap_dir = self.config.resolved_snapshot_dir()
-        snap_dir.mkdir(parents=True, exist_ok=True)
-        path = snap_dir / f"snapshot-{covered_seq:016d}.json.gz"
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_bytes(blob)
-        tmp.replace(path)
+        path = write_durably(self.config.resolved_snapshot_dir()
+                             / f"snapshot-{covered_seq:016d}.json.gz", blob)
         old = self.service
         if old is not None and old._wal is not None:
             old._wal.close()     # one writer per directory
-        scfg = ServiceConfig(n_shards=self.config.n_shards,
-                             wal_dir=self.config.wal_dir,
-                             wal_fsync=self.config.wal_fsync)
-        service, report = recover_service(self.config.wal_dir,
-                                          snapshot=path,
-                                          service_config=scfg)
-        with self._lock:
-            if self._sealed:
-                raise ReplicationError("follower already sealed")
-            self.service = service
+        report = self._recover(path)
         self.stats.snapshots_installed += 1
         logger.info("replication: re-anchored on shipped snapshot "
                     "(covers seq %d) — %s", covered_seq,
                     report.summary())
+
+    def _recover(self, snapshot: Path | None,
+                 config: ControllerConfig | None = None) -> RecoveryReport:
+        """Rebuild the replica from ``snapshot`` plus the local log and
+        make it the live one."""
+        service, report = recover_service(
+            self.config.wal_dir, snapshot=snapshot, config=config,
+            service_config=ServiceConfig(n_shards=self.config.n_shards),
+            wal_fsync=self.config.wal_fsync)
+        with self._lock:
+            if self._sealed:
+                raise ReplicationError("follower already sealed")
+            self.service = service
+        return report
 
     def _apply_stream(self, sock: socket.socket,
                       transport: SocketTransport) -> None:
@@ -467,8 +459,7 @@ class ReadOnlyServer:
                     # carries raw int32 pcs.
                     if keys.dtype == np.int64:
                         decisions = [service.bank.should_speculate(
-                                         int(k) & 0xFFFFFFFF,
-                                         int(k) >> 32)
+                                         key_pc(int(k)), key_tenant(int(k)))
                                      for k in keys]
                     else:
                         decisions = [service.bank.should_speculate(int(pc))

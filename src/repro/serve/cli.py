@@ -204,28 +204,22 @@ async def _run(args) -> int:
         if restore_path is None:
             print(f"no loadable snapshot in {args.restore_latest}; "
                   f"recovering from the WAL alone")
-    restoring = (restore_path is not None
-                 or (args.restore_latest is not None
-                     and args.wal_dir is not None))
-    if restoring and args.wal_dir is not None:
+    if restore_path is not None or args.restore_latest is not None:
         from repro.wal.recovery import recover_service
 
         service, report = recover_service(
             args.wal_dir, snapshot=restore_path,
             n_shards=n_shards, workers=args.workers,
             wal_fsync=args.wal_fsync)
-        print(report.summary())
+        if args.wal_dir is not None:
+            print(report.summary())
+        else:
+            print(f"restored {restore_path} (events applied: "
+                  f"{service.metrics().dynamic_branches:,}, "
+                  f"covered-seq watermark: {service.last_seq})")
         print(f"feed resumes at seq {service.last_seq + 1}")
         if args.replicate_to:
             service.enable_replication(args.replicate_to)
-    elif restoring:
-        service = SpeculationService.restore(restore_path,
-                                             n_shards=n_shards,
-                                             workers=args.workers)
-        print(f"restored {restore_path} "
-              f"(events applied: {service.metrics().dynamic_branches:,}, "
-              f"covered-seq watermark: {service.last_seq}; "
-              f"feed resumes at seq {service.last_seq + 1})")
     else:
         scfg = ServiceConfig(
             n_shards=n_shards,
@@ -397,9 +391,7 @@ async def _run(args) -> int:
         print(f"obs        metrics + trace dumped to {out}")
 
     if args.verify:
-        from repro.sim.runner import run_reactive
-
-        offline = run_reactive(trace, service.config).metrics
+        offline = _offline_metrics(trace, service.config)
         if offline == metrics:
             print("verify     OK — service metrics identical to "
                   "offline run_reactive")
@@ -409,6 +401,31 @@ async def _run(args) -> int:
             print(f"  offline  {offline}")
             return 1
     return 0
+
+
+def _offline_metrics(trace, config):
+    """The offline reference for ``--verify``: :func:`run_reactive` over
+    the trace or, for a tenant-bearing one, over each tenant's own
+    event subsequence (every tenant is its own controller universe),
+    summed, over the whole trace's instructions."""
+    from dataclasses import replace
+
+    import numpy as np
+
+    from repro.sim.metrics import SpeculationMetrics
+    from repro.sim.runner import run_reactive
+    from repro.trace.stream import Trace
+
+    if trace.tenants is None:
+        return run_reactive(trace, config).metrics
+    total = SpeculationMetrics(0, 0, 0, 0)
+    for tenant in np.unique(trace.tenants):
+        mine = trace.tenants == tenant
+        total += run_reactive(Trace(
+            name=trace.name, input_name=trace.input_name,
+            branch_ids=trace.branch_ids[mine], taken=trace.taken[mine],
+            instrs=trace.instrs[mine]), config).metrics
+    return replace(total, instructions=trace.total_instructions)
 
 
 def _run_follower(args) -> int:

@@ -64,7 +64,7 @@ from repro.serve.shard import ShardApplyResult, ShardedBank, split_states
 from repro.serve.telemetry import ServiceTelemetry, TelemetryReading
 from repro.serve.workers import LocalPool, WorkerDiedError, WorkerPool
 from repro.sim.metrics import SpeculationMetrics
-from repro.tenant.keys import sorted_unique
+from repro.tenant.keys import key_tenant, sorted_unique
 from repro.tenant.manager import TenantManager
 
 __all__ = ["ServiceConfig", "BackpressureError", "QuotaExceededError",
@@ -140,8 +140,9 @@ class ServiceConfig:
     #: Resident-set budget in estimated controller bytes; cold tenants
     #: are spilled to disk to stay under it (None = no spilling).
     tenant_resident_bytes: int | None = None
-    #: Spill-store directory (None = a managed temporary directory,
-    #: discarded with the process).
+    #: Spill-store directory (None = a managed temporary directory).
+    #: The store is process scratch: it starts empty even in a
+    #: directory an earlier process used.
     tenant_spill_dir: str | None = None
     #: Footprint estimate per distinct resident branch key.
     tenant_bytes_per_branch: int = 512
@@ -552,7 +553,8 @@ class SpeculationService:
                                split_states(states, self.bank.n_shards)):
             if part:
                 queue.put_nowait(
-                    _TenantJob("restore", part[0]["branch"] >> 32, part))
+                    _TenantJob("restore", key_tenant(part[0]["branch"]),
+                               part))
 
     async def drain(self) -> None:
         """Wait until every queued event has been applied.
@@ -954,29 +956,3 @@ class SpeculationService:
     def worker_pids(self) -> list[int | None]:
         """PIDs of the shard worker processes ([] in-process mode)."""
         return self._pool.pids if self._pool is not None else []
-
-    @classmethod
-    def restore(cls, path: str | Path,
-                service_config: ServiceConfig | None = None,
-                n_shards: int | None = None,
-                workers: int | None = None,
-                wal_dir: str | None = None,
-                wal_fsync: str | None = None) -> "SpeculationService":
-        """Rebuild a service from a snapshot file.
-
-        ``service_config`` overrides the snapshotted tuning knobs;
-        ``n_shards`` re-partitions the bank onto a different shard
-        count (controllers are branch-independent, so resharding is
-        exact).  ``workers`` selects the execution mode of the
-        restored service — snapshots are mode-agnostic, so a
-        single-process snapshot restores onto worker processes and vice
-        versa, onto any worker count.  ``wal_dir`` attaches a
-        write-ahead log to the restored service; note this restores the
-        *snapshot* only — to also replay a WAL tail, use
-        :func:`repro.wal.recovery.recover_service`.
-        """
-        from repro.serve.snapshot import load_snapshot
-
-        return load_snapshot(path, service_config=service_config,
-                             n_shards=n_shards, workers=workers,
-                             wal_dir=wal_dir, wal_fsync=wal_fsync)

@@ -41,21 +41,15 @@ from repro.core.controller import ReactiveBranchController
 from repro.serve.colpath import ColumnarBank
 from repro.serve.events import EventBatch
 from repro.sim.metrics import SpeculationMetrics
-from repro.tenant.keys import MAX_PC, TENANT_SHIFT
+from repro.tenant.keys import MAX_PC, TENANT_SHIFT, mix64
 
 __all__ = ["shard_of", "shard_ids", "split_states", "BankShard",
            "ShardedBank", "ShardApplyResult"]
 
-_MASK64 = (1 << 64) - 1
-
 
 def shard_of(pc: int, n_shards: int) -> int:
     """Shard owning static branch ``pc`` (SplitMix64 finalizer mod N)."""
-    x = (pc + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    x ^= x >> 31
-    return int(x % n_shards)
+    return mix64(pc) % n_shards
 
 
 def shard_ids(pcs: np.ndarray, n_shards: int) -> np.ndarray:
@@ -367,12 +361,12 @@ class ShardedBank:
                 for p in self.partition(batch)]
 
     def should_speculate(self, pc: int, tenant: int = 0) -> bool:
-        key = (tenant << 32) | pc
+        key = (tenant << TENANT_SHIFT) | pc
         return self.shards[shard_of(key, self.n_shards)].should_speculate(key)
 
     def controller(self, pc: int,
                    tenant: int = 0) -> ReactiveBranchController:
-        key = (tenant << 32) | pc
+        key = (tenant << TENANT_SHIFT) | pc
         return self.shards[shard_of(key, self.n_shards)].controller(key)
 
     @property

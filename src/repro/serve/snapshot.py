@@ -10,13 +10,18 @@ replaying the remaining events produces bit-identical
 crashed — the kill/restore test in ``tests/serve/test_snapshot.py``
 asserts exactly that against the offline engines.
 
-Snapshots are written atomically *and durably*: the temp file is
-fsynced before the rename and the parent directory is fsynced after
-it, so neither a crash while checkpointing nor a power loss right
-after one can corrupt or un-link the latest good snapshot.  Because
-controllers are branch-independent, a snapshot taken with N shards can
-be restored onto M shards (``n_shards=``): controllers are re-placed
-by routing hash and the per-shard accumulators recomputed exactly.
+Every snapshot file reaches disk through :func:`write_durably`, the
+service's checkpoints and a follower's shipped re-anchors alike: the
+temp file is fsynced before the rename and the parent directory is
+fsynced after it, so neither a crash while checkpointing nor a power
+loss right after one can corrupt or un-link the latest good snapshot.
+Because controllers are branch-independent, a snapshot taken with N
+shards can be restored onto M shards (``n_shards=``): controllers are
+re-placed by routing hash and the per-shard accumulators recomputed
+exactly, spilled tenants' controllers included.
+
+:func:`repro.wal.recovery.recover_service` is the one way back from
+disk; :func:`load_snapshot` is the snapshot reader beneath it.
 """
 
 from __future__ import annotations
@@ -25,19 +30,20 @@ import gzip
 import json
 import logging
 import os
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.config import ControllerConfig
 from repro.serve.shard import ShardedBank, split_states
+from repro.wal.writer import _fsync_dir
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.serve.service import SpeculationService
+    from repro.serve.service import ServiceConfig, SpeculationService
 
 __all__ = ["FORMAT_VERSION", "save_snapshot", "load_snapshot",
-           "restore_bank", "find_latest_snapshot",
-           "snapshot_covered_seq"]
+           "restore_bank", "restore_shape", "write_durably",
+           "find_latest_snapshot", "snapshot_covered_seq"]
 
 logger = logging.getLogger(__name__)
 
@@ -92,35 +98,32 @@ def save_snapshot(path: str | Path, service: "SpeculationService",
         # controllers continue bit-identically after restore, they are
         # just cold.  Resident tenants already live in the bank export.
         state["tenants"] = {"spilled": spilled}
+    # mtime=0 keeps the gzip container deterministic for identical
+    # state.
+    return write_durably(path, gzip.compress(
+        json.dumps(state, separators=(",", ":")).encode("utf-8"),
+        mtime=0))
+
+
+def write_durably(path: str | Path, data: bytes) -> Path:
+    """Atomically and durably make ``data`` the content of ``path``.
+
+    Fsync the temp file before the rename (else the rename can land
+    while the bytes are still only in the page cache, leaving a
+    complete-looking but empty/truncated "latest good snapshot" after
+    a power loss) and fsync the directory after it (else the rename
+    itself can vanish).
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    # Atomic AND durable: fsync the temp file before the rename (else
-    # the rename can land while the bytes are still only in the page
-    # cache, leaving a complete-looking but empty/truncated "latest
-    # good snapshot" after a power loss) and fsync the directory after
-    # it (else the rename itself can vanish).  mtime=0 keeps the gzip
-    # container deterministic for identical state.
-    with open(tmp, "wb") as raw:
-        with gzip.GzipFile(fileobj=raw, mode="wb", mtime=0) as gz:
-            gz.write(json.dumps(state, separators=(",", ":"))
-                     .encode("utf-8"))
-        raw.flush()
-        os.fsync(raw.fileno())
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
     tmp.replace(path)
     _fsync_dir(path.parent)
     return path
-
-
-def _fsync_dir(directory: Path) -> None:
-    """Flush a directory entry change (rename/create) to disk."""
-    fd = os.open(directory, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - platform without dir fsync
-        pass
-    finally:
-        os.close(fd)
 
 
 def _read(path: str | Path) -> dict:
@@ -136,13 +139,17 @@ def _read(path: str | Path) -> dict:
 
 
 def restore_bank(config: ControllerConfig, bank_state: dict,
-                 n_shards: int | None = None) -> ShardedBank:
+                 n_shards: int | None = None,
+                 spilled: Sequence[list[dict]] = ()) -> ShardedBank:
     """Rebuild a :class:`ShardedBank`, optionally re-partitioned.
 
     With ``n_shards`` different from the snapshot's, every controller
     is re-placed by the routing hash and per-shard accumulators are
     recomputed from controller state — exact, because branches are
-    independent and outcome counts live on the controllers.
+    independent and outcome counts live on the controllers.  The
+    spilled tenants' controller states (``spilled``, one list per
+    tenant) are counted on the shard that will own them once they are
+    recalled: their history is part of the totals, cold or not.
     """
     stored_n = int(bank_state["n_shards"])
     if n_shards is None or n_shards == stored_n:
@@ -151,13 +158,36 @@ def restore_bank(config: ControllerConfig, bank_state: dict,
     last_instr = max((int(s["last_instr"]) for s in bank_state["shards"]),
                      default=0)
     states = [ctrl for s in bank_state["shards"] for ctrl in s["bank"]]
-    for shard, part in zip(bank.shards, split_states(states, n_shards)):
+    cold = [ctrl for states_of in spilled for ctrl in states_of]
+    for shard, part, cold_part in zip(bank.shards,
+                                      split_states(states, n_shards),
+                                      split_states(cold, n_shards)):
         shard.install(part)
-        shard.events_applied = sum(int(c["exec_count"]) for c in part)
-        shard.correct = sum(int(c["correct"]) for c in part)
-        shard.incorrect = sum(int(c["incorrect"]) for c in part)
+        counted = part + cold_part
+        shard.events_applied = sum(int(c["exec_count"]) for c in counted)
+        shard.correct = sum(int(c["correct"]) for c in counted)
+        shard.incorrect = sum(int(c["incorrect"]) for c in counted)
         shard.last_instr = last_instr
     return bank
+
+
+def restore_shape(scfg: "ServiceConfig", n_shards: int | None = None,
+                  workers: int | None = None,
+                  wal_dir: str | None = None,
+                  wal_fsync: str | None = None) -> "ServiceConfig":
+    """``scfg`` with a restore's execution-shape overrides applied.
+
+    Each argument that is not None replaces its knob; ``workers=N``
+    without an explicit ``n_shards`` also sets ``n_shards=N`` (one
+    worker process per shard).
+    """
+    overrides = {name: value for name, value in
+                 (("n_shards", n_shards), ("workers", workers),
+                  ("wal_dir", wal_dir), ("wal_fsync", wal_fsync))
+                 if value is not None}
+    if workers and n_shards is None:
+        overrides["n_shards"] = workers
+    return replace(scfg, **overrides)
 
 
 def load_snapshot(path: str | Path,
@@ -170,17 +200,17 @@ def load_snapshot(path: str | Path,
 
     ``service_config`` overrides the snapshotted tuning knobs (its
     ``n_shards`` must then match the bank layout being restored);
-    ``n_shards`` re-partitions the bank.  ``workers`` selects the
-    restored service's execution mode.  The snapshotted
-    ``workers`` and ``wal_dir`` knobs are deliberately *not*
-    inherited: they describe the dead process's deployment, not the
-    model, so a restore runs in-process and WAL-less unless the caller
-    asks otherwise (``wal_dir=``/``wal_fsync=``, or
-    :func:`repro.wal.recovery.recover_service` for a restore that also
-    replays the log tail).
+    ``n_shards``/``workers``/``wal_dir``/``wal_fsync`` set the
+    restored service's shape (:func:`restore_shape`).  The snapshotted
+    ``workers``, ``wal_dir``, ``repl_listen`` and ``tenant_spill_dir``
+    knobs are deliberately *not* inherited: they describe the dead
+    process's deployment, not the model, so a restore runs in-process,
+    WAL-less and on a fresh spill directory unless the caller asks
+    otherwise.  Spilled tenants come back from the snapshot's
+    ``tenants.spilled`` section.  Callers outside tests go through
+    :func:`repro.wal.recovery.recover_service`, which also replays the
+    log tail.
     """
-    from dataclasses import replace
-
     from repro.serve.service import ServiceConfig, SpeculationService
 
     state = _read(path)
@@ -194,23 +224,15 @@ def load_snapshot(path: str | Path,
         scfg = ServiceConfig(**{**knobs, "workers": 0, "wal_dir": None,
                                 "repl_listen": None,
                                 "tenant_spill_dir": None})
-    if n_shards is not None and n_shards != scfg.n_shards:
-        scfg = replace(scfg, n_shards=n_shards)
-    if workers is not None and workers != scfg.workers:
-        overrides = {"workers": workers}
-        if workers and n_shards is None and scfg.n_shards != workers:
-            overrides["n_shards"] = workers
-        scfg = replace(scfg, **overrides)
-    if wal_dir is not None and wal_dir != scfg.wal_dir:
-        scfg = replace(scfg, wal_dir=wal_dir)
-    if wal_fsync is not None and wal_fsync != scfg.wal_fsync:
-        scfg = replace(scfg, wal_fsync=wal_fsync)
-    bank = restore_bank(config, state["bank"], n_shards=scfg.n_shards)
+    scfg = restore_shape(scfg, n_shards, workers, wal_dir, wal_fsync)
+    spilled = state.get("tenants", {}).get("spilled", {})
+    bank = restore_bank(config, state["bank"], n_shards=scfg.n_shards,
+                        spilled=list(spilled.values()))
     service = SpeculationService(service_config=scfg, bank=bank,
                                  last_seq=int(state["last_seq"]))
     service._events_submitted = int(state["events_submitted"])
     service._restored_from = Path(path)
-    service._install_tenants(state.get("tenants", {}).get("spilled", {}))
+    service._install_tenants(spilled)
     return service
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["TENANT_SHIFT", "MAX_TENANT", "MAX_PC", "pack_key",
-           "key_tenant", "key_pc", "pack_keys", "sorted_unique"]
+           "key_tenant", "key_pc", "pack_keys", "mix64", "sorted_unique"]
 
 #: Bit position of the tenant id inside a packed key.
 TENANT_SHIFT = 32
@@ -30,6 +30,7 @@ TENANT_SHIFT = 32
 MAX_TENANT = (1 << 31) - 1
 #: Highest branch pc representable in the low half of a key.
 MAX_PC = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
 
 
 def pack_key(tenant: int, pc: int) -> int:
@@ -55,6 +56,16 @@ def pack_keys(tenants: np.ndarray, pcs: np.ndarray) -> np.ndarray:
     """Vectorized :func:`pack_key` over parallel arrays (int64 out)."""
     return ((tenants.astype(np.int64) << np.int64(TENANT_SHIFT))
             | pcs.astype(np.int64))
+
+
+def mix64(key: int) -> int:
+    """SplitMix64 finalizer of a packed key: the avalanche behind shard
+    routing (:func:`repro.serve.shard.shard_of`) and transition-trace
+    sampling (:class:`repro.obs.tracing.TransitionTrace`)."""
+    x = (key + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:

@@ -19,6 +19,11 @@ controller-state lists (the snapshot's per-controller schema), so a
 spilled tenant restores through the exact code path a snapshot load
 uses.
 
+The log is process scratch, not a durability mechanism: opening a
+store truncates whatever log an earlier process left in the directory.
+Spilled tenants survive a restart only through a snapshot, whose
+``tenants.spilled`` section carries their controller states.
+
 Not thread-safe: the service calls it from the event-loop thread only.
 """
 
@@ -50,37 +55,9 @@ class SpillStore:
         self.dead_bytes = 0
         self.puts = 0
         self.compactions = 0
-        if self.path.exists():
-            self._load_existing()
-        self._writer = open(self.path, "ab")
+        # Process scratch: truncate an earlier process's log.
+        self._writer = open(self.path, "wb")
         self._reader = open(self.path, "rb")
-
-    def _load_existing(self) -> None:
-        """Rebuild the index by scanning the log (restart path).
-
-        A truncated tail record — the process died mid-append — is
-        cut off the file, so the next put lands right after the last
-        intact record; everything before it is intact because records
-        are never modified in place.
-        """
-        offset = 0
-        size = self.path.stat().st_size
-        with open(self.path, "rb") as fh:
-            while offset + _RECORD.size <= size:
-                tenant, length = _RECORD.unpack(fh.read(_RECORD.size))
-                if offset + _RECORD.size + length > size:
-                    break  # torn tail
-                prev = self._index.get(tenant)
-                if prev is not None:
-                    self.dead_bytes += (
-                        (prev & _LEN_MASK) + _RECORD.size)
-                    self.live_bytes -= (prev & _LEN_MASK) + _RECORD.size
-                self._index[tenant] = (offset << _LEN_BITS) | length
-                self.live_bytes += _RECORD.size + length
-                offset += _RECORD.size + length
-                fh.seek(offset)
-        if offset < size:
-            os.truncate(self.path, offset)
 
     def __len__(self) -> int:
         return len(self._index)

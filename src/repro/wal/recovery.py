@@ -10,11 +10,12 @@ final record (a batch the producer was never acknowledged past the
 fsync policy's guarantee for), which the client re-submits from
 ``last_seq + 1`` exactly as it would after backpressure.
 
-:func:`recover_service` is the programmatic entry point (used by
-``python -m repro.serve --restore ... --wal-dir ...`` and
-``python -m repro.wal replay``); :func:`replay_into_service` is the
-replay half alone, applied to an already-restored, not-yet-started
-service.
+:func:`recover_service` is the one way a service is rebuilt from disk:
+``python -m repro.serve --restore``/``--restore-latest`` (with or
+without ``--wal-dir``), ``python -m repro.wal replay``, a replication
+follower's bootstrap and re-anchor, and promotion all call it.
+:func:`replay_into_service` is the replay half alone, applied to an
+already-restored, not-yet-started service.
 """
 
 from __future__ import annotations
@@ -71,34 +72,40 @@ def replay_into_service(service: "SpeculationService",
     bounds the replay inclusively, reconstructing the state as of
     that watermark (point-in-time recovery).
     """
+    snapshot_seq = service.last_seq
+    batches, events, torn = _replay(service, wal_dir, up_to_seq)
+    return RecoveryReport(
+        snapshot=None, snapshot_seq=snapshot_seq,
+        replayed_batches=batches, replayed_events=events,
+        last_seq=service.last_seq, torn_tail_bytes=torn)
+
+
+def _replay(service: "SpeculationService", wal_dir: str | Path,
+            up_to_seq: int | None) -> tuple[int, int, int]:
+    """Apply the log tail; (batches, events, torn bytes dropped)."""
     if service._running:
         raise RuntimeError("replay requires a stopped service")
-    snapshot_seq = service.last_seq
     logger.info("replaying WAL %s from seq %d%s", wal_dir,
-                snapshot_seq + 1,
+                service.last_seq + 1,
                 "" if up_to_seq is None else f" up to seq {up_to_seq}")
     reader = WalReader(wal_dir)
     batches = events = 0
-    for batch in reader.batches(after_seq=snapshot_seq,
+    for batch in reader.batches(after_seq=service.last_seq,
                                 up_to_seq=up_to_seq):
         service.apply_logged(batch)
         batches += 1
         events += batch.n_events
     torn = reader.torn_tail
-    report = RecoveryReport(
-        snapshot=None, snapshot_seq=snapshot_seq,
-        replayed_batches=batches, replayed_events=events,
-        last_seq=service.last_seq,
-        torn_tail_bytes=torn.torn_bytes if torn is not None else 0)
-    if torn is not None:
-        logger.warning("WAL %s: torn final record in %s (%d bytes) "
-                       "dropped; the producer must resubmit from seq %d",
-                       wal_dir, torn.path.name, report.torn_tail_bytes,
-                       report.last_seq + 1)
-    return report
+    if torn is None:
+        return batches, events, 0
+    logger.warning("WAL %s: torn final record in %s (%d bytes) "
+                   "dropped; the producer must resubmit from seq %d",
+                   wal_dir, torn.path.name, torn.torn_bytes,
+                   service.last_seq + 1)
+    return batches, events, torn.torn_bytes
 
 
-def recover_service(wal_dir: str | Path,
+def recover_service(wal_dir: str | Path | None,
                     snapshot: str | Path | None = None,
                     config: "ControllerConfig | None" = None,
                     service_config: "ServiceConfig | None" = None,
@@ -111,66 +118,52 @@ def recover_service(wal_dir: str | Path,
     """Snapshot + WAL tail → a service identical to the crashed one.
 
     ``snapshot=None`` recovers purely from the log (a service that
-    crashed before its first checkpoint); ``config`` then supplies the
-    controller parameters the snapshot would have carried.  With
+    crashed before its first checkpoint, or nothing on disk at all: a
+    fresh service); ``config`` then supplies the controller parameters
+    the snapshot would have carried.  ``wal_dir=None`` restores the
+    snapshot alone: nothing to replay, no log to attach.  With
     ``attach_wal`` (the default) the recovered service keeps logging
-    into the same directory — its writer re-opens the newest segment,
+    into ``wal_dir`` — its writer re-opens the newest segment,
     truncating any torn tail first — so the crash/recover cycle
-    composes.  ``n_shards``/``workers`` choose the recovered
-    service's execution shape exactly as
-    :meth:`SpeculationService.restore` does; replay itself is
+    composes.  ``n_shards``/``workers``/``wal_fsync`` choose the
+    recovered service's shape
+    (:func:`~repro.serve.snapshot.restore_shape`); replay itself is
     shape-independent.  ``up_to_seq`` gives point-in-time recovery
     (replay stops at that watermark, inclusive); it requires
     ``attach_wal=False`` — a re-attached writer would sit at the
     log's physical tip while the service's watermark is behind it.
     """
-    from repro.serve.service import SpeculationService
-    from repro.serve.snapshot import load_snapshot
+    from repro.serve.service import ServiceConfig, SpeculationService
+    from repro.serve.snapshot import load_snapshot, restore_shape
 
     if up_to_seq is not None and attach_wal:
         raise ValueError("up_to_seq (point-in-time recovery) requires "
                          "attach_wal=False")
-    wal_kwargs = {"wal_dir": str(wal_dir)} if attach_wal else {}
-    if attach_wal and wal_fsync is not None:
-        wal_kwargs["wal_fsync"] = wal_fsync
+    attach = attach_wal and wal_dir is not None
+    shape = {"n_shards": n_shards, "workers": workers,
+             "wal_dir": str(wal_dir) if attach else None,
+             "wal_fsync": wal_fsync if attach else None}
     if snapshot is not None:
         service = load_snapshot(snapshot, service_config=service_config,
-                                n_shards=n_shards, workers=workers,
-                                **wal_kwargs)
-    else:
-        from dataclasses import replace
-
-        from repro.serve.service import ServiceConfig
-
-        scfg = service_config or ServiceConfig()
-        overrides = dict(wal_kwargs)
-        if n_shards is not None:
-            overrides["n_shards"] = n_shards
-        if workers is not None:
-            overrides["workers"] = workers
-            if workers and n_shards is None:
-                overrides["n_shards"] = workers
-        if overrides:
-            scfg = replace(scfg, **overrides)
-        service = SpeculationService(config, scfg)
-    snapshot_seq = service.last_seq
-    if snapshot is not None:
+                                **shape)
         logger.info("recovery anchored on snapshot %s (covers seq %d)",
-                    snapshot, snapshot_seq)
+                    snapshot, service.last_seq)
     else:
+        service = SpeculationService(config, restore_shape(
+            service_config or ServiceConfig(), **shape))
         logger.info("recovery without a snapshot anchor: replaying %s "
                     "from the log's start", wal_dir)
+    snapshot_seq = service.last_seq
+    batches = events = torn = 0
+    if wal_dir is not None:
+        batches, events, torn = _replay(service, wal_dir, up_to_seq)
     # With attach_wal the service's writer already opened the log and
     # truncated any torn tail before our reader gets to scan it, so the
     # reader alone would under-report; the writer counts what it cut.
-    repaired = (service._wal.stats.repaired_bytes
-                if service._wal is not None else 0)
-    report = replay_into_service(service, wal_dir, up_to_seq=up_to_seq)
-    report = RecoveryReport(
+    if service._wal is not None:
+        torn += service._wal.stats.repaired_bytes
+    return service, RecoveryReport(
         snapshot=Path(snapshot) if snapshot is not None else None,
-        snapshot_seq=snapshot_seq,
-        replayed_batches=report.replayed_batches,
-        replayed_events=report.replayed_events,
-        last_seq=report.last_seq,
-        torn_tail_bytes=report.torn_tail_bytes + repaired)
-    return service, report
+        snapshot_seq=snapshot_seq, replayed_batches=batches,
+        replayed_events=events, last_seq=service.last_seq,
+        torn_tail_bytes=torn)

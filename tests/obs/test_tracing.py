@@ -11,9 +11,9 @@ from repro.obs.tracing import (
     ARCS,
     TraceRecord,
     TransitionTrace,
-    _mix64,
     explain_records,
 )
+from repro.tenant.keys import mix64
 
 
 def test_arc_tables_agree():
@@ -47,7 +47,7 @@ def test_sampling_thins_ring_not_counters():
     trace = TransitionTrace(capacity=1000, sample=4)
     for pc in range(200):
         trace.record(pc, "select", exec_index=1, instr=1)
-    traced_pcs = {pc for pc in range(200) if _mix64(pc) % 4 == 0}
+    traced_pcs = {pc for pc in range(200) if mix64(pc) % 4 == 0}
     assert {r.pc for r in trace.records()} == traced_pcs
     assert 0 < len(traced_pcs) < 200
     assert trace.arc_counts()["select"] == 200   # counters see everything

@@ -10,6 +10,7 @@ so the standby's shape is its own business.
 from __future__ import annotations
 
 import asyncio
+import os
 import time
 
 import numpy as np
@@ -155,7 +156,7 @@ def test_reconnect_resumes_from_watermark_without_duplicates(
 
 
 def test_lagging_follower_bootstraps_from_snapshot_then_promotes(
-        tmp_path):
+        tmp_path, monkeypatch):
     # One trace for every phase: the loader's synthetic outcomes are
     # not prefix-stable across lengths, so prefixes must be sliced
     # from the same load, never re-loaded shorter.
@@ -165,6 +166,16 @@ def test_lagging_follower_bootstraps_from_snapshot_then_promotes(
     service = _primary(tmp_path, snapshot_dir=str(tmp_path / "snaps"),
                        wal_segment_bytes=8192)
     follower = _follower(tmp_path)
+    # Every (device, inode) fsynced from the follower's start on: its
+    # ack of the shipped snapshot promises that the file and its
+    # directory entry are on disk.
+    synced = set()
+    real_fsync = os.fsync
+
+    def fsync_spy(fd):
+        st = os.fstat(fd)
+        synced.add((st.st_dev, st.st_ino))
+        return real_fsync(fd)
 
     async def run():
         async with service:
@@ -181,10 +192,18 @@ def test_lagging_follower_bootstraps_from_snapshot_then_promotes(
 
             # A brand-new follower (watermark -1) joins behind the
             # horizon: the primary must re-anchor it on the snapshot.
+            monkeypatch.setattr(os, "fsync", fsync_spy)
             follower.start()
             assert follower.wait_connected()
             assert follower.wait_caught_up(anchor_seq)
             assert follower.stats.snapshots_installed == 1
+            snap_dir = follower.config.resolved_snapshot_dir()
+            installed = list(snap_dir.glob("*.json.gz"))
+            assert len(installed) == 1
+            for path in (installed[0], snap_dir):
+                st = path.stat()
+                assert (st.st_dev, st.st_ino) in synced, \
+                    f"{path} was acked but never fsynced"
 
             # ...then live batches continue on top of the anchor.
             await feed_trace(service, trace, batch_events=BATCH_EVENTS,

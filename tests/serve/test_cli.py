@@ -18,6 +18,17 @@ def test_cli_verify_roundtrip(capsys):
     assert "2 shards" in out
 
 
+def test_cli_tenants_verify(capsys):
+    """--verify holds for a tenant-bearing trace, spills included: the
+    offline reference runs each tenant's own event subsequence."""
+    code = main(["--benchmark", "gzip", "--max-events", "20000",
+                 "--batch-events", "1024", "--tenants", "4",
+                 "--tenant-budget-bytes", "20480", "--verify"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "verify     OK" in out
+
+
 def test_cli_snapshot_then_restore(tmp_path, capsys):
     code = main(["--benchmark", "gzip", "--max-events", "30000",
                  "--snapshot-every", "10000",

@@ -279,17 +279,20 @@ def test_version6_snapshot_loads_as_tenant_zero(bench_trace,
             == run_reactive(bench_trace, bench_config).metrics)
 
 
+@pytest.mark.parametrize("n_shards", [None, 3])
 def test_version7_snapshot_resumes_spilled_tenants(bench_trace,
-                                                   bench_config):
+                                                   bench_config, n_shards):
     """Format-compat anchor for tenant state: a committed v7 fixture
     (a ``tenants`` section of spilled controllers, and a service config
-    that carries every knob of its day) must load and resume
-    bit-identically to an uninterrupted run of the same batches.
+    that carries every knob of its day) must load — at its stored 2
+    shards and resharded onto 3 — and resume bit-identically to an
+    uninterrupted run of the same batches.
 
     Same recipe as the v1 fixture, plus a tenant column
     (``with_tenants(trace, 4, seed=7)``, zipf) and a resident budget of
     40 branches at 512 B, which leaves three of the four tenants
-    spilled at the checkpoint.
+    spilled at the checkpoint.  The spilled tenants' history is part
+    of the totals right after load, whatever the shard count.
     """
     from pathlib import Path
 
@@ -300,8 +303,9 @@ def test_version7_snapshot_resumes_spilled_tenants(bench_trace,
 
     trace = with_tenants(bench_trace, 4, seed=7)
     fixture = Path(__file__).parent / "data" / "snapshot-v7.json.gz"
-    service = load_snapshot(fixture)
+    service = load_snapshot(fixture, n_shards=n_shards)
     assert service.last_seq == 10_240 // 1024 - 1
+    assert service.metrics().dynamic_branches == 10_240
     assert service.tenant_stats()["spilled_tenants"] == 3
     assert service.service_config.tenant_resident_bytes == 40 * 512
 

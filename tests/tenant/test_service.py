@@ -505,3 +505,20 @@ def test_snapshot_roundtrips_spilled_tenants(tmp_path):
     assert restored._export_tenants() == spilled
     assert restored.tenant_stats()["spilled_tenants"] == len(spilled)
     assert controller_states(restored) == resident
+
+
+def test_reused_spill_dir_starts_empty(tmp_path):
+    """The spill log is process scratch: a service opened on the spill
+    directory of an earlier one must not take over that run's spilled
+    tenants, so two identical runs on one directory read alike."""
+    batches = mixed_batches(4_000, [1, 2, 3, 4, 5], 30, seed=6)
+    scfg = ServiceConfig(n_shards=2, tenant_resident_bytes=6 * BPB,
+                         tenant_bytes_per_branch=BPB,
+                         tenant_spill_dir=str(tmp_path / "spill"))
+
+    def after(service):
+        assert service.tenant_stats()["spilled_tenants"] > 0
+        return service.metrics(), service.tenant_stats()
+
+    first = run_service(batches, scfg, after=after)
+    assert run_service(batches, scfg, after=after) == first

@@ -1,6 +1,4 @@
-"""The append-only spill log: put/get/pop, restart, compaction."""
-
-import struct
+"""The append-only spill log: put/get/pop, reopen, compaction."""
 
 import pytest
 
@@ -47,46 +45,22 @@ def test_export_returns_all_live_blobs(tmp_path):
     store.close()
 
 
-def test_restart_rebuilds_index(tmp_path):
+def test_reopened_store_is_empty(tmp_path):
+    """The log is process scratch: a store opened where an earlier one
+    left records starts empty (spilled tenants survive a restart only
+    through a snapshot), and the old bytes cannot leak into new reads."""
     store = SpillStore(tmp_path)
     store.put(1, b"one")
-    store.put(2, b"two")
-    store.put(1, b"one-v2")  # the newest record must win on reload
-    store.put(3, b"three")
+    store.put(2, b"two" * 400)
     store.close()
     reopened = SpillStore(tmp_path)
-    assert len(reopened) == 3
-    assert reopened.get(1) == b"one-v2"
-    assert reopened.get(2) == b"two"
+    assert len(reopened) == 0
+    assert reopened.get(1) is None and reopened.get(2) is None
+    assert (tmp_path / "spill.log").stat().st_size == 0
+    reopened.put(3, b"three")
     assert reopened.get(3) == b"three"
+    assert reopened.stats()["live_bytes"] == 8 + 5
     reopened.close()
-
-
-def test_restart_drops_torn_tail(tmp_path):
-    store = SpillStore(tmp_path)
-    store.put(1, b"intact")
-    store.close()
-    # Simulate a crash mid-append: a full header promising more bytes
-    # than the file holds.
-    with open(tmp_path / "spill.log", "ab") as fh:
-        fh.write(struct.pack("<II", 9, 1000))
-        fh.write(b"only-a-few")
-    reopened = SpillStore(tmp_path)
-    assert reopened.get(1) == b"intact"
-    assert 9 not in reopened
-    # Records put after the reopen must not land behind the torn
-    # bytes, where the next reopen would read the torn header's length
-    # across them (and find a 1000-byte "blob" for tenant 9).
-    four, five = b"4" * 600, b"5" * 600
-    reopened.put(4, four)
-    reopened.put(5, five)
-    reopened.close()
-    again = SpillStore(tmp_path)
-    assert sorted(again.tenants()) == [1, 4, 5]
-    assert again.get(1) == b"intact"
-    assert again.get(4) == four
-    assert again.get(5) == five
-    again.close()
 
 
 def test_compaction_reclaims_garbage(tmp_path):
@@ -104,17 +78,22 @@ def test_compaction_reclaims_garbage(tmp_path):
     store.close()
 
 
-def test_compaction_survives_restart(tmp_path):
+def test_compaction_keeps_every_live_blob(tmp_path):
+    """Compaction re-indexes every live tenant into the rewritten log,
+    and the store's reopened handles serve reads and later puts."""
     store = SpillStore(tmp_path)
     for t in range(10):
         store.put(t, bytes([t]) * 100)
+    store.remove(4)
     store.compact()
+    assert store.dead_bytes == 0
+    assert sorted(store.tenants()) == [0, 1, 2, 3, 5, 6, 7, 8, 9]
+    for t in store.tenants():
+        assert store.get(t) == bytes([t]) * 100
+    store.put(10, b"after")
+    assert store.get(10) == b"after"
+    assert store.get(9) == bytes([9]) * 100
     store.close()
-    reopened = SpillStore(tmp_path)
-    assert len(reopened) == 10
-    for t in range(10):
-        assert reopened.get(t) == bytes([t]) * 100
-    reopened.close()
 
 
 def test_oversized_blob_rejected(tmp_path):
