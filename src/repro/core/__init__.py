@@ -8,7 +8,7 @@ Public surface:
 * :class:`ReactiveBranchController` / :class:`ControllerBank` — the
   Figure 4(b) finite-state machine with eviction and revisit arcs,
   hysteresis, oscillation limiting, and optimization-latency modeling.
-* :class:`SaturatingCounter`, :class:`BranchState`, :class:`Transition`.
+* :class:`BranchState`, :class:`Transition`.
 * :func:`collect_transition_stats` — Table 3 style summaries.
 """
 
@@ -23,7 +23,6 @@ from repro.core.controller import (
     ReactiveBranchController,
     SpeculationOutcome,
 )
-from repro.core.counters import SaturatingCounter
 from repro.core.states import BranchState, Transition, TransitionKind
 from repro.core.stats import TransitionStats, collect_transition_stats
 
@@ -33,7 +32,6 @@ __all__ = [
     "ControllerConfig",
     "ReactiveBranchController",
     "SENSITIVITY_VARIANTS",
-    "SaturatingCounter",
     "SpeculationOutcome",
     "Transition",
     "TransitionKind",

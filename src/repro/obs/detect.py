@@ -28,11 +28,11 @@ Three inputs, all read-only with respect to controller state:
   (events, correct, incorrect) plus the instruction span, feeding the
   sliding window (misspec rate, misspec-per-kilo-instruction).
 * :meth:`MisspecDetector.observe_transitions` — the exact FSM arc
-  stream (it registers as a :class:`~repro.obs.tracing.TransitionTrace`
-  listener in the service).  SELECT deploys a PC into flip tracking;
-  EVICT closes it and yields the per-PC **time-to-evict**: events from
-  the first flipped outcome to the EVICT arc, in that PC's own
-  execution counts.
+  stream (the service hands it each apply's transitions right before
+  they reach the :class:`~repro.obs.tracing.TransitionTrace`).  SELECT
+  deploys a PC into flip tracking; EVICT closes it and yields the
+  per-PC **time-to-evict**: events from the first flipped outcome to
+  the EVICT arc, in that PC's own execution counts.
 
 Time-to-evict is *exact* for branches whose flip happens in a later
 micro-batch than their SELECT: the detector maintains absolute per-PC
@@ -139,7 +139,14 @@ def _lookup(ids: np.ndarray, values: np.ndarray,
 
 
 class MisspecDetector:
-    """Sliding-window misspeculation health over the exact stream."""
+    """Sliding-window misspeculation health over the exact stream.
+
+    Gauges, the burst counter and the time-to-evict histogram live
+    only in ``registry`` (a private one when none is passed), and
+    :meth:`health_doc` reads its burst and time-to-evict figures back
+    from them.  Two detectors on one registry would merge their
+    counts: the service builds one per registry.
+    """
 
     def __init__(self, config: DetectorConfig | None = None,
                  registry: MetricsRegistry | None = None) -> None:
@@ -172,37 +179,31 @@ class MisspecDetector:
         # -- verdict / results ------------------------------------------
         self._verdict = "ok"
         self._peak_verdict = "ok"
-        self._bursts = 0
         self._tte: dict[int, int] = {}
-        self._tte_count = 0
-        self._tte_sum = 0
-        # -- instruments -------------------------------------------------
-        self._g_rate = self._g_mpki = self._g_evict = None
-        self._g_verdict = self._g_deployed = None
-        self._c_bursts = self._h_tte = None
-        if registry is not None:
-            self._g_rate = registry.gauge(
-                "repro_detect_window_misspec_rate",
-                "Misspeculated fraction of events in the sliding window")
-            self._g_mpki = registry.gauge(
-                "repro_detect_window_mpki",
-                "Misspeculations per thousand instructions in the window")
-            self._g_evict = registry.gauge(
-                "repro_detect_window_evictions",
-                "EVICT arcs within the sliding window")
-            self._g_verdict = registry.gauge(
-                "repro_detect_verdict",
-                "Health verdict: 0=ok 1=degraded 2=misspec-burst")
-            self._g_deployed = registry.gauge(
-                "repro_detect_deployed_pcs",
-                "PCs currently tracked for flip onset (deployed)")
-            self._c_bursts = registry.counter(
-                "repro_detect_bursts_total",
-                "Transitions into the misspec-burst verdict")
-            self._h_tte = registry.histogram(
-                "repro_detect_time_to_evict_events",
-                "Per-PC executions from first flipped outcome to EVICT",
-                buckets=TTE_BUCKETS)
+        # -- instruments ------------------------------------------------
+        registry = registry if registry is not None else MetricsRegistry()
+        self._g_rate = registry.gauge(
+            "repro_detect_window_misspec_rate",
+            "Misspeculated fraction of events in the sliding window")
+        self._g_mpki = registry.gauge(
+            "repro_detect_window_mpki",
+            "Misspeculations per thousand instructions in the window")
+        self._g_evict = registry.gauge(
+            "repro_detect_window_evictions",
+            "EVICT arcs within the sliding window")
+        self._g_verdict = registry.gauge(
+            "repro_detect_verdict",
+            "Health verdict: 0=ok 1=degraded 2=misspec-burst")
+        self._g_deployed = registry.gauge(
+            "repro_detect_deployed_pcs",
+            "PCs currently tracked for flip onset (deployed)")
+        self._c_bursts = registry.counter(
+            "repro_detect_bursts_total",
+            "Transitions into the misspec-burst verdict")
+        self._h_tte = registry.histogram(
+            "repro_detect_time_to_evict_events",
+            "Per-PC executions from first flipped outcome to EVICT",
+            buckets=TTE_BUCKETS)
 
     # -- slots -----------------------------------------------------------
     def _grow(self, size: int) -> None:
@@ -353,8 +354,7 @@ class MisspecDetector:
         tracking, EVICT closes it and records time-to-evict.
 
         Accepts ``(pc, arc_code, exec_index, instr)`` tuples — the
-        shape :class:`~repro.obs.tracing.TransitionTrace` listeners
-        receive.
+        shape :class:`~repro.serve.shard.ShardApplyResult` carries.
         """
         with self._lock:
             for pc, arc, exec_index, _instr in transitions:
@@ -381,8 +381,7 @@ class MisspecDetector:
                     onset = int(self._onset[slot])
                     if onset >= 0:
                         self._record_tte(key, int(exec_index) - onset)
-            if self._g_deployed is not None:
-                self._g_deployed.set(len(self._deployed))
+            self._g_deployed.set(len(self._deployed))
             self._update_verdict()
 
     def _record_tte(self, pc: int, tte: int) -> None:
@@ -391,10 +390,7 @@ class MisspecDetector:
         if len(self._tte) >= _TTE_KEEP and pc not in self._tte:
             self._tte.pop(next(iter(self._tte)))
         self._tte[pc] = tte
-        self._tte_count += 1
-        self._tte_sum += tte
-        if self._h_tte is not None:
-            self._h_tte.observe(tte)
+        self._h_tte.observe(tte)
 
     # -- verdict ---------------------------------------------------------
     def _window_stats(self) -> tuple[float, float]:
@@ -424,17 +420,14 @@ class MisspecDetector:
             verdict = "ok"
         if (verdict == "misspec-burst"
                 and self._verdict != "misspec-burst"):
-            self._bursts += 1
-            if self._c_bursts is not None:
-                self._c_bursts.inc()
+            self._c_bursts.inc()
         if VERDICT_LEVEL[verdict] > VERDICT_LEVEL[self._peak_verdict]:
             self._peak_verdict = verdict
         self._verdict = verdict
-        if self._g_rate is not None:
-            self._g_rate.set(rate)
-            self._g_mpki.set(mpki)
-            self._g_evict.set(storm)
-            self._g_verdict.set(VERDICT_LEVEL[verdict])
+        self._g_rate.set(rate)
+        self._g_mpki.set(mpki)
+        self._g_evict.set(storm)
+        self._g_verdict.set(VERDICT_LEVEL[verdict])
 
     # -- outputs ---------------------------------------------------------
     @property
@@ -459,11 +452,12 @@ class MisspecDetector:
         with self._lock:
             rate, mpki = self._window_stats()
             events, mis = self._window.sums
+            tte_count, tte_sum = self._h_tte.count, self._h_tte.sum
             return {
                 "kind": "repro.obs.health",
                 "verdict": self._verdict,
                 "peak_verdict": self._peak_verdict,
-                "bursts": self._bursts,
+                "bursts": self._c_bursts.value,
                 "events_observed": self._total_events,
                 "window": {
                     "events": events,
@@ -475,9 +469,9 @@ class MisspecDetector:
                 },
                 "deployed_pcs": len(self._deployed),
                 "time_to_evict": {
-                    "count": self._tte_count,
-                    "mean": (round(self._tte_sum / self._tte_count, 3)
-                             if self._tte_count else 0.0),
+                    "count": tte_count,
+                    "mean": (round(tte_sum / tte_count, 3)
+                             if tte_count else 0.0),
                     "last": {str(pc): tte
                              for pc, tte in self._tte.items()},
                 },

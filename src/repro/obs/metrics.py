@@ -301,6 +301,14 @@ class MetricFamily:
     def value(self) -> int | float:
         return self._solo().value
 
+    @property
+    def count(self) -> int:
+        return self._solo().count
+
+    @property
+    def sum(self) -> float:
+        return self._solo().sum
+
 
 class MetricsRegistry:
     """Collection of metric families with get-or-create registration.

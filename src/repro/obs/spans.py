@@ -113,7 +113,13 @@ class SpanRecord:
 
 
 class SpanRecorder:
-    """Bounded ring of :class:`SpanRecord` plus per-stage histograms."""
+    """Bounded ring of :class:`SpanRecord` plus per-stage histograms.
+
+    The span count and the histograms live only in ``registry`` (a
+    private one when none is passed); ``snapshot_doc`` and
+    :meth:`quantiles` read them back.  Two recorders on one registry
+    would merge their counts: the service builds one per registry.
+    """
 
     def __init__(self, capacity: int = 1024,
                  registry: MetricsRegistry | None = None) -> None:
@@ -125,26 +131,21 @@ class SpanRecorder:
         self._by_seq: dict[int, SpanRecord] = {}
         self._awaiting_durable: deque[int] = deque()
         self._awaiting_ack: deque[int] = deque()
-        self._begun = 0
-        self._stage_hist = None
-        self._batch_hist = None
-        self._total = None
-        self._stage_child: dict[str, object] = {}
-        if registry is not None:
-            self._stage_hist = registry.histogram(
-                "repro_span_stage_seconds",
-                "Per-stage span durations across the serving pipeline",
-                labelnames=("stage",), buckets=LATENCY_BUCKETS)
-            self._batch_hist = registry.histogram(
-                "repro_span_batch_seconds",
-                "Submit-to-applied duration per micro-batch",
-                buckets=LATENCY_BUCKETS)
-            self._total = registry.counter(
-                "repro_spans_total", "Micro-batch spans begun")
-            # Resolve the per-stage children once: labels() is a dict
-            # lookup behind a lock, too slow for the apply hot path.
-            self._stage_child = {name: self._stage_hist.labels(name)
-                                 for name in STAGES}
+        registry = registry if registry is not None else MetricsRegistry()
+        self._stage_hist = registry.histogram(
+            "repro_span_stage_seconds",
+            "Per-stage span durations across the serving pipeline",
+            labelnames=("stage",), buckets=LATENCY_BUCKETS)
+        self._batch_hist = registry.histogram(
+            "repro_span_batch_seconds",
+            "Submit-to-applied duration per micro-batch",
+            buckets=LATENCY_BUCKETS)
+        self._total = registry.counter(
+            "repro_spans_total", "Micro-batch spans begun")
+        # Resolve the per-stage children once: labels() is a dict
+        # lookup behind a lock, too slow for the apply hot path.
+        self._stage_child = {name: self._stage_hist.labels(name)
+                             for name in STAGES}
 
     # -- producer side (service event loop) -----------------------------
     def begin(self, seq: int, events: int, parts: int, t_submit: float,
@@ -163,13 +164,10 @@ class SpanRecorder:
             self._by_seq[seq] = rec
             self._awaiting_durable.append(seq)
             self._awaiting_ack.append(seq)
-            self._begun += 1
-        if self._total is not None:
-            self._total.inc()
-        if self._stage_hist is not None:
-            self._stage_child["enqueue"].observe(enqueue_seconds)
-            if wal_seconds > 0.0:
-                self._stage_child["wal_append"].observe(wal_seconds)
+        self._total.inc()
+        self._stage_child["enqueue"].observe(enqueue_seconds)
+        if wal_seconds > 0.0:
+            self._stage_child["wal_append"].observe(wal_seconds)
 
     def note_applied(self, seq: int, queue_wait: float, apply: float,
                      wire_out: float = 0.0, wire_back: float = 0.0,
@@ -196,7 +194,7 @@ class SpanRecorder:
             if rec.pending == 0:
                 rec.t_complete = t_now
                 completed = rec
-        if completed is not None and self._stage_hist is not None:
+        if completed is not None:
             for name in _FOLDED:
                 if name in completed.stages:
                     self._stage_child[name].observe(
@@ -226,17 +224,14 @@ class SpanRecorder:
                     value = now - rec.t_submit
                     rec.stages[stage] = value
                     stamped.append(value)
-        if self._stage_hist is not None:
-            hist = self._stage_child[stage]
-            for value in stamped:
-                hist.observe(value)
+        hist = self._stage_child[stage]
+        for value in stamped:
+            hist.observe(value)
 
     # -- consumer side (HTTP / CLI) -------------------------------------
     def quantiles(self, qs: tuple[float, ...] = (0.5, 0.99)) -> dict:
         """Per-stage duration quantile estimates from the histograms
-        (empty when the recorder has no registry)."""
-        if self._stage_hist is None:
-            return {}
+        (empty before any stage is observed)."""
         out: dict[str, dict[str, float]] = {}
         for key, child in self._stage_hist.children():
             if child.count == 0:
@@ -254,7 +249,6 @@ class SpanRecorder:
         """
         with self._lock:
             records = list(self._ring)
-            begun = self._begun
         if slowest is not None:
             records = [r for r in records if r.complete]
             records.sort(key=lambda r: r.total_seconds, reverse=True)
@@ -264,7 +258,7 @@ class SpanRecorder:
         return {
             "kind": "repro.obs.spans",
             "capacity": self.capacity,
-            "begun": begun,
+            "begun": self._total.value,
             "stage_quantiles": self.quantiles(),
             "spans": [r.to_dict() for r in records],
         }

@@ -33,12 +33,10 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
+from repro.obs.metrics import MetricsRegistry
 from repro.tenant.keys import mix64
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["ARCS", "ARC_CODE", "ARC_ENDPOINTS", "ARC_REASONS",
            "TraceRecord", "TransitionTrace"]
@@ -102,10 +100,15 @@ class TransitionTrace:
     ``capacity`` bounds memory (old records fall off); ``sample``
     traces 1-in-N PCs by hash (1 = every PC).  Arc *counters* always
     cover every transition — sampling only thins the ring.
+
+    The counters live only in ``registry`` (a private one when none is
+    passed), and :meth:`arc_counts` reads them back.  Two traces on one
+    registry would merge their counts: the service builds one per
+    registry.
     """
 
     def __init__(self, capacity: int = 4096, sample: int = 1,
-                 registry: "MetricsRegistry | None" = None) -> None:
+                 registry: MetricsRegistry | None = None) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         if sample <= 0:
@@ -115,15 +118,12 @@ class TransitionTrace:
         self._ring: deque[TraceRecord] = deque(maxlen=capacity)
         self._lock = threading.Lock()
         self._next_seq = 0
-        self._arc_counts = dict.fromkeys(ARCS, 0)
-        self._listeners: list = []
-        self._counters = None
-        if registry is not None:
-            family = registry.counter(
-                "repro_fsm_transitions_total",
-                "FSM arc firings by kind (evict/revisit are the paper's "
-                "two reactive arcs)", labelnames=("arc",))
-            self._counters = {arc: family.labels(arc=arc) for arc in ARCS}
+        registry = registry if registry is not None else MetricsRegistry()
+        family = registry.counter(
+            "repro_fsm_transitions_total",
+            "FSM arc firings by kind (evict/revisit are the paper's "
+            "two reactive arcs)", labelnames=("arc",))
+        self._counters = {arc: family.labels(arc=arc) for arc in ARCS}
 
     # -- recording ------------------------------------------------------
     def traced(self, pc: int) -> bool:
@@ -134,10 +134,7 @@ class TransitionTrace:
                instr: int) -> None:
         """Record one arc firing (``arc`` by name or wire code)."""
         name = ARCS[arc] if isinstance(arc, int) else arc
-        with self._lock:
-            self._arc_counts[name] += 1
-        if self._counters is not None:
-            self._counters[name].inc()
+        self._counters[name].inc()
         if not self.traced(pc):
             return
         from_state, to_state = ARC_ENDPOINTS[name]
@@ -148,23 +145,11 @@ class TransitionTrace:
                 exec_index=exec_index, instr=instr))
             self._next_seq += 1
 
-    def add_listener(self, listener) -> None:
-        """Register a callable invoked from :meth:`extend` with each
-        batch of ``(pc, arc_code, exec_index, instr)`` tuples, before
-        they are folded into the ring.  This is how downstream
-        consumers (the misspeculation detector) tap the exact
-        transition stream without a second plumbing path."""
-        self._listeners.append(listener)
-
     def extend(self, transitions: Iterable[tuple[int, int, int, int]],
                ) -> None:
         """Record a batch of ``(pc, arc_code, exec_index, instr)``
         tuples — the shape :class:`~repro.serve.shard.ShardApplyResult`
         carries."""
-        if self._listeners:
-            transitions = tuple(transitions)
-            for listener in self._listeners:
-                listener(transitions)
         for pc, code, exec_index, instr in transitions:
             self.record(pc, code, exec_index, instr)
 
@@ -178,8 +163,8 @@ class TransitionTrace:
         return self._next_seq
 
     def arc_counts(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self._arc_counts)
+        """Firings per arc, read from ``repro_fsm_transitions_total``."""
+        return {arc: child.value for arc, child in self._counters.items()}
 
     def records(self) -> list[TraceRecord]:
         with self._lock:

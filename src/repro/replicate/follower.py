@@ -45,7 +45,7 @@ import numpy as np
 from repro.core.config import ControllerConfig
 from repro.replicate import frames
 from repro.serve.events import EventBatch
-from repro.serve.service import ServiceConfig, SpeculationService
+from repro.serve.service import SpeculationService
 from repro.serve.wire import ProtocolError, SocketTransport
 from repro.tenant.keys import key_pc, key_tenant
 from repro.wal.recovery import RecoveryReport, recover_service
@@ -108,10 +108,11 @@ class ReplicationFollower:
         self.config = config
         self.service: SpeculationService | None = None
         self.stats = FollowerStats()
-        # Standby health: a private rate-only detector fed by the apply
-        # stream.  The follower applies synchronously (no capture, so no
-        # transition arcs); verdicts come from the windowed misspec
-        # rate, which is exactly what a standby can observe.
+        # Standby health: a private rate-only detector (on its own
+        # private registry) fed by the apply stream.  The follower
+        # applies synchronously (no capture, so no transition arcs);
+        # verdicts come from the windowed misspec rate, which is
+        # exactly what a standby can observe.
         from repro.obs.detect import MisspecDetector
         self._detector = MisspecDetector()
         self._stopped = threading.Event()
@@ -286,7 +287,7 @@ class ReplicationFollower:
         make it the live one."""
         service, report = recover_service(
             self.config.wal_dir, snapshot=snapshot, config=config,
-            service_config=ServiceConfig(n_shards=self.config.n_shards),
+            n_shards=self.config.n_shards,
             wal_fsync=self.config.wal_fsync)
         with self._lock:
             if self._sealed:

@@ -23,6 +23,10 @@ inside the ``repl`` bench gate (:mod:`repro.bench.targets.repl`).
 durable in *its own* WAL (acks are sent after the follower's commit).
 It stands alongside ``last_durable_seq``: the former survives losing
 the primary's disk, the latter survives losing the network.
+
+The sender's gauges and counters live only in a metrics registry —
+the service's, or a private one when none is passed.  Two senders on
+one registry would merge their counts: a service attaches at most one.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from collections import deque
 from dataclasses import asdict
 from typing import TYPE_CHECKING
 
+from repro.obs.metrics import MetricsRegistry
 from repro.replicate import frames
 from repro.serve.wire import ProtocolError, SocketTransport
 from repro.wal.reader import WalGapError, WalTailer
@@ -71,7 +76,8 @@ class ReplicationSender:
     """Accepts follower connections and streams the service's WAL."""
 
     def __init__(self, service: "SpeculationService", listen_addr: str,
-                 registry=None, spans=None) -> None:
+                 registry: MetricsRegistry | None = None,
+                 spans=None) -> None:
         if service.service_config.wal_dir is None:
             raise ValueError("replication requires a WAL "
                              "(repl_listen without wal_dir)")
@@ -88,33 +94,30 @@ class ReplicationSender:
         self._accept_thread: threading.Thread | None = None
         self._threads: list[threading.Thread] = []
         self._conns: list[_Connection] = []
-        self._m_watermark = self._m_lag_seq = self._m_lag_sec = None
-        self._m_conns = self._m_batches = self._m_bytes = None
-        self._m_snaps = None
-        if registry is not None:
-            self._m_watermark = registry.gauge(
-                "repro_repl_last_replicated_seq",
-                "Newest batch seq acked durable by a follower")
-            self._m_lag_seq = registry.gauge(
-                "repro_repl_lag_seq",
-                "Batches accepted by the primary but not yet acked "
-                "by any follower")
-            self._m_lag_sec = registry.gauge(
-                "repro_repl_lag_seconds",
-                "Replication delay of the newest acked batch: ack "
-                "time minus primary accept time")
-            self._m_conns = registry.counter(
-                "repro_repl_connections_total",
-                "Follower connections accepted (reconnects included)")
-            self._m_batches = registry.counter(
-                "repro_repl_batches_sent_total",
-                "R_BATCH frames sent across all followers")
-            self._m_bytes = registry.counter(
-                "repro_repl_bytes_sent_total",
-                "Replication payload bytes sent across all followers")
-            self._m_snaps = registry.counter(
-                "repro_repl_snapshots_sent_total",
-                "Snapshot re-anchors shipped to lagging followers")
+        registry = registry if registry is not None else MetricsRegistry()
+        self._m_watermark = registry.gauge(
+            "repro_repl_last_replicated_seq",
+            "Newest batch seq acked durable by a follower")
+        self._m_lag_seq = registry.gauge(
+            "repro_repl_lag_seq",
+            "Batches accepted by the primary but not yet acked "
+            "by any follower")
+        self._m_lag_sec = registry.gauge(
+            "repro_repl_lag_seconds",
+            "Replication delay of the newest acked batch: ack "
+            "time minus primary accept time")
+        self._m_conns = registry.counter(
+            "repro_repl_connections_total",
+            "Follower connections accepted (reconnects included)")
+        self._m_batches = registry.counter(
+            "repro_repl_batches_sent_total",
+            "R_BATCH frames sent across all followers")
+        self._m_bytes = registry.counter(
+            "repro_repl_bytes_sent_total",
+            "Replication payload bytes sent across all followers")
+        self._m_snaps = registry.counter(
+            "repro_repl_snapshots_sent_total",
+            "Snapshot re-anchors shipped to lagging followers")
 
     # -- watermarks -----------------------------------------------------
     @property
@@ -147,8 +150,7 @@ class ReplicationSender:
         """
         with self._lock:
             self._offers.append((seq, time.monotonic()))
-            if self._m_lag_seq is not None:
-                self._m_lag_seq.set(seq - self._acked)
+            self._m_lag_seq.set(seq - self._acked)
             conns = list(self._conns)
         for conn in conns:
             conn.wake.set()
@@ -198,8 +200,7 @@ class ReplicationSender:
             conn = _Connection(sock, peer)
             with self._lock:
                 self._conns.append(conn)
-            if self._m_conns is not None:
-                self._m_conns.inc()
+            self._m_conns.inc()
             stream = threading.Thread(
                 target=self._stream_loop, args=(conn,),
                 name=f"repro-repl-stream-{peer}", daemon=True)
@@ -249,9 +250,8 @@ class ReplicationSender:
                     continue
                 for _seq, payload in records:
                     conn.transport.send(frames.encode_r_batch(payload))
-                if self._m_batches is not None:
-                    self._m_batches.inc(len(records))
-                    self._m_bytes.inc(sum(len(p) for _s, p in records))
+                self._m_batches.inc(len(records))
+                self._m_bytes.inc(sum(len(p) for _s, p in records))
         except (WalCorruptionError, ProtocolError) as err:
             logger.error("replication: stream to %s aborted: %s",
                          conn.peer, err)
@@ -291,8 +291,7 @@ class ReplicationSender:
                     path.name, covered)
         conn.transport.send(frames.encode_r_snapshot(
             covered, path.read_bytes()))
-        if self._m_snaps is not None:
-            self._m_snaps.inc()
+        self._m_snaps.inc()
         return WalTailer(self.service.service_config.wal_dir,
                          after_seq=covered)
 
@@ -316,11 +315,10 @@ class ReplicationSender:
             accepted_at = None
             while self._offers and self._offers[0][0] <= seq:
                 accepted_at = self._offers.popleft()[1]
-            if self._m_watermark is not None:
-                self._m_watermark.set(seq)
-                self._m_lag_seq.set(self.service.last_seq - seq)
-                if accepted_at is not None:
-                    self._m_lag_sec.set(now - accepted_at)
+            self._m_watermark.set(seq)
+            self._m_lag_seq.set(self.service.last_seq - seq)
+            if accepted_at is not None:
+                self._m_lag_sec.set(now - accepted_at)
         if self._spans is not None:
             self._spans.note_replicated(seq)
 

@@ -106,10 +106,11 @@ class ServiceConfig:
     #: streams this service's WAL to connecting followers; requires
     #: ``wal_dir``.  None = replication off.
     repl_listen: str | None = None
-    #: Observability capture: apply-latency/batch-size histograms, WAL
-    #: latency histograms, and FSM transition tracing.  Counters and
-    #: gauges stay on either way (they replace the old plain-int
-    #: telemetry); turning this off removes every per-apply
+    #: Observability capture: apply-latency/batch-size histograms and
+    #: FSM transition tracing (and with them spans and the detector).
+    #: Counters and gauges stay on either way (they replace the old
+    #: plain-int telemetry), as do the WAL's and the replication
+    #: sender's instruments; turning this off removes every per-apply
     #: ``perf_counter`` call and transition copy — the obs-off
     #: baseline of the ``obs`` bench target.
     obs: bool = True
@@ -267,9 +268,10 @@ class SpeculationService:
             self.bank = ShardedBank(config, self.service_config.n_shards)
         self.config = self.bank.config
         n = self.bank.n_shards
-        #: One registry for the whole service: telemetry, the WAL
-        #: writer and the transition trace all register into it, and
-        #: the ``--metrics-port`` endpoint serves it.
+        #: One registry for the whole service: telemetry, the trace,
+        #: spans, the detector, the WAL writer and the replication
+        #: sender each count only into it (one of each per registry),
+        #: and the ``--metrics-port`` endpoint serves it.
         self.registry = MetricsRegistry()
         self.trace = TransitionTrace(
             capacity=self.service_config.trace_ring,
@@ -292,9 +294,6 @@ class SpeculationService:
             from repro.obs.detect import MisspecDetector
 
             self.detector = MisspecDetector(registry=self.registry)
-            # The detector taps the exact arc stream through the trace
-            # ring's listener hook — one plumbing path for transitions.
-            self.trace.add_listener(self.detector.observe_transitions)
         self._queues: list[asyncio.Queue] = [asyncio.Queue()
                                              for _ in range(n)]
         self._queued_events = [0] * n
@@ -331,8 +330,7 @@ class SpeculationService:
                 self.service_config.wal_dir,
                 segment_bytes=self.service_config.wal_segment_bytes,
                 fsync=self.service_config.wal_fsync,
-                registry=(self.registry if self.service_config.obs
-                          else None))
+                registry=self.registry)
             if self.spans is not None:
                 # Durability watermark advances → stamp wal_fsync
                 # (time-to-durability) on the covered spans.
@@ -673,15 +671,17 @@ class SpeculationService:
                             t_now=t_ret)
                 det = self.detector
                 if det is not None:
-                    # Outcomes first, transitions second (via the trace
-                    # listener below): the flip detector must see each
-                    # batch's outcomes against the deployed set as it
-                    # stood *before* the batch's arcs fired.
+                    # Outcomes first, transitions second: the flip
+                    # detector must see each batch's outcomes against
+                    # the deployed set as it stood *before* the batch's
+                    # arcs fired.
                     det.observe_batch(pcs, taken)
                     det.observe_apply(events, result.correct,
                                       result.incorrect, int(instrs[0]),
                                       int(instrs[-1]))
                 if result.transitions:
+                    if det is not None:
+                        det.observe_transitions(result.transitions)
                     self.trace.extend(result.transitions)
             else:
                 self.telemetry.record_apply(
@@ -821,8 +821,7 @@ class SpeculationService:
 
     def reading(self) -> TelemetryReading:
         return self.telemetry.reading(
-            wal=self._wal.stats_snapshot() if self._wal is not None
-            else None,
+            wal=self._wal.stats if self._wal is not None else None,
             detect_verdict=(self.detector.verdict
                             if self.detector is not None else "off"))
 
@@ -929,10 +928,9 @@ class SpeculationService:
         if self.service_config.repl_listen != listen_addr:
             self.service_config = replace(self.service_config,
                                           repl_listen=listen_addr)
-        self._repl = ReplicationSender(
-            self, listen_addr,
-            registry=self.registry if self.service_config.obs else None,
-            spans=self.spans)
+        self._repl = ReplicationSender(self, listen_addr,
+                                       registry=self.registry,
+                                       spans=self.spans)
 
     def newest_snapshot(self) -> Path | None:
         """Newest snapshot covering this service's history, if any.

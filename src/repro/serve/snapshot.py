@@ -191,15 +191,13 @@ def restore_shape(scfg: "ServiceConfig", n_shards: int | None = None,
 
 
 def load_snapshot(path: str | Path,
-                  service_config=None,
                   n_shards: int | None = None,
                   workers: int | None = None,
                   wal_dir: str | None = None,
                   wal_fsync: str | None = None) -> "SpeculationService":
     """Rebuild a :class:`SpeculationService` from a snapshot file.
 
-    ``service_config`` overrides the snapshotted tuning knobs (its
-    ``n_shards`` must then match the bank layout being restored);
+    The snapshotted tuning knobs come back as they were saved;
     ``n_shards``/``workers``/``wal_dir``/``wal_fsync`` set the
     restored service's shape (:func:`restore_shape`).  The snapshotted
     ``workers``, ``wal_dir``, ``repl_listen`` and ``tenant_spill_dir``
@@ -215,15 +213,11 @@ def load_snapshot(path: str | Path,
 
     state = _read(path)
     config = ControllerConfig(**state["controller_config"])
-    if service_config is not None:
-        scfg = service_config
-    else:
-        known = {f.name for f in fields(ServiceConfig)}
-        knobs = {k: v for k, v in state["service_config"].items()
-                 if k in known}
-        scfg = ServiceConfig(**{**knobs, "workers": 0, "wal_dir": None,
-                                "repl_listen": None,
-                                "tenant_spill_dir": None})
+    known = {f.name for f in fields(ServiceConfig)}
+    knobs = {k: v for k, v in state["service_config"].items()
+             if k in known}
+    scfg = ServiceConfig(**{**knobs, "workers": 0, "wal_dir": None,
+                            "repl_listen": None, "tenant_spill_dir": None})
     scfg = restore_shape(scfg, n_shards, workers, wal_dir, wal_fsync)
     spilled = state.get("tenants", {}).get("spilled", {})
     bank = restore_bank(config, state["bank"], n_shards=scfg.n_shards,

@@ -253,8 +253,9 @@ class ServiceTelemetry:
 
     def reading(self, wal: "WalStats | None" = None,
                 detect_verdict: str = "off") -> TelemetryReading:
-        """Build a reading; ``wal`` is a :class:`repro.wal.writer.WalStats`
-        copy when the service runs with a WAL attached, and
+        """Build a reading; ``wal`` is the :class:`repro.wal.writer.WalStats`
+        read from the writer's instruments when the service runs with a
+        WAL attached, and
         ``detect_verdict`` the current health verdict when the online
         misspeculation detector is enabled."""
         wal_fields = {}

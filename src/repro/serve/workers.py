@@ -422,6 +422,10 @@ class WorkerPool:
             await handle.send(encode(ticket))
         except Exception:
             handle.pending.pop(ticket, None)
+            if fut.done():
+                # A failed send set its error on this future too (via
+                # _fail); it is raised here, so mark it retrieved.
+                fut.exception()
             raise
         return await fut
 

@@ -29,7 +29,7 @@ from repro.wal.reader import WalReader
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import ControllerConfig
-    from repro.serve.service import ServiceConfig, SpeculationService
+    from repro.serve.service import SpeculationService
 
 __all__ = ["RecoveryReport", "replay_into_service", "recover_service"]
 
@@ -108,7 +108,6 @@ def _replay(service: "SpeculationService", wal_dir: str | Path,
 def recover_service(wal_dir: str | Path | None,
                     snapshot: str | Path | None = None,
                     config: "ControllerConfig | None" = None,
-                    service_config: "ServiceConfig | None" = None,
                     n_shards: int | None = None,
                     workers: int | None = None,
                     attach_wal: bool = True,
@@ -144,13 +143,12 @@ def recover_service(wal_dir: str | Path | None,
              "wal_dir": str(wal_dir) if attach else None,
              "wal_fsync": wal_fsync if attach else None}
     if snapshot is not None:
-        service = load_snapshot(snapshot, service_config=service_config,
-                                **shape)
+        service = load_snapshot(snapshot, **shape)
         logger.info("recovery anchored on snapshot %s (covers seq %d)",
                     snapshot, service.last_seq)
     else:
-        service = SpeculationService(config, restore_shape(
-            service_config or ServiceConfig(), **shape))
+        service = SpeculationService(
+            config, restore_shape(ServiceConfig(), **shape))
         logger.info("recovery without a snapshot anchor: replaying %s "
                     "from the log's start", wal_dir)
     snapshot_seq = service.last_seq

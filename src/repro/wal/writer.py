@@ -35,6 +35,11 @@ Commit snapshots the appended watermark and a dup of the active file
 descriptor under the lock, then fsyncs *outside* it, so a slow disk
 never blocks the append path, and rotation closing the original fd
 cannot invalidate an in-flight commit.
+
+Counting: the writer's counters and histograms live only in a metrics
+registry — the service's, or a private one when none is passed — and
+:attr:`WalWriter.stats` reads them back.  Two writers on one registry
+would merge their counts: the service builds one per registry.
 """
 
 from __future__ import annotations
@@ -44,12 +49,9 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
-from typing import TYPE_CHECKING
 
+from repro.obs.metrics import LATENCY_BUCKETS, MetricsRegistry
 from repro.serve.events import EventBatch
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.metrics import MetricsRegistry
 from repro.wal.segment import (
     HEADER,
     SegmentInfo,
@@ -79,9 +81,10 @@ def _fsync_dir(directory: Path) -> None:
         os.close(fd)
 
 
-@dataclass
+@dataclass(frozen=True)
 class WalStats:
-    """Counters the service surfaces through telemetry."""
+    """The writer's counters at one instant, read from its registry
+    instruments; the service surfaces them through telemetry."""
 
     records_appended: int = 0
     bytes_appended: int = 0
@@ -99,26 +102,19 @@ class WalStats:
             return 0.0
         return self.committed_records / self.commits
 
-    def copy(self) -> "WalStats":
-        from dataclasses import replace
-
-        return replace(self)
-
 
 #: Group-commit size buckets (records per fsync), powers of two.
 _COMMIT_BUCKETS = tuple(float(1 << i) for i in range(13))
 
 
 class _WalObs:
-    """Registry-backed instruments for one writer (obs on only)."""
+    """Registry instruments of one writer: its only tally."""
 
     __slots__ = ("append_latency", "fsync_latency", "commit_records",
                  "records", "bytes", "fsyncs", "segments_created",
-                 "segments_compacted")
+                 "segments_compacted", "repaired_bytes")
 
-    def __init__(self, registry: "MetricsRegistry") -> None:
-        from repro.obs.metrics import LATENCY_BUCKETS
-
+    def __init__(self, registry: MetricsRegistry) -> None:
         self.append_latency = registry.histogram(
             "repro_wal_append_latency_seconds",
             "Wall time of one WAL append (includes the fsync under "
@@ -141,6 +137,9 @@ class _WalObs:
         self.segments_compacted = registry.counter(
             "repro_wal_segments_compacted_total",
             "Segment files deleted by snapshot-anchored compaction.")
+        self.repaired_bytes = registry.counter(
+            "repro_wal_repaired_bytes_total",
+            "Torn-tail bytes truncated when the log was opened.")
 
 
 @dataclass
@@ -167,7 +166,7 @@ class WalWriter:
     def __init__(self, directory: str | Path, *,
                  segment_bytes: int = DEFAULT_SEGMENT_BYTES,
                  fsync: str = "batch",
-                 registry: "MetricsRegistry | None" = None) -> None:
+                 registry: MetricsRegistry | None = None) -> None:
         if fsync not in FSYNC_POLICIES:
             raise ValueError(f"unknown fsync policy {fsync!r} "
                              f"(expected one of {FSYNC_POLICIES})")
@@ -176,11 +175,8 @@ class WalWriter:
         self.directory = Path(directory)
         self.segment_bytes = segment_bytes
         self.fsync_policy = fsync
-        self.stats = WalStats()
-        #: Latency histograms + counter mirrors for the shared metrics
-        #: registry; None keeps the append path free of perf_counter
-        #: calls (the obs-off baseline).
-        self._obs = _WalObs(registry) if registry is not None else None
+        self._obs = _WalObs(registry if registry is not None
+                            else MetricsRegistry())
         self._lock = threading.Lock()
         self._file = None           # active segment's raw (unbuffered) file
         self._active: _Segment | None = None
@@ -216,7 +212,7 @@ class WalWriter:
                         info.path, info.valid_bytes,
                         "torn record in a non-final segment")
                 os.truncate(info.path, info.valid_bytes)
-                self.stats.repaired_bytes += info.torn_bytes
+                self._obs.repaired_bytes.inc(info.torn_bytes)
                 info = scan_segment(path)
             seg = _Segment.from_info(info)
             if seg.last_seq >= 0 and seg.first_seq <= self._last_seq:
@@ -257,6 +253,20 @@ class WalWriter:
         return self._pending_records
 
     @property
+    def stats(self) -> WalStats:
+        """The writer's counters, read back from its instruments."""
+        obs = self._obs
+        return WalStats(
+            records_appended=obs.records.value,
+            bytes_appended=obs.bytes.value,
+            fsyncs=obs.fsyncs.value,
+            commits=obs.commit_records.count,
+            committed_records=int(obs.commit_records.sum),
+            segments_created=obs.segments_created.value,
+            segments_compacted=obs.segments_compacted.value,
+            repaired_bytes=obs.repaired_bytes.value)
+
+    @property
     def segments(self) -> list[Path]:
         with self._lock:
             out = [s.path for s in self._closed_segments]
@@ -266,18 +276,11 @@ class WalWriter:
 
     # -- appending ------------------------------------------------------
     def _fsync_file(self, fd: int) -> None:
-        """fsync one file descriptor, feeding the latency histogram."""
-        if self._obs is None:
-            os.fsync(fd)
-            return
+        """fsync one file descriptor, counting it and its latency."""
         t0 = perf_counter()
         os.fsync(fd)
         self._obs.fsync_latency.observe(perf_counter() - t0)
         self._obs.fsyncs.inc()
-
-    def _note_commit(self, covered: int) -> None:
-        if self._obs is not None and covered:
-            self._obs.commit_records.observe(covered)
 
     def append(self, batch: EventBatch) -> None:
         """Append one accepted batch; durability per the fsync policy."""
@@ -288,8 +291,7 @@ class WalWriter:
                 f"batch seq {batch.seq} not greater than the WAL's last "
                 f"seq {self._last_seq}; a fresh service cannot reuse a "
                 "directory holding a newer log — replay or remove it")
-        obs = self._obs
-        t0 = perf_counter() if obs is not None else 0.0
+        t0 = perf_counter()
         record = encode_record(batch)
         with self._lock:
             if (self._active is not None
@@ -307,26 +309,21 @@ class WalWriter:
             if seg.first_seq < 0:
                 seg.first_seq = batch.seq
             self._last_seq = batch.seq
-            self.stats.records_appended += 1
-            self.stats.bytes_appended += len(record)
             self._pending_records += 1
             if self.fsync_policy == "always":
                 covered = self._pending_records
                 self._fsync_file(self._file.fileno())
-                self.stats.fsyncs += 1
-                self.stats.commits += 1
-                self.stats.committed_records += covered
                 self._pending_records = 0
                 self._durable_seq = batch.seq
-                self._note_commit(covered)
+                self._obs.commit_records.observe(covered)
             elif self.fsync_policy == "off":
                 # Optimistic: in the kernel, not on the platter.
                 self._pending_records = 0
                 self._durable_seq = batch.seq
-        if obs is not None:
-            obs.append_latency.observe(perf_counter() - t0)
-            obs.records.inc()
-            obs.bytes.inc(len(record))
+        obs = self._obs
+        obs.append_latency.observe(perf_counter() - t0)
+        obs.records.inc()
+        obs.bytes.inc(len(record))
         if self.fsync_policy != "batch" and self.on_durable is not None:
             # 'always' fsynced this batch; 'off' advanced optimistically
             # — either way the durable watermark just moved.
@@ -337,16 +334,13 @@ class WalWriter:
         self._file = open(path, "xb", buffering=0)
         write_header(self._file, base_seq)
         self._active = _Segment(path=path, base_seq=base_seq)
-        self.stats.segments_created += 1
-        if self._obs is not None:
-            self._obs.segments_created.inc()
+        self._obs.segments_created.inc()
         if self.fsync_policy != "off":
             _fsync_dir(self.directory)
 
     def _rotate_locked(self) -> None:
         if self.fsync_policy != "off":
             self._fsync_file(self._file.fileno())
-            self.stats.fsyncs += 1
         self._file.close()
         self._closed_segments.append(self._active)
         self._file = None
@@ -373,34 +367,10 @@ class WalWriter:
         finally:
             os.close(fd)
         with self._lock:
-            self.stats.fsyncs += 1
-            self.stats.commits += 1
-            self.stats.committed_records += covered
             if target > self._durable_seq:
                 self._durable_seq = target
             durable = self._durable_seq
-        self._note_commit(covered)
-        if self.on_durable is not None:
-            self.on_durable(durable)
-        return durable
-
-    def sync(self) -> int:
-        """Flush-and-fsync regardless of policy (used at stop/close)."""
-        with self._lock:
-            if self._file is None:
-                return self._durable_seq
-            target = self._active.last_seq
-            covered = self._pending_records
-            self._pending_records = 0
-            self._fsync_file(self._file.fileno())
-            self.stats.fsyncs += 1
-            if covered:
-                self.stats.commits += 1
-                self.stats.committed_records += covered
-                self._note_commit(covered)
-            if target > self._durable_seq:
-                self._durable_seq = target
-            durable = self._durable_seq
+        self._obs.commit_records.observe(covered)
         if self.on_durable is not None:
             self.on_durable(durable)
         return durable
@@ -432,17 +402,12 @@ class WalWriter:
                     keep.append(seg)
             self._closed_segments = keep
             if deleted:
-                self.stats.segments_compacted += len(deleted)
-                if self._obs is not None:
-                    self._obs.segments_compacted.inc(len(deleted))
+                self._obs.segments_compacted.inc(len(deleted))
                 if self.fsync_policy != "off":
                     _fsync_dir(self.directory)
         return deleted
 
     # -- lifecycle ------------------------------------------------------
-    def stats_snapshot(self) -> WalStats:
-        return self.stats.copy()
-
     def close(self) -> None:
         if self._closed:
             return
@@ -450,10 +415,7 @@ class WalWriter:
             if self._file is not None:
                 if self._pending_records and self.fsync_policy != "off":
                     self._fsync_file(self._file.fileno())
-                    self.stats.fsyncs += 1
-                    self.stats.commits += 1
-                    self.stats.committed_records += self._pending_records
-                    self._note_commit(self._pending_records)
+                    self._obs.commit_records.observe(self._pending_records)
                     self._pending_records = 0
                     self._durable_seq = self._active.last_seq
                 self._file.close()

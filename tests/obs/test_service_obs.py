@@ -105,7 +105,7 @@ def test_wal_metrics_mirror_stats(bench_trace, bench_config, tmp_path):
     service, _, _ = _run_service(
         bench_trace, bench_config,
         ServiceConfig(n_shards=2, wal_dir=str(tmp_path / "wal")))
-    stats = service._wal.stats_snapshot()
+    stats = service._wal.stats
     assert stats.records_appended > 0
     reg = service.registry
     assert reg.get("repro_wal_records_appended_total").value \
@@ -120,6 +120,22 @@ def test_wal_metrics_mirror_stats(bench_trace, bench_config, tmp_path):
     commit_h = reg.get("repro_wal_commit_records")
     assert commit_h._solo().count == stats.commits
     assert commit_h._solo().sum == stats.committed_records
+
+
+def test_obs_off_keeps_wal_counters(bench_trace, bench_config, tmp_path):
+    """``obs=False`` gates capture, not counting: the WAL still counts
+    into the service registry, and the reading is read from it."""
+    service, _, _ = _run_service(
+        bench_trace, bench_config,
+        ServiceConfig(n_shards=2, obs=False, wal_dir=str(tmp_path / "wal")))
+    reading = service.reading()
+    reg = service.registry
+    records = reg.get("repro_wal_records_appended_total")
+    fsyncs = reg.get("repro_wal_fsyncs_total")
+    assert records is not None and fsyncs is not None
+    assert records.value == reading.wal_records_appended \
+        == service.last_seq + 1
+    assert fsyncs.value == reading.wal_fsyncs > 0
 
 
 def test_spans_and_detector_do_not_perturb_controller_state(

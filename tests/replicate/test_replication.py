@@ -263,3 +263,22 @@ def test_follower_status_reports_detector_health(tmp_path):
     assert status["health"] == "ok"
     assert status["peak_health"] == "ok"
     assert status["connected"] is False
+
+
+def test_follower_rebuilt_from_a_snapshot_keeps_its_knobs(tmp_path):
+    """A standby re-anchored on a shipped snapshot runs with the
+    snapshot's tuning knobs (the committed v7 fixture's 40-branch
+    tenant budget) on its own shard count, as promotion does."""
+    from pathlib import Path
+
+    fixture = (Path(__file__).parents[1] / "serve" / "data"
+               / "snapshot-v7.json.gz")
+    follower = _follower(tmp_path)
+    follower._install_snapshot(9, fixture.read_bytes())
+    try:
+        service = follower.service
+        assert service.bank.n_shards == 3
+        assert service.service_config.tenant_resident_bytes == 20_480
+        assert service.tenant_stats()["resident_budget"] == 20_480
+    finally:
+        follower.seal()

@@ -98,8 +98,7 @@ def test_autosnapshot_restore_matches(tmp_path, bench_trace, bench_config):
             return list(service.snapshots_written), service.metrics()
 
     async def resume(snap):
-        # Drop the auto-snapshot config for the resumed run.
-        service = load_snapshot(snap, service_config=ServiceConfig(n_shards=4))
+        service = load_snapshot(snap, n_shards=4)
         async with service:
             await feed_trace(service, bench_trace, batch_events=1024)
             await service.drain()

@@ -225,6 +225,52 @@ def test_fatal_service_refuses_submissions_and_snapshots(
     asyncio.run(run())
 
 
+def test_failed_send_leaves_no_unretrieved_future(bench_config):
+    """A send that hits a dead pipe fails every pending call, the
+    sending call's own future included; that call raises the error
+    itself, so its future must not later report an error nobody saw
+    ("Future exception was never retrieved")."""
+    import gc
+    import logging
+
+    import numpy as np
+
+    from repro.serve.shard import ShardedBank
+    from repro.serve.workers import WorkerPool, _WorkerHandle
+
+    class DeadPipe:
+        def send(self, payload):
+            raise BrokenPipeError("dead pipe")
+
+    class Collect(logging.Handler):
+        def __init__(self):
+            super().__init__()
+            self.messages = []
+
+        def emit(self, record):
+            self.messages.append(record.getMessage())
+
+    async def run():
+        pool = WorkerPool(ShardedBank(bench_config, 1))
+        handle = _WorkerHandle(0, asyncio.get_running_loop())
+        handle.hello.set_result(4242)   # a started worker said hello
+        handle.transport = DeadPipe()
+        pool.handles = [handle]
+        with pytest.raises(WorkerDiedError):
+            await pool.apply(0, np.zeros(1, np.int32), np.zeros(1, bool),
+                             np.zeros(1, np.int64))
+
+    collect = Collect()
+    asyncio_log = logging.getLogger("asyncio")
+    asyncio_log.addHandler(collect)
+    try:
+        asyncio.run(run())
+        gc.collect()
+    finally:
+        asyncio_log.removeHandler(collect)
+    assert not [m for m in collect.messages if "never retrieved" in m]
+
+
 def test_failed_worker_spawn_raises_its_own_error(monkeypatch,
                                                  bench_config):
     """A worker process that cannot be spawned fails start() with the

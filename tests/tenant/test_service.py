@@ -10,6 +10,8 @@ bit-identical to a run where none of it happened.
 from __future__ import annotations
 
 import asyncio
+import gzip
+import json
 
 import numpy as np
 import pytest
@@ -294,11 +296,14 @@ def test_resharded_restore_spills_whole_tenants(tmp_path):
 
     reference = asyncio.run(feed(load_snapshot(snap, n_shards=3),
                                  lambda service: None))
-    budgeted = load_snapshot(
-        snap, n_shards=3,
-        service_config=ServiceConfig(
-            n_shards=3, tenant_resident_bytes=2 * 4 * BPB + 1,
-            tenant_bytes_per_branch=BPB))
+    # The same snapshot with a resident budget among its knobs: a
+    # restore runs with the knobs the file carries.
+    state = json.loads(gzip.decompress(snap.read_bytes()))
+    state["service_config"].update(tenant_resident_bytes=2 * 4 * BPB + 1,
+                                   tenant_bytes_per_branch=BPB)
+    budget_snap = tmp_path / "two-shards-budgeted.json.gz"
+    budget_snap.write_bytes(gzip.compress(json.dumps(state).encode()))
+    budgeted = load_snapshot(budget_snap, n_shards=3)
     assert asyncio.run(feed(budgeted, cold_tenants_are_gone)) == reference
     assert budgeted.tenant_stats()["spills"] > 0
 
