@@ -20,9 +20,12 @@ applies whatever arrives:
 
 The follower's service is deliberately **not started**: batches are
 applied synchronously to the bank exactly like WAL replay
-(:func:`~repro.wal.recovery.replay_into_service`), which keeps the
-standby shape-independent — it may run a different shard count than
-the primary, and promotion may pick yet another shape.
+(:meth:`~repro.serve.service.SpeculationService.apply_logged`), which
+keeps the standby shape-independent — it may run a different shard
+count than the primary, and promotion may pick yet another shape.
+Tenants spill and restore as on the primary, so a replica rebuilt
+from a snapshot holds that snapshot's resident budget (a follower
+bootstrapped from an empty disk has none until its first re-anchor).
 
 While standing by, :class:`ReadOnlyServer` answers
 ``should_speculate`` queries from the live replica state over the same
@@ -92,7 +95,6 @@ class FollowerConfig:
 @dataclass
 class FollowerStats:
     batches_applied: int = 0
-    events_applied: int = 0
     duplicates_skipped: int = 0
     reconnects: int = 0
     snapshots_installed: int = 0
@@ -338,7 +340,6 @@ class ReplicationFollower:
         service._wal.append(batch)
         results = service.apply_logged(batch)
         self.stats.batches_applied += 1
-        self.stats.events_applied += batch.n_events
         self._detector.observe_apply(
             batch.n_events,
             sum(r.correct for r in results),

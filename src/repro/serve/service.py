@@ -64,8 +64,7 @@ from repro.serve.shard import ShardApplyResult, ShardedBank, split_states
 from repro.serve.telemetry import ServiceTelemetry, TelemetryReading
 from repro.serve.workers import LocalPool, WorkerDiedError, WorkerPool
 from repro.sim.metrics import SpeculationMetrics
-from repro.tenant.keys import key_tenant, sorted_unique
-from repro.tenant.manager import TenantManager
+from repro.tenant.manager import AdmissionPlan, TenantManager
 
 __all__ = ["ServiceConfig", "BackpressureError", "QuotaExceededError",
            "SequenceError", "SpeculationService"]
@@ -449,34 +448,21 @@ class SpeculationService:
         if self._quiescing:
             # A snapshot is quiescing the service; intake reopens once
             # it is written.  Backpressure keeps retries idempotent.
-            deepest = max(range(len(self._queued_events)),
-                          key=self._queued_events.__getitem__)
-            raise BackpressureError(deepest, self._queued_events[deepest],
-                                    self._retry_after(deepest))
+            raise self._busy()
+        plan = self._plan(batch)
         tm = self._tenants
-        if tm is None and batch.tenants is not None:
-            # First tenant-bearing batch on an unconfigured service:
-            # create the registry lazily (per-tenant metrics only — no
-            # quota or resident-set policy was requested).
-            tm = self._tenants = self._make_tenant_manager()
-        plan = None
         now = 0.0
-        if tm is not None and (batch.tenants is not None or tm.active):
-            now = monotonic()
-            plan = tm.plan(batch, now)
-            if plan.reject_kind == "quota":
-                tm.count_rejection(plan.reject_tenant)
-                raise QuotaExceededError(plan.reject_tenant,
-                                         plan.retry_after)
+        if plan is not None:
             if plan.reject_kind == "spilling":
                 # The tenant's controllers are mid-extraction in the
                 # shard queues; admitting more of its events would race
                 # the spill.  Same retryable signal as a full queue.
-                deepest = max(range(len(self._queued_events)),
-                              key=self._queued_events.__getitem__)
-                raise BackpressureError(
-                    deepest, self._queued_events[deepest],
-                    self._retry_after(deepest))
+                raise self._busy()
+            now = monotonic()
+            if not tm.admit(plan, now):
+                tm.count_rejection(plan.reject_tenant)
+                raise QuotaExceededError(plan.reject_tenant,
+                                         plan.retry_after)
         spans = self.spans
         t_submit = monotonic() if spans is not None else 0.0
         cap = self.service_config.queue_events
@@ -508,8 +494,12 @@ class SpeculationService:
             if self._repl is not None:
                 self._repl.offer(batch.seq)
         if plan is not None:
-            for _tenant, states in plan.restores:
-                self._enqueue_restores(states)
+            # Restore jobs go ahead of the batch's partitions.
+            n = self.bank.n_shards
+            for tenant, states in plan.restores:
+                for queue, part in zip(self._queues, split_states(states, n)):
+                    if part:
+                        queue.put_nowait(_TenantJob("restore", tenant, part))
         for p in parts:
             if spans is not None:
                 p.seq = batch.seq
@@ -527,6 +517,7 @@ class SpeculationService:
         self._events_submitted += batch.n_events
         if plan is not None:
             tm.commit(plan, batch, now)
+            tm.charge(plan, now)
             for victim in tm.pick_victims():
                 for queue in self._queues:
                     queue.put_nowait(_TenantJob("spill", victim))
@@ -536,6 +527,14 @@ class SpeculationService:
         self.submit_nowait(batch)
         await asyncio.sleep(0)
 
+    def _busy(self) -> BackpressureError:
+        """The retryable rejection of a quiescing service or a spilling
+        tenant: backpressure naming the deepest shard queue."""
+        deepest = max(range(len(self._queued_events)),
+                      key=self._queued_events.__getitem__)
+        return BackpressureError(deepest, self._queued_events[deepest],
+                                 self._retry_after(deepest))
+
     def _retry_after(self, shard: int) -> float:
         rate = self.telemetry.drain_rate
         if rate <= 0:
@@ -543,16 +542,6 @@ class SpeculationService:
         # Time for the offending shard to drain half its queue.
         eta = self._queued_events[shard] / (2 * rate)
         return float(min(max(eta, 0.001), 1.0))
-
-    def _enqueue_restores(self, states: list[dict]) -> None:
-        """Split one spilled tenant's blob by live shard and enqueue
-        the restore jobs (ahead of the triggering batch's partitions)."""
-        for queue, part in zip(self._queues,
-                               split_states(states, self.bank.n_shards)):
-            if part:
-                queue.put_nowait(
-                    _TenantJob("restore", key_tenant(part[0]["branch"]),
-                               part))
 
     async def drain(self) -> None:
         """Wait until every queued event has been applied.
@@ -766,36 +755,52 @@ class SpeculationService:
         return self.bank.should_speculate(pc, tenant)
 
     def apply_logged(self, batch: EventBatch) -> list[ShardApplyResult]:
-        """Apply an already-logged batch (WAL replay, follower apply)
-        straight to the bank, bypassing admission and the queues: first
-        restore any spilled tenants it touches, then apply and advance
-        ``last_seq``.  A running service's shard loop would race it."""
+        """Apply an already-logged batch (WAL replay, promotion, the
+        follower's stream) synchronously on the bank's shards.
+
+        It takes :meth:`submit_nowait`'s tenant steps without the
+        queues or the quota step (it was admitted when first
+        submitted), and its victims are spilled before it returns, so
+        the resident budget holds after every logged batch.  A running
+        service's shard loop would race it.
+        """
         if self._running:
             raise RuntimeError("apply_logged requires a stopped service")
-        self._ensure_resident(batch)
+        plan = self._plan(batch)
+        shards = self.bank.shards
+        if plan is not None:
+            if plan.reject_kind is not None:
+                raise RuntimeError(
+                    f"logged batch seq {batch.seq} touches tenant "
+                    f"{plan.reject_tenant} mid-spill")
+            for _tenant, states in plan.restores:
+                for shard, part in zip(shards,
+                                       split_states(states, len(shards))):
+                    shard.restore_tenant(part)
         results = self.bank.apply_batch(batch)
         self._last_seq = batch.seq
         self._events_submitted += batch.n_events
+        if plan is not None:
+            tm = self._tenants
+            tm.commit(plan, batch, monotonic())
+            for victim in tm.pick_victims():
+                for shard in shards:
+                    tm.spill_contribution(victim, shard.spill_tenant(victim))
         return results
 
     # -- tenant plumbing ------------------------------------------------
-    def _ensure_resident(self, batch: EventBatch) -> None:
-        """Synchronously restore any spilled tenants ``batch`` touches:
-        the offline equivalent of the queued restore job, run by
-        :meth:`apply_logged` before its events land."""
+    def _plan(self, batch: EventBatch) -> AdmissionPlan | None:
+        """The tenant plan for ``batch``, live or logged (None: no
+        tenant policy or state applies).  The first tenant-bearing batch
+        creates the manager if no knob did (per-tenant metrics only)."""
         tm = self._tenants
-        if tm is None or not tm.spilled_count():
-            return
-        tenants = ([0] if batch.tenants is None
-                   else sorted_unique(batch.tenants).tolist())
-        now = monotonic()
-        for tenant in tenants:
-            states = tm.take_spilled(int(tenant), now)
-            if not states:
-                continue
-            for shard, part in zip(self.bank.shards,
-                                   split_states(states, self.bank.n_shards)):
-                shard.restore_tenant(part)
+        if tm is None:
+            if batch.tenants is None:
+                return None
+            tm = self._tenants = self._make_tenant_manager()
+        elif batch.tenants is None and not tm.active:
+            return None
+        return tm.plan(batch)
 
     def _export_tenants(self) -> dict[str, list[dict]]:
         """Spilled tenants' controller states (snapshot embedding)."""

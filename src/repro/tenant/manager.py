@@ -8,7 +8,9 @@ is where the tenant dimension actually lives:
   tenant a batch touches *before* anything is logged or enqueued.  A
   rejection surfaces through the service as the same retryable
   backpressure signal a full queue produces, so existing client retry
-  loops handle quotas unchanged.
+  loops handle quotas unchanged.  Only live submissions meet quotas
+  (:meth:`TenantManager.admit`, :meth:`TenantManager.charge`): a logged
+  batch was admitted when it was first submitted.
 * **Resident-set accounting.**  Each resident tenant's footprint is
   estimated as ``distinct branches × bytes_per_branch``.  One sorted
   int64 array holds every resident tenant's keys; a tenant's keys are
@@ -28,16 +30,18 @@ is where the tenant dimension actually lives:
 * **Spill/restore orchestration.**  A spill is not performed here —
   the manager marks the tenant *spilling* and the service enqueues one
   FIFO control job per shard queue, so the spill serializes after
-  every event already queued for the tenant.  Shards contribute their
-  extracted controller states back via :meth:`spill_contribution`; the
-  last contribution seals the blob (sorted by branch key, so it is
-  deterministic) into the :class:`~repro.tenant.spillstore.SpillStore`.
+  every event already queued for the tenant (a logged batch, applied
+  on a stopped service, spills from every shard before it returns).
+  Shards contribute their extracted controller states back via
+  :meth:`spill_contribution`; the last contribution seals the blob
+  (sorted by branch key, so it is deterministic) into the
+  :class:`~repro.tenant.spillstore.SpillStore`.
   While a tenant is spilling its new submissions are rejected
   retryably — admitting them would race the queued extraction.
-  A spilled tenant's next touch runs the reverse: the blob's states
-  are re-interned ahead of that batch's events (same FIFO ordering
-  argument), bit-identically — controller state round-trips through
-  the exact snapshot schema.
+  A spilled tenant's next touch runs the reverse: the plan carries the
+  blob's states, re-interned ahead of that batch's events (same FIFO
+  ordering argument), bit-identically — controller state round-trips
+  through the exact snapshot schema.
 
 Memory discipline: the manager keeps per-tenant state *only* for
 resident tenants.  A spilled tenant exists as one spill-store index
@@ -48,9 +52,7 @@ history lives in the bounded top-K metrics sketch.  That is what the
 
 from __future__ import annotations
 
-import json
 import tempfile
-import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -59,7 +61,7 @@ import numpy as np
 from repro.obs.cardinality import LabelCardinalityGuard
 from repro.obs.metrics import MetricsRegistry
 from repro.tenant.keys import MAX_PC, TENANT_SHIFT, sorted_unique
-from repro.tenant.spillstore import SpillStore
+from repro.tenant.spillstore import SpillStore, seal_states, unseal_states
 
 __all__ = ["AdmissionPlan", "TenantManager"]
 
@@ -77,8 +79,9 @@ def _branch_keys(states: list[dict]) -> np.ndarray:
 class AdmissionPlan:
     """Outcome of checking one batch against the tenant policies.
 
-    Built by :meth:`TenantManager.plan` without mutating anything, so
-    a rejected or WAL-failed submission leaves no trace; the service
+    Built by :meth:`TenantManager.plan` and checked by
+    :meth:`TenantManager.admit` without mutating anything, so a
+    rejected or WAL-failed submission leaves no trace; the service
     applies an accepted plan with :meth:`TenantManager.commit`.
     """
 
@@ -192,8 +195,9 @@ class TenantManager:
             self._tmpdir = None
 
     # -- admission ------------------------------------------------------
-    def plan(self, batch, now: float) -> AdmissionPlan:
-        """Check a batch against quotas and spill status (pure)."""
+    def plan(self, batch) -> AdmissionPlan:
+        """Group a batch by tenant, check it against spill status and
+        load the blobs of the spilled tenants it touches (pure)."""
         if batch.tenants is None:
             tenants = [0]
             counts = [batch.n_events]
@@ -207,28 +211,47 @@ class TenantManager:
                 plan.reject_kind = "spilling"
                 plan.reject_tenant = tenant
                 return plan
-        rate = self.quota_rate
-        if rate is not None:
-            burst = float(self.quota_burst)
-            for tenant, n in zip(tenants, counts):
-                st = self._lru.get(tenant)
-                if st is None:
-                    tokens = burst  # new or returning: a full bucket
-                else:
-                    tokens = min(burst, st.tokens + (now - st.stamp) * rate)
-                if tokens < n:
-                    plan.reject_kind = "quota"
-                    plan.reject_tenant = tenant
-                    plan.retry_after = (n - tokens) / rate
-                    return plan
         store = self._store
         if store is not None and len(store):
             for tenant in tenants:
                 blob = store.get(tenant)
                 if blob is not None:
-                    plan.restores.append(
-                        (tenant, json.loads(zlib.decompress(blob))))
+                    plan.restores.append((tenant, unseal_states(blob)))
         return plan
+
+    def admit(self, plan: AdmissionPlan, now: float) -> bool:
+        """Quota check of a live submission (pure): False, with the
+        rejecting tenant and retry hint on ``plan``, when a tenant's
+        bucket cannot cover its share of the batch."""
+        rate = self.quota_rate
+        if rate is None:
+            return True
+        for tenant, n in zip(plan.tenants, plan.counts):
+            tokens = self._tokens(tenant, now)
+            if tokens < n:
+                plan.reject_kind = "quota"
+                plan.reject_tenant = tenant
+                plan.retry_after = (n - tokens) / rate
+                return False
+        return True
+
+    def charge(self, plan: AdmissionPlan, now: float) -> None:
+        """Debit a committed live submission from its tenants' buckets."""
+        if self.quota_rate is None:
+            return
+        for tenant, n in zip(plan.tenants, plan.counts):
+            st = self._lru[tenant]
+            st.tokens = self._tokens(tenant, now) - n
+            st.stamp = now
+
+    def _tokens(self, tenant: int, now: float) -> float:
+        """``tenant``'s bucket at ``now`` (full for a new or returning
+        tenant)."""
+        burst = float(self.quota_burst)
+        st = self._lru.get(tenant)
+        if st is None:
+            return burst
+        return min(burst, st.tokens + (now - st.stamp) * self.quota_rate)
 
     def count_rejection(self, tenant: int) -> None:
         self.quota_rejections += 1
@@ -236,20 +259,19 @@ class TenantManager:
             self._reject_guard.inc(tenant)
 
     def commit(self, plan: AdmissionPlan, batch, now: float) -> None:
-        """Apply an admitted plan: charge buckets, touch the LRU,
-        account footprints, finalize restores.  Called only after the
-        batch is accepted (post-WAL), so rejection paths mutate
-        nothing."""
+        """Apply an accepted plan: finalize restores, touch the LRU,
+        count events, account footprints.  Called only after the batch
+        is accepted (post-WAL), so rejection paths mutate nothing."""
         for tenant, states in plan.restores:
             self._store.remove(tenant)
-            self._note_restored(tenant, states, now)
-        rate = self.quota_rate
+            self.restores += 1
+            if self._g_spilled is not None:
+                self._c_restores.inc()
+            self._touch(tenant, now)
+            if self.resident_bytes_budget is not None:
+                self._add_keys(_branch_keys(states))
         for tenant, n in zip(plan.tenants, plan.counts):
-            st = self._touch(tenant, now)
-            if rate is not None:
-                st.tokens = min(float(self.quota_burst),
-                                st.tokens + (now - st.stamp) * rate) - n
-                st.stamp = now
+            self._touch(tenant, now)
             self.events += n
             if self._guard is not None:
                 self._guard.inc(tenant, n)
@@ -259,25 +281,11 @@ class TenantManager:
                 self.peak_resident_bytes = self.resident_bytes
         self._update_gauges()
 
-    def _note_restored(self, tenant: int, states: list[dict],
-                       now: float) -> None:
-        """Count a restore and make the tenant resident again: touch
-        the LRU and index the blob's keys."""
-        self.restores += 1
-        if self._g_spilled is not None:
-            self._c_restores.inc()
-        self._touch(tenant, now)
-        if self.resident_bytes_budget is not None:
-            self._add_keys(_branch_keys(states))
-
-    def _touch(self, tenant: int, now: float) -> _Resident:
-        st = self._lru.get(tenant)
-        if st is None:
-            st = _Resident(float(self.quota_burst), now)
-            self._lru[tenant] = st
-        else:
+    def _touch(self, tenant: int, now: float) -> None:
+        if tenant in self._lru:
             self._lru.move_to_end(tenant)
-        return st
+        else:
+            self._lru[tenant] = _Resident(float(self.quota_burst), now)
 
     def _add_keys(self, keys: np.ndarray) -> None:
         """Insert the keys of resident tenants that the index lacks and
@@ -315,8 +323,8 @@ class TenantManager:
         """Tenants to spill until the resident set fits the budget.
 
         Each returned tenant is already marked *spilling* (out of the
-        LRU, footprint deducted); the caller owes one control job per
-        shard queue.
+        LRU, footprint deducted); the caller owes one
+        :meth:`spill_contribution` per shard.
         """
         budget = self.resident_bytes_budget
         victims: list[int] = []
@@ -354,47 +362,25 @@ class TenantManager:
         parts = self._spill_parts.pop(tenant)
         del self._spill_left[tenant]
         parts.sort(key=lambda s: s["branch"])
-        blob = zlib.compress(
-            json.dumps(parts, separators=(",", ":")).encode("utf-8"))
-        self._ensure_store().put(tenant, blob)
+        self._ensure_store().put(tenant, seal_states(parts))
         self.spills += 1
         if self._g_spilled is not None:
             self._c_spills.inc()
         self._update_gauges()
-
-    def take_spilled(self, tenant: int, now: float) -> list[dict] | None:
-        """Synchronously pop a spilled tenant's states and mark it
-        resident.
-
-        The non-queued twin of the plan/commit restore path, for
-        callers that apply events directly to the bank (WAL replay,
-        follower apply) and so bypass admission.
-        """
-        if self._store is None:
-            return None
-        blob = self._store.pop(tenant)
-        if blob is None:
-            return None
-        states = json.loads(zlib.decompress(blob))
-        self._note_restored(tenant, states, now)
-        self._update_gauges()
-        return states
 
     # -- snapshot hooks -------------------------------------------------
     def export_spilled(self) -> dict[str, list[dict]]:
         """Spilled tenants' controller states (snapshot embedding)."""
         if self._store is None or not len(self._store):
             return {}
-        return {str(t): json.loads(zlib.decompress(blob))
+        return {str(t): unseal_states(blob)
                 for t, blob in self._store.export().items()}
 
     def install_spilled(self, spilled: dict[str, list[dict]]) -> None:
         """Seed the store from a snapshot's spilled-tenants section."""
         store = self._ensure_store()
         for tenant, states in spilled.items():
-            blob = zlib.compress(
-                json.dumps(states, separators=(",", ":")).encode("utf-8"))
-            store.put(int(tenant), blob)
+            store.put(int(tenant), seal_states(states))
         self._update_gauges()
 
     # -- views ----------------------------------------------------------

@@ -41,3 +41,13 @@ def make_trace(branch_ids, taken, instr_stride: int = 8,
 @pytest.fixture
 def make_trace_fn():
     return make_trace
+
+
+def model_states(service) -> dict:
+    """Every controller's export dict by packed branch key, resident
+    and spilled alike: the model state a service's snapshot carries."""
+    states = {s["branch"]: s for shard in
+              service.bank.export_state()["shards"] for s in shard["bank"]}
+    for spilled in service._export_tenants().values():
+        states.update((s["branch"], s) for s in spilled)
+    return states

@@ -28,6 +28,7 @@ from repro.sim.runner import run_reactive
 from repro.trace.spec2000 import load_trace
 from repro.wal.reader import WalReader
 from repro.wal.segment import list_segments, parse_segment_name
+from tests.conftest import model_states
 
 BATCH_EVENTS = 512
 TOTAL_EVENTS = 24 * BATCH_EVENTS  # batch-aligned: re-feeds dedup cleanly
@@ -280,5 +281,35 @@ def test_follower_rebuilt_from_a_snapshot_keeps_its_knobs(tmp_path):
         assert service.bank.n_shards == 3
         assert service.service_config.tenant_resident_bytes == 20_480
         assert service.tenant_stats()["resident_budget"] == 20_480
+    finally:
+        follower.seal()
+
+
+def test_follower_holds_its_snapshot_budget(tmp_path):
+    """A standby re-anchored on the v7 fixture spills and restores
+    tenants as it applies the stream, so its resident set stays within
+    the snapshot's 40-branch budget after every batch; promotion then
+    returns the replica's resident and spilled states and tenant
+    stats."""
+    from pathlib import Path
+
+    from repro.trace.synthetic import with_tenants
+
+    fixture = (Path(__file__).parents[1] / "serve" / "data"
+               / "snapshot-v7.json.gz")
+    follower = _follower(tmp_path)
+    follower._install_snapshot(9, fixture.read_bytes())
+    trace = with_tenants(load_trace("gzip", length=60_000), 16, seed=7)
+    try:
+        replica = follower.service
+        for batch in iter_trace_batches(trace, 1024):
+            follower._apply_one(batch)  # seq <= 9: covered, skipped
+            assert replica.tenant_stats()["resident_bytes"] <= 20_480
+        assert replica.last_seq == 58
+        assert replica.tenant_stats()["spills"] > 0
+        promoted, report = promote_follower(follower)
+        assert report.replayed_batches == 49
+        assert promoted.tenant_stats() == replica.tenant_stats()
+        assert model_states(promoted) == model_states(replica)
     finally:
         follower.seal()

@@ -21,6 +21,7 @@ from repro.serve.events import iter_trace_batches
 from repro.serve.service import ServiceConfig, SpeculationService
 from repro.serve.snapshot import load_snapshot, save_snapshot
 from repro.sim.runner import run_reactive
+from tests.conftest import model_states
 from tests.serve.conftest import random_trace
 
 
@@ -295,9 +296,6 @@ def test_version7_snapshot_resumes_spilled_tenants(bench_trace,
     """
     from pathlib import Path
 
-    import numpy as np
-
-    from repro.serve.events import EventBatch
     from repro.trace.synthetic import with_tenants
 
     trace = with_tenants(bench_trace, 4, seed=7)
@@ -312,17 +310,7 @@ def test_version7_snapshot_resumes_spilled_tenants(bench_trace,
         async with service:
             await feed_trace(service, trace, batch_events=1024)
             await service.drain()
-        # Recall every tenant still cold, then read the whole model.
-        everyone = np.arange(4, dtype=np.uint32)
-        service._ensure_resident(EventBatch(
-            seq=service.last_seq + 1, pcs=np.zeros(4, dtype=np.int32),
-            taken=np.zeros(4, dtype=bool), instrs=np.zeros(4, dtype=np.int64),
-            tenants=everyone))
-        assert service.tenant_stats()["spilled_tenants"] == 0
-        states = {s["branch"]: s for shard in
-                  service.bank.export_state()["shards"]
-                  for s in shard["bank"]}
-        return service.metrics(), states
+        return service.metrics(), model_states(service)
 
     uninterrupted = SpeculationService(bench_config, ServiceConfig(
         n_shards=2, tenant_resident_bytes=40 * 512))

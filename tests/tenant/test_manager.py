@@ -33,14 +33,14 @@ def states_for(tenant, pcs):
 def test_plan_groups_tenants_and_legacy_batches_are_tenant_zero():
     tm = TenantManager(n_shards=1)
     batch = make_batch(0, [(3, 10), (1, 11), (3, 12)])
-    plan = tm.plan(batch, now=0.0)
+    plan = tm.plan(batch)
     assert plan.tenants == [1, 3]
     assert plan.counts == [1, 2]
     assert plan.reject_kind is None
     legacy = EventBatch(seq=1, pcs=np.array([5], dtype=np.int32),
                         taken=np.array([True]),
                         instrs=np.array([1], dtype=np.int64))
-    plan = tm.plan(legacy, now=0.0)
+    plan = tm.plan(legacy)
     assert plan.tenants == [0]
     assert plan.counts == [1]
     tm.close()
@@ -50,20 +50,23 @@ def test_quota_bucket_charges_refills_and_rejects():
     tm = TenantManager(n_shards=1, quota_rate=100.0, quota_burst=10)
     # A batch larger than the burst can never be admitted.
     big = make_batch(0, [(1, pc) for pc in range(11)])
-    plan = tm.plan(big, now=0.0)
+    plan = tm.plan(big)
+    assert not tm.admit(plan, now=0.0)
     assert plan.reject_kind == "quota"
     assert plan.reject_tenant == 1
     assert plan.retry_after == pytest.approx((11 - 10) / 100.0)
     # Exactly the burst drains the bucket...
     full = make_batch(0, [(1, pc) for pc in range(10)])
-    plan = tm.plan(full, now=0.0)
+    plan = tm.plan(full)
+    assert tm.admit(plan, now=0.0)
     assert plan.reject_kind is None
     tm.commit(plan, full, now=0.0)
+    tm.charge(plan, now=0.0)
     # ...so an immediate follow-up is rejected...
     one = make_batch(1, [(1, 99)])
-    assert tm.plan(one, now=0.0).reject_kind == "quota"
+    assert not tm.admit(tm.plan(one), now=0.0)
     # ...but refill at `rate` re-admits after enough time passes.
-    assert tm.plan(one, now=0.02).reject_kind is None
+    assert tm.admit(tm.plan(one), now=0.02)
     tm.close()
 
 
@@ -72,7 +75,7 @@ def test_plan_is_pure_on_rejection():
     tm = TenantManager(n_shards=1, quota_rate=10.0, quota_burst=5)
     big = make_batch(0, [(1, pc) for pc in range(6)])
     before = tm.stats()
-    assert tm.plan(big, now=0.0).reject_kind == "quota"
+    assert not tm.admit(tm.plan(big), now=0.0)
     assert tm.stats() == before
     assert tm.events == 0
     tm.close()
@@ -89,10 +92,12 @@ def test_rejection_counter():
 def test_independent_buckets_per_tenant():
     tm = TenantManager(n_shards=1, quota_rate=1.0, quota_burst=4)
     flood = make_batch(0, [(1, pc) for pc in range(4)])
-    tm.commit(tm.plan(flood, now=0.0), flood, now=0.0)
+    plan = tm.plan(flood)
+    tm.commit(plan, flood, now=0.0)
+    tm.charge(plan, now=0.0)
     # Tenant 1's bucket is empty; tenant 2's is untouched.
-    assert tm.plan(make_batch(1, [(1, 9)]), now=0.0).reject_kind == "quota"
-    assert tm.plan(make_batch(1, [(2, 9)]), now=0.0).reject_kind is None
+    assert not tm.admit(tm.plan(make_batch(1, [(1, 9)])), now=0.0)
+    assert tm.admit(tm.plan(make_batch(1, [(2, 9)])), now=0.0)
     tm.close()
 
 
@@ -100,12 +105,12 @@ def test_footprint_accounting_counts_distinct_branches():
     tm = TenantManager(n_shards=1, resident_bytes=1 << 20,
                        bytes_per_branch=BPB)
     batch = make_batch(0, [(1, 10), (1, 10), (1, 11), (2, 10)])
-    tm.commit(tm.plan(batch, now=0.0), batch, now=0.0)
+    tm.commit(tm.plan(batch), batch, now=0.0)
     # 2 distinct branches for tenant 1, 1 for tenant 2.
     assert tm.resident_bytes == 3 * BPB
     # Re-observing the same branches adds nothing.
     again = make_batch(1, [(1, 10), (2, 10)], start_instr=10)
-    tm.commit(tm.plan(again, now=1.0), again, now=1.0)
+    tm.commit(tm.plan(again), again, now=1.0)
     assert tm.resident_bytes == 3 * BPB
     assert tm.stats()["resident_tenants"] == 2
     tm.close()
@@ -117,9 +122,9 @@ def test_pick_victims_prefers_large_tenants_over_lru_head():
     tm = TenantManager(n_shards=2, resident_bytes=5 * BPB,
                        bytes_per_branch=BPB)
     small = make_batch(0, [(1, 0)])
-    tm.commit(tm.plan(small, now=0.0), small, now=0.0)
+    tm.commit(tm.plan(small), small, now=0.0)
     big = make_batch(1, [(2, pc) for pc in range(10)], start_instr=10)
-    tm.commit(tm.plan(big, now=1.0), big, now=1.0)
+    tm.commit(tm.plan(big), big, now=1.0)
     assert tm.resident_bytes == 11 * BPB
     victims = tm.pick_victims()
     # Tenant 1 is the LRU head but far below average footprint; the
@@ -135,11 +140,11 @@ def test_spilling_tenant_rejects_submissions_until_sealed(tmp_path):
     tm = TenantManager(n_shards=2, resident_bytes=2 * BPB,
                        bytes_per_branch=BPB, spill_dir=str(tmp_path))
     batch = make_batch(0, [(1, pc) for pc in range(4)])
-    tm.commit(tm.plan(batch, now=0.0), batch, now=0.0)
+    tm.commit(tm.plan(batch), batch, now=0.0)
     (victim,) = tm.pick_victims()
     assert victim == 1
     # Mid-spill: new submissions for the victim bounce retryably.
-    plan = tm.plan(make_batch(1, [(1, 99)], start_instr=10), now=1.0)
+    plan = tm.plan(make_batch(1, [(1, 99)], start_instr=10))
     assert plan.reject_kind == "spilling"
     assert plan.reject_tenant == 1
     # Shard contributions seal the blob; the last one completes it.
@@ -157,13 +162,13 @@ def test_restore_on_touch_roundtrips_states(tmp_path):
     tm = TenantManager(n_shards=1, resident_bytes=2 * BPB,
                        bytes_per_branch=BPB, spill_dir=str(tmp_path))
     batch = make_batch(0, [(1, pc) for pc in range(4)])
-    tm.commit(tm.plan(batch, now=0.0), batch, now=0.0)
+    tm.commit(tm.plan(batch), batch, now=0.0)
     tm.pick_victims()
     spilled = states_for(1, [3, 1, 0, 2])  # unsorted on purpose
     tm.spill_contribution(1, spilled)
     # The next touch plans a restore carrying the states back, sorted.
     touch = make_batch(1, [(1, 7)], start_instr=10)
-    plan = tm.plan(touch, now=2.0)
+    plan = tm.plan(touch)
     assert plan.reject_kind is None
     assert [t for t, _ in plan.restores] == [1]
     restored = plan.restores[0][1]
@@ -176,28 +181,12 @@ def test_restore_on_touch_roundtrips_states(tmp_path):
     tm.close()
 
 
-def test_take_spilled_is_the_synchronous_restore(tmp_path):
-    tm = TenantManager(n_shards=1, resident_bytes=BPB,
-                       bytes_per_branch=BPB, spill_dir=str(tmp_path))
-    batch = make_batch(0, [(1, 0), (1, 1)])
-    tm.commit(tm.plan(batch, now=0.0), batch, now=0.0)
-    tm.pick_victims()
-    tm.spill_contribution(1, states_for(1, [0, 1]))
-    assert tm.take_spilled(5, now=1.0) is None  # never spilled
-    states = tm.take_spilled(1, now=1.0)
-    assert states == states_for(1, [0, 1])
-    assert not tm.is_spilled(1)
-    assert tm.restores == 1
-    assert tm.take_spilled(1, now=1.0) is None  # already resident
-    tm.close()
-
-
 def test_export_install_spilled_roundtrip(tmp_path):
     tm = TenantManager(n_shards=1, resident_bytes=1,
                        bytes_per_branch=BPB,
                        spill_dir=str(tmp_path / "a"))
     batch = make_batch(0, [(1, 0), (1, 1), (2, 0)])
-    tm.commit(tm.plan(batch, now=0.0), batch, now=0.0)
+    tm.commit(tm.plan(batch), batch, now=0.0)
     tm.pick_victims()
     tm.spill_contribution(1, states_for(1, [0, 1]))
     tm.spill_contribution(2, states_for(2, [0]))
@@ -293,9 +282,9 @@ class _ManagerModel:
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_manager_matches_set_model(data):
-    """Random commits, victim picks with per-shard contributions,
-    restores carried by plans and synchronous ``take_spilled`` keep
-    the sorted key index's accounting equal to per-tenant sets."""
+    """Random commits, victim picks with per-shard contributions and
+    restores carried by plans keep the sorted key index's accounting
+    equal to per-tenant sets."""
     n_shards = data.draw(st.integers(1, 3), label="shards")
     budget = data.draw(st.integers(2, 12), label="budget") * BPB
     tm = TenantManager(n_shards=n_shards, resident_bytes=budget,
@@ -306,14 +295,14 @@ def test_manager_matches_set_model(data):
     try:
         for _ in range(data.draw(st.integers(1, 30), label="steps")):
             op = data.draw(st.sampled_from(
-                ("commit", "commit", "pick", "contribute", "take")))
+                ("commit", "commit", "pick", "contribute", "restore")))
             if op == "commit":
                 pairs = data.draw(st.lists(
                     st.tuples(tenant, st.integers(0, 7)),
                     min_size=1, max_size=10))
                 batch = make_batch(seq, pairs, start_instr=seq * 100)
                 seq += 1
-                plan = tm.plan(batch, now=float(seq))
+                plan = tm.plan(batch)
                 if any(t in model.spilling for t, _ in pairs):
                     assert plan.reject_kind == "spilling"
                     continue
@@ -339,10 +328,17 @@ def test_manager_matches_set_model(data):
                         {"branch": k, "deployed": False}
                         for k in sorted(keys)]
                     model.spills += 1
-            elif op == "take":
-                t = data.draw(tenant)
-                want = model.restore(t) if t in model.spilled else None
-                assert tm.take_spilled(t, now=float(seq)) == want
+            elif op == "restore" and model.spilled:
+                # A batch touching a spilled tenant brings it back
+                # through its plan and commit.
+                t = data.draw(st.sampled_from(sorted(model.spilled)))
+                pairs = [(t, data.draw(st.integers(0, 7)))]
+                batch = make_batch(seq, pairs, start_instr=seq * 100)
+                seq += 1
+                plan = tm.plan(batch)
+                assert plan.restores == [(t, model.spilled[t])]
+                model.commit(pairs)
+                tm.commit(plan, batch, now=float(seq))
             assert tm.resident_bytes == model.total()
             assert tm.peak_resident_bytes == model.peak
             assert {t: res.bytes for t, res in tm._lru.items()} == {

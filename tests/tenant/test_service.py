@@ -12,12 +12,13 @@ from __future__ import annotations
 import asyncio
 import gzip
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.config import scaled_config
-from repro.serve.events import EventBatch
+from repro.serve.events import EventBatch, iter_trace_batches
 from repro.serve.service import (
     BackpressureError,
     QuotaExceededError,
@@ -26,6 +27,9 @@ from repro.serve.service import (
 )
 from repro.serve.snapshot import load_snapshot, save_snapshot
 from repro.tenant.keys import TENANT_SHIFT
+from repro.trace.spec2000 import load_trace
+from repro.trace.synthetic import with_tenants
+from tests.conftest import model_states
 
 BPB = 512
 
@@ -135,17 +139,9 @@ def test_spill_restore_is_bit_exact(obs, n_shards):
         stats = service.tenant_stats()
         assert stats["spills"] > 0, "budget never forced a spill"
         assert stats["restores"] > 0, "no tenant was ever recalled"
-        # Recall everything still cold (the synchronous restore path),
-        # then compare against the run where nothing ever moved.
-        probe = EventBatch(
-            seq=10_000,
-            pcs=np.zeros(len(tenants), dtype=np.int32),
-            taken=np.zeros(len(tenants), dtype=bool),
-            instrs=np.zeros(len(tenants), dtype=np.int64),
-            tenants=np.array(tenants, dtype=np.uint32))
-        service._ensure_resident(probe)
-        assert service.tenant_stats()["spilled_tenants"] == 0
-        return controller_states(service)
+        # Resident and cold tenants together against the run where
+        # nothing ever moved.
+        return model_states(service)
 
     budgeted = run_service(
         batches,
@@ -158,7 +154,8 @@ def test_spill_restore_is_bit_exact(obs, n_shards):
 
 def test_restored_tenant_decisions_match(tmp_path):
     """should_speculate answers identically after a spill/restore
-    round-trip (deployed-code view survives the blob)."""
+    round-trip (deployed-code view survives the blob), and a cold
+    tenant's blob keeps the answer it will come back with."""
     tenants = [1, 2, 3]
     batches = mixed_batches(4_000, tenants, 30, seed=2)
     base = ServiceConfig(n_shards=2)
@@ -171,13 +168,11 @@ def test_restored_tenant_decisions_match(tmp_path):
     reference = run_service(batches, base, after=decisions)
 
     def after(service):
-        probe = EventBatch(
-            seq=10_000, pcs=np.zeros(3, dtype=np.int32),
-            taken=np.zeros(3, dtype=bool),
-            instrs=np.zeros(3, dtype=np.int64),
-            tenants=np.array(tenants, dtype=np.uint32))
-        service._ensure_resident(probe)
-        return decisions(service)
+        assert service.tenant_stats()["restores"] > 0
+        answers = decisions(service)
+        for spilled in service._export_tenants().values():
+            answers.update((s["branch"], s["deployed"]) for s in spilled)
+        return answers
 
     budgeted = run_service(
         batches, ServiceConfig(n_shards=2, tenant_resident_bytes=6 * BPB,
@@ -231,10 +226,7 @@ def test_worker_mode_spill_restore_matches_in_process():
                                   for tenant, pc in keys])
         stats = service.tenant_stats()
         assert stats["spills"] > 0 and stats["restores"] > 0
-        states = controller_states(service)
-        for spilled in service._export_tenants().values():
-            states.update((s["branch"], s) for s in spilled)
-        return decisions, states
+        return decisions, model_states(service)
 
     local_decisions, local_states = asyncio.run(run(0))
     worker_decisions, worker_states = asyncio.run(run(2))
@@ -247,8 +239,9 @@ def test_resharded_restore_spills_whole_tenants(tmp_path):
     """A snapshot restored onto a different shard count holds each
     tenant's controllers exactly where a spill finds them: after every
     drained batch no spilled tenant keeps a controller in any shard,
-    and its branches answer False; recalled, every state equals an
-    unbudgeted restore of the same snapshot fed the same batches."""
+    and its branches answer False; resident and spilled states together
+    equal an unbudgeted restore of the same snapshot fed the same
+    batches."""
     tenants = [1, 2, 3]
     snap = tmp_path / "two-shards.json.gz"
 
@@ -277,14 +270,7 @@ def test_resharded_restore_spills_whole_tenants(tmp_path):
                 await submit_retry(service, batch)
                 await service.drain()
                 check(service)
-            probe = EventBatch(
-                seq=batches[-1].seq + 1,
-                pcs=np.zeros(len(tenants), dtype=np.int32),
-                taken=np.zeros(len(tenants), dtype=bool),
-                instrs=np.zeros(len(tenants), dtype=np.int64),
-                tenants=np.array(tenants, dtype=np.uint32))
-            service._ensure_resident(probe)
-            return controller_states(service)
+        return model_states(service)
 
     def cold_tenants_are_gone(service):
         spilled = set(service._tenants._store.tenants())
@@ -482,13 +468,81 @@ def test_wal_recovery_replays_tenant_traffic_bit_identically(tmp_path):
     asyncio.run(crash())
     recovered, report = recover_service(wal_dir, snapshot=snap)
     assert report.replayed_batches == len(batches) - half
-    probe = EventBatch(
-        seq=10_000, pcs=np.zeros(len(tenants), dtype=np.int32),
-        taken=np.zeros(len(tenants), dtype=bool),
-        instrs=np.zeros(len(tenants), dtype=np.int64),
-        tenants=np.array(tenants, dtype=np.uint32))
-    recovered._ensure_resident(probe)
-    assert controller_states(recovered) == reference
+    assert model_states(recovered) == reference
+
+
+def test_replay_spills_and_restores_like_live_ingest():
+    """Logged batches take the live path's residency steps: replayed
+    through ``apply_logged`` onto the v7 fixture, the tail keeps the
+    resident set within the snapshot's budget after every batch, and
+    ends with the tenant stats, resident and spilled states and
+    metrics of the same batches submitted to a started service
+    restored from the fixture and drained after each batch."""
+    # The committed v7 snapshot holds 10,240 gzip events (seq 0-9) over
+    # 4 tenants; its tail here spreads the same trace over 16.
+    fixture = (Path(__file__).parents[1] / "serve" / "data"
+               / "snapshot-v7.json.gz")
+    trace = with_tenants(load_trace("gzip", length=60_000), 16, seed=7)
+    batches = [batch for batch in iter_trace_batches(trace, 1024)
+               if batch.seq > 9]
+    replayed = load_snapshot(fixture)
+    budget = replayed.tenant_stats()["resident_budget"]
+    assert budget == 40 * BPB
+    for batch in batches:
+        replayed.apply_logged(batch)
+        assert replayed.tenant_stats()["resident_bytes"] <= budget
+        assert len(controller_states(replayed)) * BPB <= budget
+
+    async def submitted():
+        service = load_snapshot(fixture)
+        async with service:
+            for batch in batches:
+                service.submit_nowait(batch)
+                await service.drain()
+        return service
+
+    live = asyncio.run(submitted())
+    stats = replayed.tenant_stats()
+    assert stats["spills"] > 0 and stats["restores"] > 0
+    assert stats == live.tenant_stats()
+    assert model_states(replayed) == model_states(live)
+    assert replayed.metrics() == live.metrics()
+
+
+def test_replay_neither_rejects_nor_charges_quotas(tmp_path):
+    """Quotas are live admission only: a WAL tail for one tenant far
+    beyond its burst recovers onto a snapshot whose knobs carry a
+    quota without a rejection, and leaves that tenant's bucket full
+    for its next submission."""
+    from repro.wal.recovery import recover_service
+    from repro.wal.writer import WalWriter
+
+    snap = tmp_path / "quota.json.gz"
+    save_snapshot(snap, SpeculationService(scaled_config(),
+                                           ServiceConfig(n_shards=2)))
+    state = json.loads(gzip.decompress(snap.read_bytes()))
+    state["service_config"].update(tenant_quota_rate=1.0,
+                                   tenant_quota_burst=256)
+    snap.write_bytes(gzip.compress(json.dumps(state).encode()))
+    batches = mixed_batches(2_048, [5], 30, seed=3)
+    wal_dir = tmp_path / "wal"
+    writer = WalWriter(wal_dir)
+    for batch in batches[:-1]:
+        writer.append(batch)
+    writer.close()
+
+    recovered, report = recover_service(wal_dir, snapshot=snap)
+    assert report.replayed_batches == len(batches) - 1
+
+    async def submit_burst():
+        async with recovered:
+            recovered.submit_nowait(batches[-1])  # a full burst
+            await recovered.drain()
+
+    asyncio.run(submit_burst())
+    recovered._wal.close()
+    assert recovered.last_seq == batches[-1].seq
+    assert recovered.tenant_stats()["quota_rejections"] == 0
 
 
 # -- snapshots -------------------------------------------------------------
