@@ -240,6 +240,11 @@ class ColumnarBank:
             decisions.setdefault(pc, False)
         return np.arange(base, base + m, dtype=np.int64)
 
+    @property
+    def keys(self) -> np.ndarray:
+        """Every live key, ascending."""
+        return self._keys
+
     def key_range(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """The live keys in ``[lo, hi]`` (ascending) and their rows."""
         a = int(np.searchsorted(self._keys, lo, side="left"))

@@ -441,10 +441,7 @@ class SpeculationService:
         """
         if self._fatal is not None:
             raise self._fatal
-        if batch.seq <= self._last_seq:
-            raise SequenceError(
-                f"batch seq {batch.seq} not greater than last accepted "
-                f"seq {self._last_seq}")
+        self._check_seq(batch)
         if self._quiescing:
             # A snapshot is quiescing the service; intake reopens once
             # it is written.  Backpressure keeps retries idempotent.
@@ -766,6 +763,7 @@ class SpeculationService:
         """
         if self._running:
             raise RuntimeError("apply_logged requires a stopped service")
+        self._check_seq(batch)
         plan = self._plan(batch)
         shards = self.bank.shards
         if plan is not None:
@@ -788,6 +786,14 @@ class SpeculationService:
                     tm.spill_contribution(victim, shard.spill_tenant(victim))
         return results
 
+    def _check_seq(self, batch: EventBatch) -> None:
+        """Raise :class:`SequenceError` unless ``batch`` is newer than
+        every batch already accepted."""
+        if batch.seq <= self._last_seq:
+            raise SequenceError(
+                f"batch seq {batch.seq} not greater than last accepted "
+                f"seq {self._last_seq}")
+
     # -- tenant plumbing ------------------------------------------------
     def _plan(self, batch: EventBatch) -> AdmissionPlan | None:
         """The tenant plan for ``batch``, live or logged (None: no
@@ -808,12 +814,19 @@ class SpeculationService:
                 if self._tenants is not None else {})
 
     def _install_tenants(self, spilled: dict) -> None:
-        """Seed the spill store from a snapshot's tenants section."""
-        if not spilled:
-            return
-        if self._tenants is None:
-            self._tenants = self._make_tenant_manager()
-        self._tenants.install_spilled(spilled)
+        """Seed the tenant manager from a loaded snapshot: the spill
+        store from its tenants section, the resident set from the
+        controllers the bank holds."""
+        tm = self._tenants
+        if spilled:
+            if tm is None:
+                tm = self._tenants = self._make_tenant_manager()
+            tm.install_spilled(spilled)
+        if tm is not None:
+            tm.install_resident(
+                np.concatenate([shard.col.keys
+                                for shard in self.bank.shards]),
+                monotonic())
 
     def tenant_stats(self) -> dict | None:
         """Tenant-manager counters (None when no tenant state exists)."""

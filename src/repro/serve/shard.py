@@ -335,7 +335,8 @@ class ShardedBank:
 
         One stable sort on the destination id, then contiguous view
         slices per shard — cheaper than a boolean-mask pass per shard
-        and zero-copy downstream.
+        and zero-copy downstream.  The ids are sorted in the narrowest
+        type that holds every shard number, which numpy radix-sorts.
         """
         # Tenant-bearing batches route (and apply) by packed int64 key;
         # tenant-less batches keep their bare int32 PCs, which *are*
@@ -343,7 +344,8 @@ class ShardedBank:
         ids = batch.pcs if batch.tenants is None else batch.keys()
         if self.n_shards == 1:
             return [_Partition(0, ids, batch.taken, batch.instrs)]
-        dest = shard_ids(ids, self.n_shards)
+        dest = shard_ids(ids, self.n_shards).astype(
+            np.min_scalar_type(self.n_shards - 1))
         order = np.argsort(dest, kind="stable")
         dest = dest[order]
         pcs = ids[order]

@@ -383,6 +383,19 @@ class TenantManager:
             store.put(int(tenant), seal_states(states))
         self._update_gauges()
 
+    def install_resident(self, keys: np.ndarray, now: float) -> None:
+        """Account a restored bank's controllers (packed ``keys``) as
+        :meth:`commit` would: touch their tenants in ascending id — a
+        snapshot keeps no recency order — and, under a budget, charge
+        the keys to their tenants' footprints."""
+        for tenant in sorted_unique(keys >> TENANT_SHIFT).tolist():
+            self._touch(tenant, now)
+        if self.resident_bytes_budget is not None:
+            self._add_keys(keys)
+            self.peak_resident_bytes = max(self.peak_resident_bytes,
+                                           self.resident_bytes)
+        self._update_gauges()
+
     # -- views ----------------------------------------------------------
     def spilled_count(self) -> int:
         return len(self._store) if self._store is not None else 0

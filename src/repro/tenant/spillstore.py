@@ -123,13 +123,6 @@ class SpillStore:
         self.live_bytes -= dead
         self._maybe_compact()
 
-    def pop(self, tenant: int) -> bytes | None:
-        """:meth:`get` + :meth:`remove` in one step."""
-        blob = self.get(tenant)
-        if blob is not None:
-            self.remove(tenant)
-        return blob
-
     def export(self) -> dict[int, bytes]:
         """All live blobs (snapshot embedding)."""
         return {tenant: self.get(tenant) for tenant in list(self._index)}

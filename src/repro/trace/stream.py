@@ -20,6 +20,13 @@ from repro.trace.model import BenchmarkModel, Region
 
 __all__ = ["Trace", "BranchGroups", "generate_trace"]
 
+#: Region visits drawn per generator round.  Part of the random stream:
+#: changing it changes every generated trace.
+_VISIT_BATCH = 1024
+#: Events written per step of :func:`_emit_visits`, which bounds its
+#: temporaries whatever the trip counts.
+_EVENT_WINDOW = 1 << 16
+
 
 @dataclass(frozen=True)
 class BranchGroups:
@@ -112,13 +119,15 @@ class Trace:
     def groups(self) -> BranchGroups:
         """Per-branch grouping (computed once, then cached)."""
         if self._groups is None:
-            order = np.argsort(self.branch_ids, kind="stable")
-            sorted_ids = self.branch_ids[order]
-            unique_ids, starts, counts = np.unique(
-                sorted_ids, return_index=True, return_counts=True)
+            ids = self.branch_ids
+            order = np.argsort(ids.astype(_narrowest(ids), copy=False),
+                               kind="stable")
+            sorted_ids = ids[order]
+            starts = np.flatnonzero(np.concatenate(
+                ([True], sorted_ids[1:] != sorted_ids[:-1])))
             self._groups = BranchGroups(
-                unique_ids=unique_ids, order=order,
-                starts=starts, counts=counts)
+                unique_ids=sorted_ids[starts], order=order, starts=starts,
+                counts=np.diff(starts, append=len(ids)))
         return self._groups
 
     def validate(self) -> None:
@@ -147,6 +156,17 @@ class Trace:
                      else self.tenants[start:stop]))
 
 
+def _narrowest(ids: np.ndarray) -> np.dtype:
+    """The narrowest integer type that holds every value of ``ids``.
+
+    A stable argsort radix-sorts 8- and 16-bit integers (timsort
+    otherwise), and a cast that loses no value keeps the permutation,
+    so small-range ids sort in linear time.
+    """
+    return np.promote_types(np.min_scalar_type(int(ids.min())),
+                            np.min_scalar_type(int(ids.max())))
+
+
 def _region_slot_gaps(region: Region) -> np.ndarray:
     """Instruction advance per branch slot in one iteration of a region.
 
@@ -166,7 +186,11 @@ def generate_trace(model: BenchmarkModel, length: int,
                    seed: int | np.random.Generator = 0) -> Trace:
     """Realize ``model`` into a trace of exactly ``length`` branch events.
 
-    Deterministic for a given ``(model, length, seed)``.
+    Deterministic for a given ``(model, length, seed)``.  Visits are
+    drawn 1,024 at a time (one ``choice`` for their regions, one
+    ``geometric`` for their trip counts), and the visit that completes
+    the trace is the last whose trip count is drawn: the outcome draws
+    continue the same stream from there.
     """
     if length <= 0:
         raise ValueError("length must be positive")
@@ -176,31 +200,39 @@ def generate_trace(model: BenchmarkModel, length: int,
     regions = [r for r in model.regions if r.weight > 0.0]
     weights = np.array([r.weight for r in regions], dtype=np.float64)
     weights /= weights.sum()
-    slot_ids = [np.array([b.branch_id for b in r.branches], dtype=np.int32)
-                for r in regions]
-    slot_gaps = [_region_slot_gaps(r) for r in regions]
+    p_trip = 1.0 / np.array([r.mean_trip_count for r in regions],
+                            dtype=np.float64)
+    # Every region's slots, flattened: slot j of region r is entry
+    # ``slot_base[r] + j`` of the slot id and gap tables.
+    n_slots = np.array([len(r.branches) for r in regions], dtype=np.int64)
+    slot_base = np.cumsum(n_slots) - n_slots
+    slot_ids = np.array([b.branch_id for r in regions for b in r.branches],
+                        dtype=np.int32)
+    slot_gaps = np.concatenate([_region_slot_gaps(r) for r in regions])
 
-    id_chunks: list[np.ndarray] = []
-    gap_chunks: list[np.ndarray] = []
+    branch_ids = np.empty(length, dtype=np.int32)
+    instrs = np.empty(length, dtype=np.int64)   # gaps until the cumsum
     emitted = 0
-    batch = 1024
     while emitted < length:
-        region_draws = rng.choice(len(regions), size=batch, p=weights)
-        # Geometric trip counts with the configured means (>= 1 each).
-        for ridx in region_draws:
-            region = regions[ridx]
-            trips = int(rng.geometric(1.0 / region.mean_trip_count))
-            ids = np.tile(slot_ids[ridx], trips)
-            gaps = np.tile(slot_gaps[ridx], trips)
-            id_chunks.append(ids)
-            gap_chunks.append(gaps)
-            emitted += len(ids)
-            if emitted >= length:
-                break
-
-    branch_ids = np.concatenate(id_chunks)[:length]
-    gaps = np.concatenate(gap_chunks)[:length]
-    instrs = np.cumsum(gaps)
+        visits = rng.choice(len(regions), size=_VISIT_BATCH, p=weights)
+        # An array-parameter geometric draws element by element, so one
+        # call draws what one scalar call per visit would.
+        state = rng.bit_generator.state
+        trips = rng.geometric(p_trip[visits])
+        ends = emitted + np.cumsum(trips * n_slots[visits])
+        last = int(np.searchsorted(ends, length))
+        if last < _VISIT_BATCH - 1:
+            # Visit ``last`` completes the trace: rewind and redraw just
+            # the trips up to it, so the outcome draws start where they
+            # would after a per-visit loop that stops there.
+            rng.bit_generator.state = state
+            visits = visits[:last + 1]
+            rng.geometric(p_trip[visits])
+            ends = ends[:last + 1]
+        _emit_visits(branch_ids, instrs, emitted, ends,
+                     slot_base[visits], n_slots[visits], slot_ids, slot_gaps)
+        emitted = int(ends[-1])
+    np.cumsum(instrs, out=instrs)
 
     taken = np.zeros(length, dtype=bool)
     trace = Trace(
@@ -215,3 +247,28 @@ def generate_trace(model: BenchmarkModel, length: int,
         p = pattern.p_taken(exec_idx, instrs[idx])
         taken[idx] = rng.random(len(idx)) < p
     return trace
+
+
+def _emit_visits(branch_ids: np.ndarray, gaps: np.ndarray, start: int,
+                 ends: np.ndarray, base: np.ndarray, n_slots: np.ndarray,
+                 slot_ids: np.ndarray, slot_gaps: np.ndarray) -> None:
+    """Write the events of consecutive visits from event ``start`` on.
+
+    Visit ``v`` covers events ``[ends[v - 1], ends[v])`` (the first
+    from ``start``) and emits its region's slots ``base[v] ..
+    base[v] + n_slots[v] - 1`` cyclically; events past the arrays' end
+    are dropped.  Temporaries span at most :data:`_EVENT_WINDOW` events.
+    """
+    begins = np.concatenate(([start], ends[:-1]))
+    stop = min(int(ends[-1]), len(branch_ids))
+    for lo in range(start, stop, _EVENT_WINDOW):
+        hi = min(lo + _EVENT_WINDOW, stop)
+        first = int(np.searchsorted(ends, lo, side="right"))
+        past = int(np.searchsorted(begins, hi))
+        spans = (np.minimum(ends[first:past], hi)
+                 - np.maximum(begins[first:past], lo))
+        visit = np.repeat(np.arange(first, past), spans)
+        slot = base[visit] + (np.arange(lo, hi) - begins[visit]) \
+            % n_slots[visit]
+        branch_ids[lo:hi] = slot_ids[slot]
+        gaps[lo:hi] = slot_gaps[slot]

@@ -22,6 +22,7 @@ from repro.serve.events import EventBatch, iter_trace_batches
 from repro.serve.service import (
     BackpressureError,
     QuotaExceededError,
+    SequenceError,
     ServiceConfig,
     SpeculationService,
 )
@@ -507,6 +508,41 @@ def test_replay_spills_and_restores_like_live_ingest():
     assert stats == live.tenant_stats()
     assert model_states(replayed) == model_states(live)
     assert replayed.metrics() == live.metrics()
+
+
+def test_apply_logged_refuses_a_stale_seq():
+    """A logged batch at or below the service's last seq raises before
+    anything is planned, restored or applied, as a live one does."""
+    fixture = (Path(__file__).parents[1] / "serve" / "data"
+               / "snapshot-v7.json.gz")
+    service = load_snapshot(fixture)
+    assert service.last_seq == 9
+    trace = with_tenants(load_trace("gzip", length=60_000), 16, seed=7)
+    stale = next(iter_trace_batches(trace, 1024))
+    assert stale.seq == 0
+    applied = service.bank.events_applied
+    stats = service.tenant_stats()
+    with pytest.raises(SequenceError):
+        service.apply_logged(stale)
+    assert service.bank.events_applied == applied
+    assert service.last_seq == 9
+    assert service.tenant_stats() == stats
+
+
+def test_loaded_snapshot_counts_resident_tenants():
+    """The tenants resident at a checkpoint count against the budget
+    from the moment the snapshot loads: the v7 fixture's bank holds 28
+    controllers, all of tenant 3, beside its three spilled tenants."""
+    fixture = (Path(__file__).parents[1] / "serve" / "data"
+               / "snapshot-v7.json.gz")
+    service = load_snapshot(fixture)
+    keys = [c["branch"] for shard in service.bank.export_state()["shards"]
+            for c in shard["bank"]]
+    assert len(keys) == 28 and {k >> TENANT_SHIFT for k in keys} == {3}
+    stats = service.tenant_stats()
+    assert stats["resident_tenants"] == 1
+    assert stats["resident_bytes"] == 28 * BPB
+    assert stats["spilled_tenants"] == 3
 
 
 def test_replay_neither_rejects_nor_charges_quotas(tmp_path):

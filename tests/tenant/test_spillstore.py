@@ -1,23 +1,22 @@
-"""The append-only spill log: put/get/pop, reopen, compaction."""
+"""The append-only spill log: put/get/remove, reopen, compaction."""
 
 import pytest
 
 from repro.tenant.spillstore import SpillStore
 
 
-def test_put_get_pop_remove(tmp_path):
+def test_put_get_remove(tmp_path):
     store = SpillStore(tmp_path)
     assert len(store) == 0
     assert store.get(7) is None
-    assert store.pop(7) is None
     store.put(7, b"seven")
     store.put(8, b"eight")
     assert len(store) == 2
     assert 7 in store and 8 in store and 9 not in store
     assert store.get(7) == b"seven"
     assert store.get(7) == b"seven"  # get does not remove
-    assert store.pop(7) == b"seven"
-    assert 7 not in store
+    store.remove(7)
+    assert 7 not in store and store.get(7) is None
     store.remove(8)
     store.remove(8)  # idempotent
     assert len(store) == 0
