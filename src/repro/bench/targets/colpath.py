@@ -140,9 +140,11 @@ class _LoopShard:
         self.incorrect += incorrect
         return self._result(
             shard=0, events=n, correct=correct, incorrect=incorrect,
-            changed=tuple(changed),
-            changed_deployed=tuple(self.decisions[pc] for pc in changed),
-            last_instr=self.last_instr, transitions=tuple(fired))
+            changed=np.array(changed, dtype=np.int64),
+            changed_deployed=np.array([self.decisions[pc] for pc in changed],
+                                      dtype=bool),
+            last_instr=self.last_instr,
+            transitions=np.array(fired, dtype=np.int64).reshape(-1, 4).T)
 
     def export_state(self) -> dict:
         """``BankShard.export_state`` of the same shard."""
@@ -160,16 +162,16 @@ def _drive(columnar: bool, pcs, taken, instrs, batch_events: int,
              else _LoopShard(BENCH_CONFIG))
     shard.capture = capture
     n = len(pcs)
-    fired: list = []
+    fired: list[np.ndarray] = []
     started = time.perf_counter()
     for lo in range(0, n, batch_events):
         hi = min(n, lo + batch_events)
         res = shard.apply(pcs[lo:hi], taken[lo:hi], instrs[lo:hi])
         if capture:
-            fired.extend(res.transitions)
+            fired.append(res.transitions)
     elapsed = time.perf_counter() - started
     if capture:
-        return n / elapsed, shard, fired
+        return n / elapsed, shard, np.concatenate(fired, axis=1)
     return n / elapsed, shard
 
 
@@ -278,7 +280,9 @@ def run_colpath_bench(events: int = 400_000, batch_events: int = 8_192,
                                        batch_events, capture=True)
     _, col_shard, col_fired = _drive(True, pcs, taken, instrs,
                                      batch_events, capture=True)
-    capture_exact = (sorted(col_fired) == sorted(loop_fired)
+    # Both blocks' columns, as sorted (key, arc, exec, instr) tuples.
+    capture_exact = (sorted(zip(*col_fired.tolist()))
+                     == sorted(zip(*loop_fired.tolist()))
                      and col_shard.export_state()
                      == loop_shard.export_state())
     if not capture_exact:

@@ -349,17 +349,16 @@ class MisspecDetector:
                 self._evict_marks.popleft()
             self._update_verdict()
 
-    def observe_transitions(self, transitions) -> None:
+    def observe_transitions(self, transitions: np.ndarray) -> None:
         """Consume exact FSM arcs: SELECT deploys a PC into flip
         tracking, EVICT closes it and records time-to-evict.
 
-        Accepts ``(pc, arc_code, exec_index, instr)`` tuples — the
-        shape :class:`~repro.serve.shard.ShardApplyResult` carries.
+        Takes the ``[4, n]`` arc block a
+        :class:`~repro.serve.shard.ShardApplyResult` carries.
         """
         with self._lock:
-            for pc, arc, exec_index, _instr in transitions:
+            for key, arc, exec_index, _instr in zip(*transitions.tolist()):
                 if arc == _SELECT:
-                    key = int(pc)
                     self._deployed.add(key)
                     slot = self._slot(key)
                     if not self._dir[slot]:
@@ -368,7 +367,6 @@ class MisspecDetector:
                     self._dir[slot] = 3
                     self._onset[slot] = -1
                 elif arc == _EVICT:
-                    key = int(pc)
                     self._evict_marks.append(self._total_events)
                     if key not in self._deployed:
                         continue
@@ -380,7 +378,7 @@ class MisspecDetector:
                         self._armed_arr = None
                     onset = int(self._onset[slot])
                     if onset >= 0:
-                        self._record_tte(key, int(exec_index) - onset)
+                        self._record_tte(key, exec_index - onset)
             self._g_deployed.set(len(self._deployed))
             self._update_verdict()
 

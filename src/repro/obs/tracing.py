@@ -33,7 +33,8 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+
+import numpy as np
 
 from repro.obs.metrics import MetricsRegistry
 from repro.tenant.keys import mix64
@@ -145,12 +146,10 @@ class TransitionTrace:
                 exec_index=exec_index, instr=instr))
             self._next_seq += 1
 
-    def extend(self, transitions: Iterable[tuple[int, int, int, int]],
-               ) -> None:
-        """Record a batch of ``(pc, arc_code, exec_index, instr)``
-        tuples — the shape :class:`~repro.serve.shard.ShardApplyResult`
-        carries."""
-        for pc, code, exec_index, instr in transitions:
+    def extend(self, transitions: np.ndarray) -> None:
+        """Record the ``[4, n]`` arc block a
+        :class:`~repro.serve.shard.ShardApplyResult` carries."""
+        for pc, code, exec_index, instr in zip(*transitions.tolist()):
             self.record(pc, code, exec_index, instr)
 
     # -- views ----------------------------------------------------------

@@ -438,32 +438,30 @@ class ColumnarBank:
     # -- the per-branch kernel ------------------------------------------
     def _kernel_segment(self, row: int, taken: np.ndarray,
                         instrs: np.ndarray, capture: bool,
-                        fired: list[tuple[int, int, int, int]],
-                        ) -> tuple[int, int]:
+                        fired: list[np.ndarray]) -> tuple[int, int]:
         """One segment through :func:`apply_chunk` on a controller built
         from the row, then written back."""
         ctrl = self._controller_of(row)
         c, x = apply_chunk(ctrl, taken, instrs)
         if capture and ctrl.transitions:
-            fired.extend((ctrl.branch, ARC_CODE[t.kind.value],
-                          t.exec_index, t.instr) for t in ctrl.transitions)
+            fired.append(np.array(
+                [(ctrl.branch, ARC_CODE[t.kind.value], t.exec_index, t.instr)
+                 for t in ctrl.transitions], dtype=np.int64).T)
         self._store(row, ctrl)
         return c, x
 
     # -- batched boundary arcs ------------------------------------------
     def _log_arcs(self, rows: np.ndarray, codes: np.ndarray,
                   fexec: np.ndarray, finstr: np.ndarray, capture: bool,
-                  fired: list[tuple[int, int, int, int]]) -> None:
+                  fired: list[np.ndarray]) -> None:
         """Append one arc per row to the rows' logs (and the capture)."""
-        codes = codes.tolist()
-        fexec = fexec.tolist()
-        finstr = finstr.tolist()
-        log = self.log
-        for row, code, e, ins in zip(rows.tolist(), codes, fexec, finstr):
-            log[row].append((ARCS[code], e, ins))
         if capture:
-            fired.extend(zip(self.pc[rows].tolist(), codes, fexec, finstr))
-        self.arcs_fast += len(codes)
+            fired.append(np.stack((self.pc[rows], codes, fexec, finstr)))
+        log = self.log
+        for row, code, e, ins in zip(rows.tolist(), codes.tolist(),
+                                     fexec.tolist(), finstr.tolist()):
+            log[row].append((ARCS[code], e, ins))
+        self.arcs_fast += len(rows)
 
     def _schedule(self, rows: np.ndarray, when: np.ndarray,
                   speculative: bool, direction: np.ndarray) -> None:
@@ -497,7 +495,7 @@ class ColumnarBank:
 
     def _fire_classify(self, crows: np.ndarray, fexec: np.ndarray,
                        finstr: np.ndarray, capture: bool,
-                       fired: list[tuple[int, int, int, int]]) -> None:
+                       fired: list[np.ndarray]) -> None:
         """Monitor period complete for ``crows``: classify each branch
         (the bias test is :func:`~repro.sim.vector.classify_split`)."""
         cfg = self.config
@@ -521,7 +519,7 @@ class ColumnarBank:
 
     def _fire_revisit(self, rrows: np.ndarray, fexec: np.ndarray,
                       finstr: np.ndarray, capture: bool,
-                      fired: list[tuple[int, int, int, int]]) -> None:
+                      fired: list[np.ndarray]) -> None:
         """Revisit countdown expired for ``rrows``: re-enter MONITOR."""
         self.state[rrows] = _MONITOR
         self.entry[rrows] = fexec + 1
@@ -532,7 +530,7 @@ class ColumnarBank:
 
     def _fire_evict(self, erows: np.ndarray, fexec: np.ndarray,
                     finstr: np.ndarray, capture: bool,
-                    fired: list[tuple[int, int, int, int]]) -> None:
+                    fired: list[np.ndarray]) -> None:
         """Eviction walk crossed its ceiling for ``erows``: evict, and
         queue the repair (non-speculative code)."""
         cfg = self.config
@@ -552,16 +550,17 @@ class ColumnarBank:
     def apply_sorted(self, pcs: np.ndarray, taken: np.ndarray,
                      instrs: np.ndarray, starts: np.ndarray,
                      ends: np.ndarray, capture: bool,
-                     ) -> tuple[int, int, list[int],
-                                list[tuple[int, int, int, int]]]:
-        """Apply a PC-sorted batch; returns (correct, incorrect,
-        changed_pcs, captured_transitions).
+                     ) -> tuple[int, int, np.ndarray, np.ndarray,
+                                np.ndarray]:
+        """Apply a PC-sorted batch; returns (correct, incorrect, changed,
+        changed_deployed, transitions), the arrays of
+        :class:`~repro.serve.shard.ShardApplyResult`.
 
         ``starts``/``ends`` bound the per-PC segments (program order
         preserved within each).  Must not be called with an empty
         batch.
         """
-        fired: list[tuple[int, int, int, int]] = []
+        fired = [np.empty((4, 0), dtype=np.int64)]
         if len(starts) == 1:
             # Single-branch batch: there is nothing for the cross-
             # branch machinery to amortize, and its small-array kernel
@@ -577,9 +576,11 @@ class ColumnarBank:
             self.events_single += len(taken)
             after = self.deployed.item(row)
             if after == before:
-                return c, x, [], fired
+                return (c, x, np.empty(0, dtype=np.int64),
+                        np.empty(0, dtype=bool), np.concatenate(fired, 1))
             self._decisions[pc] = after
-            return c, x, [pc], fired
+            return (c, x, np.array([pc], dtype=np.int64),
+                    np.array([after]), np.concatenate(fired, 1))
         cfg = self.config
         rows = self._intern(pcs[starts].astype(np.int64))
         nseg = len(rows)
@@ -769,8 +770,8 @@ class ColumnarBank:
         # rows alike.
         fin = self.deployed[rows]
         flips = np.flatnonzero(fin != dep0)
-        changed = self.pc[rows[flips]].tolist()
-        decisions = self._decisions
-        for pc, v in zip(changed, fin[flips].tolist()):
-            decisions[pc] = v
-        return correct_delta, incorrect_delta, changed, fired
+        changed = self.pc[rows[flips]]
+        deployed = fin[flips]
+        self._decisions.update(zip(changed.tolist(), deployed.tolist()))
+        return (correct_delta, incorrect_delta, changed, deployed,
+                np.concatenate(fired, 1))

@@ -543,16 +543,16 @@ class SpeculationService:
     async def drain(self) -> None:
         """Wait until every queued event has been applied.
 
-        Raises the pending :class:`~repro.serve.workers.WorkerDiedError`
-        if a shard worker process died while draining.
+        Raises the error of a failed shard operation, such as the
+        :class:`~repro.serve.workers.WorkerDiedError` of a dead worker.
         """
         await asyncio.gather(*(q.join() for q in self._queues))
         if self._fatal is not None:
             raise self._fatal
 
-    def _abandon_shard(self, shard_index: int, err: WorkerDiedError,
+    def _abandon_shard(self, shard_index: int, err: Exception,
                        unfinished: int) -> None:
-        """Latch a worker death and account the shard's queue out.
+        """Latch a failed shard operation and account its queue out.
 
         The shard's events can never be applied, so its ``unfinished``
         dequeued items and everything still queued are marked done,
@@ -570,16 +570,17 @@ class SpeculationService:
             queue.task_done()
         self._queued_events[shard_index] = 0
 
-    def _set_fatal(self, err: WorkerDiedError) -> WorkerDiedError:
-        """Annotate a worker death with the durability watermark plus
-        the exact recovery command, and latch it as the service's
-        terminal error."""
-        err.last_durable_seq = self.last_durable_seq
-        if self.snapshots_written:
-            err.snapshot_path = self.snapshots_written[-1]
-        elif self._restored_from is not None:
-            err.snapshot_path = self._restored_from
-        err.wal_dir = self.service_config.wal_dir
+    def _set_fatal(self, err: Exception) -> Exception:
+        """Latch ``err`` as the service's terminal error.  A worker
+        death is first annotated with the durability watermark plus the
+        exact recovery command."""
+        if isinstance(err, WorkerDiedError):
+            err.last_durable_seq = self.last_durable_seq
+            if self.snapshots_written:
+                err.snapshot_path = self.snapshots_written[-1]
+            elif self._restored_from is not None:
+                err.snapshot_path = self._restored_from
+            err.wal_dir = self.service_config.wal_dir
         if self._fatal is None:
             self._fatal = err
         return err
@@ -623,7 +624,7 @@ class SpeculationService:
             t_send = t_dequeue
             try:
                 result = await pool.apply(shard_index, pcs, taken, instrs)
-            except WorkerDiedError as err:
+            except Exception as err:
                 self._abandon_shard(shard_index, err,
                                     len(parts) + len(jobs))
                 return
@@ -665,7 +666,7 @@ class SpeculationService:
                     det.observe_apply(events, result.correct,
                                       result.incorrect, int(instrs[0]),
                                       int(instrs[-1]))
-                if result.transitions:
+                if result.transitions.shape[1]:
                     if det is not None:
                         det.observe_transitions(result.transitions)
                     self.trace.extend(result.transitions)
@@ -697,7 +698,7 @@ class SpeculationService:
         """Run dequeued spill/restore control jobs on one shard.
 
         Marks each job done on the queue; returns False after latching
-        a fatal worker death.
+        a failed job as the service's fatal error.
         """
         queue = self._queues[shard_index]
         pool = self._pool
@@ -708,7 +709,7 @@ class SpeculationService:
                     self._tenants.spill_contribution(job.tenant, states)
                 else:
                     await pool.restore(shard_index, job.states)
-            except WorkerDiedError as err:
+            except Exception as err:
                 self._abandon_shard(shard_index, err, len(jobs) - i)
                 return False
             queue.task_done()

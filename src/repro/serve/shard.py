@@ -71,32 +71,35 @@ def split_states(states: list[dict], n_shards: int) -> list[list[dict]]:
     return parts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShardApplyResult:
     """Outcome of applying one micro-batch to one shard.
 
     Carries everything a remote supervisor needs to mirror the shard —
     outcome deltas, the instruction high-water mark, and the decision
     flips — so it is also the body of the ``APPLY_RESULT`` wire frame
-    (:mod:`repro.serve.wire`).
+    (:mod:`repro.serve.wire`).  Results hold arrays, so ``==`` is
+    identity; compare fields instead.
     """
 
     shard: int
     events: int
     correct: int
     incorrect: int
-    #: PCs whose deployed-code view flipped during the batch (a SELECT
-    #: or EVICT landed) — exactly the decision-cache invalidation set.
-    changed: tuple[int, ...] = ()
-    #: New deployed-code answer per changed PC (parallel to ``changed``).
-    changed_deployed: tuple[bool, ...] = ()
+    #: Keys (int64) whose deployed-code view flipped during the batch
+    #: (a SELECT or EVICT landed) — the decision-cache invalidation set.
+    changed: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int64))
+    #: New deployed-code answer per changed key (bool).
+    changed_deployed: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=bool))
     #: Shard's instruction stamp high-water mark after the batch.
     last_instr: int = 0
-    #: FSM arc firings during the batch, as ``(pc, arc_code,
-    #: exec_index, instr)`` tuples (arc codes index
-    #: :data:`repro.obs.tracing.ARCS`).  Empty unless the shard's
-    #: ``capture`` flag is on.
-    transitions: tuple[tuple[int, int, int, int], ...] = ()
+    #: FSM arc firings during the batch, an int64 ``[4, n]`` block of
+    #: rows key, arc code (:data:`repro.obs.tracing.ARCS` index), exec
+    #: index and instruction stamp.  Empty unless ``capture`` is on.
+    transitions: np.ndarray = field(
+        default_factory=lambda: np.empty((4, 0), dtype=np.int64))
     #: Wall-clock seconds the apply took where it ran (0.0 when the
     #: shard is not capturing observability data).
     apply_seconds: float = 0.0
@@ -176,7 +179,7 @@ class BankShard:
         ends = np.concatenate((bounds, [n]))
         col = self.col
         f0, b0, s0 = col.events_fast, col.events_fallback, col.events_single
-        correct, incorrect, changed, fired = col.apply_sorted(
+        correct, incorrect, changed, deployed, fired = col.apply_sorted(
             sorted_pcs, sorted_taken, sorted_instrs, starts, ends, capture)
         self.events_applied += n
         self.last_instr = max(self.last_instr, int(instrs[-1]))
@@ -184,9 +187,8 @@ class BankShard:
         self.incorrect += incorrect
         return ShardApplyResult(
             shard=self.index, events=n, correct=correct,
-            incorrect=incorrect, changed=tuple(changed),
-            changed_deployed=tuple(self.decisions[pc] for pc in changed),
-            last_instr=self.last_instr, transitions=tuple(fired),
+            incorrect=incorrect, changed=changed, changed_deployed=deployed,
+            last_instr=self.last_instr, transitions=fired,
             apply_seconds=perf_counter() - t0 if capture else 0.0,
             col_fast=col.events_fast - f0,
             col_fallback=col.events_fallback - b0,
@@ -204,8 +206,9 @@ class BankShard:
         self.correct += result.correct
         self.incorrect += result.incorrect
         self.last_instr = max(self.last_instr, result.last_instr)
-        for pc, deployed in zip(result.changed, result.changed_deployed):
-            self.decisions[pc] = deployed
+        if result.changed.size:
+            self.decisions.update(zip(result.changed.tolist(),
+                                      result.changed_deployed.tolist()))
 
     def should_speculate(self, pc: int) -> bool:
         """Deployed-code view: does the live code speculate on ``pc``?

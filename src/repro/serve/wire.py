@@ -7,19 +7,14 @@ encoding a micro-batch is three ``tobytes`` calls and decoding is three
 zero-copy ``frombuffer`` views; shard and controller state travels as
 zlib-compressed JSON.
 
-Transports carry opaque frame payloads and differ only in framing:
-
-* :class:`PipeTransport` wraps a ``multiprocessing.Pipe`` connection,
-  whose ``send_bytes``/``recv_bytes`` already delimit messages; it is
-  the worker link.  The supervisor sends from an executor thread and
-  receives on a dedicated reader thread per worker
-  (:mod:`repro.serve.workers`), while the worker process just loops
-  ``recv → dispatch → send``;
-* :class:`SocketTransport` wraps a stream socket and adds the
-  explicit ``<uint32 length><payload>`` prefix itself; it carries
-  replication (:mod:`repro.replicate`).
-
-Both are blocking and thread-compatible.
+On a stream, every frame is delimited by a :data:`FRAME_HEADER`
+(``<uint32 length>``) prefix.  :class:`SocketTransport` is the one
+frame transport: a blocking wrapper of a stream socket that adds and
+strips the prefix.  It carries replication (:mod:`repro.replicate`)
+and the worker's end of each worker link, whose process just loops
+``recv → dispatch → send``; the supervisor reads and writes its own
+end of the link, with the same prefix, from the event loop
+(:mod:`repro.serve.workers`).
 
 Frame catalogue (body layouts, all little-endian)::
 
@@ -91,7 +86,7 @@ __all__ = [
     "encode_barrier", "decode_barrier",
     "encode_state_req", "decode_state_req", "encode_state", "decode_state",
     "encode_shutdown", "encode_error", "decode_error", "frame_type",
-    "PipeTransport", "SocketTransport",
+    "FRAME_HEADER", "SocketTransport",
 ]
 
 LOAD = 0x01
@@ -115,7 +110,8 @@ _RESULT = struct.Struct("<BQIQQqIIQQQddd")
 _TICKET = struct.Struct("<BQ")
 _TSPILL = struct.Struct("<BQI")
 _TBLOB = struct.Struct("<BQI")
-_LEN = struct.Struct("<I")
+#: The ``<uint32 length>`` prefix that delimits frames on a stream.
+FRAME_HEADER = struct.Struct("<I")
 
 #: Bytes per event in an APPLY frame: int64 key + uint8 taken + int64 instr.
 _EVENT_BYTES = 8 + 1 + 8
@@ -223,20 +219,23 @@ def encode_apply_result(ticket: int, result: ShardApplyResult,
     frame receipt and apply completion (system-wide on Linux, so they
     compare against parent-side stamps); 0.0 when capture is off.
     """
-    keys = np.asarray(result.changed, dtype=np.int64)
-    deployed = np.asarray(result.changed_deployed, dtype=np.uint8)
-    trans = np.asarray(result.transitions, dtype=np.int64).reshape(-1, 4)
     head = _RESULT.pack(
         APPLY_RESULT, ticket, result.events, result.correct,
-        result.incorrect, result.last_instr, len(keys), len(trans),
-        result.col_fast, result.col_fallback, result.col_single,
-        result.apply_seconds, t_recv, t_done)
-    return head + keys.tobytes() + deployed.tobytes() + trans.T.tobytes()
+        result.incorrect, result.last_instr, len(result.changed),
+        result.transitions.shape[1], result.col_fast, result.col_fallback,
+        result.col_single, result.apply_seconds, t_recv, t_done)
+    return (head
+            + np.ascontiguousarray(result.changed, dtype=np.int64).tobytes()
+            + np.ascontiguousarray(result.changed_deployed,
+                                   dtype=np.uint8).tobytes()
+            + np.ascontiguousarray(result.transitions,
+                                   dtype=np.int64).tobytes())
 
 
 def decode_apply_result(payload: bytes, shard: int,
                         ) -> tuple[int, ShardApplyResult]:
-    """Returns ``(ticket, result)``, ``result`` attributed to ``shard``."""
+    """Returns ``(ticket, result)``, ``result`` attributed to ``shard``;
+    its arrays are zero-copy read-only views into ``payload``."""
     _expect(payload, APPLY_RESULT, "APPLY_RESULT", min_len=_RESULT.size)
     (_, ticket, events, correct, incorrect, last_instr, n_changed,
      n_trans, col_fast, col_fallback, col_single, apply_seconds,
@@ -252,10 +251,9 @@ def decode_apply_result(payload: bytes, shard: int,
                           offset=off + 9 * n_changed).reshape(4, n_trans)
     return ticket, ShardApplyResult(
         shard=shard, events=events, correct=correct, incorrect=incorrect,
-        changed=tuple(keys.tolist()),
-        changed_deployed=tuple(deployed.tolist()),
-        last_instr=last_instr, transitions=tuple(zip(*trans.tolist())),
-        apply_seconds=apply_seconds, t_recv=t_recv, t_done=t_done,
+        changed=keys, changed_deployed=deployed, last_instr=last_instr,
+        transitions=trans, apply_seconds=apply_seconds, t_recv=t_recv,
+        t_done=t_done,
         col_fast=col_fast, col_fallback=col_fallback,
         col_single=col_single)
 
@@ -365,28 +363,8 @@ def decode_error(payload: bytes) -> str:
 
 
 # -- transports -------------------------------------------------------------
-class PipeTransport:
-    """Frames over a ``multiprocessing.Pipe`` duplex connection.
-
-    ``Connection.send_bytes`` delimits messages itself, so no explicit
-    length prefix is added.
-    """
-
-    def __init__(self, conn) -> None:
-        self._conn = conn
-
-    def send(self, payload: bytes) -> None:
-        self._conn.send_bytes(payload)
-
-    def recv(self) -> bytes:
-        return self._conn.recv_bytes()
-
-    def close(self) -> None:
-        self._conn.close()
-
-
 class SocketTransport:
-    """Length-prefixed frames (``<uint32 length><payload>``) over a
+    """Frames behind a :data:`FRAME_HEADER` prefix over a blocking
     stream socket."""
 
     def __init__(self, sock: socket.socket) -> None:
@@ -394,7 +372,7 @@ class SocketTransport:
         sock.settimeout(None)
 
     def send(self, payload: bytes) -> None:
-        self._sock.sendall(_LEN.pack(len(payload)) + payload)
+        self._sock.sendall(FRAME_HEADER.pack(len(payload)) + payload)
 
     def _recv_exact(self, n: int) -> bytes:
         chunks = []
@@ -407,10 +385,10 @@ class SocketTransport:
         return b"".join(chunks)
 
     def recv(self) -> bytes:
-        header = self._sock.recv(_LEN.size, socket.MSG_WAITALL)
-        if len(header) < _LEN.size:
+        header = self._sock.recv(FRAME_HEADER.size, socket.MSG_WAITALL)
+        if len(header) < FRAME_HEADER.size:
             raise EOFError("socket closed")
-        (length,) = _LEN.unpack(header)
+        (length,) = FRAME_HEADER.unpack(header)
         return self._recv_exact(length)
 
     def close(self) -> None:

@@ -11,12 +11,12 @@ at start:
 * :class:`WorkerPool` runs one OS process per shard.  Shards share
   nothing — each owns its controllers and columnar engine — so this is
   the natural multi-core step.  The pool spawns the processes, ships
-  each its shard state (``LOAD``), sends micro-batches (``APPLY``) from
-  executor threads so the event loop never blocks on a full pipe, and
-  routes every ticketed reply back to its awaiting future through one
-  reader thread per worker.  :func:`worker_main` is the child half: a
-  blocking ``recv → apply → reply`` loop over the binary wire protocol
-  (:mod:`repro.serve.wire`), owning exactly one
+  each its shard state (``LOAD``) and micro-batches (``APPLY``) over
+  one end of a socket pair, and routes every ticketed reply back to
+  its awaiting future.  The event loop owns that end: one write per
+  frame, one reader task per worker.  :func:`worker_main` is the child
+  half: a blocking ``recv → apply → reply`` loop over the binary wire
+  protocol (:mod:`repro.serve.wire`), owning exactly one
   :class:`~repro.serve.shard.BankShard`.
 
 The worker pool keeps the bank's shards as mirrors (counters and the
@@ -24,14 +24,16 @@ decision cache, no controllers) and owns all their upkeep: it absorbs
 each ``APPLY_RESULT``, drops spilled keys from the decision cache and
 re-seeds restored ones, and on a drained shutdown gathers every shard's
 state back into the bank.  So ``metrics()`` and ``should_speculate()``
-stay local reads in both modes.  Frames travel over one
-``multiprocessing.Pipe`` per worker.
+stay local reads in both modes.  Frames carry a ``<uint32 length>``
+prefix.
 
-Failure model: a worker that disappears (kill -9, OOM) surfaces as
-:class:`WorkerDiedError` on the next interaction.  The error names the
-shard, the pid, and — once the service annotates it — the last
-*durable* sequence number (covered by the newest on-disk snapshot),
-which is exactly where a restore will resume.
+Failure model: a worker that disappears (kill -9, OOM), reports an
+error (``ERROR``) or sends a reply that does not decode breaks its
+link, which surfaces as :class:`WorkerDiedError` on the next
+interaction.  The error names the shard, the pid, the cause and — once
+the service annotates it — the last *durable* sequence number (covered
+by the newest on-disk snapshot), which is exactly where a restore will
+resume.
 
 Snapshots are two-phase across processes: the service closes intake
 and drains its queues (phase one), then the pool barriers every worker
@@ -46,7 +48,7 @@ from __future__ import annotations
 import asyncio
 import multiprocessing
 import os
-import threading
+import socket
 from dataclasses import asdict
 from time import monotonic
 
@@ -64,7 +66,8 @@ _JOIN_TIMEOUT = 5.0
 
 
 class WorkerDiedError(RuntimeError):
-    """A shard worker process vanished (dead pipe / killed).
+    """A shard worker's link broke; ``reason`` says how (it closed, the
+    worker reported an error, or a reply did not decode).
 
     ``last_durable_seq`` is the newest batch sequence number that is
     durable on disk — covered by a snapshot, or fsynced into the WAL
@@ -76,14 +79,14 @@ class WorkerDiedError(RuntimeError):
     """
 
     def __init__(self, shard: int, pid: int | None = None,
-                 last_durable_seq: int | None = None,
-                 snapshot_path=None, wal_dir: str | None = None) -> None:
+                 reason: str = "its link closed") -> None:
         super().__init__()
         self.shard = shard
         self.pid = pid
-        self.last_durable_seq = last_durable_seq
-        self.snapshot_path = snapshot_path
-        self.wal_dir = wal_dir
+        self.reason = reason
+        self.last_durable_seq: int | None = None
+        self.snapshot_path = None
+        self.wal_dir: str | None = None
 
     def restore_command(self) -> str | None:
         """The exact shell command that recovers this service's state."""
@@ -100,7 +103,7 @@ class WorkerDiedError(RuntimeError):
         who = f"shard worker {self.shard}"
         if self.pid is not None:
             who += f" (pid {self.pid})"
-        msg = f"{who} died (dead pipe)"
+        msg = f"{who} died ({self.reason})"
         if self.last_durable_seq is not None:
             msg += (f"; last durable seq {self.last_durable_seq} — restore "
                     "the latest snapshot and resubmit from "
@@ -112,10 +115,10 @@ class WorkerDiedError(RuntimeError):
 
 
 # -- child side -------------------------------------------------------------
-def worker_main(index: int, config_dict: dict, conn,
+def worker_main(index: int, config_dict: dict, sock: socket.socket,
                 capture: bool = False) -> None:
     """Child entry point: own one shard, serve the wire protocol over
-    ``conn``, the child's end of the worker pipe.
+    ``sock``, the child's end of the worker's socket pair.
 
     ``capture`` turns on the shard's observability hooks (apply timing
     + transition capture); the extra data rides home piggybacked on
@@ -123,12 +126,12 @@ def worker_main(index: int, config_dict: dict, conn,
     """
     from repro.core.config import ControllerConfig
 
-    transport = wire.PipeTransport(conn)
+    transport = wire.SocketTransport(sock)
     config = ControllerConfig(**config_dict)
     shard = BankShard(index, config)
     shard.capture = capture
-    transport.send(wire.encode_hello(index, os.getpid()))
     try:
+        transport.send(wire.encode_hello(index, os.getpid()))
         while True:
             payload = transport.recv()
             ftype = payload[0]
@@ -194,24 +197,57 @@ _REPLIES = {
 
 
 class _WorkerHandle:
-    """Supervisor-side state of one worker process."""
+    """Supervisor-side state of one worker process, and the parent's
+    end of its socket pair (``sock``, a stream once connected)."""
 
     def __init__(self, shard: int, loop: asyncio.AbstractEventLoop) -> None:
         self.shard = shard
         self.loop = loop
         self.process = None
-        self.transport = None
+        self.sock: socket.socket | None = None
+        self.writer: asyncio.StreamWriter | None = None
+        self.task: asyncio.Task | None = None
         self.pid: int | None = None
-        self.send_lock = asyncio.Lock()
         self.next_ticket = 0
         self.pending: dict[int, asyncio.Future] = {}
         self.hello: asyncio.Future = loop.create_future()
         self.dead: WorkerDiedError | None = None
         self.closing = False
-        self.reader: threading.Thread | None = None
 
-    # All _on_* handlers run on the event loop thread
-    # (call_soon_threadsafe from the reader thread).
+    async def connect(self) -> None:
+        """Wrap ``sock`` in a stream and start reading it."""
+        reader, self.writer = await asyncio.open_connection(sock=self.sock)
+        self.task = self.loop.create_task(
+            self._read_frames(reader),
+            name=f"repro-serve-worker-{self.shard}-link")
+
+    async def _read_frames(self, reader: asyncio.StreamReader) -> None:
+        """Hand each frame to :meth:`_on_frame` until end of file, an
+        ``ERROR`` frame or a reply that does not decode breaks the
+        link; then fail the handle and close the link."""
+        header = wire.FRAME_HEADER
+        cause = None
+        try:
+            while True:
+                (length,) = header.unpack(
+                    await reader.readexactly(header.size))
+                payload = await reader.readexactly(length)
+                if payload[0] == wire.ERROR:
+                    reason = f"it reported {wire.decode_error(payload)}"
+                    break
+                self._on_frame(payload)
+        except (asyncio.IncompleteReadError, OSError):
+            if self.closing:
+                return
+            reason = "its link closed"
+        except Exception as err:
+            reason = f"its reply did not decode: {type(err).__name__}: {err}"
+            cause = err
+        died = WorkerDiedError(self.shard, self.pid, reason=reason)
+        died.__cause__ = cause
+        self._fail(died)
+        self.writer.close()
+
     def _on_frame(self, payload: bytes) -> None:
         ftype = payload[0]
         decode = _REPLIES.get(ftype)
@@ -229,54 +265,30 @@ class _WorkerHandle:
                         f"worker said shard {shard}, expected {self.shard}"))
                 else:
                     self.hello.set_result(pid)
-        elif ftype == wire.ERROR:
-            self._fail(RuntimeError(
-                f"shard worker {self.shard} error: "
-                f"{wire.decode_error(payload)}"))
 
-    def _on_disconnect(self) -> None:
-        if self.closing:
-            return
-        self._fail(WorkerDiedError(self.shard, self.pid))
-
-    def _fail(self, err: Exception) -> None:
-        if isinstance(err, WorkerDiedError) and self.dead is None:
+    def _fail(self, err: WorkerDiedError) -> None:
+        if self.dead is None:
             self.dead = err
         for fut in (*self.pending.values(), self.hello):
             if not fut.done():
                 fut.set_exception(err)
         self.pending.clear()
 
-    def _read_loop(self) -> None:
-        while True:
-            try:
-                payload = self.transport.recv()
-            except (EOFError, OSError, ValueError):
-                self.loop.call_soon_threadsafe(self._on_disconnect)
-                return
-            self.loop.call_soon_threadsafe(self._on_frame, payload)
-
-    def start_reader(self) -> None:
-        self.reader = threading.Thread(
-            target=self._read_loop, daemon=True,
-            name=f"repro-serve-worker-{self.shard}-reader")
-        self.reader.start()
-
     def check_alive(self) -> None:
         if self.dead is not None:
             raise self.dead
 
     async def send(self, payload: bytes) -> None:
-        """Send one frame without blocking the event loop."""
+        """Write one frame.  Writes happen on the loop thread, so two
+        frames never interleave and concurrent senders need no lock."""
         self.check_alive()
-        async with self.send_lock:
-            try:
-                await self.loop.run_in_executor(
-                    None, self.transport.send, payload)
-            except (BrokenPipeError, EOFError, OSError) as err:
-                died = WorkerDiedError(self.shard, self.pid)
-                self._fail(died)
-                raise died from err
+        self.writer.write(wire.FRAME_HEADER.pack(len(payload)) + payload)
+        try:
+            await self.writer.drain()
+        except OSError as err:
+            died = WorkerDiedError(self.shard, self.pid)
+            self._fail(died)
+            raise died from err
 
 
 class LocalPool:
@@ -322,7 +334,7 @@ class WorkerPool:
         self.capture = capture
         self.handles: list[_WorkerHandle] = []
         # spawn, never fork: the supervisor runs inside a live asyncio
-        # loop with reader threads, which forked children must not
+        # loop and its executor threads, which forked children must not
         # inherit mid-flight.
         self._ctx = multiprocessing.get_context("spawn")
         self._started = False
@@ -344,7 +356,7 @@ class WorkerPool:
                         for i in range(self.bank.n_shards)]
         await loop.run_in_executor(None, self._spawn, config_dict)
         for handle in self.handles:
-            handle.start_reader()
+            await handle.connect()
         await asyncio.gather(*(asyncio.wait_for(h.hello, _HELLO_TIMEOUT)
                                for h in self.handles))
         await asyncio.gather(*(handle.send(wire.encode_load(state))
@@ -355,16 +367,16 @@ class WorkerPool:
 
     def _spawn(self, config_dict: dict) -> None:
         for handle in self.handles:
-            parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-            proc = self._ctx.Process(
-                target=worker_main,
-                args=(handle.shard, config_dict, child_conn, self.capture),
-                name=f"repro-serve-worker-{handle.shard}", daemon=True)
-            proc.start()
-            child_conn.close()
+            handle.sock, child_end = socket.socketpair()
+            with child_end:  # a started child holds its own copy
+                proc = self._ctx.Process(
+                    target=worker_main,
+                    args=(handle.shard, config_dict, child_end,
+                          self.capture),
+                    name=f"repro-serve-worker-{handle.shard}", daemon=True)
+                proc.start()
             # Set only once started: shutdown joins every set process.
             handle.process = proc
-            handle.transport = wire.PipeTransport(parent_conn)
 
     async def shutdown(self, gather: bool = False) -> bool:
         """Stop all workers.  With ``gather`` (and every worker alive),
@@ -379,19 +391,18 @@ class WorkerPool:
             whole = True
         for handle in self.handles:
             handle.closing = True
-            if handle.dead is None and handle.transport is not None:
+            if handle.dead is None and handle.writer is not None:
                 try:
                     await handle.send(wire.encode_shutdown())
-                except (WorkerDiedError, RuntimeError):
+                except WorkerDiedError:
                     pass
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, self._join_all)
-        for handle in self.handles:
-            if handle.transport is not None:
-                try:
-                    handle.transport.close()
-                except OSError:
-                    pass
+            if handle.writer is not None:  # the worker reads end of file
+                handle.writer.close()
+            elif handle.sock is not None:
+                handle.sock.close()
+        await asyncio.get_running_loop().run_in_executor(None,
+                                                         self._join_all)
+        await asyncio.gather(*(h.task for h in self.handles if h.task))
         self.handles = []
         self._started = False
         return whole
@@ -460,7 +471,7 @@ class WorkerPool:
 
     async def barrier(self) -> None:
         """Wait until every worker has processed all frames sent so far
-        (pipes are FIFO, so an acked barrier proves it)."""
+        (each link is FIFO, so an acked barrier proves it)."""
         await asyncio.gather(*(self._call(i, wire.encode_barrier)
                                for i in range(len(self.handles))))
 

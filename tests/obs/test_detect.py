@@ -30,6 +30,12 @@ def _zeros(n):
     return np.zeros(n, dtype=bool)
 
 
+def _arcs(*arcs):
+    """``(key, arc code, exec index, instr)`` arcs as the ``[4, n]``
+    block the detector takes."""
+    return np.array(arcs, dtype=np.int64).reshape(-1, 4).T
+
+
 class TestDetectorConfig:
     def test_defaults_valid(self):
         cfg = DetectorConfig()
@@ -55,57 +61,57 @@ class TestFlipTracking:
     def test_dense_onset_and_time_to_evict(self):
         det = MisspecDetector()
         det.observe_batch(np.full(10, 5), _ones(10))      # execs 0..9
-        det.observe_transitions([(5, SEL, 9, 80)])
+        det.observe_transitions(_arcs((5, SEL, 9, 80)))
         det.observe_batch(np.full(6, 5), _ones(6))        # 10..15: trained taken
         det.observe_batch(
             np.full(4, 5),
             np.array([True, False, False, False]))        # 16..19: onset 17
-        det.observe_transitions([(5, EV, 19, 200)])
+        det.observe_transitions(_arcs((5, EV, 19, 200)))
         assert det.time_to_evict() == {5: 2}
 
     def test_trained_not_taken_flips_on_taken(self):
         det = MisspecDetector()
-        det.observe_transitions([(7, SEL, 0, 0)])
+        det.observe_transitions(_arcs((7, SEL, 0, 0)))
         det.observe_batch(np.full(8, 7), _zeros(8))       # 0..7: not-taken
         det.observe_batch(
             np.full(3, 7),
             np.array([False, True, True]))                # onset exec 9
-        det.observe_transitions([(7, EV, 14, 0)])
+        det.observe_transitions(_arcs((7, EV, 14, 0)))
         assert det.time_to_evict() == {7: 5}
 
     def test_onset_in_direction_establishing_batch(self):
         # The first post-select batch both fixes the trained direction
         # (by majority) and is scanned for flips against it.
         det = MisspecDetector()
-        det.observe_transitions([(2, SEL, 0, 0)])
+        det.observe_transitions(_arcs((2, SEL, 0, 0)))
         outcomes = np.array([False] * 6 + [True] * 2)     # onset exec 6
         det.observe_batch(np.full(8, 2), outcomes)
-        det.observe_transitions([(2, EV, 10, 0)])
+        det.observe_transitions(_arcs((2, EV, 10, 0)))
         assert det.time_to_evict() == {2: 4}
 
     def test_interleaved_pcs_count_in_own_exec_timebase(self):
         det = MisspecDetector()
-        det.observe_transitions([(5, SEL, 0, 0)])
+        det.observe_transitions(_arcs((5, SEL, 0, 0)))
         det.observe_batch(np.array([5, 9, 5]), _ones(3))  # pc5 execs 0..1
         # pc5 outcomes T, F, F at batch positions 1, 3, 5 → its execs
         # 2, 3, 4; the first flip is exec 3 regardless of pc9 noise.
         det.observe_batch(
             np.array([9, 5, 9, 5, 9, 5]),
             np.array([True, True, False, False, True, False]))
-        det.observe_transitions([(5, EV, 6, 0)])
+        det.observe_transitions(_arcs((5, EV, 6, 0)))
         assert det.time_to_evict() == {5: 3}
 
     def test_evict_without_flip_records_nothing(self):
         det = MisspecDetector()
-        det.observe_transitions([(4, SEL, 0, 0)])
+        det.observe_transitions(_arcs((4, SEL, 0, 0)))
         det.observe_batch(np.full(16, 4), _ones(16))
-        det.observe_transitions([(4, EV, 15, 0)])
+        det.observe_transitions(_arcs((4, EV, 15, 0)))
         assert det.time_to_evict() == {}
 
     def test_dense_to_sparse_migration_preserves_flip_state(self):
         det = MisspecDetector()
         det.observe_batch(np.full(8, 3), _ones(8))        # execs 0..7
-        det.observe_transitions([(3, SEL, 7, 0)])
+        det.observe_transitions(_arcs((3, SEL, 7, 0)))
         det.observe_batch(np.full(4, 3), _ones(4))        # 8..11: taken
         # A packed (tenant << 32) | pc key switches the detector to the
         # sorted key index; pc 3's trained direction and exec count
@@ -113,17 +119,17 @@ class TestFlipTracking:
         big = (7 << 32) | 3
         det.observe_batch(np.full(5, big), _ones(5))
         det.observe_batch(np.full(2, 3), _zeros(2))       # onset exec 12
-        det.observe_transitions([(3, EV, 15, 0)])
+        det.observe_transitions(_arcs((3, EV, 15, 0)))
         assert det.time_to_evict() == {3: 3}
 
     def test_sparse_keys_tracked_from_the_start(self):
         det = MisspecDetector()
         big = (9 << 32) | 42
-        det.observe_transitions([(big, SEL, 0, 0)])
+        det.observe_transitions(_arcs((big, SEL, 0, 0)))
         det.observe_batch(np.full(6, big), _ones(6))      # 0..5: taken
         det.observe_batch(np.full(2, big),
                           np.array([False, False]))       # onset exec 6
-        det.observe_transitions([(big, EV, 9, 0)])
+        det.observe_transitions(_arcs((big, EV, 9, 0)))
         assert det.time_to_evict() == {big: 3}
 
     def test_empty_batch_is_a_noop(self):
@@ -178,7 +184,7 @@ class TestVerdicts:
         for i in range(4):
             det.observe_apply(50, 50, 0, i * 400, (i + 1) * 400)
         marks = [(pc, EV, 0, 0) for pc in (1, 2, 3)]
-        det.observe_transitions(marks)
+        det.observe_transitions(_arcs(*marks))
         assert det.verdict == "misspec-burst"             # storm, low rate
         assert det.health_doc()["window"]["evictions"] == 3
         det.observe_apply(50, 50, 0, 1600, 2000)          # floor 150 < 200
@@ -190,7 +196,7 @@ class TestVerdicts:
     def test_fewer_evictions_than_storm_stay_ok(self):
         det = MisspecDetector(self.CFG)
         det.observe_apply(50, 50, 0, 0, 400)
-        det.observe_transitions([(1, EV, 0, 0), (2, EV, 0, 0)])
+        det.observe_transitions(_arcs((1, EV, 0, 0), (2, EV, 0, 0)))
         assert det.verdict == "ok"
 
     def test_mpki_uses_window_instruction_span(self):
@@ -324,8 +330,8 @@ def test_detector_matches_dict_model(data):
                 stamped.append((k, arc, model.count.get(k, 0) + offset))
                 model.arc(*stamped[-1])
             for name, space in spaces.items():
-                dets[name].observe_transitions(
-                    [(space[k], arc, ex, 0) for k, arc, ex in stamped])
+                dets[name].observe_transitions(_arcs(
+                    *[(space[k], arc, ex, 0) for k, arc, ex in stamped]))
         mean = (round(model.tte_sum / model.tte_count, 3)
                 if model.tte_count else 0.0)
         for name, space in spaces.items():

@@ -95,10 +95,10 @@ def test_span_and_health_families_roundtrip():
                                          min_window_events=10),
                           registry=r)
     det.observe_apply(50, 10, 40, 0, 400)             # burst by rate
-    det.observe_transitions([(3, ARC_CODE["select"], 0, 0)])
+    det.observe_transitions(np.array([[3], [ARC_CODE["select"]], [0], [0]]))
     det.observe_batch(np.full(4, 3), np.ones(4, dtype=bool))
     det.observe_batch(np.full(2, 3), np.zeros(2, dtype=bool))
-    det.observe_transitions([(3, ARC_CODE["evict"], 5, 0)])
+    det.observe_transitions(np.array([[3], [ARC_CODE["evict"]], [5], [0]]))
 
     families = parse_exposition(render_prometheus(r))
     assert families["repro_spans_total"] == [({}, 1.0)]

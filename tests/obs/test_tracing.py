@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
@@ -58,9 +59,9 @@ def test_sampling_thins_ring_not_counters():
 def test_registry_counters_mirror_arc_counts():
     registry = MetricsRegistry()
     trace = TransitionTrace(capacity=8, registry=registry)
-    trace.extend([(1, ARC_CODE["evict"], 10, 100),
-                  (2, ARC_CODE["revisit"], 20, 200),
-                  (2, ARC_CODE["evict"], 30, 300)])
+    trace.extend(np.array([(1, ARC_CODE["evict"], 10, 100),
+                           (2, ARC_CODE["revisit"], 20, 200),
+                           (2, ARC_CODE["evict"], 30, 300)]).T)
     fam = registry.get("repro_fsm_transitions_total")
     assert fam.labels(arc="evict").value == 2
     assert fam.labels(arc="revisit").value == 1

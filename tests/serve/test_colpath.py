@@ -98,7 +98,7 @@ def _columnar_equals_scalar(config, pcs, taken, instrs, bounds):
         assert rc.last_instr == int(instrs[hi - 1])
         assert len(rc.changed) == len(set(rc.changed))
         assert dict(zip(rc.changed, rc.changed_deployed)) == ref_flips
-        assert sorted(rc.transitions) == ref_fired
+        assert sorted(zip(*rc.transitions.tolist())) == ref_fired
     # Full state parity, down to every pending landing and arc.
     state = col.export_state()
     assert state["bank"] == ref_bank.export_state()
@@ -292,7 +292,8 @@ def test_empty_batch_is_a_noop():
         res = shard.apply(empty.astype(np.int32), empty.astype(bool), empty)
         assert res.events == 0
         assert (res.correct, res.incorrect) == (0, 0)
-        assert res.changed == ()
+        assert res.changed.size == 0
+        assert res.transitions.shape == (4, 0)
         assert res.last_instr == shard.last_instr
     assert shard.events_applied == 0
     # And a real batch afterwards still works.

@@ -158,7 +158,7 @@ def _check_batch(ref: _Reference, res, rows, a: int, b: int) -> None:
     assert dict(zip(res.changed, res.changed_deployed)) == dict(
         zip(rows[flips].tolist(), after[flips].tolist()))
     mine = set(rows.tolist())
-    assert sorted(res.transitions) == sorted(
+    assert sorted(zip(*res.transitions.tolist())) == sorted(
         arc for j in range(a, b) for arc in ref.arcs[j] if arc[0] in mine)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import socket
 import threading
 
@@ -11,6 +12,18 @@ import pytest
 from repro.serve import wire
 from repro.serve.events import EventBatch, pack_events, unpack_events
 from repro.serve.shard import ShardApplyResult
+
+
+def _assert_same_result(got, want):
+    """Results hold arrays, so compare them field by field (values and
+    dtypes)."""
+    for f in dataclasses.fields(ShardApplyResult):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, f.name
+            np.testing.assert_array_equal(a, b, err_msg=f.name)
+        else:
+            assert a == b, f.name
 
 
 def _arrays(n=100, seed=3):
@@ -88,35 +101,86 @@ def test_tapply_frame_roundtrip_with_packed_keys():
 def test_apply_result_frame_roundtrip():
     result = ShardApplyResult(
         shard=3, events=1000, correct=800, incorrect=3,
-        changed=(5, 9, (7 << 32) | 1000),
-        changed_deployed=(True, False, True), last_instr=123456,
+        changed=np.array([5, 9, (7 << 32) | 1000]),
+        changed_deployed=np.array([True, False, True]), last_instr=123456,
         col_fast=900, col_fallback=36, col_single=64)
     frame = wire.encode_apply_result(7, result, 0.0, 0.0)
-    assert wire.decode_apply_result(frame, 3) == (7, result)
+    ticket, out = wire.decode_apply_result(frame, 3)
+    assert ticket == 7
+    _assert_same_result(out, result)
     with pytest.raises(wire.ProtocolError, match="length mismatch"):
         wire.decode_apply_result(frame[:-1], 3)
 
 
 def test_apply_result_frame_carries_transitions_and_latency():
-    transitions = ((5, 0, 100, 12345), (9, 2, 2048, 99999),
-                   (1000, 3, 7, -1))
+    transitions = np.array([(5, 0, 100, 12345), (9, 2, 2048, 99999),
+                            (1000, 3, 7, -1)]).T
     result = ShardApplyResult(
-        shard=0, events=64, correct=50, incorrect=2, changed=(5,),
-        changed_deployed=(True,), last_instr=777,
+        shard=0, events=64, correct=50, incorrect=2, changed=np.array([5]),
+        changed_deployed=np.array([True]), last_instr=777,
         transitions=transitions, apply_seconds=0.0125)
     frame = wire.encode_apply_result(8, result, 100.5, 100.75)
     ticket, out = wire.decode_apply_result(frame, 0)
     assert ticket == 8
-    assert out.transitions == transitions
+    np.testing.assert_array_equal(out.transitions, transitions)
     assert out.apply_seconds == pytest.approx(0.0125)
     # The worker-side monotonic stamps ride along so the parent can
     # attribute wire_out / wire_back span stages.
     assert out.t_recv == pytest.approx(100.5)
     assert out.t_done == pytest.approx(100.75)
-    assert out == ShardApplyResult(**{**result.__dict__, "t_recv": 100.5,
-                                      "t_done": 100.75})
+    _assert_same_result(out, dataclasses.replace(result, t_recv=100.5,
+                                                 t_done=100.75))
     with pytest.raises(wire.ProtocolError, match="length mismatch"):
         wire.decode_apply_result(frame[:-1], 0)
+
+
+#: One APPLY and one APPLY_RESULT frame as committed bytes: five events
+#: (one of them a packed tenant key) and a result with two flipped keys
+#: and a three-arc transition block.  The worker link is never
+#: persisted, but its frame bodies must not drift by accident.
+_PINNED_APPLY = bytes.fromhex(
+    "032a000000000000000500000005000000000000000500000000000000090000"
+    "00000000000700000003000000e80300000000000001000101000a0000000000"
+    "000019000000000000001a000000000000002800000000000000290000000000"
+    "0000")
+_PINNED_APPLY_RESULT = bytes.fromhex(
+    "042b000000000000000500000003000000000000000100000000000000290000"
+    "0000000000020000000300000002000000000000000100000000000000020000"
+    "0000000000000000000000d03f00000000002059400000000000305940050000"
+    "00000000000700000003000000010005000000000000000700000003000000e8"
+    "0300000000000000000000000000000200000000000000030000000000000009"
+    "0000000000000078000000000000000700000000000000190000000000000028"
+    "000000000000002900000000000000")
+
+
+def test_pinned_frame_bytes():
+    """APPLY and APPLY_RESULT encode to the committed bytes and decode
+    back to what was encoded."""
+    tenant_key = (3 << 32) | 7
+    keys = np.array([5, 5, 9, tenant_key, 1000], dtype=np.int64)
+    taken = np.array([True, False, True, True, False])
+    instrs = np.array([10, 25, 26, 40, 41], dtype=np.int64)
+    assert wire.encode_apply(42, keys, taken, instrs) == _PINNED_APPLY
+    ticket, out_keys, out_taken, out_instrs = wire.decode_apply(
+        _PINNED_APPLY)
+    assert ticket == 42
+    np.testing.assert_array_equal(out_keys, keys)
+    np.testing.assert_array_equal(out_taken, taken)
+    np.testing.assert_array_equal(out_instrs, instrs)
+
+    result = ShardApplyResult(
+        shard=1, events=5, correct=3, incorrect=1,
+        changed=np.array([5, tenant_key], dtype=np.int64),
+        changed_deployed=np.array([True, False]), last_instr=41,
+        transitions=np.array([(5, 0, 9, 25), (tenant_key, 2, 120, 40),
+                              (1000, 3, 7, 41)], dtype=np.int64).T,
+        apply_seconds=0.25, col_fast=2, col_fallback=1, col_single=2)
+    frame = wire.encode_apply_result(43, result, 100.5, 100.75)
+    assert frame == _PINNED_APPLY_RESULT
+    ticket, out = wire.decode_apply_result(_PINNED_APPLY_RESULT, 1)
+    assert ticket == 43
+    _assert_same_result(out, dataclasses.replace(result, t_recv=100.5,
+                                                 t_done=100.75))
 
 
 def test_tenant_control_frames_roundtrip():
@@ -200,9 +264,9 @@ def test_every_decoder_rejects_malformed_frames():
     pcs, taken, instrs = _arrays(16)
     state = {"index": 1, "bank": []}
     result = ShardApplyResult(
-        shard=1, events=16, correct=9, incorrect=1, changed=(5,),
-        changed_deployed=(True,), last_instr=64,
-        transitions=((5, 0, 3, 60),))
+        shard=1, events=16, correct=9, incorrect=1, changed=np.array([5]),
+        changed_deployed=np.array([True]), last_instr=64,
+        transitions=np.array([[5], [0], [3], [60]]))
     # (decoder, valid frame, name, every-truncation-fails,
     #  trailing-bytes-fail) — ERROR carries a free-form message, so a
     # bare type byte or extra bytes are legitimate for it.

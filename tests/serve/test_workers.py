@@ -14,21 +14,82 @@ uninterrupted run exactly.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import gzip
+import itertools
+import json
 import os
 import signal
+import socket
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.serve import wire, workers
 from repro.serve.client import feed_trace
-from repro.serve.events import iter_trace_batches
+from repro.serve.events import EventBatch, iter_trace_batches
 from repro.serve.service import ServiceConfig, SpeculationService
+from repro.serve.shard import BankShard, ShardApplyResult, ShardedBank
 from repro.serve.snapshot import load_snapshot
-from repro.serve.workers import WorkerDiedError
+from repro.serve.workers import WorkerDiedError, WorkerPool
 from repro.sim.runner import run_reactive
+
+#: Seconds a failure test waits for ``drain()`` before calling it hung.
+_HANG_S = 10.0
 
 
 def _offline(trace, config):
     return run_reactive(trace, config).metrics
+
+
+def _assert_same_outcome(got, want):
+    """Two apply results agree on everything the batch decided (not on
+    timing, and not on the shard's instruction high-water mark)."""
+    timing = {"shard", "last_instr", "apply_seconds", "t_recv", "t_done"}
+    for f in dataclasses.fields(ShardApplyResult):
+        if f.name in timing:
+            continue
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype, f.name
+            np.testing.assert_array_equal(a, b, err_msg=f.name)
+        else:
+            assert a == b, f.name
+
+
+def _random_batch(n, n_keys, seed):
+    """``n`` events over ``n_keys`` random packed tenant keys: varied
+    keys make the shard's state compress badly, so its STATE frame is
+    large."""
+    rng = np.random.default_rng(seed)
+    pool = ((rng.integers(0, 1 << 16, n_keys) << 32)
+            | rng.integers(0, 1 << 31, n_keys))
+    return (pool[rng.integers(0, n_keys, n)], rng.random(n) < 0.9,
+            np.cumsum(rng.integers(1, 9, n)))
+
+
+def _poisoned_snapshot(tmp_path) -> Path:
+    """The v7 fixture with one of spilled tenant 0's controllers
+    queueing three deployments, which no row can hold: restoring the
+    tenant fails inside its shard."""
+    fixture = Path(__file__).parent / "data" / "snapshot-v7.json.gz"
+    with gzip.open(fixture, "rt") as fh:
+        state = json.load(fh)
+    state["tenants"]["spilled"]["0"][0]["pending"] = [
+        [1, True, True], [2, False, True], [3, True, True]]
+    path = tmp_path / "poisoned.json.gz"
+    with gzip.open(path, "wt") as fh:
+        json.dump(state, fh)
+    return path
+
+
+def _tenant0_batch(seq: int) -> EventBatch:
+    n = 64
+    return EventBatch(seq=seq, pcs=np.arange(n, dtype=np.int32) % 8,
+                      taken=np.ones(n, dtype=bool),
+                      instrs=np.arange(n, dtype=np.int64) + 10**9,
+                      tenants=np.zeros(n, dtype=np.uint32))
 
 
 def test_multiprocess_matches_offline(bench_trace, bench_config):
@@ -109,7 +170,7 @@ def test_clean_stop_regathers_worker_state(bench_trace, bench_config):
 
 def test_kill9_worker_reports_last_durable_seq_and_restores(
         tmp_path, bench_trace, bench_config):
-    """kill -9 mid-trace: the supervisor must detect the dead pipe,
+    """kill -9 mid-trace: the supervisor must detect the closed link,
     raise a clean error carrying the last durable seq, and a restore
     from the last snapshot must reproduce the uninterrupted metrics."""
     snap = tmp_path / "durable.json.gz"
@@ -180,7 +241,7 @@ def test_kill9_with_wal_recovers_every_accepted_batch(
     snap_seq = 20_480 // 1024 - 1
     # The WAL shifts last_durable_seq from snapshot-covered to fsynced:
     # every accepted batch is durable, including the post-snapshot ones
-    # (and any accepted in the window before the dead pipe surfaced).
+    # (and any accepted in the window before the closed link surfaced).
     assert err.last_durable_seq >= accepted_seq > snap_seq
     assert err.wal_dir == str(wal_dir)
     assert err.snapshot_path == snap
@@ -226,21 +287,18 @@ def test_fatal_service_refuses_submissions_and_snapshots(
 
 
 def test_failed_send_leaves_no_unretrieved_future(bench_config):
-    """A send that hits a dead pipe fails every pending call, the
-    sending call's own future included; that call raises the error
-    itself, so its future must not later report an error nobody saw
-    ("Future exception was never retrieved")."""
+    """A send on a link whose worker end is closed fails every pending
+    call, the sending call's own future included; that call raises the
+    error itself, so its future must not later report an error nobody
+    saw ("Future exception was never retrieved")."""
     import gc
     import logging
+    import socket
 
     import numpy as np
 
     from repro.serve.shard import ShardedBank
     from repro.serve.workers import WorkerPool, _WorkerHandle
-
-    class DeadPipe:
-        def send(self, payload):
-            raise BrokenPipeError("dead pipe")
 
     class Collect(logging.Handler):
         def __init__(self):
@@ -254,11 +312,14 @@ def test_failed_send_leaves_no_unretrieved_future(bench_config):
         pool = WorkerPool(ShardedBank(bench_config, 1))
         handle = _WorkerHandle(0, asyncio.get_running_loop())
         handle.hello.set_result(4242)   # a started worker said hello
-        handle.transport = DeadPipe()
+        handle.sock, worker_end = socket.socketpair()
+        worker_end.close()              # ... and is gone
+        await handle.connect()
         pool.handles = [handle]
         with pytest.raises(WorkerDiedError):
             await pool.apply(0, np.zeros(1, np.int32), np.zeros(1, bool),
                              np.zeros(1, np.int64))
+        handle.writer.close()
 
     collect = Collect()
     asyncio_log = logging.getLogger("asyncio")
@@ -269,6 +330,140 @@ def test_failed_send_leaves_no_unretrieved_future(bench_config):
     finally:
         asyncio_log.removeHandler(collect)
     assert not [m for m in collect.messages if "never retrieved" in m]
+
+
+def test_failed_restore_fails_drain_in_process(tmp_path):
+    """A shard operation that raises in-process (a restore of a state
+    the shard refuses) fails drain() and later submissions with its own
+    error instead of leaving drain() waiting."""
+
+    async def run():
+        service = load_snapshot(_poisoned_snapshot(tmp_path))
+        async with service:
+            service.submit_nowait(_tenant0_batch(10))
+            with pytest.raises(ValueError, match="3 pending deployments"):
+                await asyncio.wait_for(service.drain(), _HANG_S)
+            with pytest.raises(ValueError, match="3 pending deployments"):
+                service.submit_nowait(_tenant0_batch(11))
+
+    asyncio.run(run())
+
+
+def test_worker_error_frame_fails_drain(tmp_path):
+    """A worker that reports an error (ERROR) and leaves its loop breaks
+    the link: drain() raises WorkerDiedError naming the shard and pid
+    and carrying the worker's message."""
+
+    async def run():
+        service = load_snapshot(_poisoned_snapshot(tmp_path), workers=1)
+        async with service:
+            pid = service.worker_pids[0]
+            service.submit_nowait(_tenant0_batch(10))
+            with pytest.raises(WorkerDiedError) as excinfo:
+                await asyncio.wait_for(service.drain(), _HANG_S)
+            return pid, excinfo.value
+
+    pid, err = asyncio.run(run())
+    assert (err.shard, err.pid) == (0, pid)
+    assert f"shard worker 0 (pid {pid}) died" in str(err)
+    assert "ValueError: branch 0: 3 pending deployments" in str(err)
+    assert err.last_durable_seq == 9
+
+
+def test_undecodable_reply_fails_drain(monkeypatch, bench_trace,
+                                       bench_config):
+    """An APPLY_RESULT the parent cannot decode breaks the link:
+    drain() raises WorkerDiedError carrying the decode error."""
+    truncated = {wire.APPLY_RESULT: lambda payload, shard:
+                 wire.decode_apply_result(payload[:-1], shard)}
+    monkeypatch.setattr(workers, "_REPLIES",
+                        {**workers._REPLIES, **truncated})
+
+    async def run():
+        scfg = ServiceConfig(n_shards=1, workers=1)
+        async with SpeculationService(bench_config, scfg) as service:
+            pid = service.worker_pids[0]
+            with pytest.raises(WorkerDiedError) as excinfo:
+                await feed_trace(service, bench_trace, batch_events=1024,
+                                 max_events=4096)
+                await asyncio.wait_for(service.drain(), _HANG_S)
+            return pid, excinfo.value
+
+    pid, err = asyncio.run(run())
+    assert (err.shard, err.pid) == (0, pid)
+    assert "did not decode" in str(err)
+    assert "ProtocolError: APPLY_RESULT frame" in str(err)
+
+
+def test_frames_larger_than_the_socket_buffer(bench_config):
+    """An APPLY of 200k events and the STATE reply of the shard it
+    builds are each several times the link's send buffer; both cross
+    whole, and the worker's result and state equal an in-process
+    shard's bit for bit."""
+    keys, taken, instrs = _random_batch(200_000, 100_000, seed=5)
+    local = BankShard(0, bench_config)
+    local.capture = True
+    want = local.apply(keys, taken, instrs)
+
+    async def run():
+        pool = WorkerPool(ShardedBank(bench_config, 1), capture=True)
+        await pool.start()
+        try:
+            sndbuf = pool.handles[0].writer.get_extra_info(
+                "socket").getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+            got = await pool.apply(0, keys, taken, instrs)
+            (state,) = await pool.collect_states()
+        finally:
+            await pool.shutdown()
+        return sndbuf, got, state
+
+    sndbuf, got, state = asyncio.run(run())
+    assert len(wire.encode_apply(0, keys, taken, instrs)) > 4 * sndbuf
+    assert len(wire.encode_state(0, state)) > 4 * sndbuf
+    _assert_same_outcome(got, want)
+    assert got.last_instr == want.last_instr
+    assert state == local.export_state()
+
+
+def test_concurrent_callers_get_their_own_replies(bench_config):
+    """Applies, barriers and a state collection gathered on one worker
+    at once: each caller gets the reply to its own ticket.  The batches
+    touch disjoint keys, so each result matches an in-process shard's
+    whatever order the worker ran them in."""
+    sizes = (3000, 500, 4096, 1200)
+    batches = []
+    for i, n in enumerate(sizes):
+        keys, taken, instrs = _random_batch(n, 200, seed=i)
+        batches.append((keys | (i << 48), taken, instrs))
+    local = BankShard(0, bench_config)
+    local.capture = True
+    wants = [local.apply(*batch) for batch in batches]
+
+    async def run():
+        pool = WorkerPool(ShardedBank(bench_config, 1), capture=True)
+        await pool.start()
+        try:
+            replies = await asyncio.gather(
+                pool.apply(0, *batches[0]), pool.barrier(),
+                pool.apply(0, *batches[1]), pool.collect_states(),
+                pool.apply(0, *batches[2]), pool.barrier(),
+                pool.apply(0, *batches[3]))
+            (final,) = await pool.collect_states()
+        finally:
+            await pool.shutdown()
+        return replies, final
+
+    replies, final = asyncio.run(run())
+    applied = [replies[0], replies[2], replies[4], replies[6]]
+    for got, want in zip(applied, wants):
+        _assert_same_outcome(got, want)
+    assert replies[1] is None and replies[5] is None
+    (mid,) = replies[3]
+    assert mid["index"] == 0
+    assert mid["events_applied"] in {
+        sum(subset) for r in range(len(sizes) + 1)
+        for subset in itertools.combinations(sizes, r)}
+    assert final == local.export_state()
 
 
 def test_failed_worker_spawn_raises_its_own_error(monkeypatch,
