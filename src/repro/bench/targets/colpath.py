@@ -5,8 +5,10 @@ is one :func:`~repro.sim.vector.apply_chunk` call per distinct PC per
 batch (the service's batch engine before the columnar one).  The
 committed claims (docs/serving.md): >= 2.5x single-shard speedup at
 the wide (4096-PC) sweep point, no regression below 0.9x at the narrow
-(1-PC) point — both ratios measured within one run — and bit-identical
-``export_state()`` across the two at every width.
+(1-PC) point — both ratios measured within one run — and, at every
+width, bit-identical ``export_state()`` across the two (the loop's
+transition logs emptied: the columnar rows keep none) and identical
+captured transition streams from one untimed capture-on pass.
 
 Since boundary resolution went columnar, the sweep also drives an
 *adversarial* point: a deterministic train-then-flip square wave over
@@ -147,11 +149,14 @@ class _LoopShard:
             transitions=np.array(fired, dtype=np.int64).reshape(-1, 4).T)
 
     def export_state(self) -> dict:
-        """``BankShard.export_state`` of the same shard."""
+        """``BankShard.export_state`` of the same shard: its controllers'
+        transition logs emptied, as a columnar shard keeps none (its
+        arcs are the captured stream)."""
         return {"index": 0, "events_applied": self.events_applied,
                 "last_instr": self.last_instr, "correct": self.correct,
                 "incorrect": self.incorrect,
-                "bank": self.bank.export_state()}
+                "bank": [{**state, "transitions": []}
+                         for state in self.bank.export_state()]}
 
 
 def _drive(columnar: bool, pcs, taken, instrs, batch_events: int,
@@ -173,6 +178,19 @@ def _drive(columnar: bool, pcs, taken, instrs, batch_events: int,
     if capture:
         return n / elapsed, shard, np.concatenate(fired, axis=1)
     return n / elapsed, shard
+
+
+def _capture_exact(pcs, taken, instrs, batch_events: int) -> bool:
+    """One untimed capture-on pass per engine: the same exported state
+    and the same captured arcs, compared as sorted (key, arc, exec,
+    instr) tuples of both blocks' columns."""
+    _, loop_shard, loop_fired = _drive(False, pcs, taken, instrs,
+                                       batch_events, capture=True)
+    _, col_shard, col_fired = _drive(True, pcs, taken, instrs,
+                                     batch_events, capture=True)
+    return (sorted(zip(*col_fired.tolist()))
+            == sorted(zip(*loop_fired.tolist()))
+            and col_shard.export_state() == loop_shard.export_state())
 
 
 def extract(doc: dict) -> dict[str, Metric]:
@@ -251,6 +269,9 @@ def run_colpath_bench(events: int = 400_000, batch_events: int = 8_192,
             stats = col_shard.col.stats()
             if col_shard.export_state() != loop_shard.export_state():
                 exact_flag = False
+        capture_exact = _capture_exact(pcs, taken, instrs, batch_events)
+        if not capture_exact:
+            exact_flag = False
         sweep.append({
             "distinct_pcs": width,
             "events": events,
@@ -259,10 +280,12 @@ def run_colpath_bench(events: int = 400_000, batch_events: int = 8_192,
             "speedup": col_eps / loop_eps,
             "events_fast": stats.get("events_fast", 0),
             "events_fallback": stats.get("events_fallback", 0),
+            "capture_exact": capture_exact,
         })
     # Adversarial evict-heavy point: timed passes (best-of-repeats,
-    # capture off, matching the serving hot path) plus one capture-on
-    # pass per engine pinning the emitted transition streams.
+    # capture off, matching the serving hot path) plus, as at every
+    # sweep width, one capture-on pass per engine pinning the emitted
+    # transition streams.
     adv_width = min(4_096, max(64, adv_events // 256))
     pcs, taken, instrs = _adversarial_workload(adv_events, adv_width,
                                                adv_flip_every)
@@ -276,15 +299,7 @@ def run_colpath_bench(events: int = 400_000, batch_events: int = 8_192,
         adv_stats = col_shard.col.stats()
         if col_shard.export_state() != loop_shard.export_state():
             exact_flag = False
-    _, loop_shard, loop_fired = _drive(False, pcs, taken, instrs,
-                                       batch_events, capture=True)
-    _, col_shard, col_fired = _drive(True, pcs, taken, instrs,
-                                     batch_events, capture=True)
-    # Both blocks' columns, as sorted (key, arc, exec, instr) tuples.
-    capture_exact = (sorted(zip(*col_fired.tolist()))
-                     == sorted(zip(*loop_fired.tolist()))
-                     and col_shard.export_state()
-                     == loop_shard.export_state())
+    capture_exact = _capture_exact(pcs, taken, instrs, batch_events)
     if not capture_exact:
         exact_flag = False
     adversarial = {
@@ -331,5 +346,6 @@ def run_colpath_bench(events: int = 400_000, batch_events: int = 8_192,
         print(f"  (* = adversarial train-then-flip, "
               f"{adversarial['arcs_fast']:,} columnar arcs, capture "
               f"exact: {capture_exact})")
-        print(f"  exact across engines (all widths): {exact_flag}")
+        print(f"  exact across engines (all widths, states and captured "
+              f"arcs): {exact_flag}")
     return result

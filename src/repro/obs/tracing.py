@@ -18,10 +18,12 @@ makes every arc a first-class, queryable event:
 ``seq`` is assigned by the ring in arrival order, giving ``tail`` a
 stable global ordering even though records arrive from several shards
 (and, in multi-process mode, ride ``APPLY_RESULT`` frames from worker
-processes).  Recording only *reads* controller state — the transitions
-list the controller already keeps — so tracing can never perturb
-results; ``tests/obs/test_service_obs.py`` asserts bit-identical
-controller state with tracing on vs. off.
+processes).  Recording reads only the arcs each shard's apply
+captures (``ShardApplyResult.transitions``), never controller state,
+so tracing can never perturb results; ``tests/obs/test_service_obs.py``
+asserts bit-identical controller state with tracing on vs. off.
+Controller state keeps no transition log, so the counters and the
+ring are the service's only record of arcs.
 
 Sampling is deterministic by PC (the same SplitMix64 finalizer the
 shard router uses), so "is this PC traced" has one answer across

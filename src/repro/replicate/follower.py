@@ -179,8 +179,8 @@ class ReplicationFollower:
         with self._lock:
             self._sealed = True
             service = self.service
-        if service is not None and service._wal is not None:
-            service._wal.close()
+        if service is not None:
+            service.close()
         return service
 
     def run(self) -> str:
@@ -275,8 +275,8 @@ class ReplicationFollower:
         path = write_durably(self.config.resolved_snapshot_dir()
                              / f"snapshot-{covered_seq:016d}.json.gz", blob)
         old = self.service
-        if old is not None and old._wal is not None:
-            old._wal.close()     # one writer per directory
+        if old is not None:
+            old.close()     # one WAL writer per directory
         report = self._recover(path)
         self.stats.snapshots_installed += 1
         logger.info("replication: re-anchored on shipped snapshot "

@@ -472,6 +472,7 @@ def _run_follower(args) -> int:
         print(f"state is read-write in {cfg.wal_dir}; resume serving "
               f"with: python -m repro.serve --wal-dir {cfg.wal_dir} "
               f"--restore-latest {cfg.resolved_snapshot_dir()} ...")
+        service.close()
         return 0
     return 0 if reason == "stopped" else 1
 

@@ -9,12 +9,14 @@ Python-per-branch cost — including at FSM boundaries — and is the
 service's only batch engine.
 
 :class:`ColumnarBank` holds one shard's controller state as
-struct-of-arrays columns (the rows of one int64 and one bool table)
-behind a sorted PC→row index: every field of
+struct-of-arrays columns (the rows of one int64 and one bool table,
+128 bytes a row) behind a sorted PC→row index: every field of
 ``ReactiveBranchController.export_state()`` has a column (two slots
-hold the pending-deployment queue) except the transition log, a
-per-row list.  For each PC-sorted micro-batch it runs a **split /
-advance / fire** loop, fully vectorized across rows:
+hold the pending-deployment queue) except the transition log, which
+the service does not keep: rows are fixed-width, and a batch's arcs
+leave only as the captured stream (``ShardApplyResult.transitions``).
+For each PC-sorted micro-batch it runs a **split / advance / fire**
+loop, fully vectorized across rows:
 
 * **split** — every active row's next boundary offset is computed in
   array code: the classify/revisit fire from the state and its entry
@@ -31,9 +33,10 @@ advance / fire** loop, fully vectorized across rows:
 * **fire** — rows that reached a boundary apply the transition as
   array writes per arc kind: the classify decision
   (:func:`~repro.sim.vector.classify_split`), revisit re-entry to
-  MONITOR, the eviction arc, and optimization-latency landings; only
-  each arc's log entry is appended per row.  The loop then iterates on
-  each row's remaining suffix until every segment is consumed.
+  MONITOR, the eviction arc, and optimization-latency landings, with
+  each kind's arcs captured as one array block.  The loop then
+  iterates on each row's remaining suffix until every segment is
+  consumed.
 
 Two window shapes still take the per-branch kernel
 (:meth:`_kernel_segment`), on a temporary controller built from the
@@ -46,13 +49,15 @@ too by design (nothing to amortize) and are counted separately
 The contract stays **bit-exactness** with the scalar
 :class:`~repro.core.controller.ReactiveBranchController`:
 :meth:`ColumnarBank.export` emits exactly its ``export_state()``
-dicts, so snapshots, WAL replay and obs tracing stay interchangeable
-with offline runs.  Every controller of the owning shard has a row
-from the moment it enters, so the sorted key index is also the
-shard's record of which controllers it holds.  The floored-walk
-identity — ``walk = cum - min(0, running_min(cum))`` with the live
-counter as carry-in — is the one ``apply_chunk`` applies per branch,
-evaluated here for all engaged rows at once.
+dicts with an empty ``transitions`` list, and the captured stream
+carries exactly the arcs its log would have gained, so snapshots, WAL
+replay and obs tracing stay interchangeable with offline runs.  Every
+controller of the owning shard has a row from the moment it enters,
+so the sorted key index is also the shard's record of which
+controllers it holds.  The floored-walk identity —
+``walk = cum - min(0, running_min(cum))`` with the live counter as
+carry-in — is the one ``apply_chunk`` applies per branch, evaluated
+here for all engaged rows at once.
 """
 
 from __future__ import annotations
@@ -61,8 +66,8 @@ import numpy as np
 
 from repro.core.config import ControllerConfig
 from repro.core.controller import ReactiveBranchController
-from repro.core.states import BranchState, Transition, TransitionKind
-from repro.obs.tracing import ARC_CODE, ARCS
+from repro.core.states import BranchState, TransitionKind
+from repro.obs.tracing import ARC_CODE
 from repro.sim.vector import apply_chunk, classify_split, deploy_delay
 
 __all__ = ["ColumnarBank"]
@@ -109,7 +114,7 @@ class ColumnarBank:
     """
 
     __slots__ = ("config", "_decisions", "_fire_after", "n_rows", "n_dead",
-                 "_cap", "_keys", "_key_rows", "log",
+                 "_cap", "_keys", "_key_rows",
                  "rows_fast", "rows_fallback", "rows_single",
                  "events_fast", "events_fallback", "events_single",
                  "arcs_fast", "lands_fast",
@@ -131,8 +136,6 @@ class ColumnarBank:
         self._grow(1024)
         self._keys = np.empty(0, dtype=np.int64)
         self._key_rows = np.empty(0, dtype=np.int64)
-        #: Per-row transition log of ``(kind, exec_index, instr)``.
-        self.log: list[list[tuple[str, int, int]]] = []
         #: Fast-path engagement counters (see ``stats()``).
         self.rows_fast = 0
         self.rows_fallback = 0
@@ -234,7 +237,6 @@ class ColumnarBank:
         self.state[new] = _MONITOR
         self.land[new] = _NEVER
         self.land2[new] = _NEVER
-        self.log.extend([] for _ in range(m))
         decisions = self._decisions
         for pc in new_pcs.tolist():
             decisions.setdefault(pc, False)
@@ -264,13 +266,13 @@ class ColumnarBank:
     def export(self, rows: np.ndarray) -> list[dict]:
         """The ``export_state()`` dicts of ``rows``, in order: the
         schema, key order and plain Python types of
-        :meth:`ReactiveBranchController.export_state`."""
+        :meth:`ReactiveBranchController.export_state`, with
+        ``"transitions": []`` (rows keep no arc history)."""
         rows = np.asarray(rows, dtype=np.int64)
-        log = self.log
         out = []
-        for (row, pc, st, ex, entry, mt, ms, ctr, be, l1, l2, wc, wp, c, x,
+        for (pc, st, ex, entry, mt, ms, ctr, be, l1, l2, wc, wp, c, x,
              ev, dep, ddir, s1, d1, s2, d2, ep) in zip(
-                rows.tolist(), *self._ints[:, rows].tolist(),
+                *self._ints[:, rows].tolist(),
                 *self._flags[:-1, rows].tolist()):
             pending = []
             if l1 != _NEVER:
@@ -285,7 +287,7 @@ class ColumnarBank:
                 "pending": pending, "episode_active": ep,
                 "window_correct": wc, "window_pos": wp, "correct": c,
                 "incorrect": x, "evictions": ev,
-                "transitions": [[k, e, i] for k, e, i in log[row]],
+                "transitions": [],
             })
         return out
 
@@ -294,9 +296,10 @@ class ColumnarBank:
 
         Each state replaces any row held under its key (a later state
         wins over an earlier one for the same key) and sets the key's
-        decision.  Raises :class:`ValueError`, naming the branch and
-        changing nothing, for a state with more pending deployments
-        than a row's two slots.
+        decision.  A state's transition log, which older snapshots
+        carry, is dropped.  Raises :class:`ValueError`, naming the
+        branch and changing nothing, for a state with more pending
+        deployments than a row's two slots.
         """
         by_key = {int(state["branch"]): state for state in states}
         for key, state in by_key.items():
@@ -327,17 +330,16 @@ class ColumnarBank:
                           s1, d1, s2, d2, state["episode_active"], False))
         self._ints[:, rows] = np.array(ints, dtype=np.int64).T
         self._flags[:, rows] = np.array(flags, dtype=bool).T
-        log = self.log
         decisions = self._decisions
-        for row, key, state in zip(rows.tolist(), keys.tolist(), ordered):
-            log[row] = [(k, e, i) for k, e, i in state["transitions"]]
+        for key, state in zip(keys.tolist(), ordered):
             decisions[key] = bool(state["deployed"])
         self._rebuild_index()
 
     # -- scalar controllers on request ----------------------------------
     def _controller_of(self, row: int) -> ReactiveBranchController:
-        """A scalar controller in ``row``'s state, with an empty
-        transition log (the row's log stays the row's)."""
+        """A detached scalar controller in ``row``'s state.  Rows keep
+        no arc history, so its transition log starts empty; changing it
+        does not change the row."""
         (pc, state, ex, entry, mt, ms, ctr, be, l1, l2, wc, wp, c, x,
          ev) = self._ints[:, row].tolist()
         dep, ddir, s1, d1, s2, d2, ep, _dead = self._flags[:, row].tolist()
@@ -366,8 +368,8 @@ class ColumnarBank:
         return ctrl
 
     def _store(self, row: int, ctrl: ReactiveBranchController) -> None:
-        """Write a :meth:`_controller_of` controller back into ``row``,
-        appending its transitions to the row's log."""
+        """Write a :meth:`_controller_of` controller back into ``row``
+        (its transition log is not part of the row)."""
         (l1, s1, d1), (l2, s2, d2) = (*ctrl._pending, *_FREE_SLOTS)[:2]
         self._ints[1:, row] = (
             _STATE_CODE[ctrl.state], ctrl.exec_count, ctrl._state_entry_exec,
@@ -376,21 +378,16 @@ class ColumnarBank:
             ctrl._window_pos, ctrl.correct, ctrl.incorrect, ctrl.evictions)
         self._flags[:-1, row] = (ctrl._deployed, ctrl._deployed_direction,
                                  s1, d1, s2, d2, ctrl._episode_active)
-        if ctrl.transitions:
-            self.log[row].extend((t.kind.value, t.exec_index, t.instr)
-                                 for t in ctrl.transitions)
 
     def controller(self, pc: int) -> ReactiveBranchController:
-        """A detached scalar copy of ``pc``'s controller, transition log
-        included; changing it does not change the shard.  An unseen
-        ``pc`` is interned first, exactly as a batch would mint it."""
+        """A detached scalar copy of ``pc``'s controller (see
+        :meth:`_controller_of`: its transition log is empty).  An
+        unseen ``pc`` is interned first, exactly as a batch would mint
+        it."""
         row = self._row_of(pc)
         if row is None:
             row = int(self._intern(np.array([pc], dtype=np.int64))[0])
-        ctrl = self._controller_of(row)
-        ctrl.transitions = [Transition(pc, TransitionKind(k), e, i)
-                            for k, e, i in self.log[row]]
-        return ctrl
+        return self._controller_of(row)
 
     # -- eviction -------------------------------------------------------
     def evict_keys(self, keys: np.ndarray) -> None:
@@ -429,8 +426,6 @@ class ColumnarBank:
         m = int(alive.size)
         self._ints[:, :m] = self._ints[:, alive]
         self._flags[:, :m] = self._flags[:, alive]
-        log = self.log
-        self.log = [log[row] for row in alive.tolist()]
         self.n_rows = m
         self.n_dead = 0
         self._rebuild_index()
@@ -451,16 +446,12 @@ class ColumnarBank:
         return c, x
 
     # -- batched boundary arcs ------------------------------------------
-    def _log_arcs(self, rows: np.ndarray, codes: np.ndarray,
-                  fexec: np.ndarray, finstr: np.ndarray, capture: bool,
-                  fired: list[np.ndarray]) -> None:
-        """Append one arc per row to the rows' logs (and the capture)."""
+    def _capture_arcs(self, rows: np.ndarray, codes: np.ndarray,
+                      fexec: np.ndarray, finstr: np.ndarray, capture: bool,
+                      fired: list[np.ndarray]) -> None:
+        """Count one arc per row, and capture them when ``capture``."""
         if capture:
             fired.append(np.stack((self.pc[rows], codes, fexec, finstr)))
-        log = self.log
-        for row, code, e, ins in zip(rows.tolist(), codes.tolist(),
-                                     fexec.tolist(), finstr.tolist()):
-            log[row].append((ARCS[code], e, ins))
         self.arcs_fast += len(rows)
 
     def _schedule(self, rows: np.ndarray, when: np.ndarray,
@@ -515,7 +506,7 @@ class ColumnarBank:
         self.state[crows[disable]] = _DISABLED
         codes = np.where(select, _CODE_SELECT,
                          np.where(disable, _CODE_DISABLE, _CODE_REJECT))
-        self._log_arcs(crows, codes, fexec, finstr, capture, fired)
+        self._capture_arcs(crows, codes, fexec, finstr, capture, fired)
 
     def _fire_revisit(self, rrows: np.ndarray, fexec: np.ndarray,
                       finstr: np.ndarray, capture: bool,
@@ -525,8 +516,8 @@ class ColumnarBank:
         self.entry[rrows] = fexec + 1
         self.mon_taken[rrows] = 0
         self.mon_samples[rrows] = 0
-        self._log_arcs(rrows, np.full(rrows.size, _CODE_REVISIT), fexec,
-                       finstr, capture, fired)
+        self._capture_arcs(rrows, np.full(rrows.size, _CODE_REVISIT),
+                           fexec, finstr, capture, fired)
 
     def _fire_evict(self, erows: np.ndarray, fexec: np.ndarray,
                     finstr: np.ndarray, capture: bool,
@@ -543,8 +534,8 @@ class ColumnarBank:
         self.evictions[erows] += 1
         self._schedule(erows, finstr + deploy_delay(cfg), False,
                        self.dep_dir[erows])
-        self._log_arcs(erows, np.full(erows.size, _CODE_EVICT), fexec,
-                       finstr, capture, fired)
+        self._capture_arcs(erows, np.full(erows.size, _CODE_EVICT),
+                           fexec, finstr, capture, fired)
 
     # -- the fast path --------------------------------------------------
     def apply_sorted(self, pcs: np.ndarray, taken: np.ndarray,

@@ -424,12 +424,25 @@ class SpeculationService:
             pool, self._pool = self._pool, None
             self._bank_stale = not await pool.shutdown(gather=drain)
 
+    def close(self) -> None:
+        """Release the files the service holds: the WAL writer's
+        active segment and the tenant spill store (with its managed
+        directory).  Idempotent; call it once the service is stopped
+        for good — spilled tenants cannot be read back after it."""
+        if self._wal is not None:
+            self._wal.close()
+        if self._tenants is not None:
+            self._tenants.close()
+
     async def __aenter__(self) -> "SpeculationService":
         await self.start()
         return self
 
     async def __aexit__(self, *exc) -> None:
-        await self.stop(drain=exc[0] is None)
+        try:
+            await self.stop(drain=exc[0] is None)
+        finally:
+            self.close()
 
     # -- ingestion ------------------------------------------------------
     def submit_nowait(self, batch: EventBatch) -> None:

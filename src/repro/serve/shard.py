@@ -220,9 +220,10 @@ class BankShard:
 
     def controller(self, pc: int) -> ReactiveBranchController:
         """A detached scalar copy of ``pc``'s controller, built from its
-        row: reading it is exact, changing it changes nothing here.  An
-        unseen ``pc`` enters the shard like a batch-minted one, with a
-        fresh row.
+        row: reading it is exact, changing it changes nothing here.  Its
+        transition log is empty, as rows keep no arc history.  An unseen
+        ``pc`` enters the shard like a batch-minted one, with a fresh
+        row.
         """
         return self.col.controller(pc)
 

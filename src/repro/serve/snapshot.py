@@ -60,7 +60,10 @@ logger = logging.getLogger(__name__)
 #: has (``columnar``, ``transport``, the batch, telemetry and retry
 #: tuning, ``tenant_top_k``) are dropped, and every pre-tenant
 #: controller key *is* a tenant-0 key; see the ``test_version*``
-#: tests in ``tests/serve/test_snapshot.py``.
+#: tests in ``tests/serve/test_snapshot.py``.  Controller states keep
+#: the ``transitions`` key, always empty (service state keeps no arc
+#: history), so a reader of any version loads them; a log in an older
+#: file is dropped on load.
 FORMAT_VERSION = 7
 _COMPATIBLE_FORMATS = (1, 2, 3, 4, 5, 6, 7)
 _KIND = "repro.serve.snapshot"
@@ -205,7 +208,9 @@ def load_snapshot(path: str | Path,
     process's deployment, not the model, so a restore runs in-process,
     WAL-less and on a fresh spill directory unless the caller asks
     otherwise.  Spilled tenants come back from the snapshot's
-    ``tenants.spilled`` section.  Callers outside tests go through
+    ``tenants.spilled`` section.  A transition log in a controller
+    state (older writers kept one) is dropped on load.  Callers
+    outside tests go through
     :func:`repro.wal.recovery.recover_service`, which also replays the
     log tail.
     """
@@ -219,7 +224,11 @@ def load_snapshot(path: str | Path,
     scfg = ServiceConfig(**{**knobs, "workers": 0, "wal_dir": None,
                             "repl_listen": None, "tenant_spill_dir": None})
     scfg = restore_shape(scfg, n_shards, workers, wal_dir, wal_fsync)
-    spilled = state.get("tenants", {}).get("spilled", {})
+    # Service state keeps no transition log: drop the one an older
+    # snapshot's spilled states carry (installing drops a resident's).
+    spilled = {tenant: [{**ctrl, "transitions": []} for ctrl in states]
+               for tenant, states in
+               state.get("tenants", {}).get("spilled", {}).items()}
     bank = restore_bank(config, state["bank"], n_shards=scfg.n_shards,
                         spilled=list(spilled.values()))
     service = SpeculationService(service_config=scfg, bank=bank,

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.config import ControllerConfig
+from repro.obs.tracing import ARC_CODE
+from repro.sim.engine import run_reference
 from repro.trace.stream import Trace
 
 
@@ -43,11 +45,67 @@ def make_trace_fn():
     return make_trace
 
 
+def without_logs(states) -> list[dict]:
+    """``export_state()`` dicts with their transition logs emptied.
+
+    The service keeps no arc history (its exports carry
+    ``"transitions": []``), while the scalar spec keeps a log.  A
+    comparison with the spec's states goes through here, and compares
+    arcs separately: :func:`logged_arcs` on the spec's side,
+    :func:`captured_arcs` or :func:`ring_arcs` on the service's.
+    """
+    return [{**state, "transitions": []} for state in states]
+
+
+def logged_arcs(controllers, since=None) -> list[tuple[int, ...]]:
+    """The scalar controllers' transition logs as sorted capture rows
+    ``(key, arc code, exec index, instr)``; with ``since`` (a key →
+    log length map), only the entries past each log's mark."""
+    return sorted(
+        (ctrl.branch, ARC_CODE[t.kind.value], t.exec_index, t.instr)
+        for ctrl in controllers
+        for t in ctrl.transitions[(since or {}).get(ctrl.branch, 0):])
+
+
+def captured_arcs(blocks) -> list[tuple[int, ...]]:
+    """Sorted capture rows of ``ShardApplyResult.transitions`` blocks."""
+    return sorted(row for block in blocks for row in zip(*block.tolist()))
+
+
+def ring_arcs(service) -> list[tuple[int, ...]]:
+    """Every arc a service captured, from its trace ring, as sorted
+    capture rows (the ring must be large enough that none fell off)."""
+    trace = service.trace
+    assert trace.total_recorded == len(trace), "the trace ring overflowed"
+    return sorted((r.pc, ARC_CODE[r.arc], r.exec_index, r.instr)
+                  for r in trace.records())
+
+
+def spec_parity(states: dict, arcs, trace, config, after: int = 0):
+    """Check a service's final model states (:func:`model_states`) and
+    captured arcs (:func:`ring_arcs`) against the scalar spec run over
+    ``trace``: its states with the logs emptied, and the arcs it logs
+    past the first ``after`` events (a resumed service captures only
+    those).  Returns the spec's run."""
+    spec = run_reference(trace, config)
+    assert sorted(states.values(), key=lambda s: s["branch"]) == \
+        without_logs(spec.bank.export_state())
+    checkpoint = int(trace.instrs[after - 1]) if after else -1
+    assert arcs == [arc for arc in logged_arcs(spec.bank)
+                    if arc[3] > checkpoint]
+    return spec
+
+
 def model_states(service) -> dict:
     """Every controller's export dict by packed branch key, resident
-    and spilled alike: the model state a service's snapshot carries."""
+    and spilled alike: the model state a service's snapshot carries.
+    Service exports keep no arc history, so each must carry an empty
+    transition log; compare a service's arcs through
+    :func:`ring_arcs`."""
     states = {s["branch"]: s for shard in
               service.bank.export_state()["shards"] for s in shard["bank"]}
     for spilled in service._export_tenants().values():
         states.update((s["branch"], s) for s in spilled)
+    assert all(s["transitions"] == [] for s in states.values()), \
+        "a service export carries a transition log"
     return states

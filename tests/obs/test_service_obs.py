@@ -9,6 +9,7 @@ from repro.obs.tracing import ARCS
 from repro.serve.client import feed_trace
 from repro.serve.service import ServiceConfig, SpeculationService
 from repro.sim.runner import run_reactive
+from tests.conftest import model_states, ring_arcs, spec_parity
 
 
 def _run_service(trace, config, scfg: ServiceConfig):
@@ -39,20 +40,18 @@ def test_obs_does_not_perturb_controller_state(bench_trace, bench_config):
 
 def test_trace_ring_captures_controller_transitions(bench_trace,
                                                     bench_config):
-    """Every arc the controllers fired shows up in the arc counters,
-    and ring records carry real exec/instr stamps."""
+    """The ring holds exactly the arcs the scalar spec logs (and the
+    bank its states), and the arc counters count them."""
     service, _, _ = _run_service(
         bench_trace, bench_config,
         ServiceConfig(n_shards=2, trace_ring=1 << 20))
+    arcs = ring_arcs(service)
+    assert arcs
+    spec_parity(model_states(service), arcs, bench_trace, bench_config)
     expected: dict[str, int] = dict.fromkeys(ARCS, 0)
-    for shard in service.bank.shards:
-        for ctrl in shard.export_state()["bank"]:
-            for kind, _exec_index, _instr in ctrl["transitions"]:
-                expected[kind] += 1
-    assert sum(expected.values()) > 0
+    for _key, code, _exec_index, _instr in arcs:
+        expected[ARCS[code]] += 1
     assert service.trace.arc_counts() == expected
-    # Ring big enough to hold everything → one record per transition.
-    assert len(service.trace) == sum(expected.values())
     fam = service.registry.get("repro_fsm_transitions_total")
     for arc, count in expected.items():
         assert fam.labels(arc=arc).value == count
@@ -71,6 +70,7 @@ def test_worker_mode_ships_transitions_over_the_wire(bench_trace,
         bench_trace, bench_config,
         ServiceConfig(n_shards=2, workers=2, trace_ring=1 << 20))
     assert workers.trace.arc_counts() == inproc.trace.arc_counts()
+    assert ring_arcs(workers) == ring_arcs(inproc)
     assert metrics == run_reactive(bench_trace, bench_config).metrics
     # Worker-mode latency histograms are fed from the wire field.
     fam = workers.registry.get("repro_shard_apply_latency_seconds")

@@ -35,6 +35,7 @@ from repro.serve.snapshot import find_latest_snapshot, snapshot_covered_seq
 from repro.sim.runner import run_reactive
 from repro.trace.spec2000 import load_trace
 from repro.wal.recovery import recover_service
+from tests.conftest import model_states, ring_arcs, spec_parity
 
 SRC = Path(repro.__file__).resolve().parents[1]
 BATCH_EVENTS = 1_024
@@ -142,7 +143,7 @@ def test_kill9_failover_loses_nothing(tmp_path):
         config=config, n_shards=4, attach_wal=False, up_to_seq=acked)
     assert ref.last_seq == acked
     assert promoted.metrics() == ref.metrics()
-    assert promoted.bank.export_state() == ref.bank.export_state()
+    assert model_states(promoted) == model_states(ref)
 
     # ...and bit-identical to an offline run over the acked prefix
     # (every batch the primary sent was full, so the prefix is exact).
@@ -157,7 +158,12 @@ def test_kill9_failover_loses_nothing(tmp_path):
         async with promoted:
             await feed_trace(promoted, trace, batch_events=BATCH_EVENTS)
             await promoted.drain()
-            return promoted.metrics()
+            return (promoted.metrics(), model_states(promoted),
+                    ring_arcs(promoted))
 
-    assert asyncio.run(finish()) == run_reactive(trace, config).metrics
+    metrics, states, arcs = asyncio.run(finish())
     assert promoted.events_submitted == TOTAL_EVENTS
+    # The finished run ends in the spec's states, and captures exactly
+    # the arcs the spec logs past the acked prefix.
+    assert metrics == spec_parity(states, arcs, trace, config,
+                                  prefix).metrics

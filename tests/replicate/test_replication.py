@@ -307,9 +307,37 @@ def test_follower_holds_its_snapshot_budget(tmp_path):
             assert replica.tenant_stats()["resident_bytes"] <= 20_480
         assert replica.last_seq == 58
         assert replica.tenant_stats()["spills"] > 0
+        # Promotion closes the replica's spill store: read it first.
+        replica_states = model_states(replica)
         promoted, report = promote_follower(follower)
         assert report.replayed_batches == 49
         assert promoted.tenant_stats() == replica.tenant_stats()
-        assert model_states(promoted) == model_states(replica)
+        assert model_states(promoted) == replica_states
+        promoted.close()
     finally:
         follower.seal()
+
+
+def test_reanchor_closes_the_discarded_replica(tmp_path):
+    """Each re-anchor discards the replica service it replaces: its
+    spill store is closed and its managed spill directory removed, as
+    its WAL writer is; sealing closes the live replica the same way."""
+    from pathlib import Path
+
+    fixture = (Path(__file__).parents[1] / "serve" / "data"
+               / "snapshot-v7.json.gz")
+    follower = _follower(tmp_path)
+    try:
+        follower._install_snapshot(9, fixture.read_bytes())
+        first = follower.service
+        store = first._tenants._store
+        assert store.directory.is_dir()
+        follower._install_snapshot(9, fixture.read_bytes())
+        assert follower.service is not first
+        assert store._writer.closed and store._reader.closed
+        assert not store.directory.exists()
+        assert first._wal._closed
+        second = follower.service._tenants._store
+    finally:
+        follower.seal()
+    assert second._writer.closed and not second.directory.exists()

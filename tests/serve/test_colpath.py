@@ -2,9 +2,11 @@
 
 Property tests drive random interleaved multi-branch batches through
 the scalar specification (per-event ``observe``) and the shard's
-columnar engine, and require bit-identical ``export_state()`` plus
-identical per-batch ``(correct, incorrect)`` deltas, decision flips
-and captured transitions, across every config family including
+columnar engine, and require bit-identical ``export_state()`` (the
+spec's transition log emptied: rows keep none) plus identical
+per-batch ``(correct, incorrect)`` deltas, decision flips and captured
+transitions, which must add up to the spec's log, across every config
+family including
 eviction-by-sampling, monitor-sampling stride and long-latency pending
 landings.  Plus the regression/edge cases the engine introduced: empty
 batches, pre-sorted batch detection, fast-path engagement, and
@@ -27,6 +29,8 @@ from repro.obs.tracing import ARC_CODE
 from repro.serve.events import EventBatch
 from repro.serve.service import ServiceConfig, SpeculationService
 from repro.serve.shard import BankShard, ShardedBank
+
+from tests.conftest import captured_arcs, logged_arcs, without_logs
 
 from .test_fastpath import CONFIGS
 
@@ -84,8 +88,9 @@ def _scalar_batches(config, pcs, taken, instrs, bounds):
 
 def _columnar_equals_scalar(config, pcs, taken, instrs, bounds):
     """Drive a capturing shard batch by batch against the scalar spec:
-    deltas, decision flips and captured arcs per batch, then the whole
-    exported state and decision cache."""
+    deltas, decision flips and captured arcs (the spec's new log
+    entries) per batch, then the whole exported state and decision
+    cache."""
     ref_bank, ref_batches = _scalar_batches(config, pcs, taken, instrs,
                                             bounds)
     col = BankShard(0, config)
@@ -98,13 +103,15 @@ def _columnar_equals_scalar(config, pcs, taken, instrs, bounds):
         assert rc.last_instr == int(instrs[hi - 1])
         assert len(rc.changed) == len(set(rc.changed))
         assert dict(zip(rc.changed, rc.changed_deployed)) == ref_flips
-        assert sorted(zip(*rc.transitions.tolist())) == ref_fired
-    # Full state parity, down to every pending landing and arc.
+        assert captured_arcs([rc.transitions]) == ref_fired
+    # Full state parity, down to every pending landing; the arcs went
+    # out as the captured stream.
     state = col.export_state()
-    assert state["bank"] == ref_bank.export_state()
+    ref_states = without_logs(ref_bank.export_state())
+    assert state["bank"] == ref_states
     # Same text too: key order and plain int/bool types, so snapshot
     # bytes cannot drift.
-    assert json.dumps(state["bank"]) == json.dumps(ref_bank.export_state())
+    assert json.dumps(state["bank"]) == json.dumps(ref_states)
     assert (state["correct"], state["incorrect"]) == (
         sum(c.correct for c in ref_bank), sum(c.incorrect for c in ref_bank))
     assert col.decisions == {c.branch: c.deployed for c in ref_bank}
@@ -140,21 +147,26 @@ def _merged_bank(sharded: ShardedBank) -> list[dict]:
 def test_columnar_equals_chunked_on_wide_random_trace(seed,
                                                       random_trace_fn):
     """ShardedBank-level parity with the scalar spec on an adversarial
-    wide trace."""
+    wide trace: states, and the captured stream against the spec's
+    log."""
     config = scaled_config()
     trace = random_trace_fn(30_000, 700, seed)
     col = ShardedBank(config, 4)
+    for shard in col.shards:
+        shard.capture = True
+    fired = []
     for lo in range(0, len(trace), 7_000):
         batch = EventBatch(seq=lo, pcs=trace.branch_ids[lo:lo + 7_000],
                            taken=trace.taken[lo:lo + 7_000],
                            instrs=trace.instrs[lo:lo + 7_000])
-        col.apply_batch(batch)
+        fired += [r.transitions for r in col.apply_batch(batch)]
     ref = _scalar_bank(config, trace.branch_ids, trace.taken, trace.instrs)
     metrics = col.metrics()
     assert metrics.dynamic_branches == len(trace)
     assert (metrics.correct, metrics.incorrect) == (
         sum(c.correct for c in ref), sum(c.incorrect for c in ref))
-    assert _merged_bank(col) == ref.export_state()
+    assert _merged_bank(col) == without_logs(ref.export_state())
+    assert captured_arcs(fired) == logged_arcs(ref)
 
 
 def test_fast_path_engages_on_steady_state():
@@ -166,9 +178,10 @@ def test_fast_path_engages_on_steady_state():
     taken = rng.uniform(size=n_events) < 0.999   # near-always taken
     instrs = np.cumsum(rng.integers(1, 4, n_events)).astype(np.int64)
     shard = BankShard(0, config)
-    for lo in range(0, n_events, 8_192):
-        shard.apply(pcs[lo:lo + 8_192], taken[lo:lo + 8_192],
-                    instrs[lo:lo + 8_192])
+    shard.capture = True
+    fired = [shard.apply(pcs[lo:lo + 8_192], taken[lo:lo + 8_192],
+                         instrs[lo:lo + 8_192]).transitions
+             for lo in range(0, n_events, 8_192)]
     stats = shard.col.stats()
     assert stats["rows"] == n_branches
     assert stats["rows_fast"] > 0
@@ -177,7 +190,8 @@ def test_fast_path_engages_on_steady_state():
     assert stats["events_fast"] > 0.8 * n_events
     # And the work must still be exact.
     ref = _scalar_bank(config, pcs, taken, instrs)
-    assert shard.export_state()["bank"] == ref.export_state()
+    assert shard.export_state()["bank"] == without_logs(ref.export_state())
+    assert captured_arcs(fired) == logged_arcs(ref)
 
 
 def _boundary_dense(n_events: int, n_branches: int, seed: int):
@@ -227,10 +241,11 @@ def test_events_fallback_near_zero_on_train_then_flip():
     config = scaled_config()
     trace = train_then_flip_trace(n_branches=64, flip_at=700, seed=2)
     shard = BankShard(0, config)
-    for lo in range(0, len(trace), 8_192):
-        hi = lo + 8_192
-        shard.apply(trace.branch_ids[lo:hi], trace.taken[lo:hi],
-                    trace.instrs[lo:hi])
+    shard.capture = True
+    fired = [shard.apply(trace.branch_ids[lo:lo + 8_192],
+                         trace.taken[lo:lo + 8_192],
+                         trace.instrs[lo:lo + 8_192]).transitions
+             for lo in range(0, len(trace), 8_192)]
     stats = shard.col.stats()
     assert stats["events_fallback"] == 0
     assert stats["rows_fallback"] == 0
@@ -241,8 +256,9 @@ def test_events_fallback_near_zero_on_train_then_flip():
     assert stats["lands_fast"] >= 64 * 2
     state = shard.export_state()
     assert all(s["evictions"] >= 1 for s in state["bank"])
-    assert state["bank"] == _scalar_bank(
-        config, trace.branch_ids, trace.taken, trace.instrs).export_state()
+    ref = _scalar_bank(config, trace.branch_ids, trace.taken, trace.instrs)
+    assert state["bank"] == without_logs(ref.export_state())
+    assert captured_arcs(fired) == logged_arcs(ref)
 
 
 def test_stats_split_single_vs_fallback():
@@ -309,7 +325,7 @@ def test_presorted_batch_skips_the_argsort(monkeypatch):
     rng = np.random.default_rng(1)
     taken = rng.uniform(size=len(pcs)) < 0.9
     instrs = np.cumsum(rng.integers(1, 5, len(pcs))).astype(np.int64)
-    ref_bank, ((ref_deltas, _flips, _fired),) = _scalar_batches(
+    ref_bank, ((ref_deltas, _flips, ref_fired),) = _scalar_batches(
         config, pcs, taken, instrs, [(0, len(pcs))])
 
     real_argsort = np.argsort
@@ -323,9 +339,12 @@ def test_presorted_batch_skips_the_argsort(monkeypatch):
 
     monkeypatch.setattr("repro.serve.shard.np.argsort", boom)
     shard = BankShard(0, config)
+    shard.capture = True
     res = shard.apply(pcs, taken, instrs)
     assert (res.correct, res.incorrect) == ref_deltas
-    assert shard.export_state()["bank"] == ref_bank.export_state()
+    assert shard.export_state()["bank"] == without_logs(
+        ref_bank.export_state())
+    assert captured_arcs([res.transitions]) == ref_fired
     # Single-PC batches take the same skip.
     one = shard.apply(np.array([3, 3], dtype=np.int32),
                       np.array([True, True]),
@@ -334,20 +353,23 @@ def test_presorted_batch_skips_the_argsort(monkeypatch):
 
 
 def test_controller_accessor_reads_flushed_state():
-    """bank.controller(pc) must never expose stale hot fields."""
-    config = scaled_config()
+    """bank.controller(pc) must never expose stale hot fields; its
+    copy carries an empty transition log."""
+    config = CONFIGS["tiny-latency"]
     bank = ShardedBank(config, 2)
     pcs, taken, instrs = _interleaved(20_000, 64, 5)
     bank.apply_batch(EventBatch(seq=0, pcs=pcs, taken=taken, instrs=instrs))
     ref = _scalar_bank(config, pcs, taken, instrs)
+    assert all(ref.controller(pc).transitions for pc in range(64))
     for pc in range(64):
-        assert (bank.controller(pc).export_state()
-                == ref.controller(pc).export_state())
+        assert [bank.controller(pc).export_state()] == without_logs(
+            [ref.controller(pc).export_state()])
 
 
 def test_bank_snapshot_roundtrip_across_engines():
-    """State exported mid-run (columnar rows flushed into the scalar
-    controllers) restores and continues exactly like the live bank."""
+    """State exported mid-run restores and continues exactly like the
+    live bank: the same states, and the same arcs captured on the
+    tail."""
     config = CONFIGS["tiny-latency"]
     pcs, taken, instrs = _interleaved(6_000, 40, 11)
     half = len(pcs) // 2
@@ -358,8 +380,13 @@ def test_bank_snapshot_roundtrip_across_engines():
     resumed = ShardedBank.from_state(config, state)
     tail = EventBatch(seq=1, pcs=pcs[half:], taken=taken[half:],
                       instrs=instrs[half:])
-    col.apply_batch(tail)
-    resumed.apply_batch(tail)
+    fired = []
+    for bank in (col, resumed):
+        for shard in bank.shards:
+            shard.capture = True
+        fired.append(captured_arcs(
+            r.transitions for r in bank.apply_batch(tail)))
+    assert fired[0] and fired[0] == fired[1]
     assert resumed.export_state() == col.export_state()
 
 
@@ -368,8 +395,11 @@ def test_service_snapshot_roundtrip_with_no_columnar(tmp_path, bench_trace):
     knob (formats 5-7) carry ``"columnar"`` in their service config;
     loading drops it.  A snapshot from a ``--no-columnar`` service
     restores and continues bit-identically to a run that never
-    paused."""
+    paused, and the arcs both halves capture are the uninterrupted
+    run's."""
     from repro.serve.snapshot import load_snapshot
+
+    from tests.conftest import ring_arcs
 
     half = len(bench_trace) // 2
 
@@ -387,10 +417,11 @@ def test_service_snapshot_roundtrip_with_no_columnar(tmp_path, bench_trace):
                 await service.submit(b)
             await service.drain()
             if snapshot is not None:
-                return await service.snapshot(snapshot)
-            return service.metrics(), service.bank.export_state()
+                return await service.snapshot(snapshot), ring_arcs(service)
+            return (service.metrics(), service.bank.export_state(),
+                    ring_arcs(service))
 
-    path = asyncio.run(run(
+    path, first_arcs = asyncio.run(run(
         SpeculationService(service_config=ServiceConfig(n_shards=2)),
         0, half, snapshot=tmp_path / "snap.json.gz"))
     with gzip.open(path, "rt", encoding="utf-8") as fh:
@@ -406,4 +437,41 @@ def test_service_snapshot_roundtrip_with_no_columnar(tmp_path, bench_trace):
     straight = asyncio.run(run(
         SpeculationService(service_config=ServiceConfig(n_shards=2)),
         0, len(bench_trace)))
-    assert resumed == straight
+    assert resumed[:2] == straight[:2]
+    assert straight[2] and sorted(first_arcs + resumed[2]) == straight[2]
+
+
+def test_state_stays_fixed_width_with_uptime():
+    """A shard's state does not grow with uptime: 64 unbiased branches
+    cycle REJECT → REVISIT every revisit period, yet between about 20k
+    and 82k executions per branch the exported state (compact JSON)
+    and its spill blob grow only by counter digits, and every export
+    carries an empty transition log.  The arcs leave as the captured
+    stream."""
+    from repro.tenant.spillstore import seal_states
+
+    n_branches, n_batch = 64, 8_192
+    shard = BankShard(0, scaled_config())
+    shard.capture = True
+    rng = np.random.default_rng(4)
+    instr = arcs = 0
+    sizes = []
+    for per_branch in (20_480, 81_920):
+        while shard.events_applied < per_branch * n_branches:
+            instrs = instr + np.cumsum(rng.integers(1, 9, n_batch))
+            instr = int(instrs[-1])
+            arcs += shard.apply(rng.integers(0, n_branches, n_batch),
+                                rng.random(n_batch) < 0.5,
+                                instrs).transitions.shape[1]
+        states = shard.export_state()["bank"]
+        assert len(states) == n_branches
+        assert all(s["transitions"] == [] for s in states)
+        sizes.append((
+            len(json.dumps(states, separators=(",", ":"))) / n_branches,
+            len(seal_states(states)) / n_branches))
+        # Every branch keeps cycling: the arc stream grows, the state
+        # does not.
+        assert arcs >= n_branches * 2 * (per_branch // 5_500)
+    (json_early, blob_early), (json_late, blob_late) = sizes
+    assert json_late - json_early <= 4
+    assert blob_late - blob_early <= 4

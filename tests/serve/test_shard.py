@@ -12,6 +12,7 @@ from repro.core.controller import ReactiveBranchController
 from repro.serve.events import iter_trace_batches
 from repro.serve.shard import BankShard, ShardedBank, shard_ids, shard_of
 from repro.sim.runner import run_reactive
+from tests.conftest import captured_arcs, logged_arcs, without_logs
 from tests.serve.conftest import random_trace
 
 
@@ -151,7 +152,8 @@ def test_install_replaces_a_resident_controller():
     for pc, t, at in zip(*(a.tolist() for a in feed(300))):
         if pc == 3:
             expect.observe(t, at)
-    assert shard.controller(3).export_state() == expect.export_state()
+    assert [shard.controller(3).export_state()] == without_logs(
+        [expect.export_state()])
     assert [c["branch"] for c in shard.export_state()["bank"]] == [3, 4]
 
 
@@ -184,10 +186,13 @@ def test_shard_membership_matches_dict_model(data):
     stashed spills and state round trips keep one ``BankShard`` equal
     to a plain dict of scalar controllers: the bank holds exactly the
     model's resident keys, a spill returns exactly the tenant's keys in
-    ascending order, spilled keys never speculate, and a restored
-    controller re-exports bit-identically."""
+    ascending order, spilled keys never speculate, a restored
+    controller re-exports bit-identically, and every apply captures
+    exactly the arcs the model's controllers log (the shard's exports
+    carry no log)."""
     cfg = _MODEL_CONFIG
     shard = BankShard(0, cfg)
+    shard.capture = True
     model: dict[int, ReactiveBranchController] = {}  # resident keys
     stash: dict[int, list[dict]] = {}  # tenant -> its latest spill
     spilled: set[int] = set()
@@ -205,23 +210,27 @@ def test_shard_membership_matches_dict_model(data):
             instrs = instr + 8 * np.arange(1, len(events) + 1,
                                            dtype=np.int64)
             instr = int(instrs[-1])
-            shard.apply(keys, taken, instrs)
+            res = shard.apply(keys, taken, instrs)
+            marks = {k: len(c.transitions) for k, c in model.items()}
             for key, t, at in zip(keys.tolist(), taken.tolist(),
                                   instrs.tolist()):
                 model.setdefault(key, ReactiveBranchController(cfg, key))
                 model[key].observe(t, at)
                 spilled.discard(key)
+            assert captured_arcs([res.transitions]) == logged_arcs(
+                model.values(), since=marks)
         elif op == "controller":
             key = _KEY_POOL[data.draw(idx)]
             ctrl = model.setdefault(key, ReactiveBranchController(cfg, key))
             spilled.discard(key)
-            assert shard.controller(key).export_state() == \
-                ctrl.export_state()
+            assert [shard.controller(key).export_state()] == \
+                without_logs([ctrl.export_state()])
         elif op == "spill":
             tenant = data.draw(st.integers(0, 3), label="tenant")
             mine = sorted(k for k in model if k >> 32 == tenant)
             states = shard.spill_tenant(tenant)
-            assert states == [model.pop(k).export_state() for k in mine]
+            assert states == without_logs(model.pop(k).export_state()
+                                          for k in mine)
             if states:
                 stash[tenant] = states
             spilled.update(mine)
@@ -241,6 +250,7 @@ def test_shard_membership_matches_dict_model(data):
                 assert shard.controller(key).export_state() == state
         else:
             shard = BankShard.from_state(cfg, shard.export_state())
+            shard.capture = True
         assert [c["branch"] for c in shard.export_state()["bank"]] == \
             sorted(model)
         for key in spilled:

@@ -21,8 +21,32 @@ from repro.serve.events import iter_trace_batches
 from repro.serve.service import ServiceConfig, SpeculationService
 from repro.serve.snapshot import load_snapshot, save_snapshot
 from repro.sim.runner import run_reactive
-from tests.conftest import model_states
+from tests.conftest import model_states, ring_arcs, spec_parity
 from tests.serve.conftest import random_trace
+
+#: The committed fixtures checkpoint gzip/60k after its first 10,240
+#: events; arcs past the checkpoint carry later instruction stamps.
+_FIXTURE_EVENTS = 10_240
+
+
+def _resume_like_spec(service, trace, reference, config):
+    """Finish ``trace`` on a service loaded from a fixture: it must
+    load log-free, end with the spec's states (log emptied) and metrics,
+    and capture exactly the arcs the spec logs past the checkpoint.
+    ``reference`` is ``trace`` without its tenant column, if any."""
+    model_states(service)  # checks the loaded state is log-free
+
+    async def finish():
+        async with service:
+            await feed_trace(service, trace, batch_events=1024)
+            await service.drain()
+            return service.metrics(), model_states(service), \
+                ring_arcs(service)
+
+    metrics, states, arcs = asyncio.run(finish())
+    assert arcs
+    spec = spec_parity(states, arcs, reference, config, _FIXTURE_EVENTS)
+    assert metrics == spec.metrics
 
 
 def test_controller_export_import_roundtrip_mid_episode(tiny_config):
@@ -218,20 +242,12 @@ def test_version1_snapshot_still_loads(bench_trace, bench_config):
 
     fixture = Path(__file__).parent / "data" / "snapshot-v1.json.gz"
     service = load_snapshot(fixture)
-    assert service.last_seq == 10_240 // 1024 - 1
+    assert service.last_seq == _FIXTURE_EVENTS // 1024 - 1
     # Knobs born after v1 take their defaults.
     assert service.service_config.workers == 0
     assert service.service_config.wal_dir is None
     assert service.service_config.wal_fsync == "batch"
-
-    async def finish():
-        async with service:
-            await feed_trace(service, bench_trace, batch_events=1024)
-            await service.drain()
-            return service.metrics()
-
-    assert (asyncio.run(finish())
-            == run_reactive(bench_trace, bench_config).metrics)
+    _resume_like_spec(service, bench_trace, bench_trace, bench_config)
 
 
 def test_version6_snapshot_loads_as_tenant_zero(bench_trace,
@@ -253,7 +269,7 @@ def test_version6_snapshot_loads_as_tenant_zero(bench_trace,
 
     fixture = Path(__file__).parent / "data" / "snapshot-v6.json.gz"
     service = load_snapshot(fixture)
-    assert service.last_seq == 10_240 // 1024 - 1
+    assert service.last_seq == _FIXTURE_EVENTS // 1024 - 1
     # Knobs born in v7 take their defaults.
     assert service.service_config.tenant_quota_rate is None
     assert service.service_config.tenant_resident_bytes is None
@@ -264,19 +280,11 @@ def test_version6_snapshot_loads_as_tenant_zero(bench_trace,
     for shard in state["shards"]:
         for ctrl in shard["bank"]:
             assert 0 <= ctrl["branch"] <= MAX_PC
-
-    async def finish():
-        async with service:
-            # Resume under an explicit tenant column of zeros: the
-            # restored legacy controllers and the tenant-0 traffic
-            # must land on the same keys.
-            await feed_trace(service, with_tenants(bench_trace, 1),
-                             batch_events=1024)
-            await service.drain()
-            return service.metrics()
-
-    assert (asyncio.run(finish())
-            == run_reactive(bench_trace, bench_config).metrics)
+    # Resume under an explicit tenant column of zeros: the restored
+    # legacy controllers and the tenant-0 traffic must land on the
+    # same keys.
+    _resume_like_spec(service, with_tenants(bench_trace, 1), bench_trace,
+                      bench_config)
 
 
 @pytest.mark.parametrize("n_shards", [None, 3])
@@ -284,9 +292,10 @@ def test_version7_snapshot_resumes_spilled_tenants(bench_trace,
                                                    bench_config, n_shards):
     """Format-compat anchor for tenant state: a committed v7 fixture
     (a ``tenants`` section of spilled controllers, and a service config
-    that carries every knob of its day) must load — at its stored 2
-    shards and resharded onto 3 — and resume bit-identically to an
-    uninterrupted run of the same batches.
+    that carries every knob of its day) must load log-free — at its
+    stored 2 shards and resharded onto 3 — and resume bit-identically
+    to an uninterrupted run of the same batches, capturing the arcs
+    that run captures past the checkpoint.
 
     Same recipe as the v1 fixture, plus a tenant column
     (``with_tenants(trace, 4, seed=7)``, zipf) and a resident budget of
@@ -301,20 +310,27 @@ def test_version7_snapshot_resumes_spilled_tenants(bench_trace,
     trace = with_tenants(bench_trace, 4, seed=7)
     fixture = Path(__file__).parent / "data" / "snapshot-v7.json.gz"
     service = load_snapshot(fixture, n_shards=n_shards)
-    assert service.last_seq == 10_240 // 1024 - 1
-    assert service.metrics().dynamic_branches == 10_240
+    assert service.last_seq == _FIXTURE_EVENTS // 1024 - 1
+    assert service.metrics().dynamic_branches == _FIXTURE_EVENTS
     assert service.tenant_stats()["spilled_tenants"] == 3
     assert service.service_config.tenant_resident_bytes == 40 * 512
+    model_states(service)  # checks the loaded state is log-free
 
     async def finish(service):
         async with service:
             await feed_trace(service, trace, batch_events=1024)
             await service.drain()
-        return service.metrics(), model_states(service)
+            return (service.metrics(), model_states(service),
+                    ring_arcs(service))
 
     uninterrupted = SpeculationService(bench_config, ServiceConfig(
         n_shards=2, tenant_resident_bytes=40 * 512))
-    assert asyncio.run(finish(service)) == asyncio.run(finish(uninterrupted))
+    metrics, states, arcs = asyncio.run(finish(service))
+    want_metrics, want_states, want_arcs = asyncio.run(
+        finish(uninterrupted))
+    assert (metrics, states) == (want_metrics, want_states)
+    checkpoint = int(trace.instrs[_FIXTURE_EVENTS - 1])
+    assert arcs and arcs == [arc for arc in want_arcs if arc[3] > checkpoint]
 
 
 def test_find_latest_snapshot_skips_corrupt(tmp_path, bench_config):

@@ -34,6 +34,7 @@ from repro.serve.shard import BankShard, ShardApplyResult, ShardedBank
 from repro.serve.snapshot import load_snapshot
 from repro.serve.workers import WorkerDiedError, WorkerPool
 from repro.sim.runner import run_reactive
+from tests.conftest import model_states, ring_arcs
 
 #: Seconds a failure test waits for ``drain()`` before calling it hung.
 _HANG_S = 10.0
@@ -123,7 +124,8 @@ def test_snapshot_roundtrips_across_modes_and_worker_counts(
         tmp_path, bench_trace, bench_config):
     """A snapshot taken under worker processes restores bit-identically
     in-process, resharded in-process, and onto a different worker
-    count."""
+    count: the same metrics and final states as an uninterrupted run,
+    and, with the arcs captured before the snapshot, the same arcs."""
     snap = tmp_path / "mid.json.gz"
 
     async def first_half():
@@ -133,19 +135,27 @@ def test_snapshot_roundtrips_across_modes_and_worker_counts(
                              max_events=30_720)
             await service.snapshot(snap)
             assert service.last_durable_seq == service.last_seq
+            return ring_arcs(service)
 
-    async def second_half(**restore_kwargs):
-        service = load_snapshot(snap, **restore_kwargs)
+    async def finish(service):
         async with service:
             await feed_trace(service, bench_trace, batch_events=1024)
             await service.drain()
-            return service.metrics()
+            await service.stop()
+            return (service.metrics(), model_states(service),
+                    ring_arcs(service))
 
-    asyncio.run(first_half())
-    offline = _offline(bench_trace, bench_config)
-    assert asyncio.run(second_half()) == offline                 # in-process
-    assert asyncio.run(second_half(n_shards=3)) == offline       # reshard
-    assert asyncio.run(second_half(workers=3)) == offline        # 3 workers
+    first_arcs = asyncio.run(first_half())
+    metrics, states, arcs = asyncio.run(finish(SpeculationService(
+        bench_config, ServiceConfig(n_shards=2))))
+    assert metrics == _offline(bench_trace, bench_config)
+    assert arcs
+    for restore_kwargs in ({},                 # in-process
+                           {"n_shards": 3},    # reshard
+                           {"workers": 3}):    # 3 workers
+        got = asyncio.run(finish(load_snapshot(snap, **restore_kwargs)))
+        assert got[:2] == (metrics, states), restore_kwargs
+        assert sorted(first_arcs + got[2]) == arcs, restore_kwargs
 
 
 def test_clean_stop_regathers_worker_state(bench_trace, bench_config):

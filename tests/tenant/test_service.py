@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.config import scaled_config
+from repro.core.config import ControllerConfig, scaled_config
 from repro.serve.events import EventBatch, iter_trace_batches
 from repro.serve.service import (
     BackpressureError,
@@ -30,9 +30,15 @@ from repro.serve.snapshot import load_snapshot, save_snapshot
 from repro.tenant.keys import TENANT_SHIFT
 from repro.trace.spec2000 import load_trace
 from repro.trace.synthetic import with_tenants
-from tests.conftest import model_states
+from tests.conftest import model_states, ring_arcs
 
 BPB = 512
+#: Thresholds low enough that a few dozen executions of a branch fire
+#: SELECT, REJECT, EVICT and REVISIT arcs.
+ARC_CONFIG = ControllerConfig(
+    monitor_period=8, selection_threshold=0.75, evict_counter_max=100,
+    misspec_increment=50, correct_decrement=1, revisit_period=16,
+    oscillation_limit=3, optimization_latency=200)
 
 
 def mixed_batches(n_events, tenants, n_branches, seed=0, batch_events=256):
@@ -94,8 +100,15 @@ async def submit_retry(service, batch):
             await service.drain()
 
 
+def states_and_arcs(service):
+    """The model states (:func:`tests.conftest.model_states`) and the
+    captured arcs of a service, read while its spill store is open."""
+    return model_states(service), ring_arcs(service)
+
+
 def controller_states(service):
-    """Every controller's export dict, keyed by packed branch key."""
+    """Every resident controller's export dict, keyed by packed branch
+    key."""
     state = service.bank.export_state()
     return {s["branch"]: s
             for shard in state["shards"] for s in shard["bank"]}
@@ -129,12 +142,15 @@ def test_tenant_zero_batches_equal_legacy_batches(obs):
 @pytest.mark.parametrize("n_shards", [1, 3])
 def test_spill_restore_is_bit_exact(obs, n_shards):
     """A budget small enough to thrash every tenant in and out of
-    residency must leave exactly the states an unbudgeted run has
-    (with the shards capturing transitions and without)."""
+    residency must leave exactly the states an unbudgeted run has, and
+    capture exactly its arcs (with the shards capturing transitions
+    and without)."""
     tenants = list(range(1, 7))
     batches = mixed_batches(6_000, tenants, 40, seed=11)
     base = ServiceConfig(n_shards=n_shards, obs=obs)
-    reference = run_service(batches, base, after=controller_states)
+    reference = run_service(batches, base, config=ARC_CONFIG,
+                            after=states_and_arcs)
+    assert bool(reference[1]) == obs
 
     def after(service):
         stats = service.tenant_stats()
@@ -142,14 +158,14 @@ def test_spill_restore_is_bit_exact(obs, n_shards):
         assert stats["restores"] > 0, "no tenant was ever recalled"
         # Resident and cold tenants together against the run where
         # nothing ever moved.
-        return model_states(service)
+        return states_and_arcs(service)
 
     budgeted = run_service(
         batches,
         ServiceConfig(n_shards=n_shards, obs=obs,
                       tenant_resident_bytes=8 * BPB,
                       tenant_bytes_per_branch=BPB),
-        after=after)
+        config=ARC_CONFIG, after=after)
     assert budgeted == reference
 
 
@@ -206,12 +222,14 @@ def test_worker_mode_spill_restore_matches_in_process():
     """Spill and restore through worker processes: after every drained
     batch the parent's mirrored decision cache answers exactly like the
     in-process bank, and after a drained stop the resident plus spilled
-    controller states equal a run that never spilled."""
+    controller states and the captured arcs equal a run that never
+    spilled."""
     tenants = list(range(1, 7))
     batches = mixed_batches(12_000, tenants, 2, seed=17, batch_events=16)
     keys = [(tenant, pc) for tenant in tenants for pc in range(2)]
     reference = run_service(batches, ServiceConfig(n_shards=2),
-                            after=controller_states)
+                            after=states_and_arcs)
+    assert reference[1], "the reference run fired no arc"
 
     async def run(workers):
         scfg = ServiceConfig(n_shards=2, workers=workers,
@@ -225,9 +243,10 @@ def test_worker_mode_spill_restore_matches_in_process():
                 await service.drain()
                 decisions.append([service.should_speculate(pc, tenant)
                                   for tenant, pc in keys])
-        stats = service.tenant_stats()
-        assert stats["spills"] > 0 and stats["restores"] > 0
-        return decisions, model_states(service)
+            await service.stop()
+            stats = service.tenant_stats()
+            assert stats["spills"] > 0 and stats["restores"] > 0
+            return decisions, states_and_arcs(service)
 
     local_decisions, local_states = asyncio.run(run(0))
     worker_decisions, worker_states = asyncio.run(run(2))
@@ -240,9 +259,9 @@ def test_resharded_restore_spills_whole_tenants(tmp_path):
     """A snapshot restored onto a different shard count holds each
     tenant's controllers exactly where a spill finds them: after every
     drained batch no spilled tenant keeps a controller in any shard,
-    and its branches answer False; resident and spilled states together
-    equal an unbudgeted restore of the same snapshot fed the same
-    batches."""
+    and its branches answer False; resident and spilled states together,
+    and the captured arcs, equal an unbudgeted restore of the same
+    snapshot fed the same batches."""
     tenants = [1, 2, 3]
     snap = tmp_path / "two-shards.json.gz"
 
@@ -271,7 +290,7 @@ def test_resharded_restore_spills_whole_tenants(tmp_path):
                 await submit_retry(service, batch)
                 await service.drain()
                 check(service)
-        return model_states(service)
+            return states_and_arcs(service)
 
     def cold_tenants_are_gone(service):
         spilled = set(service._tenants._store.tenants())
@@ -470,6 +489,7 @@ def test_wal_recovery_replays_tenant_traffic_bit_identically(tmp_path):
     recovered, report = recover_service(wal_dir, snapshot=snap)
     assert report.replayed_batches == len(batches) - half
     assert model_states(recovered) == reference
+    recovered.close()
 
 
 def test_replay_spills_and_restores_like_live_ingest():
@@ -500,14 +520,16 @@ def test_replay_spills_and_restores_like_live_ingest():
             for batch in batches:
                 service.submit_nowait(batch)
                 await service.drain()
-        return service
+            return (service.tenant_stats(), model_states(service),
+                    service.metrics())
 
-    live = asyncio.run(submitted())
+    live_stats, live_states, live_metrics = asyncio.run(submitted())
     stats = replayed.tenant_stats()
     assert stats["spills"] > 0 and stats["restores"] > 0
-    assert stats == live.tenant_stats()
-    assert model_states(replayed) == model_states(live)
-    assert replayed.metrics() == live.metrics()
+    assert stats == live_stats
+    assert model_states(replayed) == live_states
+    assert replayed.metrics() == live_metrics
+    replayed.close()
 
 
 def test_apply_logged_refuses_a_stale_seq():
@@ -527,6 +549,7 @@ def test_apply_logged_refuses_a_stale_seq():
     assert service.bank.events_applied == applied
     assert service.last_seq == 9
     assert service.tenant_stats() == stats
+    service.close()
 
 
 def test_loaded_snapshot_counts_resident_tenants():
@@ -543,6 +566,7 @@ def test_loaded_snapshot_counts_resident_tenants():
     assert stats["resident_tenants"] == 1
     assert stats["resident_bytes"] == 28 * BPB
     assert stats["spilled_tenants"] == 3
+    service.close()
 
 
 def test_replay_neither_rejects_nor_charges_quotas(tmp_path):
@@ -600,6 +624,7 @@ def test_snapshot_roundtrips_spilled_tenants(tmp_path):
     assert restored._export_tenants() == spilled
     assert restored.tenant_stats()["spilled_tenants"] == len(spilled)
     assert controller_states(restored) == resident
+    restored.close()
 
 
 def test_reused_spill_dir_starts_empty(tmp_path):
