@@ -23,15 +23,21 @@ the current run is itself a failure.
 the spec is the committed default, and the engine substitutes the
 override when one is supplied, which is what keeps the historical
 CI flag sets working.
+
+An overhead gated by ``ceil`` is read from back-to-back pairs where a
+target has them (:func:`pair_overhead`): each pair sees the host as it
+was for that pair, and the median drops the outlying ones.
 """
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass, field
 
 from repro.bench.registry import Metric
 
-__all__ = ["Gate", "GateReport", "exact", "floor", "ceil", "evaluate"]
+__all__ = ["Gate", "GateReport", "exact", "floor", "ceil", "evaluate",
+           "pair_overhead"]
 
 
 @dataclass(frozen=True)
@@ -56,6 +62,12 @@ def floor(metric: str, limit: float, *, label: str = "",
 def ceil(metric: str, limit: float, *, label: str = "",
          param: str | None = None) -> Gate:
     return Gate("ceil", metric, limit, label or metric, param)
+
+
+def pair_overhead(pairs) -> float:
+    """One minus the median ``with / without`` throughput ratio of
+    ``(without eps, with eps)`` pairs."""
+    return 1.0 - statistics.median(on / off for off, on in pairs)
 
 
 @dataclass

@@ -148,15 +148,18 @@ class _LoopShard:
             last_instr=self.last_instr,
             transitions=np.array(fired, dtype=np.int64).reshape(-1, 4).T)
 
-    def export_state(self) -> dict:
-        """``BankShard.export_state`` of the same shard: its controllers'
-        transition logs emptied, as a columnar shard keeps none (its
-        arcs are the captured stream)."""
-        return {"index": 0, "events_applied": self.events_applied,
-                "last_instr": self.last_instr, "correct": self.correct,
-                "incorrect": self.incorrect,
-                "bank": [{**state, "transitions": []}
-                         for state in self.bank.export_state()]}
+    def export_state(self):
+        """``BankShard.export_state`` of the same shard: its counters
+        and its controllers as rows, which keep no transition log (a
+        columnar shard's arcs are the captured stream)."""
+        from repro.serve.colpath import states_to_rows
+        from repro.serve.shard import ShardState
+
+        return ShardState(
+            index=0, events_applied=self.events_applied,
+            last_instr=self.last_instr, correct=self.correct,
+            incorrect=self.incorrect,
+            rows=states_to_rows(self.bank.export_state()))
 
 
 def _drive(columnar: bool, pcs, taken, instrs, batch_events: int,

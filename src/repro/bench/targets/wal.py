@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import asyncio
 import os
-import statistics
 import tempfile
 import time
 from pathlib import Path
 
-from repro.bench.gates import ceil, exact
+from repro.bench.gates import ceil, exact, pair_overhead
 from repro.bench.registry import (
     Metric,
     eps,
@@ -46,12 +45,6 @@ def _ingest(trace, wal_dir: str | None, wal_fsync: str = "batch"):
             return service.metrics(), elapsed
 
     return asyncio.run(run())
-
-
-def pair_overhead(pairs) -> float:
-    """One minus the median ``batch / no-WAL`` throughput ratio of
-    ``(no-WAL eps, batch eps)`` pairs."""
-    return 1.0 - statistics.median(batch / base for base, batch in pairs)
 
 
 def extract(doc: dict) -> dict[str, Metric]:

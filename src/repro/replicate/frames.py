@@ -35,16 +35,22 @@ Read-only serving (client ⇄ follower)::
     RO_DECISION   uint32 n | uint8 speculate[n]      follower → client
     RO_STATUS_REQ (empty)                            client → follower
     RO_STATUS     zlib(JSON status)                  follower → client
+
+The two zlib JSON bodies (the config of ``R_WELCOME``, the status of
+``RO_STATUS``) are made by :func:`_seal` and read by :func:`_unseal`;
+controller state crosses these frames only inside a snapshot file.
 """
 
 from __future__ import annotations
 
+import json
 import socket
 import struct
+import zlib
 
 import numpy as np
 
-from repro.serve.wire import ProtocolError, _expect, _seal, _unseal, frame_type
+from repro.serve.wire import ProtocolError, expect_frame, frame_type
 
 __all__ = [
     "REPLICATION_MAGIC", "REPLICATION_VERSION",
@@ -86,6 +92,22 @@ _RO_QUERY = struct.Struct("<BI")
 _RO_DECISION = struct.Struct("<BI")
 
 
+# -- zlib JSON bodies -------------------------------------------------------
+def _seal(value) -> bytes:
+    """A JSON value as a zlib-compressed frame body."""
+    return zlib.compress(json.dumps(value, separators=(",", ":"))
+                         .encode("utf-8"))
+
+
+def _unseal(body: bytes, name: str):
+    """The JSON value in a :func:`_seal` body of a ``name`` frame."""
+    try:
+        return json.loads(zlib.decompress(body).decode("utf-8"))
+    except (zlib.error, ValueError) as err:
+        raise ProtocolError(f"{name} frame body is not zlib JSON: {err}") \
+            from err
+
+
 # -- handshake --------------------------------------------------------------
 def encode_r_hello(watermark: int) -> bytes:
     """Follower → primary: resume the stream after ``watermark``."""
@@ -95,7 +117,7 @@ def encode_r_hello(watermark: int) -> bytes:
 
 def decode_r_hello(payload: bytes) -> int:
     """Returns the follower's watermark; validates magic + version."""
-    _expect(payload, R_HELLO, "R_HELLO", exact_len=_R_HELLO.size)
+    expect_frame(payload, R_HELLO, "R_HELLO", exact_len=_R_HELLO.size)
     _, magic, version, watermark = _R_HELLO.unpack(payload)
     if magic != REPLICATION_MAGIC:
         raise ProtocolError(f"R_HELLO bad magic {magic!r} — not a "
@@ -116,7 +138,7 @@ def encode_r_welcome(last_seq: int, config: dict) -> bytes:
 
 def decode_r_welcome(payload: bytes) -> tuple[int, dict]:
     """Returns ``(primary_last_seq, config_dict)``."""
-    _expect(payload, R_WELCOME, "R_WELCOME", min_len=_R_WELCOME.size)
+    expect_frame(payload, R_WELCOME, "R_WELCOME", min_len=_R_WELCOME.size)
     _, version, last_seq, zlen = _R_WELCOME.unpack_from(payload)
     if version != REPLICATION_VERSION:
         raise ProtocolError(f"unsupported replication version {version} "
@@ -134,7 +156,7 @@ def encode_r_snapshot(covered_seq: int, blob: bytes) -> bytes:
 
 
 def decode_r_snapshot(payload: bytes) -> tuple[int, bytes]:
-    _expect(payload, R_SNAPSHOT, "R_SNAPSHOT",
+    expect_frame(payload, R_SNAPSHOT, "R_SNAPSHOT",
             min_len=_R_SNAPSHOT.size + 1)
     _, covered_seq = _R_SNAPSHOT.unpack_from(payload)
     return covered_seq, payload[_R_SNAPSHOT.size:]
@@ -149,7 +171,7 @@ def encode_r_batch(payload: bytes) -> bytes:
 def decode_r_batch(payload: bytes) -> bytes:
     """Returns the raw batch body (``EventBatch.from_bytes`` it)."""
     # 12 = the batch header (<uint64 seq><uint32 n>) at minimum.
-    _expect(payload, R_BATCH, "R_BATCH", min_len=1 + 12)
+    expect_frame(payload, R_BATCH, "R_BATCH", min_len=1 + 12)
     return payload[1:]
 
 
@@ -159,7 +181,7 @@ def encode_r_ack(seq: int) -> bytes:
 
 
 def decode_r_ack(payload: bytes) -> int:
-    _expect(payload, R_ACK, "R_ACK", exact_len=_R_ACK.size)
+    expect_frame(payload, R_ACK, "R_ACK", exact_len=_R_ACK.size)
     return _R_ACK.unpack(payload)[1]
 
 
@@ -168,7 +190,7 @@ def encode_r_error(message: str) -> bytes:
 
 
 def decode_r_error(payload: bytes) -> str:
-    _expect(payload, R_ERROR, "R_ERROR")
+    expect_frame(payload, R_ERROR, "R_ERROR")
     return payload[1:].decode("utf-8", errors="replace")
 
 
@@ -193,7 +215,7 @@ def encode_ro_query(pcs, tenants=None) -> bytes:
 
 def decode_ro_query(payload: bytes) -> np.ndarray:
     """Queried pcs (int32, the legacy form) or packed keys (int64)."""
-    _expect(payload, RO_QUERY, "RO_QUERY", min_len=_RO_QUERY.size)
+    expect_frame(payload, RO_QUERY, "RO_QUERY", min_len=_RO_QUERY.size)
     _, n = _RO_QUERY.unpack_from(payload)
     tenanted = bool(n & _RO_TENANT_FLAG)
     n &= ~_RO_TENANT_FLAG
@@ -211,7 +233,7 @@ def encode_ro_decision(decisions) -> bytes:
 
 
 def decode_ro_decision(payload: bytes) -> np.ndarray:
-    _expect(payload, RO_DECISION, "RO_DECISION", min_len=_RO_DECISION.size)
+    expect_frame(payload, RO_DECISION, "RO_DECISION", min_len=_RO_DECISION.size)
     _, n = _RO_DECISION.unpack_from(payload)
     if len(payload) != _RO_DECISION.size + n:
         raise ProtocolError("RO_DECISION frame length mismatch")
@@ -228,7 +250,7 @@ def encode_ro_status(status: dict) -> bytes:
 
 
 def decode_ro_status(payload: bytes) -> dict:
-    _expect(payload, RO_STATUS, "RO_STATUS", min_len=2)
+    expect_frame(payload, RO_STATUS, "RO_STATUS", min_len=2)
     return _unseal(payload[1:], "RO_STATUS")
 
 

@@ -47,9 +47,8 @@ too by design (nothing to amortize) and are counted separately
 (``events_single``).
 
 The contract stays **bit-exactness** with the scalar
-:class:`~repro.core.controller.ReactiveBranchController`:
-:meth:`ColumnarBank.export` emits exactly its ``export_state()``
-dicts with an empty ``transitions`` list, and the captured stream
+:class:`~repro.core.controller.ReactiveBranchController`: a row holds
+exactly its state but the transition log, and the captured stream
 carries exactly the arcs its log would have gained, so snapshots, WAL
 replay and obs tracing stay interchangeable with offline runs.  Every
 controller of the owning shard has a row from the moment it enters,
@@ -58,9 +57,20 @@ controllers it holds.  The floored-walk identity —
 ``walk = cum - min(0, running_min(cum))`` with the live counter as
 carry-in — is the one ``apply_chunk`` applies per branch, evaluated
 here for all engaged rows at once.
+
+State leaves and enters a bank only as a :class:`RowBlock`, the
+column slice of a set of rows (:meth:`ColumnarBank.gather`,
+:meth:`ColumnarBank.put`): tenant spill and restore, reshard, and the
+worker link's LOAD, STATE, TSPILL_RESULT and TRESTORE bodies all carry
+blocks, packed by :meth:`RowBlock.to_bytes`.  The ``export_state()``
+dict schema appears only at the snapshot file's edge
+(:mod:`repro.serve.snapshot`), through :func:`rows_to_states` and
+:func:`states_to_rows`.
 """
 
 from __future__ import annotations
+
+import zlib
 
 import numpy as np
 
@@ -70,7 +80,7 @@ from repro.core.states import BranchState, TransitionKind
 from repro.obs.tracing import ARC_CODE
 from repro.sim.vector import apply_chunk, classify_split, deploy_delay
 
-__all__ = ["ColumnarBank"]
+__all__ = ["ColumnarBank", "RowBlock", "rows_to_states", "states_to_rows"]
 
 #: Integer codes of :class:`~repro.core.states.BranchState` in the
 #: ``state`` column.
@@ -102,15 +112,199 @@ _FLAG_COLS = ("deployed", "dep_dir", "spec", "dir", "spec2", "dir2",
               "episode", "dead")
 _SLOTS = (("land", "spec", "dir"), ("land2", "spec2", "dir2"))
 _FREE_SLOTS = ((_NEVER, False, False),) * len(_SLOTS)
+#: Flag columns a row block carries: all but ``dead``, which is storage
+#: bookkeeping, not controller state.
+_STATE_FLAGS = len(_FLAG_COLS) - 1
+#: Bytes of one row in a packed block.
+_ROW_BYTES = 8 * len(_INT_COLS) + _STATE_FLAGS
+_EXEC, _CORRECT, _INCORRECT = (_INT_COLS.index(name) for name in
+                               ("exec", "correct", "incorrect"))
+
+
+class RowBlock:
+    """A set of controller rows as columns: ``ints`` (int64, one row
+    per entry of ``_INT_COLS``) and ``flags`` (bool, ``_FLAG_COLS``
+    without ``dead``), one column per controller.
+
+    The only form controller state takes inside the process and on the
+    worker link.  :meth:`to_bytes` is its one byte form: the columns'
+    little-endian bytes, zlib-compressed.  It carries no version or
+    checksum of its own: nothing keeps a packed block beyond the
+    process that wrote it, and zlib checks the body (Adler-32).
+    """
+
+    __slots__ = ("ints", "flags")
+
+    def __init__(self, ints: np.ndarray, flags: np.ndarray) -> None:
+        self.ints = ints
+        self.flags = flags
+
+    @classmethod
+    def empty(cls) -> "RowBlock":
+        return cls(np.empty((len(_INT_COLS), 0), dtype=np.int64),
+                   np.empty((_STATE_FLAGS, 0), dtype=bool))
+
+    def __len__(self) -> int:
+        return self.ints.shape[1]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RowBlock):
+            return NotImplemented
+        return (np.array_equal(self.ints, other.ints)
+                and np.array_equal(self.flags, other.flags))
+
+    @property
+    def keys(self) -> np.ndarray:
+        """The rows' packed controller keys."""
+        return self.ints[0]
+
+    @property
+    def deployed(self) -> np.ndarray:
+        """The rows' deployed-code views (their decisions)."""
+        return self.flags[0]
+
+    def totals(self) -> tuple[int, int, int]:
+        """The events and correct and incorrect outcomes the rows have
+        seen: their summed ``exec``, ``correct`` and ``incorrect``
+        columns."""
+        return tuple(int(self.ints[col].sum())
+                     for col in (_EXEC, _CORRECT, _INCORRECT))
+
+    def take(self, index: np.ndarray) -> "RowBlock":
+        return RowBlock(self.ints[:, index], self.flags[:, index])
+
+    @classmethod
+    def concat(cls, blocks) -> "RowBlock":
+        blocks = [cls.empty(), *blocks]
+        return cls(np.concatenate([b.ints for b in blocks], axis=1),
+                   np.concatenate([b.flags for b in blocks], axis=1))
+
+    def sorted(self) -> "RowBlock":
+        """The rows in ascending key order."""
+        return self.take(np.argsort(self.keys, kind="stable"))
+
+    def split(self, n_shards: int) -> list["RowBlock"]:
+        """The rows grouped by owning shard (order kept within each)."""
+        # The shard module imports this one, so import its router late.
+        from repro.serve.shard import shard_ids
+
+        dest = shard_ids(self.keys, n_shards)
+        order = np.argsort(dest, kind="stable")
+        bounds = np.searchsorted(dest[order], np.arange(n_shards + 1))
+        return [self.take(order[a:b])
+                for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+
+    def to_bytes(self) -> bytes:
+        """The packed block: ``ints`` then ``flags``, column by column,
+        little-endian, through zlib at level 1."""
+        return zlib.compress(
+            self.ints.astype("<i8", copy=False).tobytes()
+            + self.flags.tobytes(), 1)
+
+    @classmethod
+    def from_bytes(cls, data) -> "RowBlock":
+        """The block :meth:`to_bytes` packed into ``data``; the row
+        count comes from the length.  Raises :class:`ValueError` for a
+        body that does not decompress or is not a whole number of
+        rows."""
+        try:
+            raw = zlib.decompress(data)
+        except zlib.error as err:
+            raise ValueError(f"row block is not zlib data: {err}") from err
+        n, ragged = divmod(len(raw), _ROW_BYTES)
+        if ragged:
+            raise ValueError(
+                f"row block of {len(raw)} bytes is not a whole number "
+                f"of {_ROW_BYTES}-byte rows")
+        cut = 8 * len(_INT_COLS) * n
+        ints = np.frombuffer(raw, dtype="<i8", count=len(_INT_COLS) * n)
+        flags = np.frombuffer(raw, dtype=np.uint8, offset=cut)
+        return cls(ints.reshape(len(_INT_COLS), n).astype(np.int64),
+                   flags.reshape(_STATE_FLAGS, n).astype(bool))
+
+
+# -- the snapshot file's schema ----------------------------------------------
+def rows_to_states(rows: RowBlock) -> list[dict]:
+    """The ``export_state()`` dicts of a block's rows, in order: the
+    schema, key order and plain Python types of
+    :meth:`ReactiveBranchController.export_state`, with
+    ``"transitions": []`` (rows keep no arc history).  For the snapshot
+    file (:mod:`repro.serve.snapshot`) only."""
+    out = []
+    for (pc, st, ex, entry, mt, ms, ctr, be, l1, l2, wc, wp, c, x,
+         ev, dep, ddir, s1, d1, s2, d2, ep) in zip(*rows.ints.tolist(),
+                                                   *rows.flags.tolist()):
+        pending = []
+        if l1 != _NEVER:
+            pending.append([l1, s1, d1])
+            if l2 != _NEVER:
+                pending.append([l2, s2, d2])
+        out.append({
+            "branch": pc, "state": _STATES[st].value, "exec_count": ex,
+            "state_entry_exec": entry, "monitor_taken": mt,
+            "monitor_samples": ms, "counter": ctr, "bias_entries": be,
+            "deployed": dep, "deployed_direction": ddir,
+            "pending": pending, "episode_active": ep,
+            "window_correct": wc, "window_pos": wp, "correct": c,
+            "incorrect": x, "evictions": ev,
+            "transitions": [],
+        })
+    return out
+
+
+def states_to_rows(states: list[dict]) -> RowBlock:
+    """The block of controllers given as ``export_state()`` dicts, in
+    order; a state's transition log, which older snapshots carry, is
+    dropped.  For the snapshot file (:mod:`repro.serve.snapshot`) only.
+
+    Raises :class:`ValueError` naming the branch for a state the
+    controller could not have reached or the schema does not describe:
+    an unknown FSM state, a missing field, more pending deployments
+    than a row's two slots, or a key given twice.
+    """
+    ints, flags, seen = [], [], set()
+    for state in states:
+        key, name = state.get("branch"), state.get("state")
+        pending = state.get("pending", ())
+        if key in seen:
+            raise ValueError(f"branch {key}: two controller states")
+        seen.add(key)
+        if name not in _STATE_OF_VALUE:
+            raise ValueError(f"branch {key}: unknown FSM state {name!r}")
+        if len(pending) > len(_SLOTS):
+            raise ValueError(
+                f"branch {key}: {len(pending)} pending deployments, more "
+                f"than the controller can queue ({len(_SLOTS)})")
+        try:
+            (l1, s1, d1), (l2, s2, d2) = (*state["pending"],
+                                          *_FREE_SLOTS)[:2]
+            ints.append((
+                state["branch"], _STATE_OF_VALUE[name], state["exec_count"],
+                state["state_entry_exec"], state["monitor_taken"],
+                state["monitor_samples"], state["counter"],
+                state["bias_entries"], l1, l2, state["window_correct"],
+                state["window_pos"], state["correct"], state["incorrect"],
+                state["evictions"]))
+            flags.append((state["deployed"], state["deployed_direction"],
+                          s1, d1, s2, d2, state["episode_active"]))
+        except KeyError as err:
+            raise ValueError(
+                f"branch {key}: no {err} field in its state") from err
+    if not states:
+        return RowBlock.empty()
+    return RowBlock(np.array(ints, dtype=np.int64).T.copy(),
+                    np.array(flags, dtype=bool).T.copy())
+
 
 class ColumnarBank:
     """One shard's controller state, as columns.
 
     Owned by a :class:`~repro.serve.shard.BankShard`, whose decision
     cache it keeps current.  The columns are the only copy of the
-    state: :meth:`export` and :meth:`install` are its codec, and a
-    scalar controller exists only as :meth:`controller`'s detached
-    copy or for one per-branch-kernel window.
+    state: rows leave through :meth:`gather` and enter through
+    :meth:`put` as a :class:`RowBlock`, and a scalar controller exists
+    only as :meth:`controller`'s detached copy or for one
+    per-branch-kernel window.
     """
 
     __slots__ = ("config", "_decisions", "_fire_after", "n_rows", "n_dead",
@@ -262,77 +456,32 @@ class ColumnarBank:
             return None
         return int(self._key_rows[pos])
 
-    # -- the state codec ------------------------------------------------
-    def export(self, rows: np.ndarray) -> list[dict]:
-        """The ``export_state()`` dicts of ``rows``, in order: the
-        schema, key order and plain Python types of
-        :meth:`ReactiveBranchController.export_state`, with
-        ``"transitions": []`` (rows keep no arc history)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        out = []
-        for (pc, st, ex, entry, mt, ms, ctr, be, l1, l2, wc, wp, c, x,
-             ev, dep, ddir, s1, d1, s2, d2, ep) in zip(
-                *self._ints[:, rows].tolist(),
-                *self._flags[:-1, rows].tolist()):
-            pending = []
-            if l1 != _NEVER:
-                pending.append([l1, s1, d1])
-                if l2 != _NEVER:
-                    pending.append([l2, s2, d2])
-            out.append({
-                "branch": pc, "state": _STATES[st].value, "exec_count": ex,
-                "state_entry_exec": entry, "monitor_taken": mt,
-                "monitor_samples": ms, "counter": ctr, "bias_entries": be,
-                "deployed": dep, "deployed_direction": ddir,
-                "pending": pending, "episode_active": ep,
-                "window_correct": wc, "window_pos": wp, "correct": c,
-                "incorrect": x, "evictions": ev,
-                "transitions": [],
-            })
-        return out
+    # -- rows in and out -----------------------------------------------
+    def gather(self, rows: np.ndarray | None = None) -> RowBlock:
+        """A copy of ``rows`` as a block (every live row in key order
+        when None)."""
+        if rows is None:
+            rows = self._key_rows
+        return RowBlock(self._ints[:, rows], self._flags[:-1, rows])
 
-    def install(self, states: list[dict]) -> None:
-        """Enter controllers from their ``export_state()`` dicts.
-
-        Each state replaces any row held under its key (a later state
-        wins over an earlier one for the same key) and sets the key's
-        decision.  A state's transition log, which older snapshots
-        carry, is dropped.  Raises :class:`ValueError`, naming the
-        branch and changing nothing, for a state with more pending
-        deployments than a row's two slots.
-        """
-        by_key = {int(state["branch"]): state for state in states}
-        for key, state in by_key.items():
-            if len(state["pending"]) > len(_SLOTS):
-                raise ValueError(
-                    f"branch {key}: {len(state['pending'])} pending "
-                    f"deployments, more than the controller can queue "
-                    f"({len(_SLOTS)})")
-        if not by_key:
+    def put(self, block: RowBlock) -> None:
+        """Enter ``block``'s rows (its keys distinct): each replaces any
+        row held under its key and sets the key's decision."""
+        n = len(block)
+        if not n:
             return
-        keys = np.array(sorted(by_key), dtype=np.int64)
-        ordered = [by_key[key] for key in keys.tolist()]
         # A key minted while its tenant was spilled (say, by the
-        # controller() accessor) has a row the new state makes stale.
-        self.evict_keys(keys)
-        rows = self._add_rows(keys)
-        ints, flags = [], []
-        for state in ordered:
-            (l1, s1, d1), (l2, s2, d2) = (*state["pending"], *_FREE_SLOTS)[:2]
-            ints.append((
-                state["branch"], _STATE_OF_VALUE[state["state"]],
-                state["exec_count"], state["state_entry_exec"],
-                state["monitor_taken"], state["monitor_samples"],
-                state["counter"], state["bias_entries"], l1, l2,
-                state["window_correct"], state["window_pos"],
-                state["correct"], state["incorrect"], state["evictions"]))
-            flags.append((state["deployed"], state["deployed_direction"],
-                          s1, d1, s2, d2, state["episode_active"], False))
-        self._ints[:, rows] = np.array(ints, dtype=np.int64).T
-        self._flags[:, rows] = np.array(flags, dtype=bool).T
-        decisions = self._decisions
-        for key, state in zip(keys.tolist(), ordered):
-            decisions[key] = bool(state["deployed"])
+        # controller() accessor) has a row the block makes stale.
+        self.evict_keys(block.keys)
+        base = self.n_rows
+        self._grow(base + n)
+        self.n_rows = base + n
+        new = slice(base, base + n)
+        self._ints[:, new] = block.ints
+        self._flags[:-1, new] = block.flags
+        self.dead[new] = False
+        self._decisions.update(zip(block.keys.tolist(),
+                                   block.deployed.tolist()))
         self._rebuild_index()
 
     # -- scalar controllers on request ----------------------------------
@@ -391,10 +540,10 @@ class ColumnarBank:
 
     # -- eviction -------------------------------------------------------
     def evict_keys(self, keys: np.ndarray) -> None:
-        """Drop the rows for ``keys`` (sorted int64).
+        """Drop the rows for ``keys`` (int64).
 
-        Used by tenant spill after the rows were exported, and by
-        :meth:`install` before it replaces a key's row: the rows are
+        Used by tenant spill after the rows were gathered, and by
+        :meth:`put` before it replaces a key's row: the rows are
         tombstoned (``dead``) and removed from the lookup index, so a
         later re-intern of the same key mints a fresh row.  Tombstones
         are compacted away once they outnumber live rows, keeping
@@ -467,7 +616,9 @@ class ColumnarBank:
 
     def _land(self, rows: np.ndarray, stamps: np.ndarray) -> None:
         """Land every deployment due by ``stamps`` (slot one is), in
-        queue order: slot two moves up into slot one as slot one lands.
+        queue order: slot two moves up into slot one as slot one lands,
+        and empties (a free slot's columns are ``_FREE_SLOTS``, so a
+        row is a function of the controller's state alone).
         """
         while rows.size:
             spec = self.spec[rows]
@@ -481,6 +632,8 @@ class ColumnarBank:
             self.spec[rows] = self.spec2[rows]
             self.dir[rows] = self.dir2[rows]
             self.land2[rows] = _NEVER
+            self.spec2[rows] = False
+            self.dir2[rows] = False
             due = self.land[rows] <= stamps
             rows, stamps = rows[due], stamps[due]
 

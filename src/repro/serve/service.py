@@ -53,18 +53,22 @@ import asyncio
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import monotonic
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.config import ControllerConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import TransitionTrace
+from repro.serve.colpath import RowBlock
 from repro.serve.events import EventBatch
-from repro.serve.shard import ShardApplyResult, ShardedBank, split_states
+from repro.serve.shard import ShardApplyResult, ShardedBank
 from repro.serve.telemetry import ServiceTelemetry, TelemetryReading
 from repro.serve.workers import LocalPool, WorkerDiedError, WorkerPool
 from repro.sim.metrics import SpeculationMetrics
-from repro.tenant.manager import AdmissionPlan, TenantManager
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.tenant.manager import AdmissionPlan, TenantManager
 
 __all__ = ["ServiceConfig", "BackpressureError", "QuotaExceededError",
            "SequenceError", "SpeculationService"]
@@ -246,7 +250,7 @@ class _TenantJob:
 
     kind: str  # "spill" | "restore"
     tenant: int
-    states: list[dict] | None = field(default=None, repr=False)
+    rows: RowBlock | None = field(default=None, repr=False)
 
 
 class SpeculationService:
@@ -347,6 +351,9 @@ class SpeculationService:
             self._tenants = self._make_tenant_manager()
 
     def _make_tenant_manager(self) -> TenantManager:
+        # The manager imports this package (for the row codec).
+        from repro.tenant.manager import TenantManager
+
         scfg = self.service_config
         return TenantManager(
             self.bank.n_shards,
@@ -506,9 +513,9 @@ class SpeculationService:
         if plan is not None:
             # Restore jobs go ahead of the batch's partitions.
             n = self.bank.n_shards
-            for tenant, states in plan.restores:
-                for queue, part in zip(self._queues, split_states(states, n)):
-                    if part:
+            for tenant, rows in plan.restores:
+                for queue, part in zip(self._queues, rows.split(n)):
+                    if len(part):
                         queue.put_nowait(_TenantJob("restore", tenant, part))
         for p in parts:
             if spans is not None:
@@ -718,10 +725,10 @@ class SpeculationService:
         for i, job in enumerate(jobs):
             try:
                 if job.kind == "spill":
-                    states = await pool.spill(shard_index, job.tenant)
-                    self._tenants.spill_contribution(job.tenant, states)
+                    rows = await pool.spill(shard_index, job.tenant)
+                    self._tenants.spill_contribution(job.tenant, rows)
                 else:
-                    await pool.restore(shard_index, job.states)
+                    await pool.restore(shard_index, job.rows)
             except Exception as err:
                 self._abandon_shard(shard_index, err, len(jobs) - i)
                 return False
@@ -785,9 +792,8 @@ class SpeculationService:
                 raise RuntimeError(
                     f"logged batch seq {batch.seq} touches tenant "
                     f"{plan.reject_tenant} mid-spill")
-            for _tenant, states in plan.restores:
-                for shard, part in zip(shards,
-                                       split_states(states, len(shards))):
+            for _tenant, rows in plan.restores:
+                for shard, part in zip(shards, rows.split(len(shards))):
                     shard.restore_tenant(part)
         results = self.bank.apply_batch(batch)
         self._last_seq = batch.seq
@@ -822,12 +828,12 @@ class SpeculationService:
             return None
         return tm.plan(batch)
 
-    def _export_tenants(self) -> dict[str, list[dict]]:
-        """Spilled tenants' controller states (snapshot embedding)."""
+    def _export_tenants(self) -> dict[str, RowBlock]:
+        """Spilled tenants' rows (snapshot embedding)."""
         return (self._tenants.export_spilled()
                 if self._tenants is not None else {})
 
-    def _install_tenants(self, spilled: dict) -> None:
+    def _install_tenants(self, spilled: dict[str, RowBlock]) -> None:
         """Seed the tenant manager from a loaded snapshot: the spill
         store from its tenants section, the resident set from the
         controllers the bank holds."""
@@ -894,18 +900,16 @@ class SpeculationService:
                         "snapshot() without a path needs snapshot_dir")
                 path = Path(self.service_config.snapshot_dir) / (
                     f"snapshot-{self.bank.events_applied:012d}.json.gz")
-            bank_state = None
+            shards = None
             if self._pool is not None:
                 # Phase two of the quiesce: every shard is drained
                 # (intake closed + queues joined above), so the pool
                 # collects per-shard state for one atomic checkpoint.
                 try:
-                    states = await self._pool.collect_states()
+                    shards = await self._pool.collect_states()
                 except WorkerDiedError as err:
                     raise self._set_fatal(err)
-                bank_state = {"n_shards": self.bank.n_shards,
-                              "shards": states}
-            out = save_snapshot(path, self, bank_state=bank_state)
+            out = save_snapshot(path, self, shards=shards)
         finally:
             self._quiescing = False
         self._snapshot_seq = self._last_seq

@@ -26,7 +26,10 @@ A shard's controllers live only in its columnar engine's rows
 is the shard's one record of which controllers it holds: every
 controller gets a row as it enters.  One tenant's controllers are the
 slice ``[t << 32, (t + 1) << 32)`` of that index, which is all
-:meth:`BankShard.spill_tenant` reads.
+:meth:`BankShard.spill_tenant` reads.  State leaves and enters a shard
+as a :class:`~repro.serve.colpath.RowBlock` (spill, restore,
+:meth:`BankShard.install`), and a whole shard's state is a
+:class:`ShardState`: its counters and its rows' block.
 """
 
 from __future__ import annotations
@@ -38,13 +41,13 @@ import numpy as np
 
 from repro.core.config import ControllerConfig
 from repro.core.controller import ReactiveBranchController
-from repro.serve.colpath import ColumnarBank
+from repro.serve.colpath import ColumnarBank, RowBlock
 from repro.serve.events import EventBatch
 from repro.sim.metrics import SpeculationMetrics
 from repro.tenant.keys import MAX_PC, TENANT_SHIFT, mix64
 
-__all__ = ["shard_of", "shard_ids", "split_states", "BankShard",
-           "ShardedBank", "ShardApplyResult"]
+__all__ = ["shard_of", "shard_ids", "BankShard", "ShardedBank",
+           "ShardApplyResult", "ShardState"]
 
 
 def shard_of(pc: int, n_shards: int) -> int:
@@ -61,14 +64,6 @@ def shard_ids(pcs: np.ndarray, n_shards: int) -> np.ndarray:
     x *= np.uint64(0x94D049BB133111EB)
     x ^= x >> np.uint64(31)
     return (x % np.uint64(n_shards)).astype(np.int64)
-
-
-def split_states(states: list[dict], n_shards: int) -> list[list[dict]]:
-    """Controller states grouped by owning shard (input order kept)."""
-    parts: list[list[dict]] = [[] for _ in range(n_shards)]
-    for state in states:
-        parts[shard_of(int(state["branch"]), n_shards)].append(state)
-    return parts
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,6 +112,21 @@ class ShardApplyResult:
     col_fast: int = 0
     col_fallback: int = 0
     col_single: int = 0
+
+
+@dataclass(frozen=True)
+class ShardState:
+    """One shard's whole state: its counters and its controllers' rows
+    (in key order).  The body of the worker link's ``LOAD`` and
+    ``STATE`` frames; :mod:`repro.serve.snapshot` writes it to and
+    reads it from the snapshot file."""
+
+    index: int
+    events_applied: int
+    last_instr: int
+    correct: int
+    incorrect: int
+    rows: RowBlock = field(repr=False)
 
 
 class BankShard:
@@ -233,61 +243,54 @@ class BankShard:
         the decision cache)."""
         self.col = ColumnarBank(self.col.config, self.decisions)
 
-    def install(self, states: list[dict]) -> None:
-        """Enter controllers from their ``export_state()`` dicts.
+    def install(self, rows: RowBlock) -> None:
+        """Enter controllers from their rows.
 
         The one way controller state arrives in a shard: tenant
         restore, snapshot load, reshard and a worker's LOAD all come
-        through here.  Each state replaces any controller the shard
-        held under its key (see :meth:`ColumnarBank.install
-        <repro.serve.colpath.ColumnarBank.install>`, which refuses a
-        state the controller could not have reached).
+        through here.  Each row replaces any controller the shard held
+        under its key and sets the key's decision.
         """
-        self.col.install(states)
+        self.col.put(rows)
 
     # -- tenant spill / restore -----------------------------------------
-    def spill_tenant(self, tenant: int) -> list[dict]:
+    def spill_tenant(self, tenant: int) -> RowBlock:
         """Extract and evict every controller of ``tenant``.
 
-        Returns the controllers' ``export_state()`` dicts in ascending
-        key order (deterministic blobs) and removes the keys' rows and
-        decisions.  Restoring the same states via :meth:`restore_tenant`
-        is bit-exact.
+        Returns the controllers' rows in ascending key order and removes
+        the keys' rows and decisions.  Restoring the block via
+        :meth:`restore_tenant` is bit-exact.
         """
         col = self.col
         keys, rows = col.key_range(tenant << TENANT_SHIFT,
                                    (tenant << TENANT_SHIFT) | MAX_PC)
-        states = col.export(rows)
+        block = col.gather(rows)
         decisions = self.decisions
         for key in keys.tolist():
             decisions.pop(key, None)
         col.evict_keys(keys)
-        return states
+        return block
 
-    def restore_tenant(self, states: list[dict]) -> None:
-        """Re-intern spilled controller states into this shard."""
-        self.install(states)
+    def restore_tenant(self, rows: RowBlock) -> None:
+        """Re-intern a spilled tenant's rows into this shard."""
+        self.install(rows)
 
     # -- snapshot hooks -------------------------------------------------
-    def export_state(self) -> dict:
-        return {
-            "index": self.index,
-            "events_applied": int(self.events_applied),
-            "last_instr": int(self.last_instr),
-            "correct": int(self.correct),
-            "incorrect": int(self.incorrect),
-            "bank": self.col.export(self.col._key_rows),
-        }
+    def export_state(self) -> ShardState:
+        return ShardState(
+            index=self.index, events_applied=int(self.events_applied),
+            last_instr=int(self.last_instr), correct=int(self.correct),
+            incorrect=int(self.incorrect), rows=self.col.gather())
 
     @classmethod
     def from_state(cls, config: ControllerConfig,
-                   state: dict) -> "BankShard":
-        shard = cls(int(state["index"]), config)
-        shard.events_applied = int(state["events_applied"])
-        shard.last_instr = int(state["last_instr"])
-        shard.correct = int(state["correct"])
-        shard.incorrect = int(state["incorrect"])
-        shard.install(state["bank"])
+                   state: ShardState) -> "BankShard":
+        shard = cls(state.index, config)
+        shard.events_applied = state.events_applied
+        shard.last_instr = state.last_instr
+        shard.correct = state.correct
+        shard.incorrect = state.incorrect
+        shard.install(state.rows)
         return shard
 
 
@@ -396,18 +399,15 @@ class ShardedBank:
         return tuple(s.events_applied for s in self.shards)
 
     # -- snapshot hooks -------------------------------------------------
-    def export_state(self) -> dict:
-        return {
-            "n_shards": self.n_shards,
-            "shards": [s.export_state() for s in self.shards],
-        }
+    def export_state(self) -> list[ShardState]:
+        """Every shard's state, by shard index."""
+        return [s.export_state() for s in self.shards]
 
     @classmethod
     def from_state(cls, config: ControllerConfig,
-                   state: dict) -> "ShardedBank":
-        bank = cls(config, int(state["n_shards"]))
-        bank.shards = tuple(BankShard.from_state(config, s)
-                            for s in state["shards"])
+                   states: list[ShardState]) -> "ShardedBank":
+        bank = cls(config, len(states))
+        bank.shards = tuple(BankShard.from_state(config, s) for s in states)
         if tuple(s.index for s in bank.shards) != tuple(range(bank.n_shards)):
             raise ValueError("snapshot shard indices are not 0..N-1")
         return bank

@@ -20,6 +20,17 @@ shards can be restored onto M shards (``n_shards=``): controllers are
 re-placed by routing hash and the per-shard accumulators recomputed
 exactly, spilled tenants' controllers included.
 
+This module is the JSON file's edge, and the only place the
+per-controller ``export_state()`` dicts exist in the service: inside
+the process a shard's state is a
+:class:`~repro.serve.shard.ShardState` (counters plus a
+:class:`~repro.serve.colpath.RowBlock`) and a spilled tenant is a
+block, which :func:`~repro.serve.colpath.rows_to_states` and
+:func:`~repro.serve.colpath.states_to_rows` turn into and out of the
+document.  Loading validates every controller state, so a file holding
+one the controller could not have reached is refused with a
+:class:`ValueError` naming the branch.
+
 :func:`repro.wal.recovery.recover_service` is the one way back from
 disk; :func:`load_snapshot` is the snapshot reader beneath it.
 """
@@ -35,7 +46,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.config import ControllerConfig
-from repro.serve.shard import ShardedBank, split_states
+from repro.serve.colpath import RowBlock, rows_to_states, states_to_rows
+from repro.serve.shard import ShardedBank, ShardState
 from repro.wal.writer import _fsync_dir
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -70,15 +82,15 @@ _KIND = "repro.serve.snapshot"
 
 
 def save_snapshot(path: str | Path, service: "SpeculationService",
-                  bank_state: dict | None = None) -> Path:
+                  shards: Sequence[ShardState] | None = None) -> Path:
     """Write ``service``'s full state to ``path`` (gzip JSON, atomic).
 
     The service must be quiesced — call through
     :meth:`~repro.serve.service.SpeculationService.snapshot`, which
-    drains first.  ``bank_state`` substitutes an externally collected
-    bank export (the multi-process path, where the authoritative
-    controller state lives in the worker processes); the written format
-    is identical either way, which is what makes snapshots
+    drains first.  ``shards`` substitutes externally collected shard
+    states (the multi-process path, where the authoritative controller
+    state lives in the worker processes); the written format is
+    identical either way, which is what makes snapshots
     interchangeable across execution modes.
     """
     if service.queued_events:
@@ -92,15 +104,16 @@ def save_snapshot(path: str | Path, service: "SpeculationService",
         "service_config": asdict(service.service_config),
         "last_seq": int(service.last_seq),
         "events_submitted": int(service.events_submitted),
-        "bank": (bank_state if bank_state is not None
-                 else service.bank.export_state()),
+        "bank": _bank_document(shards if shards is not None
+                               else service.bank.export_state()),
     }
     spilled = service._export_tenants()
     if spilled:
         # Spilled tenants are part of the model state: their
         # controllers continue bit-identically after restore, they are
         # just cold.  Resident tenants already live in the bank export.
-        state["tenants"] = {"spilled": spilled}
+        state["tenants"] = {"spilled": {
+            tenant: rows_to_states(rows) for tenant, rows in spilled.items()}}
     # mtime=0 keeps the gzip container deterministic for identical
     # state.
     return write_durably(path, gzip.compress(
@@ -141,35 +154,53 @@ def _read(path: str | Path) -> dict:
     return state
 
 
-def restore_bank(config: ControllerConfig, bank_state: dict,
+def _bank_document(shards: Sequence[ShardState]) -> dict:
+    """The snapshot's ``bank`` section for these shard states."""
+    return {
+        "n_shards": len(shards),
+        "shards": [{
+            "index": s.index,
+            "events_applied": s.events_applied,
+            "last_instr": s.last_instr,
+            "correct": s.correct,
+            "incorrect": s.incorrect,
+            "bank": rows_to_states(s.rows),
+        } for s in shards],
+    }
+
+
+def _shard_states(bank: dict) -> list[ShardState]:
+    """The shard states a snapshot's ``bank`` section holds."""
+    return [ShardState(
+        index=int(s["index"]), events_applied=int(s["events_applied"]),
+        last_instr=int(s["last_instr"]), correct=int(s["correct"]),
+        incorrect=int(s["incorrect"]), rows=states_to_rows(s["bank"]))
+        for s in bank["shards"]]
+
+
+def restore_bank(config: ControllerConfig, shards: Sequence[ShardState],
                  n_shards: int | None = None,
-                 spilled: Sequence[list[dict]] = ()) -> ShardedBank:
+                 spilled: Sequence[RowBlock] = ()) -> ShardedBank:
     """Rebuild a :class:`ShardedBank`, optionally re-partitioned.
 
     With ``n_shards`` different from the snapshot's, every controller
     is re-placed by the routing hash and per-shard accumulators are
     recomputed from controller state — exact, because branches are
     independent and outcome counts live on the controllers.  The
-    spilled tenants' controller states (``spilled``, one list per
-    tenant) are counted on the shard that will own them once they are
-    recalled: their history is part of the totals, cold or not.
+    spilled tenants' rows (``spilled``, one block per tenant) are
+    counted on the shard that will own them once they are recalled:
+    their history is part of the totals, cold or not.
     """
-    stored_n = int(bank_state["n_shards"])
-    if n_shards is None or n_shards == stored_n:
-        return ShardedBank.from_state(config, bank_state)
+    if n_shards is None or n_shards == len(shards):
+        return ShardedBank.from_state(config, shards)
     bank = ShardedBank(config, n_shards)
-    last_instr = max((int(s["last_instr"]) for s in bank_state["shards"]),
-                     default=0)
-    states = [ctrl for s in bank_state["shards"] for ctrl in s["bank"]]
-    cold = [ctrl for states_of in spilled for ctrl in states_of]
-    for shard, part, cold_part in zip(bank.shards,
-                                      split_states(states, n_shards),
-                                      split_states(cold, n_shards)):
-        shard.install(part)
-        counted = part + cold_part
-        shard.events_applied = sum(int(c["exec_count"]) for c in counted)
-        shard.correct = sum(int(c["correct"]) for c in counted)
-        shard.incorrect = sum(int(c["incorrect"]) for c in counted)
+    last_instr = max((s.last_instr for s in shards), default=0)
+    resident = RowBlock.concat(s.rows for s in shards).split(n_shards)
+    cold = RowBlock.concat(spilled).split(n_shards)
+    for shard, rows, cold_rows in zip(bank.shards, resident, cold):
+        shard.install(rows)
+        (shard.events_applied, shard.correct, shard.incorrect) = (
+            a + b for a, b in zip(rows.totals(), cold_rows.totals()))
         shard.last_instr = last_instr
     return bank
 
@@ -209,8 +240,9 @@ def load_snapshot(path: str | Path,
     WAL-less and on a fresh spill directory unless the caller asks
     otherwise.  Spilled tenants come back from the snapshot's
     ``tenants.spilled`` section.  A transition log in a controller
-    state (older writers kept one) is dropped on load.  Callers
-    outside tests go through
+    state (older writers kept one) is dropped on load, and a state the
+    controller could not have reached raises :class:`ValueError`
+    naming its branch.  Callers outside tests go through
     :func:`repro.wal.recovery.recover_service`, which also replays the
     log tail.
     """
@@ -224,12 +256,10 @@ def load_snapshot(path: str | Path,
     scfg = ServiceConfig(**{**knobs, "workers": 0, "wal_dir": None,
                             "repl_listen": None, "tenant_spill_dir": None})
     scfg = restore_shape(scfg, n_shards, workers, wal_dir, wal_fsync)
-    # Service state keeps no transition log: drop the one an older
-    # snapshot's spilled states carry (installing drops a resident's).
-    spilled = {tenant: [{**ctrl, "transitions": []} for ctrl in states]
-               for tenant, states in
+    spilled = {tenant: states_to_rows(states) for tenant, states in
                state.get("tenants", {}).get("spilled", {}).items()}
-    bank = restore_bank(config, state["bank"], n_shards=scfg.n_shards,
+    bank = restore_bank(config, _shard_states(state["bank"]),
+                        n_shards=scfg.n_shards,
                         spilled=list(spilled.values()))
     service = SpeculationService(service_config=scfg, bank=bank,
                                  last_seq=int(state["last_seq"]))

@@ -4,8 +4,11 @@ Frames are the unit of exchange: a one-byte frame type followed by a
 struct-packed, little-endian body.  Event payloads travel as raw
 columnar array bytes (int64 keys / uint8 taken / int64 instrs), so
 encoding a micro-batch is three ``tobytes`` calls and decoding is three
-zero-copy ``frombuffer`` views; shard and controller state travels as
-zlib-compressed JSON.
+zero-copy ``frombuffer`` views.  Controller state travels as a packed
+row block (:meth:`RowBlock.to_bytes
+<repro.serve.colpath.RowBlock.to_bytes>`: the rows' column bytes
+through zlib), and a shard's counters ride in the frame's struct
+header beside it.
 
 On a stream, every frame is delimited by a :data:`FRAME_HEADER`
 (``<uint32 length>``) prefix.  :class:`SocketTransport` is the one
@@ -18,8 +21,10 @@ end of the link, with the same prefix, from the event loop
 
 Frame catalogue (body layouts, all little-endian)::
 
-    LOAD         uint64 ticket (0) | uint32 zlen
-                 | zlib(JSON shard state)               parent → worker
+    LOAD         uint64 ticket (0) | uint32 shard
+                 | uint64 events_applied | int64 last_instr
+                 | uint64 correct | uint64 incorrect
+                 | uint32 zlen | row block              parent → worker
     HELLO        uint16 shard | uint32 pid              worker → parent
     APPLY        uint64 ticket | uint32 n
                  | int64 key[n] | uint8 taken[n]
@@ -36,15 +41,14 @@ Frame catalogue (body layouts, all little-endian)::
     BARRIER      uint64 ticket                          parent → worker
     BARRIER_ACK  uint64 ticket                          worker → parent
     STATE_REQ    uint64 ticket                          parent → worker
-    STATE        uint64 ticket | uint32 zlen
-                 | zlib(JSON shard state)               worker → parent
+    STATE        (the LOAD layout)                      worker → parent
     SHUTDOWN     (empty)                                parent → worker
     ERROR        utf-8 message                          worker → parent
     TSPILL       uint64 ticket | uint32 tenant          parent → worker
     TSPILL_RESULT uint64 ticket | uint32 zlen
-                 | zlib(JSON state list)                worker → parent
+                 | row block                            worker → parent
     TRESTORE     uint64 ticket | uint32 zlen
-                 | zlib(JSON state list)                parent → worker
+                 | row block                            parent → worker
     TRESTORE_ACK uint64 ticket                          worker → parent
 
 ``APPLY`` keys are packed int64 ``(tenant << 32) | pc`` keys (see
@@ -54,24 +58,24 @@ key, arc code, exec index and instruction stamp, one column per arc
 firing.  Every parent → worker request but ``SHUTDOWN`` carries a
 ticket that its reply echoes, which is how the supervisor pairs
 replies with awaiting requests (``LOAD`` has no reply and always
-carries ticket 0).  Every zlib JSON body, here and in the replication
-frames (:mod:`repro.replicate.frames`), is made by :func:`_seal` and
-read by :func:`_unseal`.  These frames pass only between
-a parent and its workers and are never persisted; the WAL and
-replication byte form of a batch is :meth:`EventBatch.to_bytes
+carries ticket 0).  A row block's ``zlen`` bytes hold whole rows
+(the row count comes from their length); a body that does not
+decompress or holds a partial row raises :class:`ProtocolError`
+naming the frame.  These frames pass only between a parent and its
+workers and are never persisted; the WAL and replication byte form of
+a batch is :meth:`EventBatch.to_bytes
 <repro.serve.events.EventBatch.to_bytes>`.
 """
 
 from __future__ import annotations
 
-import json
 import socket
 import struct
-import zlib
 
 import numpy as np
 
-from repro.serve.shard import ShardApplyResult
+from repro.serve.colpath import RowBlock
+from repro.serve.shard import ShardApplyResult, ShardState
 
 __all__ = [
     "LOAD", "HELLO", "APPLY", "APPLY_RESULT", "BARRIER", "BARRIER_ACK",
@@ -86,7 +90,7 @@ __all__ = [
     "encode_barrier", "decode_barrier",
     "encode_state_req", "decode_state_req", "encode_state", "decode_state",
     "encode_shutdown", "encode_error", "decode_error", "frame_type",
-    "FRAME_HEADER", "SocketTransport",
+    "expect_frame", "FRAME_HEADER", "SocketTransport",
 ]
 
 LOAD = 0x01
@@ -110,6 +114,7 @@ _RESULT = struct.Struct("<BQIQQqIIQQQddd")
 _TICKET = struct.Struct("<BQ")
 _TSPILL = struct.Struct("<BQI")
 _TBLOB = struct.Struct("<BQI")
+_SHARD = struct.Struct("<BQIQqQQI")
 #: The ``<uint32 length>`` prefix that delimits frames on a stream.
 FRAME_HEADER = struct.Struct("<I")
 
@@ -127,8 +132,8 @@ def frame_type(payload: bytes) -> int:
     return payload[0]
 
 
-def _expect(payload: bytes, ftype: int, name: str,
-            min_len: int = 1, exact_len: int | None = None) -> None:
+def expect_frame(payload: bytes, ftype: int, name: str,
+                 min_len: int = 1, exact_len: int | None = None) -> None:
     """Validate frame type and length before any ``struct`` unpack.
 
     Every decoder funnels through here so a truncated or oversized
@@ -149,29 +154,13 @@ def _expect(payload: bytes, ftype: int, name: str,
             f"least {min_len}")
 
 
-# -- zlib JSON bodies -------------------------------------------------------
-def _seal(value) -> bytes:
-    """A JSON value as a zlib-compressed frame body."""
-    return zlib.compress(json.dumps(value, separators=(",", ":"))
-                         .encode("utf-8"))
-
-
-def _unseal(body: bytes, name: str):
-    """The JSON value in a :func:`_seal` body of a ``name`` frame."""
-    try:
-        return json.loads(zlib.decompress(body).decode("utf-8"))
-    except (zlib.error, ValueError) as err:
-        raise ProtocolError(f"{name} frame body is not zlib JSON: {err}") \
-            from err
-
-
-def encode_load(state: dict) -> bytes:
+def encode_load(state: ShardState) -> bytes:
     """Parent → worker: the shard's full state, to start from."""
-    return _encode_blob(LOAD, 0, state)
+    return _encode_shard(LOAD, 0, state)
 
 
-def decode_load(payload: bytes) -> dict:
-    return _decode_blob(payload, LOAD, "LOAD", dict)[1]
+def decode_load(payload: bytes) -> ShardState:
+    return _decode_shard(payload, LOAD, "LOAD")[1]
 
 
 def encode_hello(shard: int, pid: int) -> bytes:
@@ -179,7 +168,7 @@ def encode_hello(shard: int, pid: int) -> bytes:
 
 
 def decode_hello(payload: bytes) -> tuple[int, int]:
-    _expect(payload, HELLO, "HELLO", exact_len=_HELLO.size)
+    expect_frame(payload, HELLO, "HELLO", exact_len=_HELLO.size)
     _, shard, pid = _HELLO.unpack(payload)
     return shard, pid
 
@@ -198,7 +187,7 @@ def decode_apply(payload: bytes,
                  ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """Returns ``(ticket, keys, taken, instrs)`` — arrays are zero-copy
     read-only views into ``payload``."""
-    _expect(payload, APPLY, "APPLY", min_len=_APPLY.size)
+    expect_frame(payload, APPLY, "APPLY", min_len=_APPLY.size)
     _, ticket, n = _APPLY.unpack_from(payload)
     off = _APPLY.size
     if len(payload) != off + n * _EVENT_BYTES:
@@ -236,7 +225,7 @@ def decode_apply_result(payload: bytes, shard: int,
                         ) -> tuple[int, ShardApplyResult]:
     """Returns ``(ticket, result)``, ``result`` attributed to ``shard``;
     its arrays are zero-copy read-only views into ``payload``."""
-    _expect(payload, APPLY_RESULT, "APPLY_RESULT", min_len=_RESULT.size)
+    expect_frame(payload, APPLY_RESULT, "APPLY_RESULT", min_len=_RESULT.size)
     (_, ticket, events, correct, incorrect, last_instr, n_changed,
      n_trans, col_fast, col_fallback, col_single, apply_seconds,
      t_recv, t_done) = _RESULT.unpack_from(payload)
@@ -258,27 +247,43 @@ def decode_apply_result(payload: bytes, shard: int,
         col_single=col_single)
 
 
-# -- state blobs (zlib JSON) ------------------------------------------------
-def _encode_blob(ftype: int, ticket: int, value) -> bytes:
-    blob = _seal(value)
-    return _TBLOB.pack(ftype, ticket, len(blob)) + blob
+# -- row blocks -------------------------------------------------------------
+def _pack_rows(head: struct.Struct, fields: tuple, rows: RowBlock) -> bytes:
+    """``fields`` packed by ``head``, which ends in the body's
+    ``zlen``, then the packed ``rows``."""
+    body = rows.to_bytes()
+    return head.pack(*fields, len(body)) + body
 
 
-def _decode_blob(payload: bytes, ftype: int, name: str, kind: type,
-                 ) -> tuple[int, list | dict]:
-    _expect(payload, ftype, name, min_len=_TBLOB.size)
-    _, ticket, zlen = _TBLOB.unpack_from(payload)
-    if len(payload) != _TBLOB.size + zlen:
+def _unpack_rows(payload: bytes, head: struct.Struct, ftype: int,
+                 name: str) -> tuple[list, RowBlock]:
+    """The header fields between the type byte and ``zlen`` of a
+    :func:`_pack_rows` frame, and its row block."""
+    expect_frame(payload, ftype, name, min_len=head.size)
+    _, *fields, zlen = head.unpack_from(payload)
+    if len(payload) != head.size + zlen:
         raise ProtocolError(f"{name} frame length mismatch")
-    value = _unseal(payload[_TBLOB.size:], name)
-    if not isinstance(value, kind):
-        raise ProtocolError(f"{name} frame body is not a state "
-                            f"{kind.__name__}")
-    return ticket, value
+    try:
+        rows = RowBlock.from_bytes(memoryview(payload)[head.size:])
+    except ValueError as err:
+        raise ProtocolError(f"{name} frame body: {err}") from err
+    return fields, rows
+
+
+def _encode_shard(ftype: int, ticket: int, state: ShardState) -> bytes:
+    return _pack_rows(_SHARD, (
+        ftype, ticket, state.index, state.events_applied, state.last_instr,
+        state.correct, state.incorrect), state.rows)
+
+
+def _decode_shard(payload: bytes, ftype: int,
+                  name: str) -> tuple[int, ShardState]:
+    (ticket, *counters), rows = _unpack_rows(payload, _SHARD, ftype, name)
+    return ticket, ShardState(*counters, rows)
 
 
 def _decode_ticket(payload: bytes, ftype: int, name: str) -> int:
-    _expect(payload, ftype, name, exact_len=_TICKET.size)
+    expect_frame(payload, ftype, name, exact_len=_TICKET.size)
     return _TICKET.unpack(payload)[1]
 
 
@@ -289,27 +294,30 @@ def encode_tspill(ticket: int, tenant: int) -> bytes:
 
 def decode_tspill(payload: bytes) -> tuple[int, int]:
     """Returns ``(ticket, tenant)``."""
-    _expect(payload, TSPILL, "TSPILL", exact_len=_TSPILL.size)
+    expect_frame(payload, TSPILL, "TSPILL", exact_len=_TSPILL.size)
     _, ticket, tenant = _TSPILL.unpack(payload)
     return ticket, tenant
 
 
-def encode_tspill_result(ticket: int, states: list) -> bytes:
-    """Worker → parent: controller states evicted by a TSPILL."""
-    return _encode_blob(TSPILL_RESULT, ticket, states)
+def encode_tspill_result(ticket: int, rows: RowBlock) -> bytes:
+    """Worker → parent: the controller rows a TSPILL evicted."""
+    return _pack_rows(_TBLOB, (TSPILL_RESULT, ticket), rows)
 
 
-def decode_tspill_result(payload: bytes) -> tuple[int, list]:
-    return _decode_blob(payload, TSPILL_RESULT, "TSPILL_RESULT", list)
+def decode_tspill_result(payload: bytes) -> tuple[int, RowBlock]:
+    (ticket,), rows = _unpack_rows(payload, _TBLOB, TSPILL_RESULT,
+                                   "TSPILL_RESULT")
+    return ticket, rows
 
 
-def encode_trestore(ticket: int, states: list) -> bytes:
-    """Parent → worker: controller states to re-intern into the shard."""
-    return _encode_blob(TRESTORE, ticket, states)
+def encode_trestore(ticket: int, rows: RowBlock) -> bytes:
+    """Parent → worker: controller rows to re-intern into the shard."""
+    return _pack_rows(_TBLOB, (TRESTORE, ticket), rows)
 
 
-def decode_trestore(payload: bytes) -> tuple[int, list]:
-    return _decode_blob(payload, TRESTORE, "TRESTORE", list)
+def decode_trestore(payload: bytes) -> tuple[int, RowBlock]:
+    (ticket,), rows = _unpack_rows(payload, _TBLOB, TRESTORE, "TRESTORE")
+    return ticket, rows
 
 
 def encode_trestore_ack(ticket: int) -> bytes:
@@ -340,13 +348,13 @@ def decode_state_req(payload: bytes) -> int:
     return _decode_ticket(payload, STATE_REQ, "STATE_REQ")
 
 
-def encode_state(ticket: int, state: dict) -> bytes:
-    """Worker → parent: the shard's full ``export_state()``."""
-    return _encode_blob(STATE, ticket, state)
+def encode_state(ticket: int, state: ShardState) -> bytes:
+    """Worker → parent: the shard's full state."""
+    return _encode_shard(STATE, ticket, state)
 
 
-def decode_state(payload: bytes) -> tuple[int, dict]:
-    return _decode_blob(payload, STATE, "STATE", dict)
+def decode_state(payload: bytes) -> tuple[int, ShardState]:
+    return _decode_shard(payload, STATE, "STATE")
 
 
 def encode_shutdown() -> bytes:
@@ -358,7 +366,7 @@ def encode_error(message: str) -> bytes:
 
 
 def decode_error(payload: bytes) -> str:
-    _expect(payload, ERROR, "ERROR")
+    expect_frame(payload, ERROR, "ERROR")
     return payload[1:].decode("utf-8", errors="replace")
 
 

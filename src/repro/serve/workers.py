@@ -21,8 +21,9 @@ at start:
 
 The worker pool keeps the bank's shards as mirrors (counters and the
 decision cache, no controllers) and owns all their upkeep: it absorbs
-each ``APPLY_RESULT``, drops spilled keys from the decision cache and
-re-seeds restored ones, and on a drained shutdown gathers every shard's
+each ``APPLY_RESULT``, drops a spilled row block's keys from the
+decision cache and re-seeds a restored block's keys from its
+``deployed`` column, and on a drained shutdown gathers every shard's
 state back into the bank.  So ``metrics()`` and ``should_speculate()``
 stay local reads in both modes.  Frames carry a ``<uint32 length>``
 prefix.
@@ -55,7 +56,13 @@ from time import monotonic
 import numpy as np
 
 from repro.serve import wire
-from repro.serve.shard import BankShard, ShardApplyResult, ShardedBank
+from repro.serve.colpath import RowBlock
+from repro.serve.shard import (
+    BankShard,
+    ShardApplyResult,
+    ShardedBank,
+    ShardState,
+)
 
 __all__ = ["LocalPool", "WorkerDiedError", "WorkerPool", "worker_main"]
 
@@ -150,8 +157,8 @@ def worker_main(index: int, config_dict: dict, sock: socket.socket,
                 transport.send(wire.encode_tspill_result(
                     ticket, shard.spill_tenant(tenant)))
             elif ftype == wire.TRESTORE:
-                ticket, states = wire.decode_trestore(payload)
-                shard.restore_tenant(states)
+                ticket, rows = wire.decode_trestore(payload)
+                shard.restore_tenant(rows)
                 transport.send(wire.encode_trestore_ack(ticket))
             elif ftype == wire.BARRIER:
                 transport.send(wire.encode_barrier(
@@ -311,13 +318,13 @@ class LocalPool:
                     instrs: np.ndarray) -> ShardApplyResult:
         return self.bank.shards[shard].apply(pcs, taken, instrs)
 
-    async def spill(self, shard: int, tenant: int) -> list[dict]:
+    async def spill(self, shard: int, tenant: int) -> RowBlock:
         return self.bank.shards[shard].spill_tenant(tenant)
 
-    async def restore(self, shard: int, states: list[dict]) -> None:
-        self.bank.shards[shard].restore_tenant(states)
+    async def restore(self, shard: int, rows: RowBlock) -> None:
+        self.bank.shards[shard].restore_tenant(rows)
 
-    async def collect_states(self) -> list[dict]:
+    async def collect_states(self) -> list[ShardState]:
         return [s.export_state() for s in self.bank.shards]
 
     async def shutdown(self, gather: bool = False) -> bool:
@@ -449,25 +456,24 @@ class WorkerPool:
         self.bank.shards[shard].absorb(result)
         return result
 
-    async def spill(self, shard: int, tenant: int) -> list[dict]:
+    async def spill(self, shard: int, tenant: int) -> RowBlock:
         """Evict one tenant's controllers from a worker's shard;
-        returns their exported states."""
-        states = await self._call(shard, lambda ticket: wire.encode_tspill(
+        returns their rows."""
+        rows = await self._call(shard, lambda ticket: wire.encode_tspill(
             ticket, tenant))
         # The mirror learns decision flips from APPLY_RESULT frames;
         # evictions it learns here.
         decisions = self.bank.shards[shard].decisions
-        for state in states:
-            decisions.pop(int(state["branch"]), None)
-        return states
+        for key in rows.keys.tolist():
+            decisions.pop(key, None)
+        return rows
 
-    async def restore(self, shard: int, states: list[dict]) -> None:
-        """Re-intern spilled controller states into a worker's shard."""
+    async def restore(self, shard: int, rows: RowBlock) -> None:
+        """Re-intern a spilled tenant's rows into a worker's shard."""
         await self._call(shard, lambda ticket: wire.encode_trestore(
-            ticket, states))
-        decisions = self.bank.shards[shard].decisions
-        for state in states:
-            decisions[int(state["branch"])] = bool(state["deployed"])
+            ticket, rows))
+        self.bank.shards[shard].decisions.update(
+            zip(rows.keys.tolist(), rows.deployed.tolist()))
 
     async def barrier(self) -> None:
         """Wait until every worker has processed all frames sent so far
@@ -475,7 +481,7 @@ class WorkerPool:
         await asyncio.gather(*(self._call(i, wire.encode_barrier)
                                for i in range(len(self.handles))))
 
-    async def collect_states(self) -> list[dict]:
+    async def collect_states(self) -> list[ShardState]:
         """Two-phase state collection: barrier, then gather each
         worker's full shard state (ordered by shard index)."""
         await self.barrier()

@@ -32,16 +32,18 @@ is where the tenant dimension actually lives:
   FIFO control job per shard queue, so the spill serializes after
   every event already queued for the tenant (a logged batch, applied
   on a stopped service, spills from every shard before it returns).
-  Shards contribute their extracted controller states back via
-  :meth:`spill_contribution`; the last contribution seals the blob
-  (sorted by branch key, so it is deterministic) into the
-  :class:`~repro.tenant.spillstore.SpillStore`.
+  Shards contribute their extracted rows back via
+  :meth:`spill_contribution`; the last contribution joins the shards'
+  :class:`~repro.serve.colpath.RowBlock` parts, sorts them by key once
+  (so the blob is deterministic) and packs them
+  (:meth:`RowBlock.to_bytes <repro.serve.colpath.RowBlock.to_bytes>`)
+  into the :class:`~repro.tenant.spillstore.SpillStore`.
   While a tenant is spilling its new submissions are rejected
   retryably — admitting them would race the queued extraction.
   A spilled tenant's next touch runs the reverse: the plan carries the
-  blob's states, re-interned ahead of that batch's events (same FIFO
-  ordering argument), bit-identically — controller state round-trips
-  through the exact snapshot schema.
+  blob's rows, re-interned ahead of that batch's events (same FIFO
+  ordering argument), bit-identically — a row block is the rows'
+  columns, no conversion in between.
 
 Memory discipline: the manager keeps per-tenant state *only* for
 resident tenants.  A spilled tenant exists as one spill-store index
@@ -60,19 +62,15 @@ import numpy as np
 
 from repro.obs.cardinality import LabelCardinalityGuard
 from repro.obs.metrics import MetricsRegistry
+from repro.serve.colpath import RowBlock
 from repro.tenant.keys import MAX_PC, TENANT_SHIFT, sorted_unique
-from repro.tenant.spillstore import SpillStore, seal_states, unseal_states
+from repro.tenant.spillstore import SpillStore
 
 __all__ = ["AdmissionPlan", "TenantManager"]
 
 #: Per-tenant metric labels kept: the top-K tenants by traffic get
 #: dedicated labels, the rest aggregate under ``__overflow__``.
 TOP_K = 16
-
-
-def _branch_keys(states: list[dict]) -> np.ndarray:
-    """The packed branch keys of a spilled tenant's controller states."""
-    return np.array([s["branch"] for s in states], dtype=np.int64)
 
 
 @dataclass
@@ -93,9 +91,9 @@ class AdmissionPlan:
     #: Seconds until the rejecting token bucket can cover the batch
     #: (quota rejects only; spilling rejects use the queue drain hint).
     retry_after: float = 0.0
-    #: Spilled tenants this batch touches: ``(tenant, states)`` pairs
+    #: Spilled tenants this batch touches: ``(tenant, rows)`` pairs
     #: whose restore jobs must precede the batch's events.
-    restores: list[tuple[int, list[dict]]] = field(default_factory=list)
+    restores: list[tuple[int, RowBlock]] = field(default_factory=list)
 
 
 class _Resident:
@@ -136,8 +134,8 @@ class TenantManager:
         self._keys = np.zeros(0, dtype=np.int64)
         self.resident_bytes = 0
         self.peak_resident_bytes = 0
-        #: Tenants mid-spill: collected per-shard states + shards left.
-        self._spill_parts: dict[int, list[dict]] = {}
+        #: Tenants mid-spill: collected per-shard rows + shards left.
+        self._spill_parts: dict[int, list[RowBlock]] = {}
         self._spill_left: dict[int, int] = {}
         self.spills = 0
         self.restores = 0
@@ -216,7 +214,8 @@ class TenantManager:
             for tenant in tenants:
                 blob = store.get(tenant)
                 if blob is not None:
-                    plan.restores.append((tenant, unseal_states(blob)))
+                    plan.restores.append((tenant,
+                                          RowBlock.from_bytes(blob)))
         return plan
 
     def admit(self, plan: AdmissionPlan, now: float) -> bool:
@@ -262,14 +261,14 @@ class TenantManager:
         """Apply an accepted plan: finalize restores, touch the LRU,
         count events, account footprints.  Called only after the batch
         is accepted (post-WAL), so rejection paths mutate nothing."""
-        for tenant, states in plan.restores:
+        for tenant, rows in plan.restores:
             self._store.remove(tenant)
             self.restores += 1
             if self._g_spilled is not None:
                 self._c_restores.inc()
             self._touch(tenant, now)
             if self.resident_bytes_budget is not None:
-                self._add_keys(_branch_keys(states))
+                self._add_keys(rows.keys)
         for tenant, n in zip(plan.tenants, plan.counts):
             self._touch(tenant, now)
             self.events += n
@@ -352,35 +351,35 @@ class TenantManager:
         self._spill_parts[tenant] = []
         self._spill_left[tenant] = self.n_shards
 
-    def spill_contribution(self, tenant: int, states: list[dict]) -> None:
-        """One shard's extracted states for a spilling tenant; the last
-        shard's contribution seals the blob."""
-        self._spill_parts[tenant].extend(states)
+    def spill_contribution(self, tenant: int, rows: RowBlock) -> None:
+        """One shard's extracted rows for a spilling tenant; the last
+        shard's contribution packs the blob."""
+        self._spill_parts[tenant].append(rows)
         self._spill_left[tenant] -= 1
         if self._spill_left[tenant]:
             return
         parts = self._spill_parts.pop(tenant)
         del self._spill_left[tenant]
-        parts.sort(key=lambda s: s["branch"])
-        self._ensure_store().put(tenant, seal_states(parts))
+        self._ensure_store().put(tenant,
+                                 RowBlock.concat(parts).sorted().to_bytes())
         self.spills += 1
         if self._g_spilled is not None:
             self._c_spills.inc()
         self._update_gauges()
 
     # -- snapshot hooks -------------------------------------------------
-    def export_spilled(self) -> dict[str, list[dict]]:
-        """Spilled tenants' controller states (snapshot embedding)."""
+    def export_spilled(self) -> dict[str, RowBlock]:
+        """Spilled tenants' rows (snapshot embedding)."""
         if self._store is None or not len(self._store):
             return {}
-        return {str(t): unseal_states(blob)
+        return {str(t): RowBlock.from_bytes(blob)
                 for t, blob in self._store.export().items()}
 
-    def install_spilled(self, spilled: dict[str, list[dict]]) -> None:
+    def install_spilled(self, spilled: dict[str, RowBlock]) -> None:
         """Seed the store from a snapshot's spilled-tenants section."""
         store = self._ensure_store()
-        for tenant, states in spilled.items():
-            store.put(int(tenant), seal_states(states))
+        for tenant, rows in spilled.items():
+            store.put(int(tenant), rows.to_bytes())
         self._update_gauges()
 
     def install_resident(self, keys: np.ndarray, now: float) -> None:

@@ -14,12 +14,10 @@ dict entry (~100 B) against the kilobytes of controller state it
 replaces — which is what lets the resident-set budget, not the tenant
 count, bound RSS.
 
-The store itself treats blobs as opaque bytes.  Their one format is
-defined here, beside the log: :func:`seal_states` turns a spilled
-tenant's controller-state list (the snapshot's per-controller schema)
-into zlib-compressed compact JSON and :func:`unseal_states` reads it
-back, so a spilled tenant restores through the exact code path a
-snapshot load uses.
+The store treats blobs as opaque bytes.  The tenant manager's blobs
+are packed row blocks (:meth:`RowBlock.to_bytes
+<repro.serve.colpath.RowBlock.to_bytes>`): a spilled tenant's
+controller rows, sorted by key, as their column bytes through zlib.
 
 The log is process scratch, not a durability mechanism: opening a
 store truncates whatever log an earlier process left in the directory.
@@ -31,13 +29,11 @@ Not thread-safe: the service calls it from the event-loop thread only.
 
 from __future__ import annotations
 
-import json
 import os
 import struct
-import zlib
 from pathlib import Path
 
-__all__ = ["SpillStore", "seal_states", "unseal_states"]
+__all__ = ["SpillStore"]
 
 _RECORD = struct.Struct("<II")
 #: Low bits of an index entry hold the record length.
@@ -45,17 +41,6 @@ _LEN_BITS = 28
 _LEN_MASK = (1 << _LEN_BITS) - 1
 #: Compact once garbage exceeds max(this floor, live bytes).
 _COMPACT_FLOOR = 1 << 20
-
-
-def seal_states(states: list[dict]) -> bytes:
-    """One spilled tenant's controller states as a blob."""
-    return zlib.compress(
-        json.dumps(states, separators=(",", ":")).encode("utf-8"))
-
-
-def unseal_states(blob: bytes) -> list[dict]:
-    """The controller states :func:`seal_states` packed into ``blob``."""
-    return json.loads(zlib.decompress(blob))
 
 
 class SpillStore:

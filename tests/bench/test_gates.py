@@ -214,20 +214,28 @@ def test_healthy_document_passes_gate(name, healthy, write_doc, capsys):
     assert "bench gate: OK" in capsys.readouterr().out
 
 
-def test_wal_gate_reads_the_median_pair():
-    """The wal gate's overhead is one minus the median per-pair ratio,
-    recomputed from the pairs: a single lucky pair (the best-of rates
-    read 5%) moves neither verdict."""
-    from repro.bench.targets.wal import extract
+@pytest.mark.parametrize("target", ["wal", "repl"])
+def test_wal_gate_reads_the_median_pair(target):
+    """The wal and repl gates' overhead is one minus the median per-pair
+    ratio, recomputed from the pairs: a single lucky pair (the best-of
+    rates read 5%) moves neither verdict."""
+    from repro.bench.registry import get_benchmark
 
-    gates = (ceil("batch_overhead", 0.15, label="wal overhead"),)
-    doc = wal_doc(baseline=100.0, batch=95.0)
-    doc["batch_pairs"] = [[100.0, 90.0], [90.0, 72.0], [80.0, 76.0]]
-    assert extract(doc)["batch_overhead"].value == pytest.approx(0.10)
-    assert evaluate("wal", gates, extract(doc)).ok
-    doc["batch_pairs"] = [[100.0, 80.0], [90.0, 72.0], [80.0, 76.0]]
-    assert extract(doc)["batch_overhead"].value == pytest.approx(0.20)
-    assert not evaluate("wal", gates, extract(doc)).ok
+    spec = get_benchmark(target)
+    metric, pairs_key, doc = {
+        "wal": ("batch_overhead", "batch_pairs",
+                wal_doc(baseline=100.0, batch=95.0)),
+        "repl": ("repl_overhead", "repl_pairs",
+                 repl_doc(baseline=100.0, repl=95.0)),
+    }[target]
+    gates = tuple(g for g in spec.gates if g.metric == metric)
+    assert [g.limit for g in gates] == [0.15]
+    doc[pairs_key] = [[100.0, 90.0], [90.0, 72.0], [80.0, 76.0]]
+    assert spec.extract(doc)[metric].value == pytest.approx(0.10)
+    assert evaluate(target, gates, spec.extract(doc)).ok
+    doc[pairs_key] = [[100.0, 80.0], [90.0, 72.0], [80.0, 76.0]]
+    assert spec.extract(doc)[metric].value == pytest.approx(0.20)
+    assert not evaluate(target, gates, spec.extract(doc)).ok
 
 
 def test_inexact_document_fails_gate(write_doc, capsys):

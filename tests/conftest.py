@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.config import ControllerConfig
 from repro.obs.tracing import ARC_CODE
+from repro.serve.colpath import rows_to_states, states_to_rows
 from repro.sim.engine import run_reference
 from repro.trace.stream import Trace
 
@@ -57,6 +58,18 @@ def without_logs(states) -> list[dict]:
     return [{**state, "transitions": []} for state in states]
 
 
+def bank_states(shard) -> list[dict]:
+    """A ``BankShard``'s controllers as ``export_state()`` dicts in key
+    order: its rows through the snapshot file's converter."""
+    return rows_to_states(shard.export_state().rows)
+
+
+def rows_of(states):
+    """The row block of ``export_state()`` dicts (the snapshot file's
+    converter), e.g. to install or restore them into a shard."""
+    return states_to_rows(list(states))
+
+
 def logged_arcs(controllers, since=None) -> list[tuple[int, ...]]:
     """The scalar controllers' transition logs as sorted capture rows
     ``(key, arc code, exec index, instr)``; with ``since`` (a key →
@@ -99,13 +112,10 @@ def spec_parity(states: dict, arcs, trace, config, after: int = 0):
 def model_states(service) -> dict:
     """Every controller's export dict by packed branch key, resident
     and spilled alike: the model state a service's snapshot carries.
-    Service exports keep no arc history, so each must carry an empty
-    transition log; compare a service's arcs through
-    :func:`ring_arcs`."""
-    states = {s["branch"]: s for shard in
-              service.bank.export_state()["shards"] for s in shard["bank"]}
-    for spilled in service._export_tenants().values():
-        states.update((s["branch"], s) for s in spilled)
-    assert all(s["transitions"] == [] for s in states.values()), \
-        "a service export carries a transition log"
+    Rows keep no arc history (each dict's transition log is empty);
+    compare a service's arcs through :func:`ring_arcs`."""
+    states = {s["branch"]: s for shard in service.bank.shards
+              for s in bank_states(shard)}
+    for rows in service._export_tenants().values():
+        states.update((s["branch"], s) for s in rows_to_states(rows))
     return states

@@ -104,10 +104,10 @@ def test_live_stream_watermark_and_read_only_serving(trace, tmp_path):
             return tip
 
     tip = asyncio.run(run())
-    follower.stop()
+    replica = follower.seal()
     # Acked means durable: the follower's own WAL holds every batch.
-    assert follower.service.last_seq == tip
-    assert follower.service.events_submitted == TOTAL_EVENTS
+    assert replica.last_seq == tip
+    assert replica.events_submitted == TOTAL_EVENTS
     assert WalReader(tmp_path / "fwal").last_seq() == tip
     assert follower.stats.duplicates_skipped == 0
 
@@ -139,11 +139,11 @@ def test_reconnect_resumes_from_watermark_without_duplicates(
             return tip
 
     tip = asyncio.run(run())
-    follower.stop()
+    replica = follower.seal()
     assert follower.stats.reconnects >= 1
     # Zero duplicate application: every event exactly once, and the
     # follower's log holds each seq exactly once, in order.
-    assert follower.service.events_submitted == TOTAL_EVENTS
+    assert replica.events_submitted == TOTAL_EVENTS
     seqs = [b.seq for b in WalReader(tmp_path / "fwal").batches()]
     assert seqs == list(range(tip + 1))
 
@@ -153,7 +153,7 @@ def test_reconnect_resumes_from_watermark_without_duplicates(
     applied_before = follower.stats.batches_applied
     assert follower._apply_one(stale) is False
     assert follower.stats.batches_applied == applied_before
-    assert follower.service.last_seq == tip
+    assert replica.last_seq == tip
 
 
 def test_lagging_follower_bootstraps_from_snapshot_then_promotes(

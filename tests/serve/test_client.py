@@ -162,9 +162,9 @@ def test_should_speculate_passthrough(bench_trace, bench_config):
             client = SpeculationClient(service)
             await feed_trace(service, bench_trace)
             await service.drain()
-            deployed = [c["branch"]
-                        for s in service.bank.shards
-                        for c in s.export_state()["bank"] if c["deployed"]]
+            deployed = [key for rows in (s.export_state().rows
+                                         for s in service.bank.shards)
+                        for key in rows.keys[rows.deployed].tolist()]
             assert deployed, "trace must deploy some branches"
             for pc in deployed[:10]:
                 assert client.should_speculate(pc) is True

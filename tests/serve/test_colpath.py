@@ -28,9 +28,16 @@ from repro.core.controller import ControllerBank
 from repro.obs.tracing import ARC_CODE
 from repro.serve.events import EventBatch
 from repro.serve.service import ServiceConfig, SpeculationService
+from repro.serve.colpath import rows_to_states
 from repro.serve.shard import BankShard, ShardedBank
 
-from tests.conftest import captured_arcs, logged_arcs, without_logs
+from tests.conftest import (
+    bank_states,
+    captured_arcs,
+    logged_arcs,
+    rows_of,
+    without_logs,
+)
 
 from .test_fastpath import CONFIGS
 
@@ -107,12 +114,16 @@ def _columnar_equals_scalar(config, pcs, taken, instrs, bounds):
     # Full state parity, down to every pending landing; the arcs went
     # out as the captured stream.
     state = col.export_state()
+    states = rows_to_states(state.rows)
     ref_states = without_logs(ref_bank.export_state())
-    assert state["bank"] == ref_states
+    assert states == ref_states
     # Same text too: key order and plain int/bool types, so snapshot
     # bytes cannot drift.
-    assert json.dumps(state["bank"]) == json.dumps(ref_states)
-    assert (state["correct"], state["incorrect"]) == (
+    assert json.dumps(states) == json.dumps(ref_states)
+    # And the rows are the spec's states' rows, free pending slots
+    # included.
+    assert state.rows == rows_of(ref_states)
+    assert (state.correct, state.incorrect) == (
         sum(c.correct for c in ref_bank), sum(c.incorrect for c in ref_bank))
     assert col.decisions == {c.branch: c.deployed for c in ref_bank}
 
@@ -139,8 +150,8 @@ def _scalar_bank(config, pcs, taken, instrs):
 
 def _merged_bank(sharded: ShardedBank) -> list[dict]:
     """Every shard's controller states, merged in branch order."""
-    return sorted((s for shard in sharded.export_state()["shards"]
-                   for s in shard["bank"]), key=lambda s: s["branch"])
+    return sorted((s for shard in sharded.shards for s in bank_states(shard)),
+                  key=lambda s: s["branch"])
 
 
 @pytest.mark.parametrize("seed", [3, 4])
@@ -190,7 +201,7 @@ def test_fast_path_engages_on_steady_state():
     assert stats["events_fast"] > 0.8 * n_events
     # And the work must still be exact.
     ref = _scalar_bank(config, pcs, taken, instrs)
-    assert shard.export_state()["bank"] == without_logs(ref.export_state())
+    assert bank_states(shard) == without_logs(ref.export_state())
     assert captured_arcs(fired) == logged_arcs(ref)
 
 
@@ -254,10 +265,10 @@ def test_events_fallback_near_zero_on_train_then_flip():
     # branch selected, suffered the flip, and evicted.
     assert stats["arcs_fast"] >= 64 * 2
     assert stats["lands_fast"] >= 64 * 2
-    state = shard.export_state()
-    assert all(s["evictions"] >= 1 for s in state["bank"])
+    states = bank_states(shard)
+    assert all(s["evictions"] >= 1 for s in states)
     ref = _scalar_bank(config, trace.branch_ids, trace.taken, trace.instrs)
-    assert state["bank"] == without_logs(ref.export_state())
+    assert states == without_logs(ref.export_state())
     assert captured_arcs(fired) == logged_arcs(ref)
 
 
@@ -342,8 +353,7 @@ def test_presorted_batch_skips_the_argsort(monkeypatch):
     shard.capture = True
     res = shard.apply(pcs, taken, instrs)
     assert (res.correct, res.incorrect) == ref_deltas
-    assert shard.export_state()["bank"] == without_logs(
-        ref_bank.export_state())
+    assert bank_states(shard) == without_logs(ref_bank.export_state())
     assert captured_arcs([res.transitions]) == ref_fired
     # Single-PC batches take the same skip.
     one = shard.apply(np.array([3, 3], dtype=np.int32),
@@ -444,12 +454,10 @@ def test_service_snapshot_roundtrip_with_no_columnar(tmp_path, bench_trace):
 def test_state_stays_fixed_width_with_uptime():
     """A shard's state does not grow with uptime: 64 unbiased branches
     cycle REJECT → REVISIT every revisit period, yet between about 20k
-    and 82k executions per branch the exported state (compact JSON)
-    and its spill blob grow only by counter digits, and every export
-    carries an empty transition log.  The arcs leave as the captured
-    stream."""
-    from repro.tenant.spillstore import seal_states
-
+    and 82k executions per branch the state's packed row block (the
+    spill blob) and its snapshot JSON grow only by counter digits, and
+    every exported state carries an empty transition log.  The arcs
+    leave as the captured stream."""
     n_branches, n_batch = 64, 8_192
     shard = BankShard(0, scaled_config())
     shard.capture = True
@@ -463,15 +471,67 @@ def test_state_stays_fixed_width_with_uptime():
             arcs += shard.apply(rng.integers(0, n_branches, n_batch),
                                 rng.random(n_batch) < 0.5,
                                 instrs).transitions.shape[1]
-        states = shard.export_state()["bank"]
-        assert len(states) == n_branches
+        rows = shard.export_state().rows
+        states = rows_to_states(rows)
+        assert len(rows) == len(states) == n_branches
         assert all(s["transitions"] == [] for s in states)
         sizes.append((
             len(json.dumps(states, separators=(",", ":"))) / n_branches,
-            len(seal_states(states)) / n_branches))
+            len(rows.to_bytes()) / n_branches))
         # Every branch keeps cycling: the arc stream grows, the state
         # does not.
         assert arcs >= n_branches * 2 * (per_branch // 5_500)
     (json_early, blob_early), (json_late, blob_late) = sizes
     assert json_late - json_early <= 4
     assert blob_late - blob_early <= 4
+
+
+def test_row_block_codec_roundtrips_every_column():
+    """gather → bytes → put carries every column: rows in each FSM state
+    with 0, 1 and 2 pending deployments and every field distinct.  Dead
+    rows stay behind, the split routes each row to its shard, and an
+    empty block packs and puts as nothing."""
+    from repro.core.states import BranchState
+    from repro.serve.colpath import RowBlock
+    from repro.serve.shard import shard_ids
+
+    states = []
+    for fsm in BranchState:
+        for n_pending in range(3):
+            k = len(states) + 1
+            states.append({
+                "branch": (5 << 32) | k, "state": fsm.value,
+                "exec_count": 1000 + k, "state_entry_exec": 900 + k,
+                "monitor_taken": 10 + k, "monitor_samples": 20 + k,
+                "counter": 30 + k, "bias_entries": k % 4,
+                "deployed": k % 2 == 0, "deployed_direction": k % 3 == 0,
+                "pending": [[5000 + 100 * k + j, (k + j) % 2 == 0,
+                             (k + j) % 3 != 0] for j in range(n_pending)],
+                "episode_active": k % 4 < 2, "window_correct": 40 + k,
+                "window_pos": 50 + k, "correct": 600 + k,
+                "incorrect": 70 + k, "evictions": k % 5,
+                "transitions": [],
+            })
+    doomed = [{**state, "branch": (6 << 32) | i}
+              for i, state in enumerate(states)]
+    shard = BankShard(0, scaled_config())
+    shard.install(rows_of(states + doomed))
+    shard.spill_tenant(6)
+    assert shard.col.n_dead == len(doomed)
+    block = shard.export_state().rows
+    assert rows_to_states(block) == states
+    back = RowBlock.from_bytes(block.to_bytes())
+    assert back == block
+    assert back.ints.dtype == np.int64 and back.flags.dtype == bool
+    fresh = BankShard(0, scaled_config())
+    fresh.install(back)
+    assert fresh.export_state().rows == block
+    assert fresh.decisions == {s["branch"]: s["deployed"] for s in states}
+    parts = block.split(3)
+    for shard_index, part in enumerate(parts):
+        assert (shard_ids(part.keys, 3) == shard_index).all()
+    assert RowBlock.concat(parts).sorted() == block
+    empty = RowBlock.from_bytes(RowBlock.empty().to_bytes())
+    assert empty == RowBlock.empty() and len(empty) == 0
+    fresh.install(empty)
+    assert fresh.export_state().rows == block

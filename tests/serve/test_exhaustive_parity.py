@@ -6,9 +6,10 @@ outcome history of length ``L`` at once, one PC per history, through a
 capturing :class:`~repro.serve.shard.BankShard`, and compares it with
 per-event :meth:`~repro.core.controller.ReactiveBranchController.observe`:
 per-batch ``(correct, incorrect)`` deltas, decision flips and captured
-transitions against the spec's log, prefix states at batch edges (the
-spec's log emptied: rows keep none), the final exported state and the
-decision cache.  Batches are cut every step, every three steps
+transitions against the spec's log, prefix states at batch edges and
+the final state (the shard's rows against the spec's states as rows:
+rows keep no log, and a free pending slot's columns are always the
+same) and the decision cache.  Batches are cut every step, every three steps
 at each of three phases (so a deployment landing falls before, on and
 after a batch edge) and once over the whole history.  Every history of
 length :data:`_SHORT` also runs on its own, as single-branch batches,
@@ -31,7 +32,7 @@ from repro.core.controller import ReactiveBranchController
 from repro.obs.tracing import ARC_CODE
 from repro.serve.shard import BankShard
 from repro.sim.vector import apply_chunk
-from tests.conftest import without_logs
+from tests.conftest import rows_of
 
 _BASE = dict(monitor_period=4, selection_threshold=0.75, evict_counter_max=3,
              misspec_increment=2, correct_decrement=1, revisit_period=3,
@@ -188,9 +189,8 @@ def test_every_history_as_one_pc_each(family):
             assert res.events == n * (b - a)
             _check_batch(ref, res, rows, a, b)
             if name == "every-3@0" or b == L:
-                assert (shard.export_state()["bank"]
-                        == without_logs(ref.states[b])), \
-                    f"state after step {b} ({name})"
+                assert shard.export_state().rows == rows_of(
+                    ref.states[b]), f"state after step {b} ({name})"
             a = b
         assert shard.decisions == dict(zip(range(n),
                                            ref.deployed[:, L].tolist()))
@@ -213,7 +213,7 @@ def test_every_short_history_alone_under_every_cutting(family):
                                   ref.taken[h, a:b], ref.instrs[a:b])
                 _check_batch(ref, res, row, a, b)
                 a = b
-            assert shard.export_state()["bank"] == without_logs([states[h]])
+            assert shard.export_state().rows == rows_of([states[h]])
 
 
 def test_apply_chunk_over_every_whole_history(family):

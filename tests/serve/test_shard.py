@@ -12,7 +12,14 @@ from repro.core.controller import ReactiveBranchController
 from repro.serve.events import iter_trace_batches
 from repro.serve.shard import BankShard, ShardedBank, shard_ids, shard_of
 from repro.sim.runner import run_reactive
-from tests.conftest import captured_arcs, logged_arcs, without_logs
+from repro.serve.colpath import RowBlock, rows_to_states
+from tests.conftest import (
+    bank_states,
+    captured_arcs,
+    logged_arcs,
+    rows_of,
+    without_logs,
+)
 from tests.serve.conftest import random_trace
 
 
@@ -84,7 +91,7 @@ def test_decision_cache_tracks_deployed_view(bench_trace, bench_config):
         bank.apply_batch(batch)
     seen = set()
     for shard in bank.shards:
-        for ctrl in shard.export_state()["bank"]:
+        for ctrl in bank_states(shard):
             seen.add(ctrl["branch"])
             assert shard.decisions[ctrl["branch"]] == ctrl["deployed"]
             assert bank.should_speculate(ctrl["branch"]) == ctrl["deployed"]
@@ -118,9 +125,9 @@ def test_accessor_minted_key_spills():
     keys = rng.choice(np.array([k5, k6], dtype=np.int64), 200)
     taken = rng.uniform(size=200) < 0.9
     shard.apply(keys, taken, np.arange(1, 201, dtype=np.int64) * 8)
-    states = shard.spill_tenant(7)
-    assert [s["branch"] for s in states] == [k5, k6]
-    assert len(shard.export_state()["bank"]) == 0
+    rows = shard.spill_tenant(7)
+    assert rows.keys.tolist() == [k5, k6]
+    assert len(shard.export_state().rows) == 0
     assert not shard.should_speculate(k5)
     assert not shard.should_speculate(k6)
 
@@ -146,7 +153,7 @@ def test_install_replaces_a_resident_controller():
     feed(300)
     saved = shard.controller(3).export_state()
     feed(300)  # the row for key 3 moves on and goes dirty
-    shard.install([saved])
+    shard.install(rows_of([saved]))
     assert shard.controller(3).export_state() == saved
     expect = ReactiveBranchController.from_state(cfg, saved)
     for pc, t, at in zip(*(a.tolist() for a in feed(300))):
@@ -154,20 +161,19 @@ def test_install_replaces_a_resident_controller():
             expect.observe(t, at)
     assert [shard.controller(3).export_state()] == without_logs(
         [expect.export_state()])
-    assert [c["branch"] for c in shard.export_state()["bank"]] == [3, 4]
-
+    assert shard.export_state().rows.keys.tolist() == [3, 4]
 
 
 def test_install_refuses_three_pending_deployments():
     """A row holds two pending deployments; the controller never queues
-    more (tests/core/test_controller_invariants.py), so a state holding
-    three is refused with its branch named rather than truncated."""
+    more (tests/core/test_controller_invariants.py), so the snapshot
+    edge refuses a state holding three, naming its branch, rather than
+    truncating it into a row."""
     state = ReactiveBranchController(scaled_config(), 42).export_state()
     state["pending"] = [[100, True, True], [200, False, True],
                         [300, True, True]]
-    shard = BankShard(0, scaled_config())
     with pytest.raises(ValueError, match="branch 42"):
-        shard.install([state])
+        rows_of([state])
 
 #: Small thresholds so a few dozen events fire SELECT, REJECT, REVISIT
 #: and EVICT arcs, with deployments landing a few events later.
@@ -194,7 +200,7 @@ def test_shard_membership_matches_dict_model(data):
     shard = BankShard(0, cfg)
     shard.capture = True
     model: dict[int, ReactiveBranchController] = {}  # resident keys
-    stash: dict[int, list[dict]] = {}  # tenant -> its latest spill
+    stash: dict[int, RowBlock] = {}  # tenant -> its latest spill
     spilled: set[int] = set()
     instr = 0
     idx = st.integers(0, len(_KEY_POOL) - 1)
@@ -228,11 +234,11 @@ def test_shard_membership_matches_dict_model(data):
         elif op == "spill":
             tenant = data.draw(st.integers(0, 3), label="tenant")
             mine = sorted(k for k in model if k >> 32 == tenant)
-            states = shard.spill_tenant(tenant)
-            assert states == without_logs(model.pop(k).export_state()
-                                          for k in mine)
-            if states:
-                stash[tenant] = states
+            rows = shard.spill_tenant(tenant)
+            assert rows == rows_of(model.pop(k).export_state()
+                                   for k in mine)
+            if mine:
+                stash[tenant] = rows
             spilled.update(mine)
         elif op == "restore":
             # A stash goes back only while none of its tenant's keys
@@ -241,9 +247,9 @@ def test_shard_membership_matches_dict_model(data):
                            if not any(k >> 32 == t for k in model))
             if not ready:
                 continue
-            states = stash.pop(data.draw(st.sampled_from(ready)))
-            shard.restore_tenant(states)
-            for state in states:
+            rows = stash.pop(data.draw(st.sampled_from(ready)))
+            shard.restore_tenant(rows)
+            for state in rows_to_states(rows):
                 key = state["branch"]
                 model[key] = ReactiveBranchController.from_state(cfg, state)
                 spilled.discard(key)
@@ -251,8 +257,7 @@ def test_shard_membership_matches_dict_model(data):
         else:
             shard = BankShard.from_state(cfg, shard.export_state())
             shard.capture = True
-        assert [c["branch"] for c in shard.export_state()["bank"]] == \
-            sorted(model)
+        assert shard.export_state().rows.keys.tolist() == sorted(model)
         for key in spilled:
             assert not shard.should_speculate(key)
         for key, ctrl in model.items():

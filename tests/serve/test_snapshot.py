@@ -196,6 +196,37 @@ def test_snapshot_with_three_pending_deployments_is_refused(
     with pytest.raises(ValueError, match=f"branch {ctrl['branch']}"):
         load_snapshot(bad)
 
+
+@pytest.mark.parametrize("field,value,message", [
+    ("state", "bogus", "unknown FSM state 'bogus'"),
+    ("exec_count", None, "no 'exec_count' field"),
+    ("pending", None, "no 'pending' field"),
+])
+def test_snapshot_with_a_malformed_controller_state_is_refused(
+        tmp_path, field, value, message):
+    """A controller state with an unknown FSM state name or a missing
+    field, resident or spilled, fails to load with a ValueError naming
+    its branch rather than a bare KeyError."""
+    from pathlib import Path
+
+    fixture = Path(__file__).parent / "data" / "snapshot-v7.json.gz"
+    for section in ("bank", "spilled"):
+        with gzip.open(fixture, "rt") as fh:
+            state = json.load(fh)
+        ctrl = (state["bank"]["shards"][0]["bank"][0] if section == "bank"
+                else state["tenants"]["spilled"]["1"][0])
+        if value is None:
+            del ctrl[field]
+        else:
+            ctrl[field] = value
+        bad = tmp_path / f"bad-{section}.json.gz"
+        with gzip.open(bad, "wt") as fh:
+            json.dump(state, fh)
+        with pytest.raises(ValueError,
+                           match=f"branch {ctrl['branch']}: {message}"):
+            load_snapshot(bad)
+
+
 def test_restore_on_random_trace_with_reshard():
     """Adversarial trace + tiny thresholds + reshard mid-episode."""
     from repro.core.config import ControllerConfig
@@ -276,10 +307,8 @@ def test_version6_snapshot_loads_as_tenant_zero(bench_trace,
     assert service.service_config.tenant_spill_dir is None
     assert service.tenant_stats() is None  # no tenant state materialized
     # Every pre-tenant controller key IS a tenant-0 packed key.
-    state = service.bank.export_state()
-    for shard in state["shards"]:
-        for ctrl in shard["bank"]:
-            assert 0 <= ctrl["branch"] <= MAX_PC
+    for shard in service.bank.export_state():
+        assert ((0 <= shard.rows.keys) & (shard.rows.keys <= MAX_PC)).all()
     # Resume under an explicit tenant column of zeros: the restored
     # legacy controllers and the tenant-0 traffic must land on the
     # same keys.

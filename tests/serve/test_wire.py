@@ -5,13 +5,23 @@ from __future__ import annotations
 import dataclasses
 import socket
 import threading
+import zlib
 
 import numpy as np
 import pytest
 
+from repro.core.config import ControllerConfig
 from repro.serve import wire
+from repro.serve.colpath import RowBlock
 from repro.serve.events import EventBatch, pack_events, unpack_events
-from repro.serve.shard import ShardApplyResult
+from repro.serve.shard import BankShard, ShardApplyResult
+
+#: Small thresholds, so a short run leaves rows in every FSM state with
+#: pending deployments.
+_TINY = ControllerConfig(
+    monitor_period=4, selection_threshold=0.75, evict_counter_max=100,
+    misspec_increment=50, correct_decrement=1, revisit_period=6,
+    oscillation_limit=3, optimization_latency=20)
 
 
 def _assert_same_result(got, want):
@@ -24,6 +34,37 @@ def _assert_same_result(got, want):
             np.testing.assert_array_equal(a, b, err_msg=f.name)
         else:
             assert a == b, f.name
+
+
+def _shard_state(tenant=9, n_keys=6, index=2):
+    """A real shard state: ``n_keys`` of ``tenant``'s branches after a
+    short random run."""
+    rng = np.random.default_rng(5)
+    shard = BankShard(index, _TINY)
+    keys = (tenant << 32) | rng.integers(0, n_keys, 200)
+    shard.apply(keys, rng.uniform(size=200) < 0.7,
+                np.arange(1, 201, dtype=np.int64) * 8)
+    return shard.export_state()
+
+
+#: Every frame whose body is a row block: (name, its encoder over one
+#: shard state, its decoder to that state's row block).
+_ROW_FRAMES = (
+    ("LOAD", wire.encode_load, lambda p: wire.decode_load(p).rows),
+    ("STATE", lambda st: wire.encode_state(5, st),
+     lambda p: wire.decode_state(p)[1].rows),
+    ("TSPILL_RESULT", lambda st: wire.encode_tspill_result(6, st.rows),
+     lambda p: wire.decode_tspill_result(p)[1]),
+    ("TRESTORE", lambda st: wire.encode_trestore(7, st.rows),
+     lambda p: wire.decode_trestore(p)[1]),
+)
+
+
+def _with_body(frame: bytes, rows: RowBlock, body: bytes) -> bytes:
+    """``frame`` (whose header ends in its uint32 ``zlen``) with its
+    packed ``rows`` swapped for ``body``."""
+    head = frame[:len(frame) - len(rows.to_bytes()) - 4]
+    return head + len(body).to_bytes(4, "little") + body
 
 
 def _arrays(n=100, seed=3):
@@ -185,32 +226,36 @@ def test_pinned_frame_bytes():
 
 def test_tenant_control_frames_roundtrip():
     assert wire.decode_tspill(wire.encode_tspill(7, 12345)) == (7, 12345)
-    states = [{"branch": (9 << 32) | 5, "deployed": True},
-              {"branch": (9 << 32) | 6, "deployed": False}]
-    assert wire.decode_tspill_result(
-        wire.encode_tspill_result(8, states)) == (8, states)
-    assert wire.decode_trestore(
-        wire.encode_trestore(9, states)) == (9, states)
+    rows = _shard_state().rows
+    assert len(rows) == 6
+    for decode, encode in ((wire.decode_tspill_result,
+                            wire.encode_tspill_result),
+                           (wire.decode_trestore, wire.encode_trestore)):
+        ticket, got = decode(encode(8, rows))
+        assert ticket == 8 and got == rows
+        assert got.ints.dtype == np.int64 and got.flags.dtype == bool
     assert wire.decode_trestore_ack(wire.encode_trestore_ack(10)) == 10
 
 
-def test_tenant_blob_decoders_reject_non_list_bodies():
-    import json
-    import zlib
-
-    blob = zlib.compress(json.dumps({"not": "a list"}).encode())
-    frame = (bytes([wire.TRESTORE])
-             + wire.encode_trestore(1, [])[1:9]
-             + len(blob).to_bytes(4, "little") + blob)
-    with pytest.raises(wire.ProtocolError, match="not a state list"):
-        wire.decode_trestore(frame)
+def test_row_block_decoders_reject_partial_rows():
+    """A body that decompresses to a length that is not a whole number
+    of rows is refused, naming the frame."""
+    state = _shard_state()
+    ragged = zlib.compress(
+        state.rows.ints.tobytes() + state.rows.flags.tobytes()[:-1], 1)
+    for name, encode, decode in _ROW_FRAMES:
+        frame = _with_body(encode(state), state.rows, ragged)
+        with pytest.raises(wire.ProtocolError,
+                           match=f"{name} frame body.*whole number"):
+            decode(frame)
 
 
 def test_load_and_state_frames_roundtrip():
-    state = {"index": 2, "bank": [{"branch": 7, "state": "biased"}],
-             "events_applied": 99}
+    state = _shard_state()
     assert wire.decode_load(wire.encode_load(state)) == state
     assert wire.decode_state(wire.encode_state(5, state)) == (5, state)
+    empty = dataclasses.replace(state, rows=RowBlock.empty())
+    assert wire.decode_state(wire.encode_state(6, empty)) == (6, empty)
 
 
 def test_control_frames():
@@ -262,7 +307,7 @@ def test_every_decoder_rejects_malformed_frames():
     with ProtocolError — never a bare struct.error or IndexError —
     on empty, truncated, oversized, or mistyped payloads."""
     pcs, taken, instrs = _arrays(16)
-    state = {"index": 1, "bank": []}
+    state = _shard_state(n_keys=2)
     result = ShardApplyResult(
         shard=1, events=16, correct=9, incorrect=1, changed=np.array([5]),
         changed_deployed=np.array([True]), last_instr=64,
@@ -292,10 +337,10 @@ def test_every_decoder_rejects_malformed_frames():
         (wire.decode_tspill, wire.encode_tspill(4, 77), "TSPILL",
          True, True),
         (wire.decode_tspill_result,
-         wire.encode_tspill_result(5, [{"branch": 1}]),
+         wire.encode_tspill_result(5, state.rows),
          "TSPILL_RESULT", True, True),
         (wire.decode_trestore,
-         wire.encode_trestore(6, [{"branch": 1}]),
+         wire.encode_trestore(6, state.rows),
          "TRESTORE", True, True),
         (wire.decode_trestore_ack, wire.encode_trestore_ack(7),
          "TRESTORE_ACK", True, True),
@@ -315,20 +360,14 @@ def test_every_decoder_rejects_malformed_frames():
 
 
 def test_zlib_body_decoders_reject_garbage():
-    garbage = b"\xde\xad\xbe\xef"
-    blob = wire.encode_state(1, {})[:9] + len(garbage).to_bytes(
-        4, "little") + garbage
-    with pytest.raises(wire.ProtocolError, match="not zlib JSON"):
-        wire.decode_state(blob)
-    listed = wire.encode_tspill_result(1, [])
-    with pytest.raises(wire.ProtocolError, match="not a state dict"):
-        wire.decode_state(bytes([wire.STATE]) + listed[1:])
-    bad_load = wire.encode_load({"k": 1})
-    bad_load = bad_load[:14] + b"\xff" * (len(bad_load) - 14)
-    with pytest.raises(wire.ProtocolError, match="not zlib JSON"):
-        wire.decode_load(bad_load)
-    with pytest.raises(wire.ProtocolError, match="not a state dict"):
-        wire.decode_load(bytes([wire.LOAD]) + listed[1:])
+    """A row block body that is not zlib data is refused, naming the
+    frame."""
+    state = _shard_state()
+    for name, encode, decode in _ROW_FRAMES:
+        frame = _with_body(encode(state), state.rows, b"\xde\xad\xbe\xef")
+        with pytest.raises(wire.ProtocolError,
+                           match=f"{name} frame body.*not zlib data"):
+            decode(frame)
 
 
 class _ScriptedSocket:

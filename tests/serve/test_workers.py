@@ -70,12 +70,15 @@ def _random_batch(n, n_keys, seed):
             np.cumsum(rng.integers(1, 9, n)))
 
 
+#: Spills tenants 0-2; a tenant-0 batch past its last seq (9) restores
+#: tenant 0 ahead of its events.
+_V7_FIXTURE = Path(__file__).parent / "data" / "snapshot-v7.json.gz"
+
+
 def _poisoned_snapshot(tmp_path) -> Path:
     """The v7 fixture with one of spilled tenant 0's controllers
-    queueing three deployments, which no row can hold: restoring the
-    tenant fails inside its shard."""
-    fixture = Path(__file__).parent / "data" / "snapshot-v7.json.gz"
-    with gzip.open(fixture, "rt") as fh:
+    queueing three deployments, which no row can hold."""
+    with gzip.open(_V7_FIXTURE, "rt") as fh:
         state = json.load(fh)
     state["tenants"]["spilled"]["0"][0]["pending"] = [
         [1, True, True], [2, False, True], [3, True, True]]
@@ -170,7 +173,7 @@ def test_clean_stop_regathers_worker_state(bench_trace, bench_config):
             await service.drain()
         # Workers are gone; the parent bank must be whole again.
         assert service.worker_pids == []
-        total = sum(len(s.export_state()["bank"])
+        total = sum(len(s.export_state().rows)
                     for s in service.bank.shards)
         assert total == len(set(map(int, bench_trace.branch_ids)))
         return service.metrics()
@@ -342,30 +345,53 @@ def test_failed_send_leaves_no_unretrieved_future(bench_config):
     assert not [m for m in collect.messages if "never retrieved" in m]
 
 
-def test_failed_restore_fails_drain_in_process(tmp_path):
-    """A shard operation that raises in-process (a restore of a state
-    the shard refuses) fails drain() and later submissions with its own
-    error instead of leaving drain() waiting."""
+def test_poisoned_spilled_tenant_is_refused_at_load(tmp_path):
+    """A snapshot whose spilled tenant holds a state no row can hold is
+    refused when it loads, naming the branch, before any shard sees
+    it."""
+    with pytest.raises(ValueError,
+                       match="branch 0: 3 pending deployments"):
+        load_snapshot(_poisoned_snapshot(tmp_path))
+
+
+def test_failed_restore_fails_drain_in_process(monkeypatch):
+    """A shard operation that raises in-process (a restore the shard
+    refuses) fails drain() and later submissions with its own error
+    instead of leaving drain() waiting."""
+
+    def refuse(shard, rows):
+        raise ValueError(f"shard {shard.index} refuses {len(rows)} rows")
+
+    monkeypatch.setattr(BankShard, "restore_tenant", refuse)
 
     async def run():
-        service = load_snapshot(_poisoned_snapshot(tmp_path))
+        service = load_snapshot(_V7_FIXTURE)
         async with service:
             service.submit_nowait(_tenant0_batch(10))
-            with pytest.raises(ValueError, match="3 pending deployments"):
+            with pytest.raises(ValueError, match="refuses .* rows"):
                 await asyncio.wait_for(service.drain(), _HANG_S)
-            with pytest.raises(ValueError, match="3 pending deployments"):
+            with pytest.raises(ValueError, match="refuses .* rows"):
                 service.submit_nowait(_tenant0_batch(11))
 
     asyncio.run(run())
 
 
-def test_worker_error_frame_fails_drain(tmp_path):
+def test_worker_error_frame_fails_drain(monkeypatch):
     """A worker that reports an error (ERROR) and leaves its loop breaks
     the link: drain() raises WorkerDiedError naming the shard and pid
-    and carrying the worker's message."""
+    and carrying the worker's message.  Here the parent sends a
+    TRESTORE whose row block the worker cannot decode."""
+    encode = wire.encode_trestore
+
+    def undecodable(ticket, rows):
+        frame = encode(ticket, rows)
+        head = len(frame) - len(rows.to_bytes())
+        return frame[:head] + b"\xff" * (len(frame) - head)
+
+    monkeypatch.setattr(wire, "encode_trestore", undecodable)
 
     async def run():
-        service = load_snapshot(_poisoned_snapshot(tmp_path), workers=1)
+        service = load_snapshot(_V7_FIXTURE, workers=1)
         async with service:
             pid = service.worker_pids[0]
             service.submit_nowait(_tenant0_batch(10))
@@ -376,7 +402,8 @@ def test_worker_error_frame_fails_drain(tmp_path):
     pid, err = asyncio.run(run())
     assert (err.shard, err.pid) == (0, pid)
     assert f"shard worker 0 (pid {pid}) died" in str(err)
-    assert "ValueError: branch 0: 3 pending deployments" in str(err)
+    assert ("it reported ProtocolError: TRESTORE frame body: row block "
+            "is not zlib data") in str(err)
     assert err.last_durable_seq == 9
 
 
@@ -410,7 +437,7 @@ def test_frames_larger_than_the_socket_buffer(bench_config):
     builds are each several times the link's send buffer; both cross
     whole, and the worker's result and state equal an in-process
     shard's bit for bit."""
-    keys, taken, instrs = _random_batch(200_000, 100_000, seed=5)
+    keys, taken, instrs = _random_batch(200_000, 200_000, seed=5)
     local = BankShard(0, bench_config)
     local.capture = True
     want = local.apply(keys, taken, instrs)
@@ -469,8 +496,8 @@ def test_concurrent_callers_get_their_own_replies(bench_config):
         _assert_same_outcome(got, want)
     assert replies[1] is None and replies[5] is None
     (mid,) = replies[3]
-    assert mid["index"] == 0
-    assert mid["events_applied"] in {
+    assert mid.index == 0
+    assert mid.events_applied in {
         sum(subset) for r in range(len(sizes) + 1)
         for subset in itertools.combinations(sizes, r)}
     assert final == local.export_state()

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import scaled_config
+from repro.core.controller import ReactiveBranchController
 from repro.serve.events import EventBatch
 from repro.tenant.keys import pack_key
 from repro.tenant.manager import TenantManager
+from tests.conftest import rows_of
 
 BPB = 512
 
@@ -24,10 +27,14 @@ def make_batch(seq, tenant_pcs, start_instr=0):
     )
 
 
-def states_for(tenant, pcs):
-    """Minimal controller-state dicts keyed by packed branch."""
-    return [{"branch": pack_key(tenant, pc), "deployed": False}
-            for pc in pcs]
+def rows_for(keys):
+    """Fresh controllers' rows under packed ``keys``, in order."""
+    return rows_of(ReactiveBranchController(scaled_config(), key)
+                   .export_state() for key in keys)
+
+
+def tenant_rows(tenant, pcs):
+    return rows_for(pack_key(tenant, pc) for pc in pcs)
 
 
 def test_plan_groups_tenants_and_legacy_batches_are_tenant_zero():
@@ -148,9 +155,9 @@ def test_spilling_tenant_rejects_submissions_until_sealed(tmp_path):
     assert plan.reject_kind == "spilling"
     assert plan.reject_tenant == 1
     # Shard contributions seal the blob; the last one completes it.
-    tm.spill_contribution(1, states_for(1, [0, 2]))
+    tm.spill_contribution(1, tenant_rows(1, [0, 2]))
     assert tm.stats()["spilling_tenants"] == 1
-    tm.spill_contribution(1, states_for(1, [1, 3]))
+    tm.spill_contribution(1, tenant_rows(1, [1, 3]))
     assert tm.stats()["spilling_tenants"] == 0
     assert tm.stats()["spilled_tenants"] == 1
     assert tm.spills == 1
@@ -164,15 +171,14 @@ def test_restore_on_touch_roundtrips_states(tmp_path):
     batch = make_batch(0, [(1, pc) for pc in range(4)])
     tm.commit(tm.plan(batch), batch, now=0.0)
     tm.pick_victims()
-    spilled = states_for(1, [3, 1, 0, 2])  # unsorted on purpose
-    tm.spill_contribution(1, spilled)
-    # The next touch plans a restore carrying the states back, sorted.
+    tm.spill_contribution(1, tenant_rows(1, [3, 1, 0, 2]))  # unsorted
+    # The next touch plans a restore carrying the rows back, sorted.
     touch = make_batch(1, [(1, 7)], start_instr=10)
     plan = tm.plan(touch)
     assert plan.reject_kind is None
     assert [t for t, _ in plan.restores] == [1]
     restored = plan.restores[0][1]
-    assert restored == sorted(spilled, key=lambda s: s["branch"])
+    assert restored == tenant_rows(1, [0, 1, 2, 3])
     tm.commit(plan, touch, now=2.0)
     assert not tm.is_spilled(1)
     assert tm.restores == 1
@@ -188,13 +194,13 @@ def test_export_install_spilled_roundtrip(tmp_path):
     batch = make_batch(0, [(1, 0), (1, 1), (2, 0)])
     tm.commit(tm.plan(batch), batch, now=0.0)
     tm.pick_victims()
-    tm.spill_contribution(1, states_for(1, [0, 1]))
-    tm.spill_contribution(2, states_for(2, [0]))
+    tm.spill_contribution(1, tenant_rows(1, [0, 1]))
+    tm.spill_contribution(2, tenant_rows(2, [0]))
     exported = tm.export_spilled()
     assert set(exported) == {"1", "2"}
     tm.close()
     # A fresh manager (fresh store) installs the snapshot section and
-    # serves identical states back.
+    # serves identical rows back.
     tm2 = TenantManager(n_shards=1, spill_dir=str(tmp_path / "b"))
     tm2.install_spilled(exported)
     assert tm2.spilled_count() == 2
@@ -220,7 +226,7 @@ class _ManagerModel:
         self.budget = budget
         self.resident = {}       # tenant -> set of keys, in LRU order
         self.spilling = {}       # tenant -> [keys, shards left]
-        self.spilled = {}        # tenant -> sorted states
+        self.spilled = {}        # tenant -> sorted keys
         self.peak = 0
         self.spills = self.restores = self.events = 0
 
@@ -234,11 +240,10 @@ class _ManagerModel:
         self.resident[tenant] = self.resident.pop(tenant, set())
 
     def restore(self, tenant):
-        states = self.spilled.pop(tenant)
+        keys = self.spilled.pop(tenant)
         self.restores += 1
         self.touch(tenant)
-        self.resident[tenant] |= {s["branch"] for s in states}
-        return states
+        self.resident[tenant] |= set(keys)
 
     def commit(self, pairs):
         tenants = sorted({t for t, _ in pairs})
@@ -319,14 +324,11 @@ def test_manager_matches_set_model(data):
                 victim = next(iter(model.spilling))
                 keys, left = model.spilling[victim]
                 part = sorted(k for k in keys if k % n_shards == left - 1)
-                tm.spill_contribution(victim, [
-                    {"branch": k, "deployed": False} for k in part])
+                tm.spill_contribution(victim, rows_for(part))
                 model.spilling[victim][1] -= 1
                 if left == 1:
                     del model.spilling[victim]
-                    model.spilled[victim] = [
-                        {"branch": k, "deployed": False}
-                        for k in sorted(keys)]
+                    model.spilled[victim] = sorted(keys)
                     model.spills += 1
             elif op == "restore" and model.spilled:
                 # A batch touching a spilled tenant brings it back
@@ -336,7 +338,7 @@ def test_manager_matches_set_model(data):
                 batch = make_batch(seq, pairs, start_instr=seq * 100)
                 seq += 1
                 plan = tm.plan(batch)
-                assert plan.restores == [(t, model.spilled[t])]
+                assert plan.restores == [(t, rows_for(model.spilled[t]))]
                 model.commit(pairs)
                 tm.commit(plan, batch, now=float(seq))
             assert tm.resident_bytes == model.total()

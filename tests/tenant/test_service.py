@@ -30,7 +30,7 @@ from repro.serve.snapshot import load_snapshot, save_snapshot
 from repro.tenant.keys import TENANT_SHIFT
 from repro.trace.spec2000 import load_trace
 from repro.trace.synthetic import with_tenants
-from tests.conftest import model_states, ring_arcs
+from tests.conftest import bank_states, model_states, ring_arcs
 
 BPB = 512
 #: Thresholds low enough that a few dozen executions of a branch fire
@@ -109,9 +109,8 @@ def states_and_arcs(service):
 def controller_states(service):
     """Every resident controller's export dict, keyed by packed branch
     key."""
-    state = service.bank.export_state()
     return {s["branch"]: s
-            for shard in state["shards"] for s in shard["bank"]}
+            for shard in service.bank.shards for s in bank_states(shard)}
 
 
 def tenant_of(key):
@@ -187,8 +186,8 @@ def test_restored_tenant_decisions_match(tmp_path):
     def after(service):
         assert service.tenant_stats()["restores"] > 0
         answers = decisions(service)
-        for spilled in service._export_tenants().values():
-            answers.update((s["branch"], s["deployed"]) for s in spilled)
+        for rows in service._export_tenants().values():
+            answers.update(zip(rows.keys.tolist(), rows.deployed.tolist()))
         return answers
 
     budgeted = run_service(
@@ -484,8 +483,11 @@ def test_wal_recovery_replays_tenant_traffic_bit_identically(tmp_path):
             await submit_retry(service, batch)
         await service.drain()
         # Simulated kill -9: no stop(), only the disk state survives.
+        return service
 
-    asyncio.run(crash())
+    # The dead process's files close with it (the WAL's writes are
+    # unbuffered, so closing writes nothing a kill would lose).
+    asyncio.run(crash()).close()
     recovered, report = recover_service(wal_dir, snapshot=snap)
     assert report.replayed_batches == len(batches) - half
     assert model_states(recovered) == reference
@@ -559,8 +561,8 @@ def test_loaded_snapshot_counts_resident_tenants():
     fixture = (Path(__file__).parents[1] / "serve" / "data"
                / "snapshot-v7.json.gz")
     service = load_snapshot(fixture)
-    keys = [c["branch"] for shard in service.bank.export_state()["shards"]
-            for c in shard["bank"]]
+    keys = [k for shard in service.bank.export_state()
+            for k in shard.rows.keys.tolist()]
     assert len(keys) == 28 and {k >> TENANT_SHIFT for k in keys} == {3}
     stats = service.tenant_stats()
     assert stats["resident_tenants"] == 1

@@ -9,6 +9,7 @@ from repro.trace.synthetic import (
     trace_from_outcomes,
     uniform_model,
 )
+from tests.conftest import bank_states
 
 
 class TestTraceFromOutcomes:
@@ -223,7 +224,7 @@ class TestSlowPoisonTrace:
             hi = lo + 4_096
             shard.apply(trace.branch_ids[lo:hi], trace.taken[lo:hi],
                         trace.instrs[lo:hi])
-        state = shard.export_state()
-        assert all(s["evictions"] == 0 for s in state["bank"])
-        assert all(s["deployed"] for s in state["bank"])
+        states = bank_states(shard)
+        assert all(s["evictions"] == 0 for s in states)
+        assert all(s["deployed"] for s in states)
         assert shard.incorrect > 0   # the permanent misspeculation tax
