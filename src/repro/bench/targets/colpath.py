@@ -100,9 +100,11 @@ class _LoopShard:
         # which importing the registry (every target module) should not.
         from repro.obs.tracing import ARC_CODE
         from repro.serve.shard import ShardApplyResult
+        from repro.tenant.keys import stable_order
 
         self._arc_code = ARC_CODE
         self._result = ShardApplyResult
+        self._stable_order = stable_order
         self.bank = ControllerBank(config)
         self.decisions: dict[int, bool] = {}
         self.capture = False
@@ -113,8 +115,8 @@ class _LoopShard:
         n = len(pcs)
         last = int(instrs[-1])
         if not bool((pcs[1:] >= pcs[:-1]).all()):
-            order = np.argsort(pcs, kind="stable")
-            pcs, taken, instrs = pcs[order], taken[order], instrs[order]
+            order, pcs = self._stable_order(pcs)
+            taken, instrs = taken[order], instrs[order]
         bounds = np.flatnonzero(pcs[1:] != pcs[:-1]) + 1
         correct = incorrect = 0
         changed: list[int] = []

@@ -20,10 +20,11 @@ per-event stream the controllers consume, and renders a verdict:
 
 Three inputs, all read-only with respect to controller state:
 
-* :meth:`MisspecDetector.observe_batch` — the raw (keys, outcomes)
-  arrays of each micro-batch, *before* that batch's transitions are
-  applied to detector state.  Used for exact per-PC execution counting
-  and flip-onset detection on deployed PCs.
+* :meth:`MisspecDetector.observe_batch` — each apply's per-key summary
+  (:attr:`ShardApplyResult.summary <repro.serve.shard.ShardApplyResult>`,
+  the grouping the shard already did to apply the batch), *before*
+  that apply's transitions reach detector state.  Used for flip-onset
+  detection on deployed PCs.
 * :meth:`MisspecDetector.observe_apply` — per-apply aggregate counts
   (events, correct, incorrect) plus the instruction span, feeding the
   sliding window (misspec rate, misspec-per-kilo-instruction).
@@ -35,26 +36,23 @@ Three inputs, all read-only with respect to controller state:
   the EVICT arc, in that PC's own execution counts.
 
 Time-to-evict is *exact* for branches whose flip happens in a later
-micro-batch than their SELECT: the detector maintains absolute per-PC
-execution counts from the start of the stream, so the onset index
-shares the controller's 0-based ``exec_index`` timebase and
-``tte = evict.exec_index - onset_exec`` matches the arc-counter ground
-truth.
+micro-batch than their SELECT: a summary column carries the row's own
+execution count before the batch, so the onset index
+``exec_before + offset`` shares the controller's 0-based
+``exec_index`` timebase and ``tte = evict.exec_index - onset_exec``
+matches the arc-counter ground truth — after a snapshot restore too,
+since the count comes from the restored row, not from the detector.
 
-Per-key state is one set of slot-indexed arrays: execution count,
-trained-direction code, flip onset.  While every key stays in
-``[0, _DENSE_LIMIT)`` a key's slot is the key itself (a batch costs an
-``np.bincount`` scatter).  Once a larger key appears — a packed
-``(tenant << 32) | pc`` — a key's slot is its position in a sorted key
-index that grows by inserting each batch's new keys (a batch costs a
-sort-path ``np.unique`` and a ``searchsorted``).  Both share one flip
-check over the *armed* slots, deployed keys with no onset yet: per-slot
-event and taken counts find the flips, and each armed key is scanned
-event by event at most once.  One known granularity limit: outcomes in
-the *same* micro-batch as the SELECT are not flip-checked (the
-deployed set is updated from transitions after the batch's outcomes
-are observed), so a flip inside the SELECT batch is attributed to the
-next batch.
+The detector keeps state only for deployed keys: a trained-direction
+code per *armed* key (deployed, no onset yet) and an onset per key
+that flipped.  A batch costs a lookup of the armed keys in the
+summary's sorted key row; the first post-SELECT batch that touches an
+armed key fixes its direction (the batch majority) and, if the
+opposite outcome occurs, its onset, which disarms it.  One known
+granularity limit: outcomes in the *same* micro-batch as the SELECT
+are not flip-checked (the deployed set is updated from transitions
+after the batch's outcomes are observed), so a flip inside the SELECT
+batch is attributed to the next batch.
 
 Verdicts latch: ``peak_verdict`` and the burst counter never move
 backwards, so a CI step can assert "a burst happened" after the storm
@@ -90,10 +88,11 @@ TTE_BUCKETS = tuple(float(1 << i) for i in range(17))
 #: Most recent per-PC time-to-evict samples kept for ``health_doc``.
 _TTE_KEEP = 1024
 
-#: While every key is below this, a key is its own slot (direct
-#: indexing; worst case 16 MiB of int64 counters).  Packed tenant keys
-#: and other huge ids switch the detector to the sorted key index.
-_DENSE_LIMIT = 1 << 21
+#: Rows of an apply's per-key summary
+#: (:data:`repro.serve.colpath.SUMMARY_ROWS`).
+_KEY, _EXEC_BEFORE, _EVENTS, _ONES, _FIRST_TAKEN, _FIRST_NOT_TAKEN = range(6)
+#: An armed key whose trained direction the next batch decides.
+_UNKNOWN = 0
 
 
 @dataclass(frozen=True)
@@ -128,16 +127,6 @@ class DetectorConfig:
             raise ValueError("storm_evictions must be positive")
 
 
-def _lookup(ids: np.ndarray, values: np.ndarray,
-            wanted: np.ndarray) -> np.ndarray:
-    """``values`` at each of ``wanted`` in the sorted ``ids``, 0 where
-    ``ids`` lacks it."""
-    if len(ids) == 0:
-        return np.zeros(len(wanted), dtype=np.int64)
-    pos = np.minimum(np.searchsorted(ids, wanted), len(ids) - 1)
-    return np.where(ids[pos] == wanted, values[pos], 0)
-
-
 class MisspecDetector:
     """Sliding-window misspeculation health over the exact stream.
 
@@ -152,25 +141,18 @@ class MisspecDetector:
                  registry: MetricsRegistry | None = None) -> None:
         self.config = config if config is not None else DetectorConfig()
         self._lock = threading.Lock()
-        # -- per-key state, one slot per key ----------------------------
-        # While every key seen is in [0, _DENSE_LIMIT) ``_keys`` is None
-        # and a key's slot is the key itself; after that ``_keys`` is
-        # the sorted index of keys with state and a key's slot is its
-        # position in it.
-        # ``_dir`` codes: 0 = not armed (untracked, or onset already
-        # recorded), 1 = trained not-taken, 2 = trained taken, 3 =
-        # deployed but direction not yet observed.  ``_onset`` holds
-        # the flip-onset exec index (-1 unset).
-        self._keys: np.ndarray | None = None
-        self._count = np.zeros(0, dtype=np.int64)
-        self._dir = np.zeros(0, dtype=np.uint8)
-        self._onset = np.zeros(0, dtype=np.int64)
+        # -- per-key state, deployed keys only ------------------------
         self._deployed: set[int] = set()
-        # Armed slots (nonzero ``_dir``): a count (zero lets whole
-        # batches skip the flip check) and a cached index array, None
-        # once membership or slot positions change.
-        self._armed = 0
-        self._armed_arr: np.ndarray | None = None
+        #: Armed keys (deployed, no onset yet) → the summary row of the
+        #: outcome against their trained direction (_FIRST_NOT_TAKEN
+        #: for a taken branch, _FIRST_TAKEN for a not-taken one), or
+        #: _UNKNOWN before the first batch after their SELECT.
+        self._armed: dict[int, int] = {}
+        #: Flip onset exec index of each deployed key that flipped.
+        self._onset: dict[int, int] = {}
+        #: ``_armed`` as sorted key and row arrays, plus whether a row is
+        #: _UNKNOWN (None once the armed set changes).
+        self._armed_arr: tuple[np.ndarray, np.ndarray, bool] | None = None
         # -- sliding window ---------------------------------------------
         #: Rows of (events, misspeculated, first_instr, last_instr).
         self._window = RollingWindow(self.config.window_events, summed=2)
@@ -205,136 +187,52 @@ class MisspecDetector:
             "Per-PC executions from first flipped outcome to EVICT",
             buckets=TTE_BUCKETS)
 
-    # -- slots -----------------------------------------------------------
-    def _grow(self, size: int) -> None:
-        """Ensure the key-indexed slots cover keys ``[0, size)``."""
-        have = len(self._count)
-        if size <= have:
-            return
-        extra = max(size, 2 * have, 1024) - have
-        self._count = np.append(self._count, np.zeros(extra, np.int64))
-        self._dir = np.append(self._dir, np.zeros(extra, np.uint8))
-        self._onset = np.append(self._onset, np.full(extra, -1, np.int64))
-
-    def _to_sorted(self) -> None:
-        """Switch to the sorted key index; used once a key outside
-        ``[0, _DENSE_LIMIT)`` appears.  Keys with no executions and no
-        armed state carry nothing, so only the others move."""
-        keys = np.flatnonzero((self._count > 0) | (self._dir > 0))
-        self._keys = keys.astype(np.int64)
-        self._count = self._count[keys]
-        self._dir = self._dir[keys]
-        self._onset = self._onset[keys]
-        self._armed_arr = None
-
-    def _index(self, uniq: np.ndarray) -> np.ndarray:
-        """Slots of the sorted distinct keys ``uniq`` in the sorted
-        index, inserting the absent ones."""
-        keys = self._keys
-        pos = np.searchsorted(keys, uniq)
-        if len(keys):
-            new = uniq[keys[np.minimum(pos, len(keys) - 1)] != uniq]
-        else:
-            new = uniq
-        if len(new) == 0:
-            return pos
-        at = np.searchsorted(keys, new)
-        self._keys = np.insert(keys, at, new)
-        self._count = np.insert(self._count, at, 0)
-        self._dir = np.insert(self._dir, at, 0)
-        self._onset = np.insert(self._onset, at, -1)
-        self._armed_arr = None
-        return np.searchsorted(self._keys, uniq)
-
-    def _slot(self, key: int) -> int:
-        """Slot of one key, added if it has none."""
-        if self._keys is None:
-            if 0 <= key < _DENSE_LIMIT:
-                self._grow(key + 1)
-                return key
-            self._to_sorted()
-        return int(self._index(np.array([key], dtype=np.int64))[0])
-
-    def _armed_slots(self) -> np.ndarray:
-        if self._armed_arr is None:
-            self._armed_arr = np.flatnonzero(self._dir)
-        return self._armed_arr
-
     # -- inputs ----------------------------------------------------------
-    def observe_batch(self, keys: np.ndarray, taken: np.ndarray) -> None:
-        """Observe one micro-batch's raw outcomes (before its
-        transitions update the deployed set)."""
-        if len(keys) == 0:
-            return
-        keys64 = np.asarray(keys, dtype=np.int64)
-        taken = np.asarray(taken, dtype=bool)
+    def observe_batch(self, summary: np.ndarray) -> None:
+        """Observe one apply's per-key summary (before its transitions
+        update the deployed set): the armed keys it touches get their
+        direction and, on the first opposite outcome, their onset."""
         with self._lock:
-            if self._keys is None:
-                top = int(keys64.max())
-                if top < _DENSE_LIMIT and int(keys64.min()) >= 0:
-                    self._grow(top + 1)
-                    counts = np.bincount(keys64,
-                                         minlength=len(self._count))
-                    if self._armed:
-                        armed = self._armed_slots()
-                        ones = np.bincount(keys64, weights=taken,
-                                           minlength=len(self._count))
-                        self._check_flips(keys64, taken, armed,
-                                          counts[armed],
-                                          ones[armed].astype(np.int64))
-                    self._count += counts
-                    return
-                self._to_sorted()
-            uniq, counts = np.unique(keys64, return_counts=True)
-            slots = self._index(uniq)
-            if self._armed:
-                armed = self._armed_slots()
-                armed_keys = self._keys[armed]
-                # A second sort over the taken outcomes beats the
-                # inverse-mapping form of ``np.unique`` on a batch.
-                ones_keys, ones = np.unique(keys64[taken],
-                                            return_counts=True)
-                self._check_flips(keys64, taken, armed,
-                                  _lookup(uniq, counts, armed_keys),
-                                  _lookup(ones_keys, ones, armed_keys))
-            self._count[slots] += counts
-
-    def _check_flips(self, keys64: np.ndarray, taken: np.ndarray,
-                     armed: np.ndarray, ca: np.ndarray,
-                     ct: np.ndarray) -> None:
-        """Flip check of the armed slots at per-key count granularity.
-
-        ``ca`` and ``ct`` are each armed slot's events and taken
-        outcomes in this batch, so the steady state (no armed key
-        flips) costs a handful of armed-length vector ops, and the
-        per-event scans below run at most once per armed key's
-        lifetime (finding the onset disarms it)."""
-        d = self._dir[armed]
-        unk = (d == 3) & (ca > 0)
-        if unk.any():
-            # First observed post-select batch for these keys: for a
-            # trained biased branch every outcome here is the bias, so
-            # the batch majority is the exact trained direction.
-            d[unk] = np.where(2 * ct[unk] >= ca[unk], 2, 1)
-            self._dir[armed] = d
-        # Trained taken (2): flips are the not-taken occurrences;
-        # trained not-taken (1): flips are the taken occurrences.
-        # Armed keys have no onset yet by construction, so any flip is
-        # the key's first — locate it exactly in program order.
-        hit = np.flatnonzero(np.where(d == 2, ca - ct, ct) > 0)
-        if len(hit) == 0:
-            return
-        slots = armed[hit]
-        hit_keys = slots if self._keys is None else self._keys[slots]
-        for slot, key, trained_taken in zip(
-                slots.tolist(), hit_keys.tolist(), (d[hit] == 2).tolist()):
-            mine = keys64 == key
-            first = int(np.argmax(mine & (taken != trained_taken)))
-            self._onset[slot] = (self._count[slot]
-                                 + np.count_nonzero(mine[:first]))
-        self._dir[slots] = 0  # disarm: flip work for these keys is done
-        self._armed -= len(slots)
-        self._armed_arr = None
+            if not self._armed or not summary.shape[1]:
+                return
+            if self._armed_arr is None:
+                keys = np.array(sorted(self._armed), dtype=np.int64)
+                rows = np.array([self._armed[k] for k in keys.tolist()],
+                                dtype=np.int64)
+                self._armed_arr = (keys, rows, not rows.all())
+            armed, rows, unknown_any = self._armed_arr
+            cols = np.searchsorted(summary[_KEY], armed)
+            np.minimum(cols, summary.shape[1] - 1, out=cols)
+            hit = np.flatnonzero(summary[_KEY, cols] == armed)
+            if not hit.size:
+                return
+            cols, rows = cols[hit], rows[hit]
+            unknown = None
+            if unknown_any:
+                unknown = rows == _UNKNOWN
+                # First observed post-select batch for a key: for a
+                # trained biased branch every outcome here is the bias,
+                # so the batch majority is the exact trained direction.
+                rows = np.where(unknown, np.where(
+                    2 * summary[_ONES, cols] >= summary[_EVENTS, cols],
+                    _FIRST_NOT_TAKEN, _FIRST_TAKEN), rows)
+            # Armed keys have no onset yet, so an opposite outcome is
+            # the key's first flip.
+            first = summary[rows, cols]
+            flipped = first >= 0
+            moved = flipped if unknown is None else flipped | unknown
+            if not moved.any():
+                return
+            onset = summary[_EXEC_BEFORE, cols] + first
+            for key, row, flip, at in zip(
+                    armed[hit][moved].tolist(), rows[moved].tolist(),
+                    flipped[moved].tolist(), onset[moved].tolist()):
+                if flip:
+                    self._onset[key] = at
+                    del self._armed[key]   # disarm: its flip work is done
+                else:
+                    self._armed[key] = row
+            self._armed_arr = None
 
     def observe_apply(self, events: int, correct: int, incorrect: int,
                       first_instr: int, last_instr: int) -> None:
@@ -360,24 +258,18 @@ class MisspecDetector:
             for key, arc, exec_index, _instr in zip(*transitions.tolist()):
                 if arc == _SELECT:
                     self._deployed.add(key)
-                    slot = self._slot(key)
-                    if not self._dir[slot]:
-                        self._armed += 1
-                        self._armed_arr = None
-                    self._dir[slot] = 3
-                    self._onset[slot] = -1
+                    self._armed[key] = _UNKNOWN
+                    self._onset.pop(key, None)
+                    self._armed_arr = None
                 elif arc == _EVICT:
                     self._evict_marks.append(self._total_events)
                     if key not in self._deployed:
                         continue
                     self._deployed.remove(key)
-                    slot = self._slot(key)
-                    if self._dir[slot]:
-                        self._dir[slot] = 0
-                        self._armed -= 1
+                    if self._armed.pop(key, None) is not None:
                         self._armed_arr = None
-                    onset = int(self._onset[slot])
-                    if onset >= 0:
+                    onset = self._onset.pop(key, None)
+                    if onset is not None:
                         self._record_tte(key, exec_index - onset)
             self._g_deployed.set(len(self._deployed))
             self._update_verdict()

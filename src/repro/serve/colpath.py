@@ -80,7 +80,8 @@ from repro.core.states import BranchState, TransitionKind
 from repro.obs.tracing import ARC_CODE
 from repro.sim.vector import apply_chunk, classify_split, deploy_delay
 
-__all__ = ["ColumnarBank", "RowBlock", "rows_to_states", "states_to_rows"]
+__all__ = ["ColumnarBank", "RowBlock", "SUMMARY_ROWS", "rows_to_states",
+           "states_to_rows"]
 
 #: Integer codes of :class:`~repro.core.states.BranchState` in the
 #: ``state`` column.
@@ -119,6 +120,11 @@ _STATE_FLAGS = len(_FLAG_COLS) - 1
 _ROW_BYTES = 8 * len(_INT_COLS) + _STATE_FLAGS
 _EXEC, _CORRECT, _INCORRECT = (_INT_COLS.index(name) for name in
                                ("exec", "correct", "incorrect"))
+#: Rows of an apply's per-key summary (:meth:`ColumnarBank.apply_sorted`).
+SUMMARY_ROWS = ("key", "exec_before", "events", "taken", "first_taken",
+                "first_not_taken")
+_NO_SUMMARY = np.empty((len(SUMMARY_ROWS), 0), dtype=np.int64)
+_NO_SUMMARY.flags.writeable = False
 
 
 class RowBlock:
@@ -695,14 +701,21 @@ class ColumnarBank:
                      instrs: np.ndarray, starts: np.ndarray,
                      ends: np.ndarray, capture: bool,
                      ) -> tuple[int, int, np.ndarray, np.ndarray,
-                                np.ndarray]:
+                                np.ndarray, np.ndarray]:
         """Apply a PC-sorted batch; returns (correct, incorrect, changed,
-        changed_deployed, transitions), the arrays of
+        changed_deployed, transitions, summary), the arrays of
         :class:`~repro.serve.shard.ShardApplyResult`.
 
         ``starts``/``ends`` bound the per-PC segments (program order
         preserved within each).  Must not be called with an empty
         batch.
+
+        With ``capture`` on, ``summary`` is the batch per key: an int64
+        ``[6, U]`` block (rows :data:`SUMMARY_ROWS`) with one column
+        per segment, in key order — the key, its row's exec count
+        before the batch, its events and taken outcomes in the batch,
+        and the offsets within its segment of its first taken and first
+        not-taken outcome (-1 for none).  With capture off it is empty.
         """
         fired = [np.empty((4, 0), dtype=np.int64)]
         if len(starts) == 1:
@@ -714,6 +727,14 @@ class ColumnarBank:
             row = self._row_of(pc)
             if row is None:
                 row = int(self._intern(pcs[:1].astype(np.int64))[0])
+            summary = _NO_SUMMARY
+            if capture:
+                n, ones = len(taken), int(np.count_nonzero(taken))
+                summary = np.array(
+                    [[pc], [self.exec.item(row)], [n], [ones],
+                     [int(np.argmax(taken)) if ones else -1],
+                     [int(np.argmin(taken)) if ones < n else -1]],
+                    dtype=np.int64)
             before = self.deployed.item(row)
             c, x = self._kernel_segment(row, taken, instrs, capture, fired)
             self.rows_single += 1
@@ -721,12 +742,14 @@ class ColumnarBank:
             after = self.deployed.item(row)
             if after == before:
                 return (c, x, np.empty(0, dtype=np.int64),
-                        np.empty(0, dtype=bool), np.concatenate(fired, 1))
+                        np.empty(0, dtype=bool), np.concatenate(fired, 1),
+                        summary)
             self._decisions[pc] = after
             return (c, x, np.array([pc], dtype=np.int64),
-                    np.array([after]), np.concatenate(fired, 1))
+                    np.array([after]), np.concatenate(fired, 1), summary)
         cfg = self.config
-        rows = self._intern(pcs[starts].astype(np.int64))
+        keys = pcs[starts].astype(np.int64)
+        rows = self._intern(keys)
         nseg = len(rows)
         # Deployed view at batch entry: the decision-cache invalidation
         # set is the *net* flips over the whole batch, derived at the
@@ -738,6 +761,8 @@ class ColumnarBank:
         tc = np.empty(n + 1, dtype=np.int64)
         tc[0] = 0
         np.cumsum(taken, out=tc[1:])
+        summary = (self._summary(keys, rows, taken, starts, ends, tc)
+                   if capture else _NO_SUMMARY)
         cur = starts.astype(np.int64)
         seg_end = ends.astype(np.int64)
         seg_last = instrs[ends - 1]
@@ -918,4 +943,30 @@ class ColumnarBank:
         deployed = fin[flips]
         self._decisions.update(zip(changed.tolist(), deployed.tolist()))
         return (correct_delta, incorrect_delta, changed, deployed,
-                np.concatenate(fired, 1))
+                np.concatenate(fired, 1), summary)
+
+    def _summary(self, keys: np.ndarray, rows: np.ndarray,
+                 taken: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                 tc: np.ndarray) -> np.ndarray:
+        """The per-key summary of a sorted batch (see
+        :meth:`apply_sorted`), read before any row advances."""
+        out = np.empty((len(SUMMARY_ROWS), len(keys)), dtype=np.int64)
+        out[0] = keys
+        out[1] = self.exec[rows]
+        np.subtract(ends, starts, out=out[2])
+        np.subtract(tc[ends], tc[starts], out=out[3])
+        # A segment's first outcome is at offset 0.  The other one first
+        # occurs at the segment's first outcome change, which exists
+        # only in a mixed segment: there it is the first change in the
+        # batch after the segment's start.
+        change = np.full(len(keys), -1, dtype=np.int64)
+        mixed = np.flatnonzero((out[3] > 0) & (out[3] < out[2]))
+        if mixed.size:
+            flips = np.flatnonzero(taken[1:] != taken[:-1]) + 1
+            at = starts[mixed]
+            change[mixed] = flips[np.searchsorted(flips, at, side="right")]
+            change[mixed] -= at
+        first_taken = taken[starts].astype(bool)
+        out[4] = np.where(first_taken, 0, change)
+        out[5] = np.where(first_taken, change, 0)
+        return out

@@ -682,7 +682,7 @@ class SpeculationService:
                     # detector must see each batch's outcomes against
                     # the deployed set as it stood *before* the batch's
                     # arcs fired.
-                    det.observe_batch(pcs, taken)
+                    det.observe_batch(result.summary)
                     det.observe_apply(events, result.correct,
                                       result.incorrect, int(instrs[0]),
                                       int(instrs[-1]))

@@ -41,10 +41,10 @@ import numpy as np
 
 from repro.core.config import ControllerConfig
 from repro.core.controller import ReactiveBranchController
-from repro.serve.colpath import ColumnarBank, RowBlock
+from repro.serve.colpath import SUMMARY_ROWS, ColumnarBank, RowBlock
 from repro.serve.events import EventBatch
 from repro.sim.metrics import SpeculationMetrics
-from repro.tenant.keys import MAX_PC, TENANT_SHIFT, mix64
+from repro.tenant.keys import MAX_PC, TENANT_SHIFT, mix64, stable_order
 
 __all__ = ["shard_of", "shard_ids", "BankShard", "ShardedBank",
            "ShardApplyResult", "ShardState"]
@@ -95,6 +95,17 @@ class ShardApplyResult:
     #: index and instruction stamp.  Empty unless ``capture`` is on.
     transitions: np.ndarray = field(
         default_factory=lambda: np.empty((4, 0), dtype=np.int64))
+    #: The batch per key, an int64 ``[6, U]`` block with one column per
+    #: distinct key in ascending key order and the rows
+    #: :data:`~repro.serve.colpath.SUMMARY_ROWS`: key, the row's exec
+    #: count before the batch, events, taken outcomes, and the offsets
+    #: of the key's first taken and first not-taken outcome among its
+    #: events (-1 for none).  The misspeculation detector's input
+    #: (:meth:`~repro.obs.detect.MisspecDetector.observe_batch`).
+    #: Empty unless ``capture`` is on.
+    summary: np.ndarray = field(
+        default_factory=lambda: np.empty((len(SUMMARY_ROWS), 0),
+                                         dtype=np.int64))
     #: Wall-clock seconds the apply took where it ran (0.0 when the
     #: shard is not capturing observability data).
     apply_seconds: float = 0.0
@@ -136,14 +147,18 @@ class BankShard:
     branch the shard has seen — ``decisions[pc]`` answers
     ``should_speculate(pc)`` without touching controller state, and
     is updated only when a batch application lands a SELECT or EVICT.
+    The shards of a :class:`ShardedBank` share one cache (``decisions``
+    passed in): their keys are disjoint, so a read needs no routing.
     """
 
     __slots__ = ("index", "decisions", "events_applied",
                  "last_instr", "correct", "incorrect", "capture", "col")
 
-    def __init__(self, index: int, config: ControllerConfig) -> None:
+    def __init__(self, index: int, config: ControllerConfig,
+                 decisions: dict[int, bool] | None = None) -> None:
         self.index = index
-        self.decisions: dict[int, bool] = {}
+        self.decisions: dict[int, bool] = (
+            {} if decisions is None else decisions)
         self.events_applied = 0
         self.last_instr = 0
         self.correct = 0
@@ -162,8 +177,11 @@ class BankShard:
         """Apply a program-order micro-batch of this shard's events.
 
         Events are grouped per branch (stable, preserving program
-        order); the groups advance together through the columnar
-        cross-branch engine (:mod:`repro.serve.colpath`).
+        order, by :func:`~repro.tenant.keys.stable_order`); the groups
+        advance together through the columnar cross-branch engine
+        (:mod:`repro.serve.colpath`).  This grouping is the batch's
+        only one: with capture on, the result's ``summary`` carries it
+        to the misspeculation detector.
         """
         capture = self.capture
         t0 = perf_counter() if capture else 0.0
@@ -179,8 +197,7 @@ class BankShard:
             # and the three gathers.
             sorted_pcs, sorted_taken, sorted_instrs = pcs, taken, instrs
         else:
-            order = np.argsort(pcs, kind="stable")
-            sorted_pcs = pcs[order]
+            order, sorted_pcs = stable_order(pcs)
             # Gather once; per-branch chunks below are contiguous views.
             sorted_taken = taken[order]
             sorted_instrs = instrs[order]
@@ -189,8 +206,9 @@ class BankShard:
         ends = np.concatenate((bounds, [n]))
         col = self.col
         f0, b0, s0 = col.events_fast, col.events_fallback, col.events_single
-        correct, incorrect, changed, deployed, fired = col.apply_sorted(
-            sorted_pcs, sorted_taken, sorted_instrs, starts, ends, capture)
+        (correct, incorrect, changed, deployed, fired,
+         summary) = col.apply_sorted(sorted_pcs, sorted_taken,
+                                     sorted_instrs, starts, ends, capture)
         self.events_applied += n
         self.last_instr = max(self.last_instr, int(instrs[-1]))
         self.correct += correct
@@ -198,7 +216,7 @@ class BankShard:
         return ShardApplyResult(
             shard=self.index, events=n, correct=correct,
             incorrect=incorrect, changed=changed, changed_deployed=deployed,
-            last_instr=self.last_instr, transitions=fired,
+            last_instr=self.last_instr, transitions=fired, summary=summary,
             apply_seconds=perf_counter() - t0 if capture else 0.0,
             col_fast=col.events_fast - f0,
             col_fallback=col.events_fallback - b0,
@@ -283,9 +301,9 @@ class BankShard:
             incorrect=int(self.incorrect), rows=self.col.gather())
 
     @classmethod
-    def from_state(cls, config: ControllerConfig,
-                   state: ShardState) -> "BankShard":
-        shard = cls(state.index, config)
+    def from_state(cls, config: ControllerConfig, state: ShardState,
+                   decisions: dict[int, bool] | None = None) -> "BankShard":
+        shard = cls(state.index, config, decisions)
         shard.events_applied = state.events_applied
         shard.last_instr = state.last_instr
         shard.correct = state.correct
@@ -319,7 +337,9 @@ class ShardedBank:
     Synchronous core of the online service: routing, application, the
     merged metrics view, and whole-bank snapshot state.  The asyncio
     service (:mod:`repro.serve.service`) wraps it with queues and
-    backpressure; tests drive it directly.
+    backpressure; tests drive it directly.  ``decisions`` is the one
+    decision cache every shard keeps current, so
+    :meth:`should_speculate` is a single dict lookup.
     """
 
     def __init__(self, config: ControllerConfig | None = None,
@@ -331,7 +351,9 @@ class ShardedBank:
 
             config = scaled_config()
         self.config = config
-        self.shards = tuple(BankShard(i, config) for i in range(n_shards))
+        self.decisions: dict[int, bool] = {}
+        self.shards = tuple(BankShard(i, config, self.decisions)
+                            for i in range(n_shards))
 
     @property
     def n_shards(self) -> int:
@@ -370,8 +392,7 @@ class ShardedBank:
                 for p in self.partition(batch)]
 
     def should_speculate(self, pc: int, tenant: int = 0) -> bool:
-        key = (tenant << TENANT_SHIFT) | pc
-        return self.shards[shard_of(key, self.n_shards)].should_speculate(key)
+        return self.decisions.get((tenant << TENANT_SHIFT) | pc, False)
 
     def controller(self, pc: int,
                    tenant: int = 0) -> ReactiveBranchController:
@@ -407,7 +428,15 @@ class ShardedBank:
     def from_state(cls, config: ControllerConfig,
                    states: list[ShardState]) -> "ShardedBank":
         bank = cls(config, len(states))
-        bank.shards = tuple(BankShard.from_state(config, s) for s in states)
-        if tuple(s.index for s in bank.shards) != tuple(range(bank.n_shards)):
-            raise ValueError("snapshot shard indices are not 0..N-1")
+        bank.load_states(states)
         return bank
+
+    def load_states(self, states: list[ShardState]) -> None:
+        """Replace every shard by one rebuilt from its state (as many
+        states as shards), the decision cache with theirs."""
+        if tuple(s.index for s in states) != tuple(range(self.n_shards)):
+            raise ValueError("snapshot shard indices are not 0..N-1")
+        self.decisions.clear()
+        self.shards = tuple(BankShard.from_state(self.config, s,
+                                                 self.decisions)
+                            for s in states)

@@ -2,9 +2,11 @@
 
 Frames are the unit of exchange: a one-byte frame type followed by a
 struct-packed, little-endian body.  Event payloads travel as raw
-columnar array bytes (int64 keys / uint8 taken / int64 instrs), so
+columnar array bytes (int64 keys / int64 instrs / uint8 taken), so
 encoding a micro-batch is three ``tobytes`` calls and decoding is three
-zero-copy ``frombuffer`` views.  Controller state travels as a packed
+zero-copy ``frombuffer`` views.  The APPLY and APPLY_RESULT headers
+are padded to a multiple of 8 bytes and their int64 columns come
+first, so those views are aligned.  Controller state travels as a packed
 row block (:meth:`RowBlock.to_bytes
 <repro.serve.colpath.RowBlock.to_bytes>`: the rows' column bytes
 through zlib), and a shard's counters ride in the frame's struct
@@ -26,18 +28,21 @@ Frame catalogue (body layouts, all little-endian)::
                  | uint64 correct | uint64 incorrect
                  | uint32 zlen | row block              parent → worker
     HELLO        uint16 shard | uint32 pid              worker → parent
-    APPLY        uint64 ticket | uint32 n
-                 | int64 key[n] | uint8 taken[n]
-                 | int64 instr[n]                       parent → worker
+    APPLY        uint64 ticket | uint32 n | pad[3]
+                 | int64 key[n] | int64 instr[n]
+                 | uint8 taken[n]                       parent → worker
     APPLY_RESULT uint64 ticket | uint32 events
                  | uint64 correct | uint64 incorrect
                  | int64 last_instr | uint32 n_changed
-                 | uint32 n_trans | uint64 col_fast
+                 | uint32 n_trans | uint32 n_keys
+                 | uint64 col_fast
                  | uint64 col_fallback | uint64 col_single
                  | float64 apply_seconds
-                 | float64 t_recv | float64 t_done
-                 | int64 key[n_changed] | uint8 deployed[n_changed]
-                 | int64 transitions[4][n_trans]        worker → parent
+                 | float64 t_recv | float64 t_done | pad[7]
+                 | int64 key[n_changed]
+                 | int64 transitions[4][n_trans]
+                 | int64 summary[6][n_keys]
+                 | uint8 deployed[n_changed]            worker → parent
     BARRIER      uint64 ticket                          parent → worker
     BARRIER_ACK  uint64 ticket                          worker → parent
     STATE_REQ    uint64 ticket                          parent → worker
@@ -55,7 +60,9 @@ Frame catalogue (body layouts, all little-endian)::
 :mod:`repro.tenant.keys`); a bare PC is tenant 0's key, so tenant-less
 traffic rides the same frame.  The transition block's four rows are
 key, arc code, exec index and instruction stamp, one column per arc
-firing.  Every parent → worker request but ``SHUTDOWN`` carries a
+firing; the summary's six rows are :data:`~repro.serve.colpath.SUMMARY_ROWS`,
+one column per distinct key of the batch (empty when capture is
+off).  Every parent → worker request but ``SHUTDOWN`` carries a
 ticket that its reply echoes, which is how the supervisor pairs
 replies with awaiting requests (``LOAD`` has no reply and always
 carries ticket 0).  A row block's ``zlen`` bytes hold whole rows
@@ -74,7 +81,7 @@ import struct
 
 import numpy as np
 
-from repro.serve.colpath import RowBlock
+from repro.serve.colpath import SUMMARY_ROWS, RowBlock
 from repro.serve.shard import ShardApplyResult, ShardState
 
 __all__ = [
@@ -109,8 +116,8 @@ TRESTORE = 0x0E
 TRESTORE_ACK = 0x0F
 
 _HELLO = struct.Struct("<BHI")
-_APPLY = struct.Struct("<BQI")
-_RESULT = struct.Struct("<BQIQQqIIQQQddd")
+_APPLY = struct.Struct("<BQI3x")
+_RESULT = struct.Struct("<BQIQQqIIIQQQddd7x")
 _TICKET = struct.Struct("<BQ")
 _TSPILL = struct.Struct("<BQI")
 _TBLOB = struct.Struct("<BQI")
@@ -118,8 +125,11 @@ _SHARD = struct.Struct("<BQIQqQQI")
 #: The ``<uint32 length>`` prefix that delimits frames on a stream.
 FRAME_HEADER = struct.Struct("<I")
 
-#: Bytes per event in an APPLY frame: int64 key + uint8 taken + int64 instr.
-_EVENT_BYTES = 8 + 1 + 8
+#: Bytes per event in an APPLY frame: int64 key + int64 instr + uint8 taken.
+_EVENT_BYTES = 8 + 8 + 1
+#: Rows of an APPLY_RESULT's transition block and key summary.
+_ARC_ROWS = 4
+_SUMMARY_ROWS = len(SUMMARY_ROWS)
 
 
 class ProtocolError(Exception):
@@ -179,24 +189,25 @@ def encode_apply(ticket: int, keys: np.ndarray, taken: np.ndarray,
     """Parent → worker: one micro-batch; int32 PCs widen to int64 keys."""
     return (_APPLY.pack(APPLY, ticket, len(keys))
             + np.ascontiguousarray(keys, dtype=np.int64).tobytes()
-            + np.ascontiguousarray(taken, dtype=np.uint8).tobytes()
-            + np.ascontiguousarray(instrs, dtype=np.int64).tobytes())
+            + np.ascontiguousarray(instrs, dtype=np.int64).tobytes()
+            + np.ascontiguousarray(taken, dtype=np.uint8).tobytes())
 
 
 def decode_apply(payload: bytes,
                  ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """Returns ``(ticket, keys, taken, instrs)`` — arrays are zero-copy
-    read-only views into ``payload``."""
+    read-only views into ``payload``, the int64 ones 8-byte aligned
+    when ``payload`` is."""
     expect_frame(payload, APPLY, "APPLY", min_len=_APPLY.size)
     _, ticket, n = _APPLY.unpack_from(payload)
     off = _APPLY.size
     if len(payload) != off + n * _EVENT_BYTES:
         raise ProtocolError("APPLY frame length mismatch")
     keys = np.frombuffer(payload, dtype=np.int64, count=n, offset=off)
-    taken = np.frombuffer(payload, dtype=np.uint8, count=n,
-                          offset=off + 8 * n).view(np.bool_)
     instrs = np.frombuffer(payload, dtype=np.int64, count=n,
-                           offset=off + 9 * n)
+                           offset=off + 8 * n)
+    taken = np.frombuffer(payload, dtype=np.uint8, count=n,
+                          offset=off + 16 * n).view(np.bool_)
     return ticket, keys, taken, instrs
 
 
@@ -211,14 +222,16 @@ def encode_apply_result(ticket: int, result: ShardApplyResult,
     head = _RESULT.pack(
         APPLY_RESULT, ticket, result.events, result.correct,
         result.incorrect, result.last_instr, len(result.changed),
-        result.transitions.shape[1], result.col_fast, result.col_fallback,
-        result.col_single, result.apply_seconds, t_recv, t_done)
+        result.transitions.shape[1], result.summary.shape[1],
+        result.col_fast, result.col_fallback, result.col_single,
+        result.apply_seconds, t_recv, t_done)
     return (head
             + np.ascontiguousarray(result.changed, dtype=np.int64).tobytes()
-            + np.ascontiguousarray(result.changed_deployed,
-                                   dtype=np.uint8).tobytes()
             + np.ascontiguousarray(result.transitions,
-                                   dtype=np.int64).tobytes())
+                                   dtype=np.int64).tobytes()
+            + np.ascontiguousarray(result.summary, dtype=np.int64).tobytes()
+            + np.ascontiguousarray(result.changed_deployed,
+                                   dtype=np.uint8).tobytes())
 
 
 def decode_apply_result(payload: bytes, shard: int,
@@ -227,21 +240,24 @@ def decode_apply_result(payload: bytes, shard: int,
     its arrays are zero-copy read-only views into ``payload``."""
     expect_frame(payload, APPLY_RESULT, "APPLY_RESULT", min_len=_RESULT.size)
     (_, ticket, events, correct, incorrect, last_instr, n_changed,
-     n_trans, col_fast, col_fallback, col_single, apply_seconds,
+     n_trans, n_keys, col_fast, col_fallback, col_single, apply_seconds,
      t_recv, t_done) = _RESULT.unpack_from(payload)
     off = _RESULT.size
-    if len(payload) != off + 9 * n_changed + 32 * n_trans:
+    words = n_changed + _ARC_ROWS * n_trans + _SUMMARY_ROWS * n_keys
+    if len(payload) != off + 8 * words + n_changed:
         raise ProtocolError("APPLY_RESULT frame length mismatch")
-    keys = np.frombuffer(payload, dtype=np.int64, count=n_changed,
-                         offset=off)
+    columns = np.frombuffer(payload, dtype=np.int64, count=words,
+                            offset=off)
+    trans_at = n_changed + _ARC_ROWS * n_trans
     deployed = np.frombuffer(payload, dtype=np.uint8, count=n_changed,
-                             offset=off + 8 * n_changed).view(np.bool_)
-    trans = np.frombuffer(payload, dtype=np.int64, count=4 * n_trans,
-                          offset=off + 9 * n_changed).reshape(4, n_trans)
+                             offset=off + 8 * words).view(np.bool_)
     return ticket, ShardApplyResult(
         shard=shard, events=events, correct=correct, incorrect=incorrect,
-        changed=keys, changed_deployed=deployed, last_instr=last_instr,
-        transitions=trans, apply_seconds=apply_seconds, t_recv=t_recv,
+        changed=columns[:n_changed], changed_deployed=deployed,
+        last_instr=last_instr,
+        transitions=columns[n_changed:trans_at].reshape(_ARC_ROWS, n_trans),
+        summary=columns[trans_at:].reshape(_SUMMARY_ROWS, n_keys),
+        apply_seconds=apply_seconds, t_recv=t_recv,
         t_done=t_done,
         col_fast=col_fast, col_fallback=col_fallback,
         col_single=col_single)

@@ -392,9 +392,7 @@ class WorkerPool:
         whole = not self._started
         if gather and self._started and all(h.dead is None
                                             for h in self.handles):
-            states = await self.collect_states()
-            self.bank.shards = tuple(
-                BankShard.from_state(self.bank.config, s) for s in states)
+            self.bank.load_states(await self.collect_states())
             whole = True
         for handle in self.handles:
             handle.closing = True
@@ -463,7 +461,7 @@ class WorkerPool:
             ticket, tenant))
         # The mirror learns decision flips from APPLY_RESULT frames;
         # evictions it learns here.
-        decisions = self.bank.shards[shard].decisions
+        decisions = self.bank.decisions
         for key in rows.keys.tolist():
             decisions.pop(key, None)
         return rows
@@ -472,7 +470,7 @@ class WorkerPool:
         """Re-intern a spilled tenant's rows into a worker's shard."""
         await self._call(shard, lambda ticket: wire.encode_trestore(
             ticket, rows))
-        self.bank.shards[shard].decisions.update(
+        self.bank.decisions.update(
             zip(rows.keys.tolist(), rows.deployed.tolist()))
 
     async def barrier(self) -> None:

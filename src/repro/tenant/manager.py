@@ -327,19 +327,28 @@ class TenantManager:
         """
         budget = self.resident_bytes_budget
         victims: list[int] = []
-        if budget is None:
+        if budget is None or self.resident_bytes <= budget:
             return victims
+        # The victim is the least recently used tenant at least as big
+        # as the average, else the least recently used one.  The LRU's
+        # footprints are read into an array once per call (a chosen
+        # tenant's becomes -inf) and each pick is one array scan: under
+        # a uniform spray most resident tenants sit below the average,
+        # so a walk of the LRU would cross most of them per victim.
+        order = list(self._lru)
+        sizes = np.fromiter((st.bytes for st in self._lru.values()),
+                            dtype=np.float64, count=len(order))
+        oldest = 0
         while self.resident_bytes > budget and self._lru:
-            avg = self.resident_bytes / len(self._lru)
-            chosen = None
-            for tenant, st in self._lru.items():
-                if st.bytes >= avg:
-                    chosen = tenant
-                    break
-            if chosen is None:
-                chosen = next(iter(self._lru))
-            self._begin_spill(chosen)
-            victims.append(chosen)
+            big = sizes >= self.resident_bytes / len(self._lru)
+            pick = int(np.argmax(big))
+            if not big[pick]:
+                while sizes[oldest] == -np.inf:
+                    oldest += 1
+                pick = oldest
+            sizes[pick] = -np.inf
+            self._begin_spill(order[pick])
+            victims.append(order[pick])
         if victims:
             self._drop_keys(victims)
             self._update_gauges()

@@ -238,6 +238,32 @@ def test_wal_gate_reads_the_median_pair(target):
     assert not evaluate(target, gates, spec.extract(doc)).ok
 
 
+def test_obs_gate_reads_the_median_run():
+    """The obs gate's two overheads are one minus the median per-run
+    ratio of the document's back-to-back (off, on, full) runs: one
+    lucky run (the best-of rates read 5% and 2%) moves neither."""
+    from repro.bench.registry import get_benchmark
+
+    spec = get_benchmark("obs")
+    assert [g.limit for g in spec.gates if g.check == "ceil"] == [0.10,
+                                                                  0.10]
+    doc = obs_doc(baseline=100.0, obs=95.0, full=93.0)
+    # on/off 0.95, 0.80, 0.85; full/on 0.98, 0.75, 0.80.
+    doc["obs_runs"] = [[100.0, 95.0, 93.1], [90.0, 72.0, 54.0],
+                       [80.0, 68.0, 54.4]]
+    metrics = spec.extract(doc)
+    assert metrics["overhead"].value == pytest.approx(0.15)
+    assert metrics["span_overhead"].value == pytest.approx(0.20)
+    assert not evaluate("obs", spec.gates, metrics).ok
+    # on/off 0.95, 0.95, 0.85; full/on 0.98, 0.95, 0.80.
+    doc["obs_runs"] = [[100.0, 95.0, 93.1], [90.0, 85.5, 81.225],
+                       [80.0, 68.0, 54.4]]
+    metrics = spec.extract(doc)
+    assert metrics["overhead"].value == pytest.approx(0.05)
+    assert metrics["span_overhead"].value == pytest.approx(0.05)
+    assert evaluate("obs", spec.gates, metrics).ok
+
+
 def test_inexact_document_fails_gate(write_doc, capsys):
     baseline = write_doc(wal_doc(), "baseline.json")
     current = write_doc(wal_doc(exact=False), "current.json")

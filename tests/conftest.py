@@ -94,6 +94,28 @@ def ring_arcs(service) -> list[tuple[int, ...]]:
                   for r in trace.records())
 
 
+def summarize(keys, taken, counts: dict) -> np.ndarray:
+    """The per-key summary of a raw batch, built independently of the
+    shard (``ShardApplyResult.summary``: key, executions before the
+    batch, events, taken, first taken and first not-taken offset or
+    -1, one column per distinct key ascending).  ``counts`` holds each
+    key's executions before the batch (absent: 0); it is advanced past
+    the batch."""
+    keys = np.asarray(keys, dtype=np.int64)
+    taken = np.asarray(taken, dtype=bool)
+    uniq = np.unique(keys)
+    out = np.empty((6, len(uniq)), dtype=np.int64)
+    for col, key in enumerate(uniq.tolist()):
+        mine = taken[keys == key]
+        ones, zeros = np.flatnonzero(mine), np.flatnonzero(~mine)
+        before = counts.get(key, 0)
+        out[:, col] = (key, before, len(mine), len(ones),
+                       ones[0] if len(ones) else -1,
+                       zeros[0] if len(zeros) else -1)
+        counts[key] = before + len(mine)
+    return out
+
+
 def spec_parity(states: dict, arcs, trace, config, after: int = 0):
     """Check a service's final model states (:func:`model_states`) and
     captured arcs (:func:`ring_arcs`) against the scalar spec run over

@@ -18,6 +18,8 @@ from repro.serve.service import ServiceConfig, SpeculationService
 from repro.tenant.keys import MAX_PC, pack_key
 from repro.trace.synthetic import train_then_flip_trace
 
+from tests.conftest import summarize
+
 SEL = ARC_CODE["select"]
 EV = ARC_CODE["evict"]
 
@@ -34,6 +36,21 @@ def _arcs(*arcs):
     """``(key, arc code, exec index, instr)`` arcs as the ``[4, n]``
     block the detector takes."""
     return np.array(arcs, dtype=np.int64).reshape(-1, 4).T
+
+
+class _Feed:
+    """A detector fed raw batches as the shard's per-key summaries,
+    with each key's running execution count."""
+
+    def __init__(self):
+        self.det = MisspecDetector()
+        self.counts = {}
+
+    def batch(self, keys, taken):
+        self.det.observe_batch(summarize(keys, taken, self.counts))
+
+    def arcs(self, *arcs):
+        self.det.observe_transitions(_arcs(*arcs))
 
 
 class TestDetectorConfig:
@@ -59,83 +76,106 @@ class TestDetectorConfig:
 
 class TestFlipTracking:
     def test_dense_onset_and_time_to_evict(self):
-        det = MisspecDetector()
-        det.observe_batch(np.full(10, 5), _ones(10))      # execs 0..9
-        det.observe_transitions(_arcs((5, SEL, 9, 80)))
-        det.observe_batch(np.full(6, 5), _ones(6))        # 10..15: trained taken
-        det.observe_batch(
+        feed = _Feed()
+        feed.batch(np.full(10, 5), _ones(10))             # execs 0..9
+        feed.arcs((5, SEL, 9, 80))
+        feed.batch(np.full(6, 5), _ones(6))               # 10..15: trained taken
+        feed.batch(
             np.full(4, 5),
             np.array([True, False, False, False]))        # 16..19: onset 17
-        det.observe_transitions(_arcs((5, EV, 19, 200)))
-        assert det.time_to_evict() == {5: 2}
+        feed.arcs((5, EV, 19, 200))
+        assert feed.det.time_to_evict() == {5: 2}
 
     def test_trained_not_taken_flips_on_taken(self):
-        det = MisspecDetector()
-        det.observe_transitions(_arcs((7, SEL, 0, 0)))
-        det.observe_batch(np.full(8, 7), _zeros(8))       # 0..7: not-taken
-        det.observe_batch(
+        feed = _Feed()
+        feed.arcs((7, SEL, 0, 0))
+        feed.batch(np.full(8, 7), _zeros(8))              # 0..7: not-taken
+        feed.batch(
             np.full(3, 7),
             np.array([False, True, True]))                # onset exec 9
-        det.observe_transitions(_arcs((7, EV, 14, 0)))
-        assert det.time_to_evict() == {7: 5}
+        feed.arcs((7, EV, 14, 0))
+        assert feed.det.time_to_evict() == {7: 5}
 
     def test_onset_in_direction_establishing_batch(self):
         # The first post-select batch both fixes the trained direction
         # (by majority) and is scanned for flips against it.
-        det = MisspecDetector()
-        det.observe_transitions(_arcs((2, SEL, 0, 0)))
+        feed = _Feed()
+        feed.arcs((2, SEL, 0, 0))
         outcomes = np.array([False] * 6 + [True] * 2)     # onset exec 6
-        det.observe_batch(np.full(8, 2), outcomes)
-        det.observe_transitions(_arcs((2, EV, 10, 0)))
-        assert det.time_to_evict() == {2: 4}
+        feed.batch(np.full(8, 2), outcomes)
+        feed.arcs((2, EV, 10, 0))
+        assert feed.det.time_to_evict() == {2: 4}
 
     def test_interleaved_pcs_count_in_own_exec_timebase(self):
-        det = MisspecDetector()
-        det.observe_transitions(_arcs((5, SEL, 0, 0)))
-        det.observe_batch(np.array([5, 9, 5]), _ones(3))  # pc5 execs 0..1
+        feed = _Feed()
+        feed.arcs((5, SEL, 0, 0))
+        feed.batch(np.array([5, 9, 5]), _ones(3))         # pc5 execs 0..1
         # pc5 outcomes T, F, F at batch positions 1, 3, 5 → its execs
         # 2, 3, 4; the first flip is exec 3 regardless of pc9 noise.
-        det.observe_batch(
+        feed.batch(
             np.array([9, 5, 9, 5, 9, 5]),
             np.array([True, True, False, False, True, False]))
-        det.observe_transitions(_arcs((5, EV, 6, 0)))
-        assert det.time_to_evict() == {5: 3}
+        feed.arcs((5, EV, 6, 0))
+        assert feed.det.time_to_evict() == {5: 3}
 
     def test_evict_without_flip_records_nothing(self):
-        det = MisspecDetector()
-        det.observe_transitions(_arcs((4, SEL, 0, 0)))
-        det.observe_batch(np.full(16, 4), _ones(16))
-        det.observe_transitions(_arcs((4, EV, 15, 0)))
-        assert det.time_to_evict() == {}
+        feed = _Feed()
+        feed.arcs((4, SEL, 0, 0))
+        feed.batch(np.full(16, 4), _ones(16))
+        feed.arcs((4, EV, 15, 0))
+        assert feed.det.time_to_evict() == {}
 
-    def test_dense_to_sparse_migration_preserves_flip_state(self):
-        det = MisspecDetector()
-        det.observe_batch(np.full(8, 3), _ones(8))        # execs 0..7
-        det.observe_transitions(_arcs((3, SEL, 7, 0)))
-        det.observe_batch(np.full(4, 3), _ones(4))        # 8..11: taken
-        # A packed (tenant << 32) | pc key switches the detector to the
-        # sorted key index; pc 3's trained direction and exec count
-        # must survive.
+    def test_packed_keys_leave_bare_pc_state_alone(self):
+        feed = _Feed()
+        feed.batch(np.full(8, 3), _ones(8))               # execs 0..7
+        feed.arcs((3, SEL, 7, 0))
+        feed.batch(np.full(4, 3), _ones(4))               # 8..11: taken
+        # A packed (tenant << 32) | pc key with the same pc: pc 3's
+        # trained direction and exec count must survive it.
         big = (7 << 32) | 3
-        det.observe_batch(np.full(5, big), _ones(5))
-        det.observe_batch(np.full(2, 3), _zeros(2))       # onset exec 12
-        det.observe_transitions(_arcs((3, EV, 15, 0)))
-        assert det.time_to_evict() == {3: 3}
+        feed.batch(np.full(5, big), _ones(5))
+        feed.batch(np.full(2, 3), _zeros(2))              # onset exec 12
+        feed.arcs((3, EV, 15, 0))
+        assert feed.det.time_to_evict() == {3: 3}
 
     def test_sparse_keys_tracked_from_the_start(self):
-        det = MisspecDetector()
+        feed = _Feed()
         big = (9 << 32) | 42
-        det.observe_transitions(_arcs((big, SEL, 0, 0)))
-        det.observe_batch(np.full(6, big), _ones(6))      # 0..5: taken
-        det.observe_batch(np.full(2, big),
-                          np.array([False, False]))       # onset exec 6
-        det.observe_transitions(_arcs((big, EV, 9, 0)))
-        assert det.time_to_evict() == {big: 3}
+        feed.arcs((big, SEL, 0, 0))
+        feed.batch(np.full(6, big), _ones(6))             # 0..5: taken
+        feed.batch(np.full(2, big),
+                   np.array([False, False]))              # onset exec 6
+        feed.arcs((big, EV, 9, 0))
+        assert feed.det.time_to_evict() == {big: 3}
+
+    def test_onset_reads_the_summary_exec_count(self):
+        # The onset is the summary's exec count plus the flip's offset:
+        # a detector that never saw a key's earlier executions (one
+        # built after a restore) still lands in the row's timebase.
+        det = MisspecDetector()
+        det.observe_transitions(_arcs((6, SEL, 4999, 0)))
+        det.observe_batch(summarize(np.full(3, 6), _ones(3), {6: 5000}))
+        det.observe_batch(summarize(np.full(4, 6),
+                                    np.array([True, True, False, True]),
+                                    {6: 5003}))           # onset 5005
+        det.observe_transitions(_arcs((6, EV, 5011, 0)))
+        assert det.time_to_evict() == {6: 6}
+
+    def test_reads_the_shards_summary_rows(self):
+        from repro.obs import detect
+        from repro.serve.colpath import SUMMARY_ROWS
+
+        assert [getattr(detect, f"_{name.upper()}") for name in (
+            "key", "exec_before", "events", "first_taken",
+            "first_not_taken")] == [SUMMARY_ROWS.index(name) for name in (
+                "key", "exec_before", "events", "first_taken",
+                "first_not_taken")]
+        assert detect._ONES == SUMMARY_ROWS.index("taken")
 
     def test_empty_batch_is_a_noop(self):
         det = MisspecDetector()
-        det.observe_batch(np.array([], dtype=np.int64),
-                          np.array([], dtype=bool))
+        det.observe_transitions(_arcs((1, SEL, 0, 0)))
+        det.observe_batch(np.empty((6, 0), dtype=np.int64))
         assert det.health_doc()["events_observed"] == 0
 
 
@@ -248,7 +288,48 @@ def test_train_then_flip_acceptance(bench_config):
         sum(truth.values()) / 8)
 
 
-# -- model check: the slot-indexed detector against a plain-dict model ------
+@pytest.mark.parametrize("via", ["load_snapshot", "recover_service"])
+def test_time_to_evict_is_exact_after_a_restore(bench_config, tmp_path,
+                                                via):
+    """A service restored from a snapshot taken after 256 executions per
+    branch (before any SELECT) still reports each branch's exact
+    time-to-evict: the onset's exec count comes from the restored row,
+    not from a count the new detector would restart at zero."""
+    from repro.serve.snapshot import load_snapshot
+    from repro.wal.recovery import recover_service
+
+    flip_at = 4096
+    trace = train_then_flip_trace(n_branches=8, flip_at=flip_at, seed=0)
+    snap = tmp_path / "early.json.gz"
+
+    async def first():
+        async with SpeculationService(bench_config,
+                                      ServiceConfig(n_shards=2)) as svc:
+            await feed_trace(svc, trace, batch_events=256,
+                             max_events=8 * 256)
+            await svc.snapshot(snap)
+            assert svc.detector.time_to_evict() == {}
+
+    async def rest(svc):
+        async with svc:
+            await feed_trace(svc, trace, batch_events=256)
+            await svc.drain()
+            truth = {r.pc: r.exec_index - flip_at
+                     for r in svc.trace.records() if r.arc == "evict"}
+            return svc.detector.time_to_evict(), truth
+
+    asyncio.run(first())
+    if via == "load_snapshot":
+        service = load_snapshot(snap)
+    else:
+        service, _report = recover_service(None, snapshot=snap)
+    tte, truth = asyncio.run(rest(service))
+    assert set(truth) == set(range(8))
+    assert tte == truth
+    assert set(truth.values()) == {9}
+
+
+# -- model check: the summary-fed detector against a plain-dict model ------
 
 #: Bare PCs and packed keys of three tenants, interleaved so that keys
 #: first seen in any order land below, between and above indexed ones.
@@ -297,17 +378,17 @@ class _DetectorModel:
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_detector_matches_dict_model(data):
-    """Random batches and SELECT/EVICT arcs over a mixed bare/packed
-    key pool match a plain-dict model after every step — in the mixed
-    key space (dense slots, then the sorted index), with every key a
-    bare PC (dense slots only) and with every key moved into tenant 1
-    (the sorted index from the start)."""
+    """Random batches (as per-key summaries with running counts) and
+    SELECT/EVICT arcs over a mixed bare/packed key pool match a
+    plain-dict model after every step — in the mixed key space, with
+    every key a bare PC and with every key moved into tenant 1."""
     spaces = {
         "mixed": KEY_POOL,
         "bare": tuple(range(len(KEY_POOL))),
         "tenant1": tuple(pack_key(1, i) for i in range(len(KEY_POOL))),
     }
     dets = {name: MisspecDetector() for name in spaces}
+    counts = {name: {} for name in spaces}
     model = _DetectorModel()
     idx = st.integers(0, len(KEY_POOL) - 1)
     for _ in range(data.draw(st.integers(1, 25), label="steps")):
@@ -318,9 +399,8 @@ def test_detector_matches_dict_model(data):
             taken = np.array([t for _, t in events], dtype=bool)
             model.batch(keys, taken.tolist())
             for name, space in spaces.items():
-                dets[name].observe_batch(
-                    np.array([space[k] for k in keys], dtype=np.int64),
-                    taken)
+                dets[name].observe_batch(summarize(
+                    [space[k] for k in keys], taken, counts[name]))
         else:
             arcs = data.draw(st.lists(
                 st.tuples(idx, st.sampled_from((SEL, EV)),

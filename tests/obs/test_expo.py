@@ -85,6 +85,7 @@ def test_span_and_health_families_roundtrip():
     from repro.obs.detect import DetectorConfig, MisspecDetector
     from repro.obs.spans import SpanRecorder
     from repro.obs.tracing import ARC_CODE
+    from tests.conftest import summarize
 
     r = MetricsRegistry()
     spans = SpanRecorder(capacity=8, registry=r)
@@ -96,8 +97,11 @@ def test_span_and_health_families_roundtrip():
                           registry=r)
     det.observe_apply(50, 10, 40, 0, 400)             # burst by rate
     det.observe_transitions(np.array([[3], [ARC_CODE["select"]], [0], [0]]))
-    det.observe_batch(np.full(4, 3), np.ones(4, dtype=bool))
-    det.observe_batch(np.full(2, 3), np.zeros(2, dtype=bool))
+    counts: dict[int, int] = {}
+    det.observe_batch(summarize(np.full(4, 3), np.ones(4, dtype=bool),
+                                counts))
+    det.observe_batch(summarize(np.full(2, 3), np.zeros(2, dtype=bool),
+                                counts))
     det.observe_transitions(np.array([[3], [ARC_CODE["evict"]], [5], [0]]))
 
     families = parse_exposition(render_prometheus(r))

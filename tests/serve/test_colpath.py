@@ -36,6 +36,7 @@ from tests.conftest import (
     captured_arcs,
     logged_arcs,
     rows_of,
+    summarize,
     without_logs,
 )
 
@@ -71,7 +72,8 @@ def _batch_bounds(n: int, rng) -> list[tuple[int, int]]:
 def _scalar_batches(config, pcs, taken, instrs, bounds):
     """Per-batch reference results via per-event observe(): each
     batch's ``(correct, incorrect)`` deltas, its net decision flips
-    ``{pc: deployed}`` and its sorted FSM arcs in capture form."""
+    ``{pc: deployed}``, its sorted FSM arcs in capture form and its
+    per-key summary (from ``np.unique`` and the spec's exec counts)."""
     bank = ControllerBank(config)
     batches = []
     for lo, hi in bounds:
@@ -79,6 +81,9 @@ def _scalar_batches(config, pcs, taken, instrs, bounds):
                    for pc in np.unique(pcs[lo:hi]).tolist()}
         before = {pc: (ctrl.deployed, len(ctrl.transitions))
                   for pc, ctrl in touched.items()}
+        summary = summarize(pcs[lo:hi], taken[lo:hi],
+                            {pc: ctrl.exec_count
+                             for pc, ctrl in touched.items()})
         c = x = 0
         for j in range(lo, hi):
             out = bank.observe(int(pcs[j]), bool(taken[j]), int(instrs[j]))
@@ -89,21 +94,21 @@ def _scalar_batches(config, pcs, taken, instrs, bounds):
         fired = sorted((pc, ARC_CODE[t.kind.value], t.exec_index, t.instr)
                        for pc, ctrl in touched.items()
                        for t in ctrl.transitions[before[pc][1]:])
-        batches.append(((c, x), flips, fired))
+        batches.append(((c, x), flips, fired, summary))
     return bank, batches
 
 
 def _columnar_equals_scalar(config, pcs, taken, instrs, bounds):
     """Drive a capturing shard batch by batch against the scalar spec:
-    deltas, decision flips and captured arcs (the spec's new log
-    entries) per batch, then the whole exported state and decision
-    cache."""
+    deltas, decision flips, captured arcs (the spec's new log entries)
+    and the per-key summary per batch, then the whole exported state
+    and decision cache."""
     ref_bank, ref_batches = _scalar_batches(config, pcs, taken, instrs,
                                             bounds)
     col = BankShard(0, config)
     col.capture = True
-    for (lo, hi), ((ref_c, ref_x), ref_flips, ref_fired) in zip(
-            bounds, ref_batches):
+    for (lo, hi), ((ref_c, ref_x), ref_flips, ref_fired,
+                   ref_summary) in zip(bounds, ref_batches):
         rc = col.apply(pcs[lo:hi], taken[lo:hi], instrs[lo:hi])
         assert (rc.correct, rc.incorrect) == (ref_c, ref_x)
         assert rc.events == hi - lo
@@ -111,6 +116,7 @@ def _columnar_equals_scalar(config, pcs, taken, instrs, bounds):
         assert len(rc.changed) == len(set(rc.changed))
         assert dict(zip(rc.changed, rc.changed_deployed)) == ref_flips
         assert captured_arcs([rc.transitions]) == ref_fired
+        np.testing.assert_array_equal(rc.summary, ref_summary)
     # Full state parity, down to every pending landing; the arcs went
     # out as the captured stream.
     state = col.export_state()
@@ -272,6 +278,51 @@ def test_events_fallback_near_zero_on_train_then_flip():
     assert captured_arcs(fired) == logged_arcs(ref)
 
 
+def test_summary_matches_spec_across_spill_and_restore():
+    """A tenant trace through one capturing shard, with tenants spilled
+    after applies and restored before the next batch that touches them
+    (as the service does): every apply's summary equals the one built
+    from ``np.unique`` and the spec's exec counts, and is empty with
+    capture off."""
+    from repro.tenant.keys import TENANT_SHIFT, pack_keys
+
+    config = CONFIGS["tiny-latency"]
+    rng = np.random.default_rng(17)
+    n = 6_000
+    tenants = rng.integers(0, 4, n)
+    pcs, taken, instrs = _boundary_dense(n, 7, 3)
+    keys = pack_keys(tenants, pcs)
+    spec = ControllerBank(config)
+    shard = BankShard(0, config)
+    shard.capture = True
+    spilled: dict[int, object] = {}
+    spills = restores = 0
+    for lo, hi in _batch_bounds(n, rng):
+        for tenant in set(tenants[lo:hi].tolist()) & set(spilled):
+            shard.restore_tenant(spilled.pop(tenant))
+            restores += 1
+        counts = {key: spec.controller(key).exec_count
+                  for key in np.unique(keys[lo:hi]).tolist()}
+        want = summarize(keys[lo:hi], taken[lo:hi], counts)
+        res = shard.apply(keys[lo:hi], taken[lo:hi], instrs[lo:hi])
+        np.testing.assert_array_equal(res.summary, want)
+        for j in range(lo, hi):
+            spec.observe(int(keys[j]), bool(taken[j]), int(instrs[j]))
+        if rng.uniform() < 0.3:
+            tenant = int(rng.integers(0, 4))
+            if tenant not in spilled:
+                spilled[tenant] = shard.spill_tenant(tenant)
+                spills += 1
+    assert spills > 10 and restores > 10
+    for rows in spilled.values():
+        shard.restore_tenant(rows)
+    assert bank_states(shard) == without_logs(spec.export_state())
+    assert all(k >> TENANT_SHIFT < 4 for k in shard.decisions)
+    shard.capture = False
+    res = shard.apply(keys[:50], taken[:50], instrs[-1] + instrs[:50])
+    assert res.summary.shape == (6, 0)
+
+
 def test_stats_split_single_vs_fallback():
     """Single-branch batches are counted apart from true fallbacks."""
     config = CONFIGS["tiny"]
@@ -336,7 +387,7 @@ def test_presorted_batch_skips_the_argsort(monkeypatch):
     rng = np.random.default_rng(1)
     taken = rng.uniform(size=len(pcs)) < 0.9
     instrs = np.cumsum(rng.integers(1, 5, len(pcs))).astype(np.int64)
-    ref_bank, ((ref_deltas, _flips, ref_fired),) = _scalar_batches(
+    ref_bank, ((ref_deltas, _flips, ref_fired, _),) = _scalar_batches(
         config, pcs, taken, instrs, [(0, len(pcs))])
 
     real_argsort = np.argsort

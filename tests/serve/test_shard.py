@@ -100,17 +100,60 @@ def test_decision_cache_tracks_deployed_view(bench_trace, bench_config):
     assert bank.should_speculate(10**9 + 7) is False
 
 
+def test_one_decision_cache_per_bank(bench_trace, bench_config):
+    """A bank's shards share one decision cache through apply, tenant
+    spill and restore, state reload and a reshard, and every answer is
+    the deployed column of the key's row."""
+    from repro.serve.events import EventBatch
+    from repro.serve.snapshot import restore_bank
+
+    def check(bank, spilled=()):
+        assert all(s.decisions is bank.decisions for s in bank.shards)
+        rows = [s.export_state().rows for s in bank.shards]
+        want = {key: dep for block in rows
+                for key, dep in zip(block.keys.tolist(),
+                                    block.deployed.tolist())}
+        assert bank.decisions == want
+        for key, dep in want.items():
+            assert bank.should_speculate(key & 0xFFFFFFFF,
+                                         key >> 32) is dep
+        for key in spilled:
+            assert bank.should_speculate(key & 0xFFFFFFFF,
+                                         key >> 32) is False
+
+    bank = ShardedBank(bench_config, 3)
+    for seq, batch in enumerate(iter_trace_batches(bench_trace, 4096)):
+        bank.apply_batch(EventBatch(
+            seq=seq, pcs=batch.pcs, taken=batch.taken, instrs=batch.instrs,
+            tenants=(np.arange(batch.n_events) % 3).astype(np.uint32)))
+    assert any(bank.decisions.values())
+    check(bank)
+    cold = [shard.spill_tenant(1) for shard in bank.shards]
+    check(bank, spilled=[k for block in cold for k in block.keys.tolist()])
+    for shard, rows in zip(bank.shards, cold):
+        shard.restore_tenant(rows)
+    check(bank)
+    states = bank.export_state()
+    bank.load_states(states)
+    check(bank)
+    check(ShardedBank.from_state(bench_config, states))
+    check(restore_bank(bench_config, states, n_shards=5))
+
+
 def test_apply_reports_decision_invalidations(bench_trace, bench_config):
-    """``changed`` must be exactly the PCs whose deployed view flipped."""
+    """``changed`` must be exactly the PCs of the result's shard whose
+    deployed view flipped (the shards share one decision cache)."""
     bank = ShardedBank(bench_config, 2)
+    assert all(s.decisions is bank.decisions for s in bank.shards)
     views: dict[int, bool] = {}
     for batch in iter_trace_batches(bench_trace, 2048):
         for result in bank.apply_batch(batch):
-            shard = bank.shards[result.shard]
-            flipped = {pc for pc, dec in shard.decisions.items()
+            mine = {pc: dec for pc, dec in bank.decisions.items()
+                    if shard_of(pc, bank.n_shards) == result.shard}
+            flipped = {pc for pc, dec in mine.items()
                        if views.get(pc, False) != dec}
             assert set(result.changed) == flipped
-            views.update(shard.decisions)
+            views.update(mine)
 
 
 # -- shard membership --------------------------------------------------------

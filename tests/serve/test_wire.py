@@ -116,7 +116,7 @@ def test_apply_frame_roundtrip():
     keys."""
     pcs, taken, instrs = _arrays(50)
     frame = wire.encode_apply(42, pcs, taken, instrs)
-    assert len(frame) == 13 + 17 * len(pcs)
+    assert len(frame) == 16 + 17 * len(pcs)
     ticket, out_keys, out_taken, out_instrs = wire.decode_apply(frame)
     assert ticket == 42
     assert out_keys.dtype == np.int64
@@ -125,12 +125,46 @@ def test_apply_frame_roundtrip():
     np.testing.assert_array_equal(out_instrs, instrs)
 
 
+def test_apply_frame_views_are_aligned():
+    """The worker applies straight from APPLY's views, and the parent's
+    detector reads APPLY_RESULT's: their int64 columns are 8-byte
+    aligned, as sent and as a socket delivers them."""
+    pcs, taken, instrs = _arrays(37)
+    pcs %= 4  # few branches, so the tiny config's arcs fire
+    shard = BankShard(0, _TINY)
+    shard.capture = True
+    result = shard.apply(pcs, taken, instrs)
+    assert result.summary.shape[1] and result.transitions.shape[1]
+    frames = (wire.encode_apply(1, pcs, taken, instrs),
+              wire.encode_apply_result(2, result, 0.0, 0.0))
+    left, right = socket.socketpair()
+    sender, receiver = wire.SocketTransport(left), wire.SocketTransport(right)
+    try:
+        for frame in frames:
+            sender.send(frame)
+            for payload in (frame, receiver.recv()):
+                assert all(view.flags.aligned
+                           for view in _int64_views(payload))
+    finally:
+        sender.close()
+        receiver.close()
+
+
+def _int64_views(payload):
+    """The int64 views an APPLY or APPLY_RESULT frame decodes to."""
+    if payload[0] == wire.APPLY:
+        _, keys, _taken, instrs = wire.decode_apply(payload)
+        return keys, instrs
+    out = wire.decode_apply_result(payload, 0)[1]
+    return out.changed, out.transitions, out.summary
+
+
 def test_tapply_frame_roundtrip_with_packed_keys():
     """Packed (tenant << 32) | pc keys travel through APPLY unchanged."""
     pcs, taken, instrs = _arrays(50)
     keys = pcs.astype(np.int64) | (np.int64(9) << 32)
     frame = wire.encode_apply(42, keys, taken, instrs)
-    assert len(frame) == 13 + 17 * len(keys)
+    assert len(frame) == 16 + 17 * len(keys)
     ticket, out_keys, out_taken, out_instrs = wire.decode_apply(frame)
     assert ticket == 42
     assert out_keys.dtype == np.int64
@@ -156,14 +190,16 @@ def test_apply_result_frame_roundtrip():
 def test_apply_result_frame_carries_transitions_and_latency():
     transitions = np.array([(5, 0, 100, 12345), (9, 2, 2048, 99999),
                             (1000, 3, 7, -1)]).T
+    summary = np.array([(5, 99, 40, 39, 0, 7), (9, 2047, 24, 0, -1, 0)]).T
     result = ShardApplyResult(
         shard=0, events=64, correct=50, incorrect=2, changed=np.array([5]),
         changed_deployed=np.array([True]), last_instr=777,
-        transitions=transitions, apply_seconds=0.0125)
+        transitions=transitions, summary=summary, apply_seconds=0.0125)
     frame = wire.encode_apply_result(8, result, 100.5, 100.75)
     ticket, out = wire.decode_apply_result(frame, 0)
     assert ticket == 8
     np.testing.assert_array_equal(out.transitions, transitions)
+    np.testing.assert_array_equal(out.summary, summary)
     assert out.apply_seconds == pytest.approx(0.0125)
     # The worker-side monotonic stamps ride along so the parent can
     # attribute wire_out / wire_back span stages.
@@ -176,22 +212,28 @@ def test_apply_result_frame_carries_transitions_and_latency():
 
 
 #: One APPLY and one APPLY_RESULT frame as committed bytes: five events
-#: (one of them a packed tenant key) and a result with two flipped keys
-#: and a three-arc transition block.  The worker link is never
+#: (one of them a packed tenant key) and a result with two flipped keys,
+#: a three-arc transition block and a four-key summary.  The worker link is never
 #: persisted, but its frame bodies must not drift by accident.
 _PINNED_APPLY = bytes.fromhex(
-    "032a000000000000000500000005000000000000000500000000000000090000"
-    "00000000000700000003000000e80300000000000001000101000a0000000000"
-    "000019000000000000001a000000000000002800000000000000290000000000"
-    "0000")
+    "032a000000000000000500000000000005000000000000000500000000000000"
+    "09000000000000000700000003000000e8030000000000000a00000000000000"
+    "19000000000000001a0000000000000028000000000000002900000000000000"
+    "0100010100")
 _PINNED_APPLY_RESULT = bytes.fromhex(
     "042b000000000000000500000003000000000000000100000000000000290000"
-    "0000000000020000000300000002000000000000000100000000000000020000"
-    "0000000000000000000000d03f00000000002059400000000000305940050000"
-    "00000000000700000003000000010005000000000000000700000003000000e8"
-    "0300000000000000000000000000000200000000000000030000000000000009"
-    "0000000000000078000000000000000700000000000000190000000000000028"
-    "000000000000002900000000000000")
+    "0000000000020000000300000004000000020000000000000001000000000000"
+    "000200000000000000000000000000d03f000000000020594000000000003059"
+    "4000000000000000050000000000000007000000030000000500000000000000"
+    "0700000003000000e80300000000000000000000000000000200000000000000"
+    "0300000000000000090000000000000078000000000000000700000000000000"
+    "1900000000000000280000000000000029000000000000000500000000000000"
+    "0900000000000000e80300000000000007000000030000000800000000000000"
+    "0000000000000000060000000000000077000000000000000200000000000000"
+    "0100000000000000010000000000000001000000000000000100000000000000"
+    "0100000000000000000000000000000001000000000000000000000000000000"
+    "0000000000000000ffffffffffffffff00000000000000000100000000000000"
+    "ffffffffffffffff0000000000000000ffffffffffffffff0100")
 
 
 def test_pinned_frame_bytes():
@@ -215,6 +257,10 @@ def test_pinned_frame_bytes():
         changed_deployed=np.array([True, False]), last_instr=41,
         transitions=np.array([(5, 0, 9, 25), (tenant_key, 2, 120, 40),
                               (1000, 3, 7, 41)], dtype=np.int64).T,
+        summary=np.array([(5, 8, 2, 1, 0, 1), (9, 0, 1, 1, 0, -1),
+                          (1000, 6, 1, 0, -1, 0),
+                          (tenant_key, 119, 1, 1, 0, -1)],
+                         dtype=np.int64).T,
         apply_seconds=0.25, col_fast=2, col_fallback=1, col_single=2)
     frame = wire.encode_apply_result(43, result, 100.5, 100.75)
     assert frame == _PINNED_APPLY_RESULT
@@ -311,7 +357,8 @@ def test_every_decoder_rejects_malformed_frames():
     result = ShardApplyResult(
         shard=1, events=16, correct=9, incorrect=1, changed=np.array([5]),
         changed_deployed=np.array([True]), last_instr=64,
-        transitions=np.array([[5], [0], [3], [60]]))
+        transitions=np.array([[5], [0], [3], [60]]),
+        summary=np.array([[5], [40], [16], [9], [0], [2]]))
     # (decoder, valid frame, name, every-truncation-fails,
     #  trailing-bytes-fail) — ERROR carries a free-form message, so a
     # bare type byte or extra bytes are legitimate for it.
