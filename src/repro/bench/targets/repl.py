@@ -30,7 +30,8 @@ from repro.core.config import scaled_config
 
 #: A protocol-complete follower that drains and acks without applying:
 #: connect, handshake at watermark -1, ack the newest seq whenever the
-#: socket idles (or every 64 batches under a firehose), exit on EOF.
+#: socket idles (or every 64 batches under a firehose), exit quietly on
+#: EOF or once the primary has closed the link.
 DRAIN_FOLLOWER = """
 import select, struct, sys, time
 from repro.replicate import frames
@@ -50,18 +51,18 @@ transport = SocketTransport(sock)
 transport.send(frames.encode_r_hello(-1))
 frames.decode_r_welcome(transport.recv())
 last, unacked = -1, 0
-while True:
-    try:
+try:
+    while True:
         payload = transport.recv()
-    except (EOFError, OSError):
-        break
-    if payload and payload[0] == frames.R_BATCH:
-        last = struct.unpack_from("<Q", payload, 1)[0]
-        unacked += 1
-        ready, _w, _x = select.select([sock], [], [], 0)
-        if unacked >= 64 or not ready:
-            transport.send(frames.encode_r_ack(last))
-            unacked = 0
+        if payload and payload[0] == frames.R_BATCH:
+            last = struct.unpack_from("<Q", payload, 1)[0]
+            unacked += 1
+            ready, _w, _x = select.select([sock], [], [], 0)
+            if unacked >= 64 or not ready:
+                transport.send(frames.encode_r_ack(last))
+                unacked = 0
+except (EOFError, OSError):  # the primary closed the link
+    pass
 """
 
 
@@ -70,10 +71,12 @@ def _src_dir() -> Path:
     return Path(repro.__file__).resolve().parents[1]
 
 
-def _ingest(trace, wal_dir: str, repl_listen: str | None = None,
-            wait_follower: bool = False):
-    """Feed the trace through a WAL-enabled service; returns
-    ``(metrics, elapsed_seconds, last_replicated_seq)``."""
+def _ingest(trace, wal_dir: str, repl_listen: str | None = None):
+    """Feed the trace through a WAL-enabled service (replicating once a
+    follower connects); returns ``(metrics, elapsed_seconds, acked,
+    deferred)``, ``acked`` the watermark as ``drain()`` returns and, with
+    replication on, ``deferred`` the batches unwritten then and the ms
+    until the tip is acked (None: not within 10 s)."""
     from repro.serve.client import feed_trace
     from repro.serve.service import ServiceConfig, SpeculationService
 
@@ -84,7 +87,7 @@ def _ingest(trace, wal_dir: str, repl_listen: str | None = None,
                              wal_fsync="batch", repl_listen=repl_listen,
                              spans=False, detect=False)
         async with SpeculationService(scaled_config(), scfg) as service:
-            if wait_follower:
+            if repl_listen is not None:
                 deadline = time.monotonic() + 30.0
                 while service._repl.connections < 1:
                     if time.monotonic() > deadline:
@@ -93,8 +96,20 @@ def _ingest(trace, wal_dir: str, repl_listen: str | None = None,
             started = time.perf_counter()
             await feed_trace(service, trace, batch_events=8192)
             await service.drain()
-            elapsed = time.perf_counter() - started
-            return service.metrics(), elapsed, service.last_replicated_seq
+            drained = time.perf_counter()
+            acked, deferred = service.last_replicated_seq, None
+            if repl_listen is not None:
+                unsent = service.last_seq + 1 - service.registry.get(
+                    "repro_repl_batches_sent_total").value
+                ms = None
+                while service.last_replicated_seq < service.last_seq:
+                    if time.perf_counter() > drained + 10.0:
+                        break
+                    await asyncio.sleep(0)
+                else:
+                    ms = (time.perf_counter() - drained) * 1e3
+                deferred = (unsent, ms)
+            return service.metrics(), drained - started, acked, deferred
 
     return asyncio.run(run())
 
@@ -155,6 +170,7 @@ def run_repl_bench(events: int = 400_000, trace_name: str = "gcc",
     config = scaled_config()
     offline = run_reactive(trace, config).metrics
     exact_flag = True
+    deferred_runs: list[tuple[int, float]] = []
 
     def one_eps(repl: bool) -> float:
         nonlocal exact_flag
@@ -168,9 +184,8 @@ def run_repl_bench(events: int = 400_000, trace_name: str = "gcc",
                     [sys.executable, "-c", DRAIN_FOLLOWER, listen],
                     env={**os.environ, "PYTHONPATH": str(_src_dir())})
             try:
-                metrics, elapsed, acked = _ingest(
-                    trace, wal_dir, repl_listen=listen,
-                    wait_follower=repl)
+                metrics, elapsed, acked, deferred = _ingest(
+                    trace, wal_dir, repl_listen=listen)
             finally:
                 if proc is not None:
                     try:
@@ -182,6 +197,8 @@ def run_repl_bench(events: int = 400_000, trace_name: str = "gcc",
                 exact_flag = False
             if repl and acked < 0:
                 raise RuntimeError("follower never acked a batch")
+            if repl:
+                deferred_runs.append(deferred)
             return len(trace) / elapsed
 
     with tempfile.TemporaryDirectory(prefix="bench-repl-warm-") as d:
@@ -222,8 +239,8 @@ def run_repl_bench(events: int = 400_000, trace_name: str = "gcc",
                 await service.drain()
                 # The stream outlives the drain: wait for the replica
                 # to reach the tip before the primary goes away.
-                ok = await asyncio.get_running_loop().run_in_executor(
-                    None, follower.wait_caught_up, tip, 120.0)
+                ok = await asyncio.to_thread(follower.wait_caught_up,
+                                             tip, 120.0)
                 return ok, time.perf_counter() - started
 
         caught_up, elapsed = asyncio.run(run_full())
@@ -241,6 +258,10 @@ def run_repl_bench(events: int = 400_000, trace_name: str = "gcc",
         "repl_eps": repl_eps,
         "repl_pairs": pairs,
         "repl_overhead": pair_overhead(pairs),
+        # Informational, per replication-on ingest: batches unwritten at
+        # drain() and the ms until the tip's ack (None: not within 10 s).
+        "repl_unsent_at_drain": [n for n, _ms in deferred_runs],
+        "repl_drain_to_ack_ms": [ms for _n, ms in deferred_runs],
         "follower_apply_eps": follower_apply_eps,
         "exact": exact_flag,
     }
@@ -256,6 +277,9 @@ def run_repl_bench(events: int = 400_000, trace_name: str = "gcc",
         print(f"  on/off per pair: {ratios}")
         print(f"  primary-side overhead: {result['repl_overhead']:.1%} "
               f"(1 - median of {len(pairs)} pairs)")
+        print("  unsent at drain / ms to acked tip per pair: " + ", ".join(
+            f"{n} / " + ("never" if ms is None else f"{ms:.2f}")
+            for n, ms in deferred_runs))
         print(f"  exact vs offline engine (primary + replica): "
               f"{exact_flag}")
     return result

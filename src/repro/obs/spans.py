@@ -46,10 +46,10 @@ ever consumes timestamps and counts, so speculation decisions are
 bit-identical with spans on or off (asserted by
 ``tests/obs/test_service_obs.py``).
 
-Thread-safety: ``begin``/``note_applied`` run on the service's event
-loop, ``note_durable`` on the WAL executor thread, ``note_replicated``
-on the replication ack thread, and ``snapshot_doc`` on the HTTP server
-thread — every entry point takes the recorder lock.
+Thread-safety: ``begin``/``note_applied``/``note_replicated`` run on
+the service's event loop (the last from a replication link's task),
+``note_durable`` on the WAL executor thread, and ``snapshot_doc`` on
+the HTTP server thread — every entry point takes the recorder lock.
 """
 
 from __future__ import annotations
@@ -201,7 +201,7 @@ class SpanRecorder:
                         completed.stages[name])
             self._batch_hist.observe(completed.total_seconds)
 
-    # -- late stages (WAL executor / replication ack threads) -----------
+    # -- late stages (WAL executor thread / replication link tasks) -----
     def note_durable(self, durable_seq: int) -> None:
         """Stamp ``wal_fsync`` (time-to-durability) on every span with
         ``seq <= durable_seq`` that has not been stamped yet."""

@@ -10,10 +10,10 @@ Roles:
 
 * :class:`~repro.replicate.sender.ReplicationSender` — primary side.
   Attached to a WAL-enabled :class:`~repro.serve.service
-  .SpeculationService`, it accepts follower connections and streams
-  the log — sealed segments and the live tail alike — through an
-  incremental :class:`~repro.wal.reader.WalTailer`, shipping the
-  newest snapshot instead when compaction has outrun a follower.
+  .SpeculationService` and run on its event loop, it accepts follower
+  connections, catches each up from the log through an incremental
+  :class:`~repro.wal.reader.WalTailer` (or the newest snapshot, when
+  compaction has outrun it), then writes every accepted batch to it.
   Follower acknowledgements drive ``last_replicated_seq``, the
   replication twin of ``last_durable_seq``.
 * :class:`~repro.replicate.follower.ReplicationFollower` — standby

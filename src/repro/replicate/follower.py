@@ -397,6 +397,8 @@ class ReadOnlyServer:
     One thread per connection; queries read the replica's live
     decision caches (dict reads are atomic under the GIL, and a
     decision mid-batch is exactly as fresh as the replication stream).
+    :meth:`close` ends every connection too, so a sealed standby stops
+    answering on links opened before it was sealed.
     """
 
     def __init__(self, follower: ReplicationFollower,
@@ -404,33 +406,28 @@ class ReadOnlyServer:
         self.follower = follower
         self.listen_addr = listen_addr
         self._sock: socket.socket | None = None
-        self._threads: list[threading.Thread] = []
         self._stopped = threading.Event()
+        self._conns: set[SocketTransport] = set()
 
     def start(self) -> None:
         self._sock = frames.listen_socket(self.listen_addr)
-        thread = threading.Thread(target=self._accept_loop,
-                                  name="repro-repl-ro", daemon=True)
-        self._threads.append(thread)
-        thread.start()
+        threading.Thread(target=self._accept_loop, name="repro-repl-ro",
+                         daemon=True).start()
         logger.info("replication: read-only endpoint on %s",
                     self.listen_addr)
 
     def close(self) -> None:
+        """Stop accepting and end every open connection."""
         self._stopped.set()
         if self._sock is not None:
             try:
-                self._sock.close()
+                self._sock.shutdown(socket.SHUT_RDWR)  # wakes accept()
             except OSError:
                 pass
-        family, sockaddr = frames.parse_addr(self.listen_addr)
-        if family == socket.AF_UNIX:
-            import os
-
-            try:
-                os.unlink(sockaddr)
-            except OSError:
-                pass
+            self._sock.close()
+        for transport in list(self._conns):
+            transport.close()  # its client reads end of file
+        frames.unlink_addr(self.listen_addr)
 
     def _accept_loop(self) -> None:
         while not self._stopped.is_set():
@@ -438,13 +435,15 @@ class ReadOnlyServer:
                 sock, _peer = self._sock.accept()
             except OSError:
                 return
-            thread = threading.Thread(target=self._serve,
-                                      args=(sock,), daemon=True)
-            self._threads.append(thread)
-            thread.start()
+            transport = SocketTransport(sock)
+            self._conns.add(transport)
+            if self._stopped.is_set():  # accepted while closing
+                transport.close()
+                return
+            threading.Thread(target=self._serve, args=(transport,),
+                             daemon=True).start()
 
-    def _serve(self, sock: socket.socket) -> None:
-        transport = SocketTransport(sock)
+    def _serve(self, transport: SocketTransport) -> None:
         try:
             while not self._stopped.is_set():
                 payload = transport.recv()
@@ -477,10 +476,8 @@ class ReadOnlyServer:
         except (EOFError, OSError, ProtocolError):
             pass
         finally:
-            try:
-                transport.close()
-            except OSError:
-                pass
+            self._conns.discard(transport)
+            transport.close()
 
 
 def _readable(sock: socket.socket) -> bool:

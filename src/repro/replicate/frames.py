@@ -2,11 +2,11 @@
 
 Same conventions as the worker protocol (:mod:`repro.serve.wire`): a
 frame is one type byte plus a struct-packed little-endian body, carried
-by :class:`~repro.serve.wire.SocketTransport`'s
-``<uint32 length><payload>`` framing over TCP or AF_UNIX.  Frame types
-live in a disjoint range (0x41+) so a replication frame can never be
-mistaken for a worker frame, and decode failures raise the same
-:class:`~repro.serve.wire.ProtocolError`.
+in that module's ``<uint32 length><payload>`` framing over TCP or
+AF_UNIX (on the primary's event loop, and by ``SocketTransport`` on the
+follower's threads).  Frame types live in a disjoint range (0x41+) so
+a replication frame can never be mistaken for a worker frame, and
+decode failures raise the same :class:`~repro.serve.wire.ProtocolError`.
 
 Replication stream (primary ⇄ follower)::
 
@@ -44,6 +44,7 @@ controller state crosses these frames only inside a snapshot file.
 from __future__ import annotations
 
 import json
+import os
 import socket
 import struct
 import zlib
@@ -66,7 +67,7 @@ __all__ = [
     "encode_ro_decision", "decode_ro_decision",
     "encode_ro_status_req", "encode_ro_status", "decode_ro_status",
     "parse_addr", "listen_socket", "connect_socket", "format_addr",
-    "frame_type", "ProtocolError",
+    "unlink_addr", "frame_type", "ProtocolError",
 ]
 
 REPLICATION_MAGIC = b"REPROREP"
@@ -281,18 +282,23 @@ def listen_socket(addr: str, backlog: int = 4) -> socket.socket:
         if family == socket.AF_INET:
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         else:
-            import os
-
-            try:
-                os.unlink(sockaddr)
-            except FileNotFoundError:
-                pass
+            unlink_addr(addr)
         sock.bind(sockaddr)
         sock.listen(backlog)
     except BaseException:
         sock.close()
         raise
     return sock
+
+
+def unlink_addr(addr: str) -> None:
+    """Remove an AF_UNIX address's socket file, if any."""
+    family, sockaddr = parse_addr(addr)
+    if family == socket.AF_UNIX:
+        try:
+            os.unlink(sockaddr)
+        except OSError:
+            pass
 
 
 def connect_socket(addr: str, timeout: float | None = None

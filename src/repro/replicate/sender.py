@@ -2,22 +2,22 @@
 
 :class:`ReplicationSender` is owned by a WAL-enabled
 :class:`~repro.serve.service.SpeculationService` (the ``repl_listen``
-knob).  It accepts follower connections on a TCP or AF_UNIX address
-and, per connection, runs two threads:
+knob) and runs on the service's event loop, which also owns every
+worker link.  An asyncio server accepts followers on a TCP or AF_UNIX
+address; one task per follower link answers its ``R_HELLO`` watermark
+with ``R_WELCOME``, catches it up, then reads its ``R_ACK`` frames,
+topping the catch-up up on each.  Catch-up forwards WAL records from
+the link's :class:`~repro.wal.reader.WalTailer` as ``R_BATCH`` frames
+*without decoding* (the record body is the wire body), a few at a time
+between turns of the loop, or re-anchors a follower that compaction
+has outrun on the newest snapshot (``R_SNAPSHOT``).
 
-* a **stream** thread drives a :class:`~repro.wal.reader.WalTailer`
-  from the follower's handshake watermark: sealed segments and the
-  live tail are forwarded as ``R_BATCH`` frames *without decoding*
-  (the WAL record body is already the wire body), and when compaction
-  has outrun the follower the newest snapshot file is shipped whole
-  (``R_SNAPSHOT``) and tailing resumes from its covered seq;
-* an **ack** thread consumes ``R_ACK`` frames and advances the
-  replication watermark.
-
-The service's hot path touches the sender exactly once per accepted
-batch — :meth:`offer` sets an event so idle stream threads wake
-without polling delay — which is what keeps the primary-side overhead
-inside the ``repl`` bench gate (:mod:`repro.bench.targets.repl`).
+A caught-up link is *live*: :meth:`offer`, called at the end of every
+accepted submit, writes the batch straight to it, so the stream keeps
+pace with ingest.  A link holding more than :data:`_MAX_BUFFERED`
+unsent bytes (a stalled follower) stops being live and catches up
+from the log as its acks arrive: bounded memory, and ingest never
+waits.
 
 ``last_replicated_seq`` is the newest seq any follower has confirmed
 durable in *its own* WAL (acks are sent after the follower's commit).
@@ -31,9 +31,8 @@ one registry would merge their counts: a service attaches at most one.
 
 from __future__ import annotations
 
+import asyncio
 import logging
-import socket
-import threading
 import time
 from collections import deque
 from dataclasses import asdict
@@ -41,9 +40,9 @@ from typing import TYPE_CHECKING
 
 from repro.obs.metrics import MetricsRegistry
 from repro.replicate import frames
-from repro.serve.wire import ProtocolError, SocketTransport
+from repro.serve.wire import ProtocolError, read_frame, write_frame
 from repro.wal.reader import WalGapError, WalTailer
-from repro.wal.segment import WalCorruptionError, list_segments
+from repro.wal.segment import WalCorruptionError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.service import SpeculationService
@@ -52,24 +51,33 @@ __all__ = ["ReplicationSender"]
 
 logger = logging.getLogger(__name__)
 
-#: Idle stream-thread wakeup (s): the offer event removes latency on
-#: the happy path; this bounds it when offers race the event clear.
-_IDLE_WAIT = 0.05
 _HANDSHAKE_TIMEOUT = 10.0
+#: Unsent bytes past which a link stops being live.
+_MAX_BUFFERED = 8 << 20
+#: Seconds a closing link may take to flush before it is aborted.
+_CLOSE_GRACE = 1.0
+#: Accept times the lag gauge keeps while no follower acks.
+_MAX_OFFERS = 1 << 16
+#: WAL records a catching-up link writes per turn of the loop.
+_CATCH_UP_STEP = 4
 
 
-class _Connection:
-    """One follower link: socket, watermark, wake event."""
+class _Link:
+    """One follower link: its stream, its task and its cursor."""
 
-    __slots__ = ("sock", "transport", "peer", "acked", "wake", "dead")
+    __slots__ = ("writer", "task", "sent", "live", "tailer")
 
-    def __init__(self, sock: socket.socket, peer: str) -> None:
-        self.sock = sock
-        self.transport = SocketTransport(sock)
-        self.peer = peer
-        self.acked = -1
-        self.wake = threading.Event()
-        self.dead = threading.Event()
+    def __init__(self, writer: asyncio.StreamWriter) -> None:
+        self.writer = writer
+        self.task = asyncio.current_task()
+        self.sent = -1       # newest seq written to the link
+        self.live = False    # caught up: offer() writes to it
+        self.tailer: WalTailer | None = None  # open while catching up
+
+    def close_tailer(self) -> None:
+        if self.tailer is not None:
+            self.tailer.close()
+            self.tailer = None
 
 
 class ReplicationSender:
@@ -86,14 +94,12 @@ class ReplicationSender:
         # Optional repro.obs.spans.SpanRecorder: stamps the repl_ack
         # stage whenever the replication watermark advances.
         self._spans = spans
-        self._lock = threading.Lock()
         self._acked = -1
-        self._offers: deque[tuple[int, float]] = deque()
-        self._stopped = threading.Event()
-        self._listen_sock: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
-        self._threads: list[threading.Thread] = []
-        self._conns: list[_Connection] = []
+        #: (seq, accept time) of unacked batches accepted while a
+        #: follower is connected, for the lag gauge.
+        self._offers: deque[tuple[int, float]] = deque(maxlen=_MAX_OFFERS)
+        self._server: asyncio.AbstractServer | None = None
+        self._links: list[_Link] = []
         registry = registry if registry is not None else MetricsRegistry()
         self._m_watermark = registry.gauge(
             "repro_repl_last_replicated_seq",
@@ -127,216 +133,166 @@ class ReplicationSender:
 
     @property
     def connections(self) -> int:
-        with self._lock:
-            return sum(1 for c in self._conns if not c.dead.is_set())
+        return len(self._links)
 
     # -- lifecycle ------------------------------------------------------
-    def start(self) -> None:
+    async def start(self) -> None:
         """Bind the listen address and start accepting followers."""
-        if self._accept_thread is not None:
+        if self._server is None:
+            self._server = await asyncio.start_server(
+                self._serve, sock=frames.listen_socket(self.listen_addr))
+            logger.info("replication: listening on %s", self.listen_addr)
+
+    def offer(self, seq: int, body) -> None:
+        """Hot-path hook: the service accepted (WAL-appended) batch
+        ``seq``, whose wire form is ``body``.  Writes it to every live
+        link with room; while a follower is connected, records its
+        accept time for the lag gauge."""
+        self._m_lag_seq.set(seq - self._acked)
+        if not self._links:
             return
-        self._listen_sock = frames.listen_socket(self.listen_addr)
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="repro-repl-accept",
-            daemon=True)
-        self._accept_thread.start()
-        logger.info("replication: listening on %s", self.listen_addr)
+        self._offers.append((seq, time.monotonic()))
+        frame, sent = frames.encode_r_batch(body), 0
+        for link in self._links:
+            if not link.live or link.writer.is_closing():
+                continue
+            if link.writer.transport.get_write_buffer_size() > _MAX_BUFFERED:
+                link.live = False  # catch up from the log as acks come
+                continue
+            write_frame(link.writer, frame)
+            link.sent = seq
+            sent += 1
+        self._m_batches.inc(sent)
+        self._m_bytes.inc(sent * len(body))
 
-    def offer(self, seq: int) -> None:
-        """Hot-path hook: the service accepted (WAL-appended) ``seq``.
-
-        O(1): record the accept time for the lag gauge and wake idle
-        stream threads.
-        """
-        with self._lock:
-            self._offers.append((seq, time.monotonic()))
-            self._m_lag_seq.set(seq - self._acked)
-            conns = list(self._conns)
-        for conn in conns:
-            conn.wake.set()
-
-    def close(self) -> None:
-        """Stop accepting, drop every follower, join the threads."""
-        self._stopped.set()
-        if self._listen_sock is not None:
-            try:
-                self._listen_sock.close()
-            except OSError:
-                pass
-        with self._lock:
-            conns, self._conns = self._conns, []
-        for conn in conns:
-            conn.dead.set()
-            conn.wake.set()
-            try:
-                conn.transport.close()
-            except OSError:
-                pass
-        for thread in [self._accept_thread, *self._threads]:
-            if thread is not None and thread.is_alive():
-                thread.join(timeout=5.0)
-        self._accept_thread = None
-        self._threads = []
-        family, sockaddr = frames.parse_addr(self.listen_addr)
-        if family == socket.AF_UNIX:
-            import os
-
-            try:
-                os.unlink(sockaddr)
-            except OSError:
-                pass
-
-    # -- accept / per-connection threads --------------------------------
-    def _accept_loop(self) -> None:
-        while not self._stopped.is_set():
-            try:
-                sock, peeraddr = self._listen_sock.accept()
-            except OSError:
-                return  # listen socket closed by close()
-            if self._stopped.is_set():
-                sock.close()
-                return
-            peer = frames.format_addr(peeraddr) or "unix-peer"
-            conn = _Connection(sock, peer)
-            with self._lock:
-                self._conns.append(conn)
-            self._m_conns.inc()
-            stream = threading.Thread(
-                target=self._stream_loop, args=(conn,),
-                name=f"repro-repl-stream-{peer}", daemon=True)
-            self._threads.append(stream)
-            stream.start()
-
-    def _stream_loop(self, conn: _Connection) -> None:
-        try:
-            watermark = self._handshake(conn)
-        except (ProtocolError, EOFError, OSError) as err:
-            if not self._stopped.is_set():
-                logger.warning("replication: handshake with %s failed: "
-                               "%s", conn.peer, err)
-            self._drop(conn)
+    async def close(self) -> None:
+        """Stop accepting and close every follower link; a link that
+        cannot flush within :data:`_CLOSE_GRACE` seconds is aborted."""
+        server, self._server = self._server, None
+        if server is None:
             return
-        logger.info("replication: follower %s connected at watermark %d",
-                    conn.peer, watermark)
-        # Acks flow back on the same socket; the reader starts only now
-        # so it can never race the handshake recv above.
-        acks = threading.Thread(
-            target=self._ack_loop, args=(conn,),
-            name=f"repro-repl-ack-{conn.peer}", daemon=True)
-        self._threads.append(acks)
-        acks.start()
-        wal_dir = self.service.service_config.wal_dir
-        tailer = WalTailer(wal_dir, after_seq=watermark)
+        server.close()
+        links = list(self._links)
+        for link in links:
+            link.writer.close()
+        if links:
+            await asyncio.wait([link.task for link in links],
+                               timeout=_CLOSE_GRACE)
+            for link in links:  # no-op on a link that closed
+                link.writer.transport.abort()
+            await asyncio.wait([link.task for link in links])
+        await server.wait_closed()
+        frames.unlink_addr(self.listen_addr)
+
+    # -- one follower link ----------------------------------------------
+    async def _serve(self, reader: asyncio.StreamReader,
+                     writer: asyncio.StreamWriter) -> None:
+        """Handshake, then catch up and read acks until the link breaks
+        or the sender closes."""
+        if self._server is None:  # accepted while closing
+            writer.close()
+            return
+        peer = (frames.format_addr(writer.get_extra_info("peername"))
+                or "unix-peer")
+        link = _Link(writer)
+        self._links.append(link)
+        self._m_conns.inc()
         try:
-            # A fully-compacted log can be *empty*: no segment is left
-            # to raise WalGapError, yet the follower still needs
-            # everything up to the snapshot anchor.  Detect the silent
-            # gap at connect time instead of idling on it.
-            if (watermark < self.service.last_seq
-                    and not list_segments(wal_dir)):
-                tailer.close()
-                tailer = self._send_snapshot(
-                    conn, WalGapError(watermark, self.service.last_seq))
-            while not (conn.dead.is_set() or self._stopped.is_set()):
+            link.sent = frames.decode_r_hello(await asyncio.wait_for(
+                read_frame(reader), _HANDSHAKE_TIMEOUT))
+            write_frame(writer, frames.encode_r_welcome(
+                self.service.last_seq,
+                {"controller_config": asdict(self.service.config)}))
+            logger.info("replication: follower %s connected at watermark "
+                        "%d", peer, link.sent)
+            while True:
                 try:
-                    records = tailer.poll()
-                except WalGapError as gap:
-                    tailer.close()
-                    tailer = self._send_snapshot(conn, gap)
-                    continue
-                if not records:
-                    conn.wake.wait(_IDLE_WAIT)
-                    conn.wake.clear()
-                    continue
-                for _seq, payload in records:
-                    conn.transport.send(frames.encode_r_batch(payload))
-                self._m_batches.inc(len(records))
-                self._m_bytes.inc(sum(len(p) for _s, p in records))
+                    await self._catch_up(link)
+                except WalGapError:
+                    link.close_tailer()
+                    await self._send_snapshot(link)
+                self._advance(frames.decode_r_ack(await read_frame(reader)))
         except (WalCorruptionError, ProtocolError) as err:
-            logger.error("replication: stream to %s aborted: %s",
-                         conn.peer, err)
-            self._send_error(conn, str(err))
-        except OSError as err:
-            logger.info("replication: follower %s dropped: %s",
-                        conn.peer, err)
+            logger.error("replication: stream to %s aborted: %s", peer, err)
+            write_frame(writer, frames.encode_r_error(str(err)))
+        except (asyncio.IncompleteReadError, asyncio.TimeoutError,
+                OSError) as err:
+            if self._server is not None:
+                logger.info("replication: follower %s dropped: %s",
+                            peer, err)
         finally:
-            tailer.close()
-            self._drop(conn)
+            self._links.remove(link)
+            if not self._links:
+                self._offers.clear()
+            link.close_tailer()
+            writer.close()
 
-    def _handshake(self, conn: _Connection) -> int:
-        conn.sock.settimeout(_HANDSHAKE_TIMEOUT)
-        watermark = frames.decode_r_hello(conn.transport.recv())
-        conn.sock.settimeout(None)
-        conn.transport.send(frames.encode_r_welcome(
-            self.service.last_seq,
-            {"controller_config": asdict(self.service.config)}))
-        return watermark
+    async def _catch_up(self, link: _Link) -> None:
+        """Write the log after ``link.sent``, :data:`_CATCH_UP_STEP`
+        records per turn of the loop, until the link holds
+        :data:`_MAX_BUFFERED` bytes or reaches the tip and goes live
+        (in one step, so no :meth:`offer` falls between).  The link's
+        tailer stays open until then: each step reads only new bytes."""
+        service, writer = self.service, link.writer
+        while not (writer.is_closing()
+                   or writer.transport.get_write_buffer_size()
+                   >= _MAX_BUFFERED):
+            if link.sent >= service.last_seq:  # a live link always is
+                link.live = True
+                link.close_tailer()
+                return
+            if link.tailer is None:
+                link.tailer = WalTailer(service.service_config.wal_dir,
+                                        after_seq=link.sent)
+            records = link.tailer.poll(_CATCH_UP_STEP)
+            if not records:  # the log is empty or compacting past us
+                raise WalGapError(link.sent, service.last_seq)
+            for _seq, payload in records:
+                write_frame(writer, frames.encode_r_batch(payload))
+            link.sent = records[-1][0]
+            self._m_batches.inc(len(records))
+            self._m_bytes.inc(sum(len(p) for _s, p in records))
+            await asyncio.sleep(0)
 
-    def _send_snapshot(self, conn: _Connection,
-                       gap: WalGapError) -> WalTailer:
-        """The follower is behind the compaction horizon: re-anchor it
-        on the newest snapshot, then resume tailing after its seq."""
-        from repro.serve.snapshot import snapshot_covered_seq
-
-        path = self.service.newest_snapshot()
-        if path is None:
+    async def _send_snapshot(self, link: _Link) -> None:
+        """Re-anchor a follower behind the compaction horizon on the
+        newest snapshot, found and read off the loop; tailing resumes
+        after it once the follower acks it."""
+        path, covered, blob = await asyncio.get_running_loop(
+            ).run_in_executor(None, _newest_snapshot, self.service)
+        if covered <= link.sent:
             raise WalCorruptionError(
                 self.service.service_config.wal_dir, 0,
-                f"follower needs records after seq {gap.last_seq} "
-                "(compacted) but no snapshot exists to re-anchor on")
-        covered = snapshot_covered_seq(path)
-        logger.info("replication: %s is %d behind the compaction "
-                    "horizon; shipping snapshot %s (covers seq %d)",
-                    conn.peer, gap.oldest_available - gap.last_seq,
-                    path.name, covered)
-        conn.transport.send(frames.encode_r_snapshot(
-            covered, path.read_bytes()))
+                f"follower needs records after seq {link.sent} "
+                "(compacted) but no snapshot covers them")
+        logger.info("replication: follower at seq %d is behind the "
+                    "compaction horizon; shipping snapshot %s (covers "
+                    "seq %d)", link.sent, path.name, covered)
+        write_frame(link.writer, frames.encode_r_snapshot(covered, blob))
+        link.sent = covered
         self._m_snaps.inc()
-        return WalTailer(self.service.service_config.wal_dir,
-                         after_seq=covered)
-
-    def _ack_loop(self, conn: _Connection) -> None:
-        try:
-            while not conn.dead.is_set():
-                seq = frames.decode_r_ack(conn.transport.recv())
-                conn.acked = seq
-                self._advance(seq)
-        except (EOFError, OSError, ProtocolError):
-            pass
-        finally:
-            self._drop(conn)
 
     def _advance(self, seq: int) -> None:
-        now = time.monotonic()
-        with self._lock:
-            if seq <= self._acked:
-                return
-            self._acked = seq
-            accepted_at = None
-            while self._offers and self._offers[0][0] <= seq:
-                accepted_at = self._offers.popleft()[1]
-            self._m_watermark.set(seq)
-            self._m_lag_seq.set(self.service.last_seq - seq)
-            if accepted_at is not None:
-                self._m_lag_sec.set(now - accepted_at)
+        if seq <= self._acked:
+            return
+        self._acked = seq
+        accepted_at = None
+        while self._offers and self._offers[0][0] <= seq:
+            accepted_at = self._offers.popleft()[1]
+        self._m_watermark.set(seq)
+        self._m_lag_seq.set(self.service.last_seq - seq)
+        if accepted_at is not None:
+            self._m_lag_sec.set(time.monotonic() - accepted_at)
         if self._spans is not None:
             self._spans.note_replicated(seq)
 
-    def _send_error(self, conn: _Connection, message: str) -> None:
-        try:
-            conn.transport.send(frames.encode_r_error(message))
-        except OSError:
-            pass
 
-    def _drop(self, conn: _Connection) -> None:
-        if conn.dead.is_set():
-            return
-        conn.dead.set()
-        conn.wake.set()
-        try:
-            conn.transport.close()
-        except OSError:
-            pass
-        with self._lock:
-            if conn in self._conns:
-                self._conns.remove(conn)
+def _newest_snapshot(service: "SpeculationService"):
+    """The service's newest snapshot file, the seq it covers and its
+    bytes (None, -1, b"" without one): file reads, run off the loop."""
+    from repro.serve.snapshot import snapshot_covered_seq
+
+    path = service.newest_snapshot()
+    if path is None:
+        return None, -1, b""
+    return path, snapshot_covered_seq(path), path.read_bytes()

@@ -45,6 +45,9 @@ Design points:
   everything outstanding into one fsync.  Snapshots double as
   compaction anchors — segments fully below the covered sequence
   number are deleted once the checkpoint is on disk.
+* **One loop for every link.**  The replication sender shares the
+  worker links' loop: :meth:`submit_nowait` ends by offering it the
+  accepted batch, and :meth:`stop` awaits its close.
 """
 
 from __future__ import annotations
@@ -398,7 +401,7 @@ class SpeculationService:
             self._wal_task = asyncio.create_task(
                 self._wal_committer(), name="repro-serve-wal-commit")
         if self._repl is not None:
-            self._repl.start()
+            await self._repl.start()
 
     async def stop(self, drain: bool = True) -> None:
         """Stop workers; by default drain queued events first."""
@@ -425,8 +428,7 @@ class SpeculationService:
             await asyncio.get_running_loop().run_in_executor(
                 None, self._wal.commit)
         if self._repl is not None:
-            await asyncio.get_running_loop().run_in_executor(
-                None, self._repl.close)
+            await self._repl.close()
         if self._pool is not None:
             pool, self._pool = self._pool, None
             self._bank_stale = not await pool.shutdown(gather=drain)
@@ -502,14 +504,12 @@ class SpeculationService:
             # nothing was enqueued yet.
             if spans is not None:
                 t_wal = monotonic()
-                self._wal.append(batch)
+                body = self._wal.append(batch)
                 wal_seconds = monotonic() - t_wal
             else:
-                self._wal.append(batch)
+                body = self._wal.append(batch)
             if self.service_config.wal_fsync == "batch":
                 self._wal_dirty.set()
-            if self._repl is not None:
-                self._repl.offer(batch.seq)
         if plan is not None:
             # Restore jobs go ahead of the batch's partitions.
             n = self.bank.n_shards
@@ -538,6 +538,9 @@ class SpeculationService:
             for victim in tm.pick_victims():
                 for queue in self._queues:
                     queue.put_nowait(_TenantJob("spill", victim))
+        if self._repl is not None:
+            # Last, so no span stage absorbs the write to followers.
+            self._repl.offer(batch.seq, body)
 
     async def submit(self, batch: EventBatch) -> None:
         """:meth:`submit_nowait`, yielding to workers afterwards."""

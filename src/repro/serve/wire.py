@@ -13,13 +13,11 @@ through zlib), and a shard's counters ride in the frame's struct
 header beside it.
 
 On a stream, every frame is delimited by a :data:`FRAME_HEADER`
-(``<uint32 length>``) prefix.  :class:`SocketTransport` is the one
-frame transport: a blocking wrapper of a stream socket that adds and
-strips the prefix.  It carries replication (:mod:`repro.replicate`)
-and the worker's end of each worker link, whose process just loops
-``recv → dispatch → send``; the supervisor reads and writes its own
-end of the link, with the same prefix, from the event loop
-(:mod:`repro.serve.workers`).
+(``<uint32 length>``) prefix.  :class:`SocketTransport` adds and
+strips it on a blocking socket (a worker process's end of its link,
+the replication follower, its read-only endpoint), :func:`read_frame`
+and :func:`write_frame` on the event loop's streams (the service's
+end of every worker link and of every replication follower link).
 
 Frame catalogue (body layouts, all little-endian)::
 
@@ -76,6 +74,7 @@ a batch is :meth:`EventBatch.to_bytes
 
 from __future__ import annotations
 
+import asyncio
 import socket
 import struct
 
@@ -97,7 +96,8 @@ __all__ = [
     "encode_barrier", "decode_barrier",
     "encode_state_req", "decode_state_req", "encode_state", "decode_state",
     "encode_shutdown", "encode_error", "decode_error", "frame_type",
-    "expect_frame", "FRAME_HEADER", "SocketTransport",
+    "expect_frame", "FRAME_HEADER", "SocketTransport", "read_frame",
+    "write_frame",
 ]
 
 LOAD = 0x01
@@ -387,6 +387,17 @@ def decode_error(payload: bytes) -> str:
 
 
 # -- transports -------------------------------------------------------------
+async def read_frame(reader: asyncio.StreamReader) -> bytes:
+    """The next frame on an asyncio stream, its prefix stripped."""
+    header = await reader.readexactly(FRAME_HEADER.size)
+    return await reader.readexactly(FRAME_HEADER.unpack(header)[0])
+
+
+def write_frame(writer: asyncio.StreamWriter, payload: bytes) -> None:
+    """Queue one frame on an asyncio stream."""
+    writer.write(FRAME_HEADER.pack(len(payload)) + payload)
+
+
 class SocketTransport:
     """Frames behind a :data:`FRAME_HEADER` prefix over a blocking
     stream socket."""

@@ -13,10 +13,12 @@ at start:
   the natural multi-core step.  The pool spawns the processes, ships
   each its shard state (``LOAD``) and micro-batches (``APPLY``) over
   one end of a socket pair, and routes every ticketed reply back to
-  its awaiting future.  The event loop owns that end: one write per
-  frame, one reader task per worker.  :func:`worker_main` is the child
-  half: a blocking ``recv → apply → reply`` loop over the binary wire
-  protocol (:mod:`repro.serve.wire`), owning exactly one
+  its awaiting future.  The event loop owns that end, as it owns the
+  replication sender's follower links: one write per frame
+  (:func:`~repro.serve.wire.write_frame`), one reader task per worker
+  (:func:`~repro.serve.wire.read_frame`).  :func:`worker_main` is the
+  child half: a blocking ``recv → apply → reply`` loop over the binary
+  wire protocol (:mod:`repro.serve.wire`), owning exactly one
   :class:`~repro.serve.shard.BankShard`.
 
 The worker pool keeps the bank's shards as mirrors (counters and the
@@ -232,13 +234,10 @@ class _WorkerHandle:
         """Hand each frame to :meth:`_on_frame` until end of file, an
         ``ERROR`` frame or a reply that does not decode breaks the
         link; then fail the handle and close the link."""
-        header = wire.FRAME_HEADER
         cause = None
         try:
             while True:
-                (length,) = header.unpack(
-                    await reader.readexactly(header.size))
-                payload = await reader.readexactly(length)
+                payload = await wire.read_frame(reader)
                 if payload[0] == wire.ERROR:
                     reason = f"it reported {wire.decode_error(payload)}"
                     break
@@ -289,7 +288,7 @@ class _WorkerHandle:
         """Write one frame.  Writes happen on the loop thread, so two
         frames never interleave and concurrent senders need no lock."""
         self.check_alive()
-        self.writer.write(wire.FRAME_HEADER.pack(len(payload)) + payload)
+        wire.write_frame(self.writer, payload)
         try:
             await self.writer.drain()
         except OSError as err:

@@ -184,7 +184,7 @@ class WalTailer:
         self.last_seq = after_seq
         self._fh = None
         self._base_seq = -1       # header base_seq of the open segment
-        self._buf = b""           # read-but-unparsed tail bytes
+        self._buf, self._pos = b"", 0  # read bytes, parsed up to _pos
         self._header_pending = True
 
     def close(self) -> None:
@@ -235,7 +235,7 @@ class WalTailer:
             return False
         self._fh = fh
         self._base_seq = base
-        self._buf = b""
+        self._buf, self._pos = b"", 0
         self._header_pending = True
         return True
 
@@ -254,17 +254,18 @@ class WalTailer:
                 break
         if successor is None:
             return False
-        if self._buf:
+        leftover = len(self._buf) - self._pos
+        if leftover:
             raise WalCorruptionError(
                 successor[1].parent / "(sealed segment)", 0,
-                f"{len(self._buf)} unparseable bytes at the end of the "
+                f"{leftover} unparseable bytes at the end of the "
                 f"sealed segment with base seq {self._base_seq}")
         self.close()
         return self._open_segment_for_cursor()
 
     # -- record parsing -------------------------------------------------
     def _parse_available(self, limit: int) -> list[tuple[int, bytes]]:
-        """Parse complete records out of ``_buf``; keep partial bytes.
+        """Parse complete records out of ``_buf`` from ``_pos`` on.
 
         A frame that fails its checks is an append still in flight (or
         a garbage length at the tail): parsing stops there and the
@@ -272,7 +273,7 @@ class WalTailer:
         """
         out: list[tuple[int, bytes]] = []
         buf = self._buf
-        offset = 0
+        offset = self._pos
         if self._header_pending:
             if len(buf) < HEADER.size:
                 return out
@@ -288,7 +289,7 @@ class WalTailer:
                 out.append((seq, bytes(payload)))
                 if len(out) >= limit:
                     break
-        self._buf = buf[offset:]
+        self._pos = offset
         return out
 
     def poll(self, max_records: int = 256) -> list[tuple[int, bytes]]:
@@ -304,7 +305,7 @@ class WalTailer:
                 break
             chunk = self._fh.read()
             if chunk:
-                self._buf += chunk
+                self._buf, self._pos = self._buf[self._pos:] + chunk, 0
             got = self._parse_available(max_records - len(out))
             out.extend(got)
             if got:

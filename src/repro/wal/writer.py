@@ -54,6 +54,7 @@ from repro.obs.metrics import LATENCY_BUCKETS, MetricsRegistry
 from repro.serve.events import EventBatch
 from repro.wal.segment import (
     HEADER,
+    RECORD_HEADER,
     SegmentInfo,
     WalCorruptionError,
     encode_record,
@@ -282,8 +283,9 @@ class WalWriter:
         self._obs.fsync_latency.observe(perf_counter() - t0)
         self._obs.fsyncs.inc()
 
-    def append(self, batch: EventBatch) -> None:
-        """Append one accepted batch; durability per the fsync policy."""
+    def append(self, batch: EventBatch) -> memoryview:
+        """Append one accepted batch; durability per the fsync policy.
+        Returns the record's body, the batch's wire form."""
         if self._closed:
             raise ValueError("writer is closed")
         if batch.seq <= self._last_seq:
@@ -328,6 +330,7 @@ class WalWriter:
             # 'always' fsynced this batch; 'off' advanced optimistically
             # — either way the durable watermark just moved.
             self.on_durable(batch.seq)
+        return memoryview(record)[RECORD_HEADER.size:]
 
     def _open_segment_locked(self, base_seq: int) -> None:
         path = self.directory / segment_name(base_seq)

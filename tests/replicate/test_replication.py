@@ -73,11 +73,11 @@ def test_live_stream_watermark_and_read_only_serving(trace, tmp_path):
     async def run():
         async with service:
             follower.start()
-            assert follower.wait_connected()
+            assert await asyncio.to_thread(follower.wait_connected)
             await feed_trace(service, trace, batch_events=BATCH_EVENTS)
             await service.drain()
             tip = service.last_seq
-            assert follower.wait_caught_up(tip)
+            assert await asyncio.to_thread(follower.wait_caught_up, tip)
             # R_ACK is sent after the follower's WAL commit, so the
             # primary's acked watermark must reach the tip.
             await _wait_acked(service, tip)
@@ -120,21 +120,23 @@ def test_reconnect_resumes_from_watermark_without_duplicates(
     async def run():
         async with service:
             follower.start()
-            assert follower.wait_connected()
+            assert await asyncio.to_thread(follower.wait_connected)
             await feed_trace(service, trace, batch_events=BATCH_EVENTS,
                              max_events=12 * BATCH_EVENTS)
             await service.drain()
-            assert follower.wait_caught_up(service.last_seq)
+            assert await asyncio.to_thread(follower.wait_caught_up,
+                                           service.last_seq)
 
             # Sever the link mid-stream; the follower must come back by
             # itself and announce its watermark, not start over.
             follower._disconnect()
-            assert _poll(lambda: follower.stats.reconnects >= 1)
+            assert await asyncio.to_thread(
+                _poll, lambda: follower.stats.reconnects >= 1)
 
             await feed_trace(service, trace, batch_events=BATCH_EVENTS)
             await service.drain()
             tip = service.last_seq
-            assert follower.wait_caught_up(tip)
+            assert await asyncio.to_thread(follower.wait_caught_up, tip)
             await _wait_acked(service, tip)
             return tip
 
@@ -195,8 +197,9 @@ def test_lagging_follower_bootstraps_from_snapshot_then_promotes(
             # horizon: the primary must re-anchor it on the snapshot.
             monkeypatch.setattr(os, "fsync", fsync_spy)
             follower.start()
-            assert follower.wait_connected()
-            assert follower.wait_caught_up(anchor_seq)
+            assert await asyncio.to_thread(follower.wait_connected)
+            assert await asyncio.to_thread(follower.wait_caught_up,
+                                           anchor_seq)
             assert follower.stats.snapshots_installed == 1
             snap_dir = follower.config.resolved_snapshot_dir()
             installed = list(snap_dir.glob("*.json.gz"))
@@ -211,7 +214,7 @@ def test_lagging_follower_bootstraps_from_snapshot_then_promotes(
                              max_events=TOTAL_EVENTS)
             await service.drain()
             tip = service.last_seq
-            assert follower.wait_caught_up(tip)
+            assert await asyncio.to_thread(follower.wait_caught_up, tip)
             await _wait_acked(service, tip)
             return anchor_seq, tip, service.metrics()
 

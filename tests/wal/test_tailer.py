@@ -109,3 +109,23 @@ def test_gap_error_survives_compaction_mid_tail(tmp_path):
                 while True:
                     records = tailer.poll()
                     assert records, "tailer idled instead of reporting"
+
+
+def test_small_polls_parse_one_read_in_place(tmp_path):
+    """Polling a few records at a time walks one read of the segment:
+    a poll that finds no new bytes neither re-reads the file nor copies
+    the unparsed rest, and every record comes out once, in order."""
+    batches = make_batches(7)
+    with WalWriter(tmp_path, fsync="off") as wal:
+        for batch in batches[:6]:
+            wal.append(batch)
+        with WalTailer(tmp_path) as tailer:
+            assert [seq for seq, _p in tailer.poll(2)] == [0, 1]
+            read = tailer._buf
+            assert [seq for seq, _p in tailer.poll(2)] == [2, 3]
+            assert tailer._buf is read
+            wal.append(batches[6])
+            got = _decode(tailer.poll(4))
+            assert [b.seq for b in got] == [4, 5, 6]
+            assert batches_equal(got[-1], batches[6])
+            assert tailer.poll(4) == []
