@@ -24,35 +24,35 @@ Three inputs, all read-only with respect to controller state:
   (:attr:`ShardApplyResult.summary <repro.serve.shard.ShardApplyResult>`,
   the grouping the shard already did to apply the batch), *before*
   that apply's transitions reach detector state.  Used for flip-onset
-  detection on deployed PCs.
+  detection on PCs deployed by an earlier apply.
 * :meth:`MisspecDetector.observe_apply` — per-apply aggregate counts
   (events, correct, incorrect) plus the instruction span, feeding the
-  sliding window (misspec rate, misspec-per-kilo-instruction).
+  sliding window (misspec rate, misspec-per-kilo-instruction).  A
+  window row is one apply, so one large apply can exceed
+  :attr:`DetectorConfig.window_events` on its own.
 * :meth:`MisspecDetector.observe_transitions` — the exact FSM arc
   stream (the service hands it each apply's transitions right before
-  they reach the :class:`~repro.obs.tracing.TransitionTrace`).  SELECT
-  deploys a PC into flip tracking; EVICT closes it and yields the
-  per-PC **time-to-evict**: events from the first flipped outcome to
-  the EVICT arc, in that PC's own execution counts.
+  they reach the :class:`~repro.obs.tracing.TransitionTrace`) with the
+  apply's SELECT block (:attr:`ShardApplyResult.selects
+  <repro.serve.shard.ShardApplyResult>`).  SELECT deploys a PC into
+  flip tracking with the direction it deploys; EVICT closes it and
+  yields the per-PC **time-to-evict**: events from the first flipped
+  outcome to the EVICT arc, in that PC's own execution counts.
 
-Time-to-evict is *exact* for branches whose flip happens in a later
-micro-batch than their SELECT: a summary column carries the row's own
-execution count before the batch, so the onset index
-``exec_before + offset`` shares the controller's 0-based
-``exec_index`` timebase and ``tte = evict.exec_index - onset_exec``
-matches the arc-counter ground truth — after a snapshot restore too,
-since the count comes from the restored row, not from the detector.
+Time-to-evict is *exact* at any apply size.  A flip in the SELECT's
+own apply comes with the SELECT, as its exec index.  A flip in a later
+apply is ``exec_before + offset`` from that apply's summary, whose
+column carries the row's own execution count before the apply, so it
+shares the controller's 0-based ``exec_index`` timebase — after a
+snapshot restore too, since the count comes from the restored row,
+not from the detector.  Either way ``tte = evict.exec_index -
+onset_exec`` matches the arc-counter ground truth.
 
-The detector keeps state only for deployed keys: a trained-direction
-code per *armed* key (deployed, no onset yet) and an onset per key
-that flipped.  A batch costs a lookup of the armed keys in the
-summary's sorted key row; the first post-SELECT batch that touches an
-armed key fixes its direction (the batch majority) and, if the
-opposite outcome occurs, its onset, which disarms it.  One known
-granularity limit: outcomes in the *same* micro-batch as the SELECT
-are not flip-checked (the deployed set is updated from transitions
-after the batch's outcomes are observed), so a flip inside the SELECT
-batch is attributed to the next batch.
+The detector keeps state only for deployed keys: the summary row of
+the outcome against its deployed direction per *armed* key (deployed,
+no onset yet) and an onset per key that flipped.  A batch costs a
+lookup of the armed keys in the summary's sorted key row; the first
+opposite outcome of an armed key is its onset, which disarms it.
 
 Verdicts latch: ``peak_verdict`` and the burst counter never move
 backwards, so a CI step can assert "a burst happened" after the storm
@@ -89,10 +89,8 @@ TTE_BUCKETS = tuple(float(1 << i) for i in range(17))
 _TTE_KEEP = 1024
 
 #: Rows of an apply's per-key summary
-#: (:data:`repro.serve.colpath.SUMMARY_ROWS`).
-_KEY, _EXEC_BEFORE, _EVENTS, _ONES, _FIRST_TAKEN, _FIRST_NOT_TAKEN = range(6)
-#: An armed key whose trained direction the next batch decides.
-_UNKNOWN = 0
+#: (:data:`repro.serve.colpath.SUMMARY_ROWS`) the detector reads.
+_KEY, _EXEC_BEFORE, _FIRST_TAKEN, _FIRST_NOT_TAKEN = 0, 1, 4, 5
 
 
 @dataclass(frozen=True)
@@ -144,15 +142,14 @@ class MisspecDetector:
         # -- per-key state, deployed keys only ------------------------
         self._deployed: set[int] = set()
         #: Armed keys (deployed, no onset yet) → the summary row of the
-        #: outcome against their trained direction (_FIRST_NOT_TAKEN
-        #: for a taken branch, _FIRST_TAKEN for a not-taken one), or
-        #: _UNKNOWN before the first batch after their SELECT.
+        #: outcome against their deployed direction (_FIRST_NOT_TAKEN
+        #: for a taken branch, _FIRST_TAKEN for a not-taken one).
         self._armed: dict[int, int] = {}
         #: Flip onset exec index of each deployed key that flipped.
         self._onset: dict[int, int] = {}
-        #: ``_armed`` as sorted key and row arrays, plus whether a row is
-        #: _UNKNOWN (None once the armed set changes).
-        self._armed_arr: tuple[np.ndarray, np.ndarray, bool] | None = None
+        #: ``_armed`` as sorted key and row arrays (None once the armed
+        #: set changes).
+        self._armed_arr: tuple[np.ndarray, np.ndarray] | None = None
         # -- sliding window ---------------------------------------------
         #: Rows of (events, misspeculated, first_instr, last_instr).
         self._window = RollingWindow(self.config.window_events, summed=2)
@@ -190,8 +187,8 @@ class MisspecDetector:
     # -- inputs ----------------------------------------------------------
     def observe_batch(self, summary: np.ndarray) -> None:
         """Observe one apply's per-key summary (before its transitions
-        update the deployed set): the armed keys it touches get their
-        direction and, on the first opposite outcome, their onset."""
+        update the deployed set): an armed key it touches with an
+        outcome against its deployed direction gets its onset."""
         with self._lock:
             if not self._armed or not summary.shape[1]:
                 return
@@ -199,39 +196,24 @@ class MisspecDetector:
                 keys = np.array(sorted(self._armed), dtype=np.int64)
                 rows = np.array([self._armed[k] for k in keys.tolist()],
                                 dtype=np.int64)
-                self._armed_arr = (keys, rows, not rows.all())
-            armed, rows, unknown_any = self._armed_arr
+                self._armed_arr = (keys, rows)
+            armed, rows = self._armed_arr
             cols = np.searchsorted(summary[_KEY], armed)
             np.minimum(cols, summary.shape[1] - 1, out=cols)
             hit = np.flatnonzero(summary[_KEY, cols] == armed)
             if not hit.size:
                 return
-            cols, rows = cols[hit], rows[hit]
-            unknown = None
-            if unknown_any:
-                unknown = rows == _UNKNOWN
-                # First observed post-select batch for a key: for a
-                # trained biased branch every outcome here is the bias,
-                # so the batch majority is the exact trained direction.
-                rows = np.where(unknown, np.where(
-                    2 * summary[_ONES, cols] >= summary[_EVENTS, cols],
-                    _FIRST_NOT_TAKEN, _FIRST_TAKEN), rows)
             # Armed keys have no onset yet, so an opposite outcome is
             # the key's first flip.
-            first = summary[rows, cols]
+            first = summary[rows[hit], cols[hit]]
             flipped = first >= 0
-            moved = flipped if unknown is None else flipped | unknown
-            if not moved.any():
+            if not flipped.any():
                 return
-            onset = summary[_EXEC_BEFORE, cols] + first
-            for key, row, flip, at in zip(
-                    armed[hit][moved].tolist(), rows[moved].tolist(),
-                    flipped[moved].tolist(), onset[moved].tolist()):
-                if flip:
-                    self._onset[key] = at
-                    del self._armed[key]   # disarm: its flip work is done
-                else:
-                    self._armed[key] = row
+            onset = summary[_EXEC_BEFORE, cols[hit]] + first
+            for key, at in zip(armed[hit][flipped].tolist(),
+                               onset[flipped].tolist()):
+                self._onset[key] = at
+                del self._armed[key]   # disarm: its flip work is done
             self._armed_arr = None
 
     def observe_apply(self, events: int, correct: int, incorrect: int,
@@ -247,20 +229,30 @@ class MisspecDetector:
                 self._evict_marks.popleft()
             self._update_verdict()
 
-    def observe_transitions(self, transitions: np.ndarray) -> None:
+    def observe_transitions(self, transitions: np.ndarray,
+                            selects: np.ndarray) -> None:
         """Consume exact FSM arcs: SELECT deploys a PC into flip
         tracking, EVICT closes it and records time-to-evict.
 
-        Takes the ``[4, n]`` arc block a
+        Takes the ``[4, n]`` arc block and the ``[3, S]`` SELECT block
+        (one column per SELECT arc, in arc order: key, deployed
+        direction, in-apply onset or -1) a
         :class:`~repro.serve.shard.ShardApplyResult` carries.
         """
         with self._lock:
+            picks = zip(*selects.tolist())
             for key, arc, exec_index, _instr in zip(*transitions.tolist()):
                 if arc == _SELECT:
+                    _key, direction, onset = next(picks)
                     self._deployed.add(key)
-                    self._armed[key] = _UNKNOWN
-                    self._onset.pop(key, None)
                     self._armed_arr = None
+                    if onset >= 0:
+                        self._onset[key] = onset
+                        self._armed.pop(key, None)
+                        continue
+                    self._onset.pop(key, None)
+                    self._armed[key] = (_FIRST_NOT_TAKEN if direction
+                                        else _FIRST_TAKEN)
                 elif arc == _EVICT:
                     self._evict_marks.append(self._total_events)
                     if key not in self._deployed:

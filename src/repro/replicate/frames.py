@@ -89,6 +89,7 @@ _R_HELLO = struct.Struct("<B8sHq")
 _R_WELCOME = struct.Struct("<BHqI")
 _R_SNAPSHOT = struct.Struct("<Bq")
 _R_ACK = struct.Struct("<Bq")
+_R_BATCH_TYPE = bytes([R_BATCH])
 _RO_QUERY = struct.Struct("<BI")
 _RO_DECISION = struct.Struct("<BI")
 
@@ -163,10 +164,12 @@ def decode_r_snapshot(payload: bytes) -> tuple[int, bytes]:
     return covered_seq, payload[_R_SNAPSHOT.size:]
 
 
-def encode_r_batch(payload: bytes) -> bytes:
+def encode_r_batch(*payload) -> bytes:
     """Primary → follower: one WAL record body
-    (:meth:`EventBatch.to_bytes`), forwarded without a decode."""
-    return bytes([R_BATCH]) + payload
+    (:meth:`EventBatch.to_bytes`, or the buffers of
+    :meth:`EventBatch.buffers` it concatenates), forwarded without a
+    decode."""
+    return b"".join((_R_BATCH_TYPE, *payload))
 
 
 def decode_r_batch(payload: bytes) -> bytes:

@@ -143,16 +143,17 @@ class ReplicationSender:
                 self._serve, sock=frames.listen_socket(self.listen_addr))
             logger.info("replication: listening on %s", self.listen_addr)
 
-    def offer(self, seq: int, body) -> None:
+    def offer(self, seq: int, body: list) -> None:
         """Hot-path hook: the service accepted (WAL-appended) batch
-        ``seq``, whose wire form is ``body``.  Writes it to every live
-        link with room; while a follower is connected, records its
-        accept time for the lag gauge."""
+        ``seq``, whose wire form is the buffers ``body`` (what
+        :meth:`~repro.wal.writer.WalWriter.append` returns).  Writes it
+        to every live link with room; while a follower is connected,
+        records its accept time for the lag gauge."""
         self._m_lag_seq.set(seq - self._acked)
         if not self._links:
             return
         self._offers.append((seq, time.monotonic()))
-        frame, sent = frames.encode_r_batch(body), 0
+        frame, sent = frames.encode_r_batch(*body), 0
         for link in self._links:
             if not link.live or link.writer.is_closing():
                 continue
@@ -163,7 +164,7 @@ class ReplicationSender:
             link.sent = seq
             sent += 1
         self._m_batches.inc(sent)
-        self._m_bytes.inc(sent * len(body))
+        self._m_bytes.inc(sent * (len(frame) - 1))
 
     async def close(self) -> None:
         """Stop accepting and close every follower link; a link that

@@ -80,8 +80,8 @@ from repro.core.states import BranchState, TransitionKind
 from repro.obs.tracing import ARC_CODE
 from repro.sim.vector import apply_chunk, classify_split, deploy_delay
 
-__all__ = ["ColumnarBank", "RowBlock", "SUMMARY_ROWS", "rows_to_states",
-           "states_to_rows"]
+__all__ = ["ColumnarBank", "RowBlock", "SELECT_ROWS", "SUMMARY_ROWS",
+           "rows_to_states", "states_to_rows"]
 
 #: Integer codes of :class:`~repro.core.states.BranchState` in the
 #: ``state`` column.
@@ -125,6 +125,23 @@ SUMMARY_ROWS = ("key", "exec_before", "events", "taken", "first_taken",
                 "first_not_taken")
 _NO_SUMMARY = np.empty((len(SUMMARY_ROWS), 0), dtype=np.int64)
 _NO_SUMMARY.flags.writeable = False
+#: Rows of an apply's SELECT block (:meth:`ColumnarBank.apply_sorted`).
+SELECT_ROWS = ("key", "direction", "onset")
+_NO_SELECTS = np.empty((len(SELECT_ROWS), 0), dtype=np.int64)
+_NO_SELECTS.flags.writeable = False
+
+
+class _KernelController(ReactiveBranchController):
+    """A row's controller for one per-branch-kernel segment: it also
+    notes the direction each SELECT deploys, in arc order."""
+
+    __slots__ = ("selected",)
+
+    def _schedule_deploy(self, speculative: bool, instr: int,
+                         direction: bool) -> None:
+        if speculative:
+            self.selected.append(direction)
+        super()._schedule_deploy(speculative, instr, direction)
 
 
 class RowBlock:
@@ -491,15 +508,16 @@ class ColumnarBank:
         self._rebuild_index()
 
     # -- scalar controllers on request ----------------------------------
-    def _controller_of(self, row: int) -> ReactiveBranchController:
-        """A detached scalar controller in ``row``'s state.  Rows keep
-        no arc history, so its transition log starts empty; changing it
-        does not change the row."""
+    def _controller_of(self, row: int, cls=ReactiveBranchController,
+                       ) -> ReactiveBranchController:
+        """A detached scalar controller (a ``cls``) in ``row``'s state.
+        Rows keep no arc history, so its transition log starts empty;
+        changing it does not change the row."""
         (pc, state, ex, entry, mt, ms, ctr, be, l1, l2, wc, wp, c, x,
          ev) = self._ints[:, row].tolist()
         dep, ddir, s1, d1, s2, d2, ep, _dead = self._flags[:, row].tolist()
         # Every slot is set below, so skip __init__'s defaults.
-        ctrl = object.__new__(ReactiveBranchController)
+        ctrl = object.__new__(cls)
         ctrl.config = self.config
         ctrl.branch = pc
         ctrl.state = _STATES[state]
@@ -591,11 +609,14 @@ class ColumnarBank:
                         fired: list[np.ndarray]) -> tuple[int, int]:
         """One segment through :func:`apply_chunk` on a controller built
         from the row, then written back."""
-        ctrl = self._controller_of(row)
+        ctrl = self._controller_of(row, _KernelController)
+        ctrl.selected = []
         c, x = apply_chunk(ctrl, taken, instrs)
         if capture and ctrl.transitions:
+            dirs = iter(ctrl.selected)
             fired.append(np.array(
-                [(ctrl.branch, ARC_CODE[t.kind.value], t.exec_index, t.instr)
+                [(ctrl.branch, ARC_CODE[t.kind.value], t.exec_index, t.instr,
+                  next(dirs) if t.kind is TransitionKind.SELECT else 0)
                  for t in ctrl.transitions], dtype=np.int64).T)
         self._store(row, ctrl)
         return c, x
@@ -603,10 +624,12 @@ class ColumnarBank:
     # -- batched boundary arcs ------------------------------------------
     def _capture_arcs(self, rows: np.ndarray, codes: np.ndarray,
                       fexec: np.ndarray, finstr: np.ndarray, capture: bool,
-                      fired: list[np.ndarray]) -> None:
-        """Count one arc per row, and capture them when ``capture``."""
+                      fired: list[np.ndarray], dirs=0) -> None:
+        """Count one arc per row, and capture them when ``capture``
+        (with ``dirs``, the direction a SELECT deploys)."""
         if capture:
-            fired.append(np.stack((self.pc[rows], codes, fexec, finstr)))
+            fired.append(np.stack((self.pc[rows], codes, fexec, finstr,
+                                   np.broadcast_to(dirs, rows.shape))))
         self.arcs_fast += len(rows)
 
     def _schedule(self, rows: np.ndarray, when: np.ndarray,
@@ -665,7 +688,8 @@ class ColumnarBank:
         self.state[crows[disable]] = _DISABLED
         codes = np.where(select, _CODE_SELECT,
                          np.where(disable, _CODE_DISABLE, _CODE_REJECT))
-        self._capture_arcs(crows, codes, fexec, finstr, capture, fired)
+        self._capture_arcs(crows, codes, fexec, finstr, capture, fired,
+                           direction)
 
     def _fire_revisit(self, rrows: np.ndarray, fexec: np.ndarray,
                       finstr: np.ndarray, capture: bool,
@@ -699,25 +723,33 @@ class ColumnarBank:
     # -- the fast path --------------------------------------------------
     def apply_sorted(self, pcs: np.ndarray, taken: np.ndarray,
                      instrs: np.ndarray, starts: np.ndarray,
-                     ends: np.ndarray, capture: bool,
+                     ends: np.ndarray, capture: bool, detect: bool = False,
                      ) -> tuple[int, int, np.ndarray, np.ndarray,
-                                np.ndarray, np.ndarray]:
+                                np.ndarray, np.ndarray, np.ndarray]:
         """Apply a PC-sorted batch; returns (correct, incorrect, changed,
-        changed_deployed, transitions, summary), the arrays of
+        changed_deployed, transitions, summary, selects), the arrays of
         :class:`~repro.serve.shard.ShardApplyResult`.
 
         ``starts``/``ends`` bound the per-PC segments (program order
         preserved within each).  Must not be called with an empty
         batch.
 
-        With ``capture`` on, ``summary`` is the batch per key: an int64
-        ``[6, U]`` block (rows :data:`SUMMARY_ROWS`) with one column
-        per segment, in key order — the key, its row's exec count
-        before the batch, its events and taken outcomes in the batch,
-        and the offsets within its segment of its first taken and first
-        not-taken outcome (-1 for none).  With capture off it is empty.
+        ``capture`` captures the batch's arcs.  With ``detect`` too, the
+        misspeculation detector's two inputs come back; otherwise both
+        are empty.  ``summary`` is the batch per key: an int64 ``[6, U]``
+        block (rows :data:`SUMMARY_ROWS`) with one column per segment,
+        in key order — the key, its row's exec count before the batch,
+        its events and taken outcomes in the batch, and the offsets
+        within its segment of its first taken and first not-taken
+        outcome (-1 for none).  ``selects`` is an int64 ``[3, S]`` block
+        (rows :data:`SELECT_ROWS`) with one column per SELECT arc of
+        ``transitions``, in their order: the key, the direction the
+        SELECT deploys (1 taken, 0 not taken), and the exec index of the
+        key's first outcome against that direction after the SELECT
+        within the batch (-1 for none).
         """
-        fired = [np.empty((4, 0), dtype=np.int64)]
+        detect = detect and capture
+        fired = [np.empty((5, 0), dtype=np.int64)]
         if len(starts) == 1:
             # Single-branch batch: there is nothing for the cross-
             # branch machinery to amortize, and its small-array kernel
@@ -728,7 +760,7 @@ class ColumnarBank:
             if row is None:
                 row = int(self._intern(pcs[:1].astype(np.int64))[0])
             summary = _NO_SUMMARY
-            if capture:
+            if detect:
                 n, ones = len(taken), int(np.count_nonzero(taken))
                 summary = np.array(
                     [[pc], [self.exec.item(row)], [n], [ones],
@@ -740,13 +772,13 @@ class ColumnarBank:
             self.rows_single += 1
             self.events_single += len(taken)
             after = self.deployed.item(row)
+            arcs, selects = _arc_blocks(fired, summary, taken, starts, ends)
             if after == before:
                 return (c, x, np.empty(0, dtype=np.int64),
-                        np.empty(0, dtype=bool), np.concatenate(fired, 1),
-                        summary)
+                        np.empty(0, dtype=bool), arcs, summary, selects)
             self._decisions[pc] = after
             return (c, x, np.array([pc], dtype=np.int64),
-                    np.array([after]), np.concatenate(fired, 1), summary)
+                    np.array([after]), arcs, summary, selects)
         cfg = self.config
         keys = pcs[starts].astype(np.int64)
         rows = self._intern(keys)
@@ -762,7 +794,7 @@ class ColumnarBank:
         tc[0] = 0
         np.cumsum(taken, out=tc[1:])
         summary = (self._summary(keys, rows, taken, starts, ends, tc)
-                   if capture else _NO_SUMMARY)
+                   if detect else _NO_SUMMARY)
         cur = starts.astype(np.int64)
         seg_end = ends.astype(np.int64)
         seg_last = instrs[ends - 1]
@@ -942,8 +974,9 @@ class ColumnarBank:
         changed = self.pc[rows[flips]]
         deployed = fin[flips]
         self._decisions.update(zip(changed.tolist(), deployed.tolist()))
-        return (correct_delta, incorrect_delta, changed, deployed,
-                np.concatenate(fired, 1), summary)
+        arcs, selects = _arc_blocks(fired, summary, taken, starts, ends)
+        return (correct_delta, incorrect_delta, changed, deployed, arcs,
+                summary, selects)
 
     def _summary(self, keys: np.ndarray, rows: np.ndarray,
                  taken: np.ndarray, starts: np.ndarray, ends: np.ndarray,
@@ -970,3 +1003,33 @@ class ColumnarBank:
         out[4] = np.where(first_taken, 0, change)
         out[5] = np.where(first_taken, change, 0)
         return out
+
+
+def _arc_blocks(fired: list[np.ndarray], summary: np.ndarray,
+                taken: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """A sorted batch's transitions and SELECT block (see
+    :meth:`ColumnarBank.apply_sorted`) from its captured arcs, whose
+    fifth row is the direction a SELECT deploys, and its summary (the
+    SELECT block is empty without one)."""
+    arcs = np.concatenate(fired, 1)
+    sel = np.flatnonzero(arcs[1] == _CODE_SELECT)
+    if not (sel.size and summary.shape[1]):
+        return arcs[:4], _NO_SELECTS
+    key, at, direction = arcs[0, sel], arcs[2, sel], arcs[4, sel]
+    seg = np.searchsorted(summary[0], key)
+    # The batch position of the key's next event after the SELECT's.
+    nxt = starts[seg] + (at - summary[1, seg]) + 1
+    end = ends[seg]
+    # Outcomes are binary: the first outcome against the direction is
+    # the next event itself, or else the batch's first outcome change
+    # after it.
+    first = nxt.copy()
+    agree = (nxt < end) & (taken[np.minimum(nxt, len(taken) - 1)]
+                           == direction.astype(bool))
+    if agree.any():
+        flips = np.flatnonzero(taken[1:] != taken[:-1]) + 1
+        after = np.searchsorted(flips, nxt[agree], side="right")
+        first[agree] = np.append(flips, len(taken))[after]
+    onset = np.where(first < end, at + 1 + first - nxt, -1)
+    return arcs[:4], np.stack((key, direction, onset))

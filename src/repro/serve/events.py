@@ -24,8 +24,8 @@ import numpy as np
 from repro.tenant.keys import pack_keys
 from repro.trace.stream import Trace
 
-__all__ = ["BranchEvent", "EventBatch", "iter_trace_batches",
-           "pack_events", "unpack_events"]
+__all__ = ["BranchEvent", "EventBatch", "event_columns",
+           "iter_trace_batches", "pack_events", "unpack_events"]
 
 #: Bytes per event on the wire: int32 pc + uint8 taken + int64 instr.
 EVENT_WIRE_BYTES = 4 + 1 + 8
@@ -41,17 +41,26 @@ _BATCH_HEADER = struct.Struct("<QI")
 _TENANT_FLAG = 1 << 31
 
 
+def event_columns(pcs: np.ndarray, taken: np.ndarray, instrs: np.ndarray,
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three columns of :func:`pack_events` as contiguous arrays of
+    their wire types — the arrays themselves when they already are."""
+    taken = np.ascontiguousarray(taken)
+    return (np.ascontiguousarray(pcs, dtype=np.int32),
+            taken.view(np.uint8) if taken.dtype == np.bool_
+            else taken.astype(np.uint8),
+            np.ascontiguousarray(instrs, dtype=np.int64))
+
+
 def pack_events(pcs: np.ndarray, taken: np.ndarray,
                 instrs: np.ndarray) -> bytes:
     """Columnar wire form of parallel event arrays.
 
     Layout is the three arrays back to back — ``int32 pc[n]``,
-    ``uint8 taken[n]``, ``int64 instr[n]`` — so packing is three
-    ``tobytes`` calls and unpacking is three zero-copy views.
+    ``uint8 taken[n]``, ``int64 instr[n]`` (:func:`event_columns`) — so
+    packing is one join and unpacking is three zero-copy views.
     """
-    return (np.ascontiguousarray(pcs, dtype=np.int32).tobytes()
-            + np.ascontiguousarray(taken, dtype=np.uint8).tobytes()
-            + np.ascontiguousarray(instrs, dtype=np.int64).tobytes())
+    return b"".join(event_columns(pcs, taken, instrs))
 
 
 def unpack_events(buf: bytes | memoryview, offset: int, n: int,
@@ -176,6 +185,21 @@ class EventBatch:
         return pack_keys(self.tenants, self.pcs)
 
     # -- wire form ------------------------------------------------------
+    def buffers(self) -> list:
+        """The wire form as the buffers it concatenates: the
+        ``<uint64 seq><uint32 n>`` header, then :func:`event_columns`
+        (views of the batch's arrays where their types match), then for
+        a tenant-bearing batch its ``uint32 tenant[n]`` column.  Writers
+        that take a buffer list (``os.writev``, ``zlib.crc32`` chained
+        over them) need no joined copy."""
+        n = len(self.pcs)
+        if self.tenants is None:
+            return [_BATCH_HEADER.pack(self.seq, n),
+                    *event_columns(self.pcs, self.taken, self.instrs)]
+        return [_BATCH_HEADER.pack(self.seq, n | _TENANT_FLAG),
+                *event_columns(self.pcs, self.taken, self.instrs),
+                np.ascontiguousarray(self.tenants, dtype=np.uint32)]
+
     def to_bytes(self) -> bytes:
         """Wire form: ``<uint64 seq><uint32 n>`` + :func:`pack_events`.
 
@@ -183,13 +207,7 @@ class EventBatch:
         append a ``uint32 tenant[n]`` column; tenant-less batches are
         byte-identical to the pre-tenant format.
         """
-        if self.tenants is None:
-            return (_BATCH_HEADER.pack(self.seq, len(self.pcs))
-                    + pack_events(self.pcs, self.taken, self.instrs))
-        return (_BATCH_HEADER.pack(self.seq, len(self.pcs) | _TENANT_FLAG)
-                + pack_events(self.pcs, self.taken, self.instrs)
-                + np.ascontiguousarray(self.tenants,
-                                       dtype=np.uint32).tobytes())
+        return b"".join(self.buffers())
 
     @classmethod
     def from_bytes(cls, buf: bytes | memoryview) -> "EventBatch":

@@ -18,11 +18,13 @@ Design points:
   hint derived from the observed drain rate.  Combined with monotonic
   batch sequence numbers, rejected batches are resubmitted verbatim
   and can never double-ingest.
-* **Adaptive micro-batching.**  Workers coalesce everything queued up
-  to a per-shard target that doubles while the queue stays deep and
-  halves when it runs dry — small batches (low latency) when lightly
-  loaded, large batches (high throughput, denser per-branch runs for
-  the vectorized fast path) under pressure.
+* **Whole-queue applies.**  A shard's worker applies everything queued
+  ahead of the next tenant job in one call, so the apply size follows
+  the load: one partition when lightly loaded, up to the queue bound
+  (``queue_events``) under pressure, where the fixed cost of an apply
+  is spread over the most events.  The paper's latency tolerance is
+  what makes the coarser decisions safe; an in-process apply holds the
+  event loop for at most one queue's worth of events.
 * **One shard loop.**  Each shard's task hands every shard operation —
   apply, tenant spill and restore, state collection — to one pool
   chosen at :meth:`start`: a :class:`~repro.serve.workers.LocalPool`
@@ -76,9 +78,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["ServiceConfig", "BackpressureError", "QuotaExceededError",
            "SequenceError", "SpeculationService"]
 
-#: Adaptive micro-batch coalescing floor and ceiling, in events.
-MIN_BATCH_EVENTS = 512
-MAX_BATCH_EVENTS = 8_192
 #: Retry hint, in seconds, when no drain rate has been observed yet.
 DEFAULT_RETRY_AFTER = 0.02
 
@@ -303,7 +302,6 @@ class SpeculationService:
         self._queues: list[asyncio.Queue] = [asyncio.Queue()
                                              for _ in range(n)]
         self._queued_events = [0] * n
-        self._targets = [MIN_BATCH_EVENTS] * n
         self._last_seq = last_seq
         self._events_submitted = self.bank.events_applied
         self._workers: list[asyncio.Task] = []
@@ -380,10 +378,9 @@ class SpeculationService:
                 "snapshot instead")
         self._running = True
         scfg = self.service_config
-        if scfg.workers:
-            pool = WorkerPool(self.bank, capture=scfg.obs)
-        else:
-            pool = LocalPool(self.bank, capture=scfg.obs)
+        # Only a detector reads the per-key summary and SELECT block.
+        pool = (WorkerPool if scfg.workers else LocalPool)(
+            self.bank, capture=scfg.obs, detect=self.detector is not None)
         try:
             await pool.start()
         except Exception:
@@ -619,19 +616,16 @@ class SpeculationService:
                 if not await self._run_tenant_jobs(shard_index, [part]):
                     return
                 continue
+            # Everything queued ahead of the next tenant job goes in
+            # this apply; queue_events bounds it.
             parts = [part]
             jobs: list[_TenantJob] = []
             events = part.n_events
-            target = self._targets[shard_index]
-            while events < target:
-                try:
-                    extra = queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
+            while not queue.empty():
+                extra = queue.get_nowait()
                 if isinstance(extra, _TenantJob):
                     # FIFO fence: the job must run after everything
-                    # coalesced so far and before anything behind it —
-                    # stop coalescing here.
+                    # coalesced so far and before anything behind it.
                     jobs.append(extra)
                     break
                 parts.append(extra)
@@ -681,17 +675,17 @@ class SpeculationService:
                             t_now=t_ret)
                 det = self.detector
                 if det is not None:
-                    # Outcomes first, transitions second: the flip
-                    # detector must see each batch's outcomes against
-                    # the deployed set as it stood *before* the batch's
-                    # arcs fired.
+                    # Outcomes first, transitions second: the summary
+                    # holds the keys armed before this apply, and the
+                    # SELECT block the onsets of those armed in it.
                     det.observe_batch(result.summary)
                     det.observe_apply(events, result.correct,
                                       result.incorrect, int(instrs[0]),
                                       int(instrs[-1]))
                 if result.transitions.shape[1]:
                     if det is not None:
-                        det.observe_transitions(result.transitions)
+                        det.observe_transitions(result.transitions,
+                                                result.selects)
                     self.trace.extend(result.transitions)
             else:
                 self.telemetry.record_apply(
@@ -699,13 +693,6 @@ class SpeculationService:
                     depth, col_fast=result.col_fast,
                     col_fallback=result.col_fallback,
                     col_single=result.col_single)
-            # Adapt the coalescing target to the observed queue depth.
-            if depth >= target and target < MAX_BATCH_EVENTS:
-                self._targets[shard_index] = min(MAX_BATCH_EVENTS,
-                                                 target * 2)
-            elif depth == 0 and target > MIN_BATCH_EVENTS:
-                self._targets[shard_index] = max(MIN_BATCH_EVENTS,
-                                                 target // 2)
             if (scfg.snapshot_interval_events is not None
                     and self.bank.events_applied >= self._next_snapshot_at):
                 self._snap_due.set()

@@ -41,7 +41,12 @@ import numpy as np
 
 from repro.core.config import ControllerConfig
 from repro.core.controller import ReactiveBranchController
-from repro.serve.colpath import SUMMARY_ROWS, ColumnarBank, RowBlock
+from repro.serve.colpath import (
+    SELECT_ROWS,
+    SUMMARY_ROWS,
+    ColumnarBank,
+    RowBlock,
+)
 from repro.serve.events import EventBatch
 from repro.sim.metrics import SpeculationMetrics
 from repro.tenant.keys import MAX_PC, TENANT_SHIFT, mix64, stable_order
@@ -102,9 +107,19 @@ class ShardApplyResult:
     #: of the key's first taken and first not-taken outcome among its
     #: events (-1 for none).  The misspeculation detector's input
     #: (:meth:`~repro.obs.detect.MisspecDetector.observe_batch`).
-    #: Empty unless ``capture`` is on.
+    #: Empty unless the shard's ``detect`` is on.
     summary: np.ndarray = field(
         default_factory=lambda: np.empty((len(SUMMARY_ROWS), 0),
+                                         dtype=np.int64))
+    #: The batch's SELECT arcs as the detector arms them, an int64
+    #: ``[3, S]`` block with one column per SELECT arc of
+    #: ``transitions``, in their order, and the rows
+    #: :data:`~repro.serve.colpath.SELECT_ROWS`: key, the direction the
+    #: SELECT deploys (1 taken), and the exec index of the key's first
+    #: outcome against it after the SELECT within the batch (-1 for
+    #: none).  Empty unless the shard's ``detect`` is on.
+    selects: np.ndarray = field(
+        default_factory=lambda: np.empty((len(SELECT_ROWS), 0),
                                          dtype=np.int64))
     #: Wall-clock seconds the apply took where it ran (0.0 when the
     #: shard is not capturing observability data).
@@ -152,7 +167,8 @@ class BankShard:
     """
 
     __slots__ = ("index", "decisions", "events_applied",
-                 "last_instr", "correct", "incorrect", "capture", "col")
+                 "last_instr", "correct", "incorrect", "capture", "detect",
+                 "col")
 
     def __init__(self, index: int, config: ControllerConfig,
                  decisions: dict[int, bool] | None = None) -> None:
@@ -167,6 +183,10 @@ class BankShard:
         #: arc firings of the batch into the result (read-only
         #: observation — controller state is bit-identical either way).
         self.capture = False
+        #: When True (with ``capture``), :meth:`apply` also returns the
+        #: misspeculation detector's inputs: the per-key ``summary`` and
+        #: the ``selects`` block.
+        self.detect = False
         #: The batch engine and the only copy of controller state: one
         #: row per controller the shard holds, and the sorted key index
         #: that records them.
@@ -180,8 +200,8 @@ class BankShard:
         order, by :func:`~repro.tenant.keys.stable_order`); the groups
         advance together through the columnar cross-branch engine
         (:mod:`repro.serve.colpath`).  This grouping is the batch's
-        only one: with capture on, the result's ``summary`` carries it
-        to the misspeculation detector.
+        only one: with ``detect`` on, the result's ``summary`` carries
+        it to the misspeculation detector.
         """
         capture = self.capture
         t0 = perf_counter() if capture else 0.0
@@ -206,9 +226,10 @@ class BankShard:
         ends = np.concatenate((bounds, [n]))
         col = self.col
         f0, b0, s0 = col.events_fast, col.events_fallback, col.events_single
-        (correct, incorrect, changed, deployed, fired,
-         summary) = col.apply_sorted(sorted_pcs, sorted_taken,
-                                     sorted_instrs, starts, ends, capture)
+        (correct, incorrect, changed, deployed, fired, summary,
+         selects) = col.apply_sorted(sorted_pcs, sorted_taken,
+                                     sorted_instrs, starts, ends, capture,
+                                     self.detect)
         self.events_applied += n
         self.last_instr = max(self.last_instr, int(instrs[-1]))
         self.correct += correct
@@ -217,6 +238,7 @@ class BankShard:
             shard=self.index, events=n, correct=correct,
             incorrect=incorrect, changed=changed, changed_deployed=deployed,
             last_instr=self.last_instr, transitions=fired, summary=summary,
+            selects=selects,
             apply_seconds=perf_counter() - t0 if capture else 0.0,
             col_fast=col.events_fast - f0,
             col_fallback=col.events_fallback - b0,

@@ -33,13 +33,14 @@ Frame catalogue (body layouts, all little-endian)::
                  | uint64 correct | uint64 incorrect
                  | int64 last_instr | uint32 n_changed
                  | uint32 n_trans | uint32 n_keys
-                 | uint64 col_fast
+                 | uint32 n_selects | uint64 col_fast
                  | uint64 col_fallback | uint64 col_single
                  | float64 apply_seconds
-                 | float64 t_recv | float64 t_done | pad[7]
+                 | float64 t_recv | float64 t_done | pad[3]
                  | int64 key[n_changed]
                  | int64 transitions[4][n_trans]
                  | int64 summary[6][n_keys]
+                 | int64 selects[3][n_selects]
                  | uint8 deployed[n_changed]            worker → parent
     BARRIER      uint64 ticket                          parent → worker
     BARRIER_ACK  uint64 ticket                          worker → parent
@@ -59,8 +60,10 @@ Frame catalogue (body layouts, all little-endian)::
 traffic rides the same frame.  The transition block's four rows are
 key, arc code, exec index and instruction stamp, one column per arc
 firing; the summary's six rows are :data:`~repro.serve.colpath.SUMMARY_ROWS`,
-one column per distinct key of the batch (empty when capture is
-off).  Every parent → worker request but ``SHUTDOWN`` carries a
+one column per distinct key of the batch, and the SELECT block's three
+rows are :data:`~repro.serve.colpath.SELECT_ROWS`, one column per
+SELECT arc of the transition block (both empty unless the worker
+feeds a detector).  Every parent → worker request but ``SHUTDOWN`` carries a
 ticket that its reply echoes, which is how the supervisor pairs
 replies with awaiting requests (``LOAD`` has no reply and always
 carries ticket 0).  A row block's ``zlen`` bytes hold whole rows
@@ -80,7 +83,7 @@ import struct
 
 import numpy as np
 
-from repro.serve.colpath import SUMMARY_ROWS, RowBlock
+from repro.serve.colpath import SELECT_ROWS, SUMMARY_ROWS, RowBlock
 from repro.serve.shard import ShardApplyResult, ShardState
 
 __all__ = [
@@ -117,7 +120,7 @@ TRESTORE_ACK = 0x0F
 
 _HELLO = struct.Struct("<BHI")
 _APPLY = struct.Struct("<BQI3x")
-_RESULT = struct.Struct("<BQIQQqIIIQQQddd7x")
+_RESULT = struct.Struct("<BQIQQqIIIIQQQddd3x")
 _TICKET = struct.Struct("<BQ")
 _TSPILL = struct.Struct("<BQI")
 _TBLOB = struct.Struct("<BQI")
@@ -127,9 +130,11 @@ FRAME_HEADER = struct.Struct("<I")
 
 #: Bytes per event in an APPLY frame: int64 key + int64 instr + uint8 taken.
 _EVENT_BYTES = 8 + 8 + 1
-#: Rows of an APPLY_RESULT's transition block and key summary.
+#: Rows of an APPLY_RESULT's transition block, key summary and SELECT
+#: block.
 _ARC_ROWS = 4
 _SUMMARY_ROWS = len(SUMMARY_ROWS)
+_SELECT_ROWS = len(SELECT_ROWS)
 
 
 class ProtocolError(Exception):
@@ -223,13 +228,14 @@ def encode_apply_result(ticket: int, result: ShardApplyResult,
         APPLY_RESULT, ticket, result.events, result.correct,
         result.incorrect, result.last_instr, len(result.changed),
         result.transitions.shape[1], result.summary.shape[1],
-        result.col_fast, result.col_fallback, result.col_single,
+        result.selects.shape[1], result.col_fast, result.col_fallback, result.col_single,
         result.apply_seconds, t_recv, t_done)
     return (head
             + np.ascontiguousarray(result.changed, dtype=np.int64).tobytes()
             + np.ascontiguousarray(result.transitions,
                                    dtype=np.int64).tobytes()
             + np.ascontiguousarray(result.summary, dtype=np.int64).tobytes()
+            + np.ascontiguousarray(result.selects, dtype=np.int64).tobytes()
             + np.ascontiguousarray(result.changed_deployed,
                                    dtype=np.uint8).tobytes())
 
@@ -240,15 +246,17 @@ def decode_apply_result(payload: bytes, shard: int,
     its arrays are zero-copy read-only views into ``payload``."""
     expect_frame(payload, APPLY_RESULT, "APPLY_RESULT", min_len=_RESULT.size)
     (_, ticket, events, correct, incorrect, last_instr, n_changed,
-     n_trans, n_keys, col_fast, col_fallback, col_single, apply_seconds,
-     t_recv, t_done) = _RESULT.unpack_from(payload)
+     n_trans, n_keys, n_selects, col_fast, col_fallback, col_single,
+     apply_seconds, t_recv, t_done) = _RESULT.unpack_from(payload)
     off = _RESULT.size
-    words = n_changed + _ARC_ROWS * n_trans + _SUMMARY_ROWS * n_keys
+    words = (n_changed + _ARC_ROWS * n_trans + _SUMMARY_ROWS * n_keys
+             + _SELECT_ROWS * n_selects)
     if len(payload) != off + 8 * words + n_changed:
         raise ProtocolError("APPLY_RESULT frame length mismatch")
     columns = np.frombuffer(payload, dtype=np.int64, count=words,
                             offset=off)
     trans_at = n_changed + _ARC_ROWS * n_trans
+    select_at = trans_at + _SUMMARY_ROWS * n_keys
     deployed = np.frombuffer(payload, dtype=np.uint8, count=n_changed,
                              offset=off + 8 * words).view(np.bool_)
     return ticket, ShardApplyResult(
@@ -256,7 +264,8 @@ def decode_apply_result(payload: bytes, shard: int,
         changed=columns[:n_changed], changed_deployed=deployed,
         last_instr=last_instr,
         transitions=columns[n_changed:trans_at].reshape(_ARC_ROWS, n_trans),
-        summary=columns[trans_at:].reshape(_SUMMARY_ROWS, n_keys),
+        summary=columns[trans_at:select_at].reshape(_SUMMARY_ROWS, n_keys),
+        selects=columns[select_at:].reshape(_SELECT_ROWS, n_selects),
         apply_seconds=apply_seconds, t_recv=t_recv,
         t_done=t_done,
         col_fast=col_fast, col_fallback=col_fallback,

@@ -125,20 +125,20 @@ class WorkerDiedError(RuntimeError):
 
 # -- child side -------------------------------------------------------------
 def worker_main(index: int, config_dict: dict, sock: socket.socket,
-                capture: bool = False) -> None:
+                capture: bool = False, detect: bool = False) -> None:
     """Child entry point: own one shard, serve the wire protocol over
     ``sock``, the child's end of the worker's socket pair.
 
     ``capture`` turns on the shard's observability hooks (apply timing
-    + transition capture); the extra data rides home piggybacked on
-    ``APPLY_RESULT`` frames.
+    + transition capture), and ``detect`` the detector's inputs; the
+    extra data rides home piggybacked on ``APPLY_RESULT`` frames.
     """
     from repro.core.config import ControllerConfig
 
     transport = wire.SocketTransport(sock)
     config = ControllerConfig(**config_dict)
     shard = BankShard(index, config)
-    shard.capture = capture
+    shard.capture, shard.detect = capture, detect
     try:
         transport.send(wire.encode_hello(index, os.getpid()))
         while True:
@@ -171,7 +171,7 @@ def worker_main(index: int, config_dict: dict, sock: socket.socket,
                     raise ValueError(
                         f"LOAD state is for shard {shard.index}, "
                         f"this worker owns shard {index}")
-                shard.capture = capture
+                shard.capture, shard.detect = capture, detect
             elif ftype == wire.STATE_REQ:
                 transport.send(wire.encode_state(
                     wire.decode_state_req(payload), shard.export_state()))
@@ -301,9 +301,11 @@ class LocalPool:
     """In-process execution: every operation is one call on the bank's
     own shard, in the service's event loop."""
 
-    def __init__(self, bank: ShardedBank, capture: bool = False) -> None:
+    def __init__(self, bank: ShardedBank, capture: bool = False,
+                 detect: bool = False) -> None:
         self.bank = bank
         self.capture = capture
+        self.detect = detect
 
     @property
     def pids(self) -> list[int | None]:
@@ -311,7 +313,7 @@ class LocalPool:
 
     async def start(self) -> None:
         for shard in self.bank.shards:
-            shard.capture = self.capture
+            shard.capture, shard.detect = self.capture, self.detect
 
     async def apply(self, shard: int, pcs: np.ndarray, taken: np.ndarray,
                     instrs: np.ndarray) -> ShardApplyResult:
@@ -335,9 +337,11 @@ class WorkerPool:
     """One worker process per shard of ``bank``, driven from the asyncio
     service; the bank's shards become the workers' mirrors."""
 
-    def __init__(self, bank: ShardedBank, capture: bool = False) -> None:
+    def __init__(self, bank: ShardedBank, capture: bool = False,
+                 detect: bool = False) -> None:
         self.bank = bank
         self.capture = capture
+        self.detect = detect
         self.handles: list[_WorkerHandle] = []
         # spawn, never fork: the supervisor runs inside a live asyncio
         # loop and its executor threads, which forked children must not
@@ -378,7 +382,7 @@ class WorkerPool:
                 proc = self._ctx.Process(
                     target=worker_main,
                     args=(handle.shard, config_dict, child_end,
-                          self.capture),
+                          self.capture, self.detect),
                     name=f"repro-serve-worker-{handle.shard}", daemon=True)
                 proc.start()
             # Set only once started: shutdown joins every set process.

@@ -37,7 +37,8 @@ from repro.serve.events import EventBatch
 __all__ = ["MAGIC", "SEGMENT_VERSION", "HEADER", "RECORD_HEADER",
            "MAX_RECORD_BYTES", "WalCorruptionError", "SegmentInfo",
            "segment_name", "parse_segment_name", "write_header",
-           "read_header", "encode_record", "iter_frames", "scan_segment",
+           "read_header", "record_buffers", "encode_record", "iter_frames",
+           "scan_segment",
            "iter_segment_records", "list_segments"]
 
 MAGIC = b"REPROWAL"
@@ -104,11 +105,20 @@ def read_header(path: Path, raw: bytes) -> int:
     return base_seq
 
 
+def record_buffers(batch: EventBatch) -> tuple[list, int]:
+    """One framed record as the buffers it concatenates — its length +
+    CRC32 header, then :meth:`EventBatch.buffers` — and its size."""
+    body = batch.buffers()
+    crc = size = 0
+    for buf in body:
+        crc = zlib.crc32(buf, crc)
+        size += memoryview(buf).nbytes
+    return [RECORD_HEADER.pack(size, crc), *body], RECORD_HEADER.size + size
+
+
 def encode_record(batch: EventBatch) -> bytes:
     """One framed record: length + CRC32 + the batch wire form."""
-    payload = batch.to_bytes()
-    return (RECORD_HEADER.pack(len(payload), zlib.crc32(payload))
-            + payload)
+    return b"".join(record_buffers(batch)[0])
 
 
 @dataclass(frozen=True)

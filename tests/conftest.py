@@ -85,6 +85,48 @@ def captured_arcs(blocks) -> list[tuple[int, ...]]:
     return sorted(row for block in blocks for row in zip(*block.tolist()))
 
 
+def captured_selects(results) -> list[tuple[int, ...]]:
+    """Sorted ``(key, direction, onset)`` columns of the results' SELECT
+    blocks, each block checked to follow its SELECT arcs' order."""
+    out = []
+    for res in results:
+        assert res.selects[0].tolist() == [
+            key for key, code, *_ in zip(*res.transitions.tolist())
+            if code == ARC_CODE["select"]]
+        out += zip(*res.selects.tolist())
+    return sorted(out)
+
+
+class SelectWatch:
+    """The spec's side of a SELECT block: fed each event as the scalar
+    controller observes it, it notes every SELECT's direction (the
+    controller's pending deployment right after it) and the exec index
+    of its key's next outcome against that direction in the batch."""
+
+    def __init__(self) -> None:
+        self.selects: list[list[int]] = []
+        self._open: dict[int, int] = {}
+
+    def observe(self, ctrl, taken: bool) -> None:
+        """Call right after ``ctrl.observe(taken, ...)``."""
+        at = ctrl.exec_count - 1
+        i = self._open.get(ctrl.branch)
+        if i is not None and self.selects[i][1] != taken:
+            self.selects[i][2] = at
+            del self._open[ctrl.branch]
+        log = ctrl.transitions
+        if log and log[-1].exec_index == at and \
+                log[-1].kind.value == "select":
+            self._open[ctrl.branch] = len(self.selects)
+            self.selects.append([ctrl.branch, int(ctrl._pending[-1][2]), -1])
+
+    def batch(self) -> list[tuple[int, ...]]:
+        """The batch's SELECTs, sorted; starts the next batch."""
+        out = sorted(map(tuple, self.selects))
+        self.selects, self._open = [], {}
+        return out
+
+
 def ring_arcs(service) -> list[tuple[int, ...]]:
     """Every arc a service captured, from its trace ring, as sorted
     capture rows (the ring must be large enough that none fell off)."""
@@ -92,6 +134,18 @@ def ring_arcs(service) -> list[tuple[int, ...]]:
     assert trace.total_recorded == len(trace), "the trace ring overflowed"
     return sorted((r.pc, ARC_CODE[r.arc], r.exec_index, r.instr)
                   for r in trace.records())
+
+
+def arc_blocks(*arcs) -> tuple[np.ndarray, np.ndarray]:
+    """Arcs as the detector takes them: ``(key, arc code, exec index)``,
+    or for a SELECT ``(key, arc code, exec index, direction, onset)``,
+    to the ``[4, n]`` transition block (instruction stamps 0) and the
+    ``[3, S]`` SELECT block (``ShardApplyResult.selects``)."""
+    trans = np.array([arc[:3] + (0,) for arc in arcs],
+                     dtype=np.int64).reshape(-1, 4).T
+    selects = np.array([(arc[0], *arc[3:]) for arc in arcs if len(arc) > 3],
+                       dtype=np.int64).reshape(-1, 3).T
+    return trans, selects
 
 
 def summarize(keys, taken, counts: dict) -> np.ndarray:

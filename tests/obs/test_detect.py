@@ -13,15 +13,18 @@ from hypothesis import strategies as st
 
 from repro.obs.detect import DetectorConfig, MisspecDetector
 from repro.obs.tracing import ARC_CODE
-from repro.serve.client import feed_trace
+from repro.serve.client import SpeculationClient, feed_trace
+from repro.serve.events import EventBatch
 from repro.serve.service import ServiceConfig, SpeculationService
 from repro.tenant.keys import MAX_PC, pack_key
 from repro.trace.synthetic import train_then_flip_trace
 
-from tests.conftest import summarize
+from tests.conftest import arc_blocks, summarize
 
 SEL = ARC_CODE["select"]
 EV = ARC_CODE["evict"]
+#: A SELECT's deployed direction.
+TAKEN, NOT_TAKEN = 1, 0
 
 
 def _ones(n):
@@ -30,12 +33,6 @@ def _ones(n):
 
 def _zeros(n):
     return np.zeros(n, dtype=bool)
-
-
-def _arcs(*arcs):
-    """``(key, arc code, exec index, instr)`` arcs as the ``[4, n]``
-    block the detector takes."""
-    return np.array(arcs, dtype=np.int64).reshape(-1, 4).T
 
 
 class _Feed:
@@ -50,7 +47,9 @@ class _Feed:
         self.det.observe_batch(summarize(keys, taken, self.counts))
 
     def arcs(self, *arcs):
-        self.det.observe_transitions(_arcs(*arcs))
+        """Arcs as :func:`~tests.conftest.arc_blocks` takes them (a
+        SELECT carries its direction and in-apply onset)."""
+        self.det.observe_transitions(*arc_blocks(*arcs))
 
 
 class TestDetectorConfig:
@@ -78,74 +77,93 @@ class TestFlipTracking:
     def test_dense_onset_and_time_to_evict(self):
         feed = _Feed()
         feed.batch(np.full(10, 5), _ones(10))             # execs 0..9
-        feed.arcs((5, SEL, 9, 80))
+        feed.arcs((5, SEL, 9, TAKEN, -1))
         feed.batch(np.full(6, 5), _ones(6))               # 10..15: trained taken
         feed.batch(
             np.full(4, 5),
             np.array([True, False, False, False]))        # 16..19: onset 17
-        feed.arcs((5, EV, 19, 200))
+        feed.arcs((5, EV, 19))
         assert feed.det.time_to_evict() == {5: 2}
 
     def test_trained_not_taken_flips_on_taken(self):
         feed = _Feed()
-        feed.arcs((7, SEL, 0, 0))
+        feed.arcs((7, SEL, 0, NOT_TAKEN, -1))
         feed.batch(np.full(8, 7), _zeros(8))              # 0..7: not-taken
         feed.batch(
             np.full(3, 7),
             np.array([False, True, True]))                # onset exec 9
-        feed.arcs((7, EV, 14, 0))
+        feed.arcs((7, EV, 14))
         assert feed.det.time_to_evict() == {7: 5}
 
     def test_onset_in_direction_establishing_batch(self):
-        # The first post-select batch both fixes the trained direction
-        # (by majority) and is scanned for flips against it.
+        # The first post-select batch is scanned for flips against the
+        # direction the SELECT deployed, however its outcomes split.
         feed = _Feed()
-        feed.arcs((2, SEL, 0, 0))
-        outcomes = np.array([False] * 6 + [True] * 2)     # onset exec 6
+        feed.arcs((2, SEL, 0, NOT_TAKEN, -1))
+        outcomes = np.array([False] * 2 + [True] * 6)     # onset exec 2
         feed.batch(np.full(8, 2), outcomes)
-        feed.arcs((2, EV, 10, 0))
-        assert feed.det.time_to_evict() == {2: 4}
+        feed.arcs((2, EV, 10))
+        assert feed.det.time_to_evict() == {2: 8}
+
+    def test_onset_in_the_select_apply(self):
+        # A flip in the SELECT's own apply arrives with the SELECT; the
+        # apply's summary (observed before its arcs) cannot carry it.
+        feed = _Feed()
+        feed.arcs((2, SEL, 3, TAKEN, 12), (2, EV, 15))
+        assert feed.det.time_to_evict() == {2: 3}
+
+    def test_evict_and_reselect_in_one_apply(self):
+        # Arcs run in order: the EVICT closes the old episode with the
+        # summary's onset, the SELECT opens a new one with its own.
+        feed = _Feed()
+        feed.batch(np.full(10, 4), _ones(10))             # execs 0..9
+        feed.arcs((4, SEL, 9, TAKEN, -1))
+        feed.batch(np.full(6, 4),
+                   np.array([True] * 3 + [False] * 3))    # onset exec 13
+        feed.arcs((4, EV, 15), (4, SEL, 25, NOT_TAKEN, 30), (4, EV, 34))
+        assert feed.det.time_to_evict() == {4: 4}
+        assert feed.det.health_doc()["time_to_evict"]["count"] == 2
 
     def test_interleaved_pcs_count_in_own_exec_timebase(self):
         feed = _Feed()
-        feed.arcs((5, SEL, 0, 0))
+        feed.arcs((5, SEL, 0, TAKEN, -1))
         feed.batch(np.array([5, 9, 5]), _ones(3))         # pc5 execs 0..1
         # pc5 outcomes T, F, F at batch positions 1, 3, 5 → its execs
         # 2, 3, 4; the first flip is exec 3 regardless of pc9 noise.
         feed.batch(
             np.array([9, 5, 9, 5, 9, 5]),
             np.array([True, True, False, False, True, False]))
-        feed.arcs((5, EV, 6, 0))
+        feed.arcs((5, EV, 6))
         assert feed.det.time_to_evict() == {5: 3}
 
     def test_evict_without_flip_records_nothing(self):
         feed = _Feed()
-        feed.arcs((4, SEL, 0, 0))
+        feed.arcs((4, SEL, 0, TAKEN, -1))
         feed.batch(np.full(16, 4), _ones(16))
-        feed.arcs((4, EV, 15, 0))
+        feed.arcs((4, EV, 15))
         assert feed.det.time_to_evict() == {}
 
     def test_packed_keys_leave_bare_pc_state_alone(self):
         feed = _Feed()
         feed.batch(np.full(8, 3), _ones(8))               # execs 0..7
-        feed.arcs((3, SEL, 7, 0))
+        feed.arcs((3, SEL, 7, TAKEN, -1))
         feed.batch(np.full(4, 3), _ones(4))               # 8..11: taken
         # A packed (tenant << 32) | pc key with the same pc: pc 3's
-        # trained direction and exec count must survive it.
+        # deployed direction and exec count must survive it.
         big = (7 << 32) | 3
-        feed.batch(np.full(5, big), _ones(5))
+        feed.batch(np.full(5, big), _zeros(5))
         feed.batch(np.full(2, 3), _zeros(2))              # onset exec 12
-        feed.arcs((3, EV, 15, 0))
+        feed.arcs((3, EV, 15))
         assert feed.det.time_to_evict() == {3: 3}
 
     def test_sparse_keys_tracked_from_the_start(self):
         feed = _Feed()
         big = (9 << 32) | 42
-        feed.arcs((big, SEL, 0, 0))
+        feed.arcs((big, SEL, 0, TAKEN, -1))
         feed.batch(np.full(6, big), _ones(6))             # 0..5: taken
         feed.batch(np.full(2, big),
                    np.array([False, False]))              # onset exec 6
-        feed.arcs((big, EV, 9, 0))
+        feed.arcs((big, EV, 9))
         assert feed.det.time_to_evict() == {big: 3}
 
     def test_onset_reads_the_summary_exec_count(self):
@@ -153,28 +171,25 @@ class TestFlipTracking:
         # a detector that never saw a key's earlier executions (one
         # built after a restore) still lands in the row's timebase.
         det = MisspecDetector()
-        det.observe_transitions(_arcs((6, SEL, 4999, 0)))
+        det.observe_transitions(*arc_blocks((6, SEL, 4999, TAKEN, -1)))
         det.observe_batch(summarize(np.full(3, 6), _ones(3), {6: 5000}))
         det.observe_batch(summarize(np.full(4, 6),
                                     np.array([True, True, False, True]),
                                     {6: 5003}))           # onset 5005
-        det.observe_transitions(_arcs((6, EV, 5011, 0)))
+        det.observe_transitions(*arc_blocks((6, EV, 5011)))
         assert det.time_to_evict() == {6: 6}
 
     def test_reads_the_shards_summary_rows(self):
         from repro.obs import detect
         from repro.serve.colpath import SUMMARY_ROWS
 
-        assert [getattr(detect, f"_{name.upper()}") for name in (
-            "key", "exec_before", "events", "first_taken",
-            "first_not_taken")] == [SUMMARY_ROWS.index(name) for name in (
-                "key", "exec_before", "events", "first_taken",
-                "first_not_taken")]
-        assert detect._ONES == SUMMARY_ROWS.index("taken")
+        names = ("key", "exec_before", "first_taken", "first_not_taken")
+        assert [getattr(detect, f"_{name.upper()}") for name in names] == [
+            SUMMARY_ROWS.index(name) for name in names]
 
     def test_empty_batch_is_a_noop(self):
         det = MisspecDetector()
-        det.observe_transitions(_arcs((1, SEL, 0, 0)))
+        det.observe_transitions(*arc_blocks((1, SEL, 0, TAKEN, -1)))
         det.observe_batch(np.empty((6, 0), dtype=np.int64))
         assert det.health_doc()["events_observed"] == 0
 
@@ -223,8 +238,8 @@ class TestVerdicts:
         det = MisspecDetector(self.CFG)
         for i in range(4):
             det.observe_apply(50, 50, 0, i * 400, (i + 1) * 400)
-        marks = [(pc, EV, 0, 0) for pc in (1, 2, 3)]
-        det.observe_transitions(_arcs(*marks))
+        marks = [(pc, EV, 0) for pc in (1, 2, 3)]
+        det.observe_transitions(*arc_blocks(*marks))
         assert det.verdict == "misspec-burst"             # storm, low rate
         assert det.health_doc()["window"]["evictions"] == 3
         det.observe_apply(50, 50, 0, 1600, 2000)          # floor 150 < 200
@@ -236,7 +251,7 @@ class TestVerdicts:
     def test_fewer_evictions_than_storm_stay_ok(self):
         det = MisspecDetector(self.CFG)
         det.observe_apply(50, 50, 0, 0, 400)
-        det.observe_transitions(_arcs((1, EV, 0, 0), (2, EV, 0, 0)))
+        det.observe_transitions(*arc_blocks((1, EV, 0), (2, EV, 0)))
         assert det.verdict == "ok"
 
     def test_mpki_uses_window_instruction_span(self):
@@ -259,19 +274,30 @@ def test_health_doc_shape_and_thresholds():
     assert doc["time_to_evict"] == {"count": 0, "mean": 0.0, "last": {}}
 
 
-def test_train_then_flip_acceptance(bench_config):
+#: Client batch sizes the detector must be exact at, and the shard
+#: modes (in process, one worker process per shard).
+BATCH_EVENTS = (256, 4096, 32768)
+MODES = {"in-process": 0, "workers": 2}
+
+
+@pytest.mark.parametrize("workers", MODES.values(), ids=MODES.keys())
+@pytest.mark.parametrize("batch_events", BATCH_EVENTS)
+def test_train_then_flip_acceptance(bench_config, batch_events, workers):
     """The headline property: on the adversarial train-then-flip trace
     the detector (a) reports a misspeculation burst and (b) reproduces
     per-PC time-to-evict exactly from the arc-counter ground truth —
     every branch flips at execution ``flip_at``, so tte must equal
-    ``evict.exec_index - flip_at`` in each branch's own timebase."""
+    ``evict.exec_index - flip_at`` in each branch's own timebase — at
+    any apply size: a 32,768-event batch holds a branch's SELECT, its
+    flip and its EVICT in one apply."""
     flip_at = 4096
     trace = train_then_flip_trace(n_branches=8, flip_at=flip_at, seed=0)
 
     async def run():
-        async with SpeculationService(bench_config,
-                                      ServiceConfig(n_shards=2)) as svc:
-            await feed_trace(svc, trace, batch_events=4096)
+        async with SpeculationService(
+                bench_config,
+                ServiceConfig(n_shards=2, workers=workers)) as svc:
+            await feed_trace(svc, trace, batch_events=batch_events)
             await svc.drain()
             truth = {r.pc: r.exec_index - flip_at
                      for r in svc.trace.records() if r.arc == "evict"}
@@ -288,13 +314,16 @@ def test_train_then_flip_acceptance(bench_config):
         sum(truth.values()) / 8)
 
 
+@pytest.mark.parametrize("workers", MODES.values(), ids=MODES.keys())
+@pytest.mark.parametrize("batch_events", BATCH_EVENTS)
 @pytest.mark.parametrize("via", ["load_snapshot", "recover_service"])
 def test_time_to_evict_is_exact_after_a_restore(bench_config, tmp_path,
-                                                via):
+                                                via, batch_events, workers):
     """A service restored from a snapshot taken after 256 executions per
     branch (before any SELECT) still reports each branch's exact
-    time-to-evict: the onset's exec count comes from the restored row,
-    not from a count the new detector would restart at zero."""
+    time-to-evict, at any apply size and in either shard mode: the
+    onset's exec count comes from the restored row, not from a count
+    the new detector would restart at zero."""
     from repro.serve.snapshot import load_snapshot
     from repro.wal.recovery import recover_service
 
@@ -312,7 +341,13 @@ def test_time_to_evict_is_exact_after_a_restore(bench_config, tmp_path,
 
     async def rest(svc):
         async with svc:
-            await feed_trace(svc, trace, batch_events=256)
+            # The rest of the trace, cut at the tested batch size.
+            client, seq = SpeculationClient(svc), svc.last_seq
+            for lo in range(8 * 256, len(trace), batch_events):
+                seq, hi = seq + 1, lo + batch_events
+                await client.submit_burst(EventBatch(
+                    seq=seq, pcs=trace.branch_ids[lo:hi],
+                    taken=trace.taken[lo:hi], instrs=trace.instrs[lo:hi]))
             await svc.drain()
             truth = {r.pc: r.exec_index - flip_at
                      for r in svc.trace.records() if r.arc == "evict"}
@@ -320,9 +355,10 @@ def test_time_to_evict_is_exact_after_a_restore(bench_config, tmp_path,
 
     asyncio.run(first())
     if via == "load_snapshot":
-        service = load_snapshot(snap)
+        service = load_snapshot(snap, workers=workers)
     else:
-        service, _report = recover_service(None, snapshot=snap)
+        service, _report = recover_service(None, snapshot=snap,
+                                           workers=workers)
     tte, truth = asyncio.run(rest(service))
     assert set(truth) == set(range(8))
     assert tte == truth
@@ -339,7 +375,7 @@ KEY_POOL = (0, 3, 64, 4_000, pack_key(1, 5), pack_key(1, 2),
 
 
 class _DetectorModel:
-    """Per-key exec counts, trained direction, first-flip onset and
+    """Per-key exec counts, deployed direction, first-flip onset and
     time-to-evict, kept in dicts over pool indices."""
 
     def __init__(self):
@@ -352,19 +388,16 @@ class _DetectorModel:
     def batch(self, keys, taken):
         for key, state in self.deployed.items():
             outs = [t for k, t in zip(keys, taken) if k == key]
-            if not outs:
-                continue
-            if state[0] is None:
-                state[0] = 2 * sum(outs) >= len(outs)
             flips = [i for i, t in enumerate(outs) if t != state[0]]
             if state[1] is None and flips:
                 state[1] = self.count.get(key, 0) + flips[0]
         for key in keys:
             self.count[key] = self.count.get(key, 0) + 1
 
-    def arc(self, key, arc, exec_index):
+    def arc(self, key, arc, exec_index, direction=None, onset=-1):
         if arc == SEL:
-            self.deployed[key] = [None, None]
+            self.deployed[key] = [bool(direction),
+                                  onset if onset >= 0 else None]
             return
         state = self.deployed.pop(key, None)
         if state is not None and state[1] is not None:
@@ -379,9 +412,10 @@ class _DetectorModel:
 @given(st.data())
 def test_detector_matches_dict_model(data):
     """Random batches (as per-key summaries with running counts) and
-    SELECT/EVICT arcs over a mixed bare/packed key pool match a
-    plain-dict model after every step — in the mixed key space, with
-    every key a bare PC and with every key moved into tenant 1."""
+    SELECT/EVICT arcs (a SELECT with a direction and maybe an in-apply
+    onset) over a mixed bare/packed key pool match a plain-dict model
+    after every step — in the mixed key space, with every key a bare
+    PC and with every key moved into tenant 1."""
     spaces = {
         "mixed": KEY_POOL,
         "bare": tuple(range(len(KEY_POOL))),
@@ -404,14 +438,20 @@ def test_detector_matches_dict_model(data):
         else:
             arcs = data.draw(st.lists(
                 st.tuples(idx, st.sampled_from((SEL, EV)),
-                          st.integers(-2, 6)), min_size=1, max_size=4))
+                          st.integers(-2, 6), st.booleans(),
+                          st.integers(-1, 3)), min_size=1, max_size=4))
             stamped = []
-            for k, arc, offset in arcs:
-                stamped.append((k, arc, model.count.get(k, 0) + offset))
+            for k, arc, offset, direction, later in arcs:
+                at = model.count.get(k, 0) + offset
+                if arc == SEL:
+                    onset = at + 1 + later if later >= 0 else -1
+                    stamped.append((k, arc, at, int(direction), onset))
+                else:
+                    stamped.append((k, arc, at))
                 model.arc(*stamped[-1])
             for name, space in spaces.items():
-                dets[name].observe_transitions(_arcs(
-                    *[(space[k], arc, ex, 0) for k, arc, ex in stamped]))
+                dets[name].observe_transitions(*arc_blocks(
+                    *[(space[k], *rest) for k, *rest in stamped]))
         mean = (round(model.tte_sum / model.tte_count, 3)
                 if model.tte_count else 0.0)
         for name, space in spaces.items():

@@ -85,7 +85,7 @@ def test_span_and_health_families_roundtrip():
     from repro.obs.detect import DetectorConfig, MisspecDetector
     from repro.obs.spans import SpanRecorder
     from repro.obs.tracing import ARC_CODE
-    from tests.conftest import summarize
+    from tests.conftest import arc_blocks, summarize
 
     r = MetricsRegistry()
     spans = SpanRecorder(capacity=8, registry=r)
@@ -96,13 +96,13 @@ def test_span_and_health_families_roundtrip():
                                          min_window_events=10),
                           registry=r)
     det.observe_apply(50, 10, 40, 0, 400)             # burst by rate
-    det.observe_transitions(np.array([[3], [ARC_CODE["select"]], [0], [0]]))
+    det.observe_transitions(*arc_blocks((3, ARC_CODE["select"], 0, 1, -1)))
     counts: dict[int, int] = {}
     det.observe_batch(summarize(np.full(4, 3), np.ones(4, dtype=bool),
                                 counts))
     det.observe_batch(summarize(np.full(2, 3), np.zeros(2, dtype=bool),
                                 counts))
-    det.observe_transitions(np.array([[3], [ARC_CODE["evict"]], [5], [0]]))
+    det.observe_transitions(*arc_blocks((3, ARC_CODE["evict"], 5)))
 
     families = parse_exposition(render_prometheus(r))
     assert families["repro_spans_total"] == [({}, 1.0)]

@@ -116,6 +116,8 @@ def test_kill9_failover_loses_nothing(tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
 
     # The follower notices the dead link on its own.
     deadline = time.monotonic() + 10.0

@@ -32,8 +32,10 @@ from repro.serve.colpath import rows_to_states
 from repro.serve.shard import BankShard, ShardedBank
 
 from tests.conftest import (
+    SelectWatch,
     bank_states,
     captured_arcs,
+    captured_selects,
     logged_arcs,
     rows_of,
     summarize,
@@ -72,9 +74,11 @@ def _batch_bounds(n: int, rng) -> list[tuple[int, int]]:
 def _scalar_batches(config, pcs, taken, instrs, bounds):
     """Per-batch reference results via per-event observe(): each
     batch's ``(correct, incorrect)`` deltas, its net decision flips
-    ``{pc: deployed}``, its sorted FSM arcs in capture form and its
-    per-key summary (from ``np.unique`` and the spec's exec counts)."""
+    ``{pc: deployed}``, its sorted FSM arcs in capture form, its
+    per-key summary (from ``np.unique`` and the spec's exec counts) and
+    its sorted SELECT columns (:class:`~tests.conftest.SelectWatch`)."""
     bank = ControllerBank(config)
+    watch = SelectWatch()
     batches = []
     for lo, hi in bounds:
         touched = {pc: bank.controller(pc)
@@ -87,6 +91,7 @@ def _scalar_batches(config, pcs, taken, instrs, bounds):
         c = x = 0
         for j in range(lo, hi):
             out = bank.observe(int(pcs[j]), bool(taken[j]), int(instrs[j]))
+            watch.observe(bank.controller(int(pcs[j])), bool(taken[j]))
             c += out.speculated and out.correct
             x += out.misspeculated
         flips = {pc: ctrl.deployed for pc, ctrl in touched.items()
@@ -94,21 +99,21 @@ def _scalar_batches(config, pcs, taken, instrs, bounds):
         fired = sorted((pc, ARC_CODE[t.kind.value], t.exec_index, t.instr)
                        for pc, ctrl in touched.items()
                        for t in ctrl.transitions[before[pc][1]:])
-        batches.append(((c, x), flips, fired, summary))
+        batches.append(((c, x), flips, fired, summary, watch.batch()))
     return bank, batches
 
 
 def _columnar_equals_scalar(config, pcs, taken, instrs, bounds):
     """Drive a capturing shard batch by batch against the scalar spec:
-    deltas, decision flips, captured arcs (the spec's new log entries)
-    and the per-key summary per batch, then the whole exported state
-    and decision cache."""
+    deltas, decision flips, captured arcs (the spec's new log entries),
+    the per-key summary and each SELECT's direction and in-batch onset
+    per batch, then the whole exported state and decision cache."""
     ref_bank, ref_batches = _scalar_batches(config, pcs, taken, instrs,
                                             bounds)
     col = BankShard(0, config)
-    col.capture = True
-    for (lo, hi), ((ref_c, ref_x), ref_flips, ref_fired,
-                   ref_summary) in zip(bounds, ref_batches):
+    col.capture = col.detect = True
+    for (lo, hi), ((ref_c, ref_x), ref_flips, ref_fired, ref_summary,
+                   ref_selects) in zip(bounds, ref_batches):
         rc = col.apply(pcs[lo:hi], taken[lo:hi], instrs[lo:hi])
         assert (rc.correct, rc.incorrect) == (ref_c, ref_x)
         assert rc.events == hi - lo
@@ -117,6 +122,7 @@ def _columnar_equals_scalar(config, pcs, taken, instrs, bounds):
         assert dict(zip(rc.changed, rc.changed_deployed)) == ref_flips
         assert captured_arcs([rc.transitions]) == ref_fired
         np.testing.assert_array_equal(rc.summary, ref_summary)
+        assert captured_selects([rc]) == ref_selects
     # Full state parity, down to every pending landing; the arcs went
     # out as the captured stream.
     state = col.export_state()
@@ -283,7 +289,7 @@ def test_summary_matches_spec_across_spill_and_restore():
     after applies and restored before the next batch that touches them
     (as the service does): every apply's summary equals the one built
     from ``np.unique`` and the spec's exec counts, and is empty with
-    capture off."""
+    detect off."""
     from repro.tenant.keys import TENANT_SHIFT, pack_keys
 
     config = CONFIGS["tiny-latency"]
@@ -294,7 +300,7 @@ def test_summary_matches_spec_across_spill_and_restore():
     keys = pack_keys(tenants, pcs)
     spec = ControllerBank(config)
     shard = BankShard(0, config)
-    shard.capture = True
+    shard.capture = shard.detect = True
     spilled: dict[int, object] = {}
     spills = restores = 0
     for lo, hi in _batch_bounds(n, rng):
@@ -318,9 +324,10 @@ def test_summary_matches_spec_across_spill_and_restore():
         shard.restore_tenant(rows)
     assert bank_states(shard) == without_logs(spec.export_state())
     assert all(k >> TENANT_SHIFT < 4 for k in shard.decisions)
-    shard.capture = False
+    shard.detect = False
     res = shard.apply(keys[:50], taken[:50], instrs[-1] + instrs[:50])
     assert res.summary.shape == (6, 0)
+    assert res.selects.shape == (3, 0)
 
 
 def test_stats_split_single_vs_fallback():
@@ -387,7 +394,7 @@ def test_presorted_batch_skips_the_argsort(monkeypatch):
     rng = np.random.default_rng(1)
     taken = rng.uniform(size=len(pcs)) < 0.9
     instrs = np.cumsum(rng.integers(1, 5, len(pcs))).astype(np.int64)
-    ref_bank, ((ref_deltas, _flips, ref_fired, _),) = _scalar_batches(
+    ref_bank, ((ref_deltas, _flips, ref_fired, _, _),) = _scalar_batches(
         config, pcs, taken, instrs, [(0, len(pcs))])
 
     real_argsort = np.argsort

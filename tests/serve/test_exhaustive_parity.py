@@ -5,8 +5,9 @@ sample traces.  Here each tiny configuration family runs *every*
 outcome history of length ``L`` at once, one PC per history, through a
 capturing :class:`~repro.serve.shard.BankShard`, and compares it with
 per-event :meth:`~repro.core.controller.ReactiveBranchController.observe`:
-per-batch ``(correct, incorrect)`` deltas, decision flips and captured
-transitions against the spec's log, prefix states at batch edges and
+per-batch ``(correct, incorrect)`` deltas, decision flips, captured
+transitions against the spec's log, each SELECT's deployed direction
+and in-batch flip onset against the spec's, prefix states at batch edges and
 the final state (the shard's rows against the spec's states as rows:
 rows keep no log, and a free pending slot's columns are always the
 same) and the decision cache.  Batches are cut every step, every three steps
@@ -32,7 +33,7 @@ from repro.core.controller import ReactiveBranchController
 from repro.obs.tracing import ARC_CODE
 from repro.serve.shard import BankShard
 from repro.sim.vector import apply_chunk
-from tests.conftest import rows_of
+from tests.conftest import captured_selects, rows_of
 
 _BASE = dict(monitor_period=4, selection_threshold=0.75, evict_counter_max=3,
              misspec_increment=2, correct_decrement=1, revisit_period=3,
@@ -104,6 +105,10 @@ class _Reference:
     deployed: np.ndarray     # [N, L + 1] deployed view before step j
     arcs: dict[int, list]    # step -> captured transitions fired there
     states: dict[int, list]  # step count -> exported states at that edge
+    #: One column per SELECT: history, step, the direction it deploys
+    #: (the spec's pending deployment right after it) and the step of
+    #: the history's next outcome against that direction (L: none).
+    selects: np.ndarray
 
 
 def _reference(fam: _Family, edges: set[int]) -> _Reference:
@@ -118,10 +123,15 @@ def _reference(fam: _Family, edges: set[int]) -> _Reference:
     deployed = np.zeros((n, L + 1), dtype=bool)
     states = {}
     max_pending = 0
+    selects = []
     for j in range(L):
         stamp = int(instrs[j])
         for h, ctrl in enumerate(ctrls):
+            logged = len(ctrl.transitions)
             out = ctrl.observe(bool(taken[h, j]), stamp)
+            if ctrl.transitions[logged:] and (
+                    ctrl.transitions[-1].kind.value == "select"):
+                selects.append((h, j, ctrl._pending[-1][2]))
             if out.speculated:
                 correct[h, j] = out.correct
                 incorrect[h, j] = not out.correct
@@ -137,8 +147,12 @@ def _reference(fam: _Family, edges: set[int]) -> _Reference:
     kinds = {t.kind.value for c in ctrls for t in c.transitions}
     assert kinds == fam.arcs, f"the enumeration reached {sorted(kinds)}"
     assert max_pending == fam.max_pending
+    hs, js, ds = np.array(selects, dtype=np.int64).reshape(-1, 3).T
+    against = ((taken[hs] != ds[:, None].astype(bool))
+               & (np.arange(L) > js[:, None]))
+    nxt = np.where(against.any(1), against.argmax(1), L)
     return _Reference(taken, instrs, correct, incorrect, deployed, arcs,
-                      states)
+                      states, np.stack((hs, js, ds, nxt)))
 
 
 def _cuts(L: int) -> dict[str, list[int]]:
@@ -163,6 +177,11 @@ def _check_batch(ref: _Reference, res, rows, a: int, b: int) -> None:
     mine = set(rows.tolist())
     assert sorted(zip(*res.transitions.tolist())) == sorted(
         arc for j in range(a, b) for arc in ref.arcs[j] if arc[0] in mine)
+    hs, js, ds, nxt = ref.selects
+    here = (js >= a) & (js < b) & np.isin(hs, rows)
+    assert captured_selects([res]) == sorted(zip(
+        hs[here].tolist(), ds[here].tolist(),
+        np.where(nxt[here] < b, nxt[here], -1).tolist()))
 
 
 @pytest.fixture(scope="module", params=sorted(FAMILIES))
@@ -180,7 +199,7 @@ def test_every_history_as_one_pc_each(family):
     rows = np.arange(n)
     for name, edges in _cuts(L).items():
         shard = BankShard(0, fam.config)
-        shard.capture = True
+        shard.capture = shard.detect = True
         a = 0
         for b in edges:
             res = shard.apply(np.tile(rows, b - a),
@@ -206,7 +225,7 @@ def test_every_short_history_alone_under_every_cutting(family):
         for mask in range(1 << (_SHORT - 1)):
             edges = [j + 1 for j in range(_SHORT - 1) if mask >> j & 1]
             shard = BankShard(0, fam.config)
-            shard.capture = True
+            shard.capture = shard.detect = True
             a = 0
             for b in [*edges, _SHORT]:
                 res = shard.apply(np.full(b - a, h, dtype=np.int64),

@@ -83,6 +83,34 @@ def test_backpressure_rejects_then_drains(bench_trace, bench_config):
     assert metrics == run_reactive(bench_trace, bench_config).metrics
 
 
+def test_queued_burst_is_applied_in_one_call(bench_trace, bench_config):
+    """Whole-queue applies: every partition queued while a shard's
+    worker waits goes to the shard in one apply, however many batches
+    it came from; a tenant job is the only fence."""
+
+    async def run():
+        scfg = ServiceConfig(n_shards=2)
+        async with SpeculationService(bench_config, scfg) as service:
+            calls = []
+            apply = service._pool.apply
+
+            async def counted(shard, pcs, taken, instrs):
+                calls.append((shard, len(pcs)))
+                return await apply(shard, pcs, taken, instrs)
+
+            service._pool.apply = counted
+            batches = list(iter_trace_batches(bench_trace, 1024))[:12]
+            for batch in batches:       # no yield: all twelve queue up
+                service.submit_nowait(batch)
+            routed = [service._queued_events[i] for i in range(2)]
+            await service.drain()
+            return calls, routed, service.metrics().dynamic_branches
+
+    calls, routed, applied = asyncio.run(run())
+    assert sorted(calls) == [(0, routed[0]), (1, routed[1])]
+    assert applied == 12 * 1024
+
+
 def test_sequence_errors(bench_trace, bench_config):
     async def run():
         async with SpeculationService(bench_config) as service:

@@ -132,9 +132,9 @@ def test_apply_frame_views_are_aligned():
     pcs, taken, instrs = _arrays(37)
     pcs %= 4  # few branches, so the tiny config's arcs fire
     shard = BankShard(0, _TINY)
-    shard.capture = True
+    shard.capture = shard.detect = True
     result = shard.apply(pcs, taken, instrs)
-    assert result.summary.shape[1] and result.transitions.shape[1]
+    assert result.summary.shape[1] and result.selects.shape[1]
     frames = (wire.encode_apply(1, pcs, taken, instrs),
               wire.encode_apply_result(2, result, 0.0, 0.0))
     left, right = socket.socketpair()
@@ -156,7 +156,7 @@ def _int64_views(payload):
         _, keys, _taken, instrs = wire.decode_apply(payload)
         return keys, instrs
     out = wire.decode_apply_result(payload, 0)[1]
-    return out.changed, out.transitions, out.summary
+    return out.changed, out.transitions, out.summary, out.selects
 
 
 def test_tapply_frame_roundtrip_with_packed_keys():
@@ -191,15 +191,18 @@ def test_apply_result_frame_carries_transitions_and_latency():
     transitions = np.array([(5, 0, 100, 12345), (9, 2, 2048, 99999),
                             (1000, 3, 7, -1)]).T
     summary = np.array([(5, 99, 40, 39, 0, 7), (9, 2047, 24, 0, -1, 0)]).T
+    selects = np.array([(5, 1, 107)]).T
     result = ShardApplyResult(
         shard=0, events=64, correct=50, incorrect=2, changed=np.array([5]),
         changed_deployed=np.array([True]), last_instr=777,
-        transitions=transitions, summary=summary, apply_seconds=0.0125)
+        transitions=transitions, summary=summary, selects=selects,
+        apply_seconds=0.0125)
     frame = wire.encode_apply_result(8, result, 100.5, 100.75)
     ticket, out = wire.decode_apply_result(frame, 0)
     assert ticket == 8
     np.testing.assert_array_equal(out.transitions, transitions)
     np.testing.assert_array_equal(out.summary, summary)
+    np.testing.assert_array_equal(out.selects, selects)
     assert out.apply_seconds == pytest.approx(0.0125)
     # The worker-side monotonic stamps ride along so the parent can
     # attribute wire_out / wire_back span stages.
@@ -213,8 +216,9 @@ def test_apply_result_frame_carries_transitions_and_latency():
 
 #: One APPLY and one APPLY_RESULT frame as committed bytes: five events
 #: (one of them a packed tenant key) and a result with two flipped keys,
-#: a three-arc transition block and a four-key summary.  The worker link is never
-#: persisted, but its frame bodies must not drift by accident.
+#: a three-arc transition block, a four-key summary and the one SELECT's
+#: column.  The worker link is never persisted, but its frame bodies must
+#: not drift by accident.
 _PINNED_APPLY = bytes.fromhex(
     "032a000000000000000500000000000005000000000000000500000000000000"
     "09000000000000000700000003000000e8030000000000000a00000000000000"
@@ -222,9 +226,9 @@ _PINNED_APPLY = bytes.fromhex(
     "0100010100")
 _PINNED_APPLY_RESULT = bytes.fromhex(
     "042b000000000000000500000003000000000000000100000000000000290000"
-    "0000000000020000000300000004000000020000000000000001000000000000"
-    "000200000000000000000000000000d03f000000000020594000000000003059"
-    "4000000000000000050000000000000007000000030000000500000000000000"
+    "0000000000020000000300000004000000010000000200000000000000010000"
+    "00000000000200000000000000000000000000d03f0000000000205940000000"
+    "0000305940000000050000000000000007000000030000000500000000000000"
     "0700000003000000e80300000000000000000000000000000200000000000000"
     "0300000000000000090000000000000078000000000000000700000000000000"
     "1900000000000000280000000000000029000000000000000500000000000000"
@@ -233,7 +237,8 @@ _PINNED_APPLY_RESULT = bytes.fromhex(
     "0100000000000000010000000000000001000000000000000100000000000000"
     "0100000000000000000000000000000001000000000000000000000000000000"
     "0000000000000000ffffffffffffffff00000000000000000100000000000000"
-    "ffffffffffffffff0000000000000000ffffffffffffffff0100")
+    "ffffffffffffffff0000000000000000ffffffffffffffff0500000000000000"
+    "0100000000000000ffffffffffffffff0100")
 
 
 def test_pinned_frame_bytes():
@@ -261,6 +266,7 @@ def test_pinned_frame_bytes():
                           (1000, 6, 1, 0, -1, 0),
                           (tenant_key, 119, 1, 1, 0, -1)],
                          dtype=np.int64).T,
+        selects=np.array([[5], [1], [-1]], dtype=np.int64),
         apply_seconds=0.25, col_fast=2, col_fallback=1, col_single=2)
     frame = wire.encode_apply_result(43, result, 100.5, 100.75)
     assert frame == _PINNED_APPLY_RESULT

@@ -108,6 +108,8 @@ def test_kill9_recovery_is_bit_identical(tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
 
     trace = load_trace("gzip", length=TOTAL_EVENTS)
     config = scaled_config()

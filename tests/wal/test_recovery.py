@@ -51,7 +51,9 @@ def _crash_after(trace, config, wal_dir, snap_path=None,
         await feed_trace(service, trace, batch_events=BATCH_EVENTS,
                          max_events=total_events)
         await service.drain()
-        # Simulated kill -9: drop everything without stop()/fsync.
+        # Simulated kill -9: drop everything without stop(); only the
+        # files it holds are released (what the WAL wrote is on disk).
+        service.close()
         return service.last_seq
 
     return asyncio.run(run())
@@ -125,6 +127,7 @@ def test_recover_from_log_alone(tmp_path, bench_trace, bench_config):
     assert report.replayed_events == 40_960
     assert (service.metrics()
             == _offline(bench_trace, bench_config, 40_960))
+    service.close()
 
 
 def test_recover_truncates_and_reports_torn_tail(tmp_path, bench_trace,
@@ -138,11 +141,13 @@ def test_recover_truncates_and_reports_torn_tail(tmp_path, bench_trace,
         fh.write(b"\x13" * 57)  # crash mid-append
 
     service, report = recover_service(wal_dir, snapshot=snap)
+    service.close()
     assert report.torn_tail_bytes == 57
     assert (service.metrics()
             == _offline(bench_trace, bench_config, 40_960))
     # attach_wal repaired the file in place: recovery is idempotent.
     service2, report2 = recover_service(wal_dir, snapshot=snap)
+    service2.close()
     assert report2.torn_tail_bytes == 0
     assert service2.metrics() == service.metrics()
 

@@ -27,6 +27,44 @@ def test_append_scan_roundtrip(tmp_path):
     assert not info.torn
 
 
+def test_segment_bytes_are_the_encoded_records(tmp_path):
+    """The writer's one ``writev`` per record leaves exactly the bytes
+    of the records packed field by field (length, CRC32, then the seq
+    and count header, the int32 PC, uint8 outcome, int64 stamp and, for
+    a tenant-bearing batch, uint32 tenant columns), and hands back the
+    record's body for replication."""
+    import struct
+    import zlib
+
+    import numpy as np
+
+    from repro.serve.events import EventBatch
+    from repro.wal.segment import HEADER, encode_record
+
+    plain = make_batches(3, events=40)
+    tenanted = [EventBatch(seq=b.seq + 3, pcs=b.pcs, taken=b.taken,
+                           instrs=b.instrs + plain[-1].last_instr,
+                           tenants=np.arange(40, dtype=np.uint32) % 3)
+                for b in plain]
+    records, bodies = [], []
+    with WalWriter(tmp_path, fsync="off") as wal:
+        for batch in plain + tenanted:
+            flag = 0 if batch.tenants is None else 1 << 31
+            body = (struct.pack("<QI", batch.seq, batch.n_events | flag)
+                    + batch.pcs.astype(np.int32).tobytes()
+                    + batch.taken.astype(np.uint8).tobytes()
+                    + batch.instrs.astype(np.int64).tobytes()
+                    + (b"" if batch.tenants is None
+                       else batch.tenants.astype(np.uint32).tobytes()))
+            record = struct.pack("<II", len(body), zlib.crc32(body)) + body
+            assert encode_record(batch) == record
+            records.append(record)
+            bodies.append(b"".join(wal.append(batch)))
+            assert bodies[-1] == body
+    (path,) = list_segments(tmp_path)
+    assert path.read_bytes()[HEADER.size:] == b"".join(records)
+
+
 def test_rotation_names_segments_by_base_seq(tmp_path):
     batches = make_batches(12, events=64)
     record_bytes = 8 + 12 + 64 * 13  # framing + batch header + events
