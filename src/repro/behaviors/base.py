@@ -60,11 +60,10 @@ def behavior_trace_from_streams(streams: Sequence[np.ndarray],
     unit_ids = np.repeat(np.arange(len(streams), dtype=np.int32), lengths)
     rng.shuffle(unit_ids)
 
-    held = np.zeros(total, dtype=bool)
-    cursors = np.zeros(len(streams), dtype=np.int64)
-    for i, unit in enumerate(unit_ids):
-        held[i] = streams[unit][cursors[unit]]
-        cursors[unit] += 1
+    # A stable sort by unit lists each unit's events in order, so the
+    # concatenated streams land on them in one scatter.
+    held = np.empty(total, dtype=bool)
+    held[np.argsort(unit_ids, kind="stable")] = np.concatenate(streams)
 
     instrs = np.arange(1, total + 1, dtype=np.int64) * instr_stride
     return Trace(name=name, input_name=input_name,

@@ -38,8 +38,8 @@ def _drive(core, region, iterations: int, seed: int):
     rng = np.random.default_rng(seed)
     for i in range(iterations):
         base = 10_000 + (i % 8) * 4_096
-        memory = {base + 8 * k: int(rng.integers(1, 40))
-                  for k in range(1, 60)}
+        memory = dict(zip(range(base + 8, base + 8 * 60, 8),
+                          rng.integers(1, 40, size=59).tolist()))
         state = MachineState(registers={16: base}, memory=memory)
         core.run_region(region, state, pc_base=0)
     return core.timing

@@ -100,20 +100,101 @@ class StaticTakenPredictor:
         return True
 
 
+def _pack(states) -> int:
+    """A map of the four counter states, one byte: bits ``2s, 2s+1``
+    hold the image of state ``s``."""
+    return sum(int(image) << (2 * s) for s, image in enumerate(states))
+
+
+def _compose_table() -> np.ndarray:
+    """``table[a, b]``: the packed map "apply ``a``, then ``b``"."""
+    maps = np.arange(256)
+    table = np.zeros((256, 256), dtype=np.uint8)
+    for s in range(4):
+        after_a = (maps >> (2 * s)) & 3
+        table |= (((maps[None, :] >> (2 * after_a[:, None])) & 3)
+                  << (2 * s)).astype(np.uint8)
+    return table
+
+
+_TAKEN_MAP = _pack([1, 2, 3, 3])
+_NOT_TAKEN_MAP = _pack([0, 0, 1, 2])
+_COMPOSE = _compose_table()
+
+
+def _gshare_misses(predictor: GsharePredictor, pcs: np.ndarray,
+                   taken: np.ndarray) -> np.ndarray:
+    """:meth:`GsharePredictor.predict_and_update` over every event, as
+    arrays: returns the mispredicted events and leaves the predictor's
+    table and history where the per-event loop would.
+
+    Each event's table index comes from the outcome history before it.
+    Events sorted stably by index are one run per counter, in program
+    order; a counter's state before an event is the composition of the
+    run's transition maps so far applied to the counter's starting
+    value, found by a segmented prefix scan in ``ceil(log2(longest
+    run))`` passes of the composition table.
+    """
+    n = len(pcs)
+    bits = predictor.history_bits
+    # outcomes[bits + i] is event i's outcome; the history register
+    # holds the outcomes before the trace, oldest in its top bit.
+    outcomes = np.empty(bits + n, dtype=np.int64)
+    outcomes[:bits] = (predictor._history
+                       >> np.arange(bits - 1, -1, -1)) & 1
+    outcomes[bits:] = taken
+    # history[i]: the register before event i (history[n]: after all).
+    history = np.zeros(n + 1, dtype=np.int64)
+    for k in range(1, bits + 1):
+        history |= outcomes[bits - k:bits - k + n + 1] << (k - 1)
+    mask = predictor._mask
+    index = (pcs.astype(np.int64) ^ history[:n]) & mask
+    order = np.argsort(index.astype(np.min_scalar_type(mask)), kind="stable")
+    index = index[order]
+    taken_sorted = taken[order]
+    run_start = np.empty(n, dtype=bool)
+    run_start[0] = True
+    np.not_equal(index[1:], index[:-1], out=run_start[1:])
+    starts = np.flatnonzero(run_start)
+    # Position of each event within its counter's run.
+    pos = np.arange(n) - np.repeat(starts, np.diff(starts, append=n))
+    maps = np.where(taken_sorted, _TAKEN_MAP, _NOT_TAKEN_MAP).astype(np.uint8)
+    live = np.flatnonzero(pos >= 1)
+    step = 1
+    while live.size:
+        maps[live] = _COMPOSE[maps[live - step], maps[live]]
+        step *= 2
+        live = live[pos[live] >= step]
+    table = predictor._counters.table
+    start_value = table[index].astype(np.int64)
+    after = (maps >> (2 * start_value)) & 3
+    before = np.empty_like(after)
+    before[1:] = after[:-1]
+    before[starts] = start_value[starts]
+    mispredicted = np.empty(n, dtype=bool)
+    mispredicted[order] = (before >= 2) != taken_sorted
+    ends = np.append(starts[1:], n) - 1
+    table[index[ends]] = after[ends]
+    predictor._history = int(history[n])
+    return mispredicted
+
+
 def predict_trace(trace: Trace, predictor=None) -> np.ndarray:
     """Run ``predictor`` over a whole trace.
 
     Returns a boolean array marking *mispredicted* events.  Branch ids
-    stand in for PCs.  Defaults to a fresh :class:`GsharePredictor`.
+    stand in for PCs.  Defaults to a fresh :class:`GsharePredictor`;
+    a given one starts from its table and history and is left trained,
+    exactly as :meth:`GsharePredictor.predict_and_update` event by
+    event would leave it.  A :class:`StaticTakenPredictor` misses every
+    not-taken event; any other predictor is a ``TypeError``.
     """
+    taken = np.asarray(trace.taken, dtype=bool)
+    if isinstance(predictor, StaticTakenPredictor):
+        return ~taken
     if predictor is None:
         predictor = GsharePredictor()
-    branch_ids = trace.branch_ids
-    taken = trace.taken
-    mispredicted = np.zeros(len(trace), dtype=bool)
-    step = predictor.predict_and_update
-    for i in range(len(trace)):
-        outcome = bool(taken[i])
-        if step(int(branch_ids[i]), outcome) != outcome:
-            mispredicted[i] = True
-    return mispredicted
+    if not isinstance(predictor, GsharePredictor):
+        raise TypeError("predict_trace runs a GsharePredictor or a "
+                        "StaticTakenPredictor")
+    return _gshare_misses(predictor, trace.branch_ids, taken)

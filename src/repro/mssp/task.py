@@ -87,24 +87,34 @@ def build_tasks(trace: Trace, spec_flags: np.ndarray,
         raise ValueError("flag arrays must match the trace length")
     if task_branches <= 0:
         raise ValueError("task_branches must be positive")
-    tasks: list[Task] = []
-    instrs = trace.instrs
-    prev_instr = 0
-    for start in range(0, n, task_branches):
-        stop = min(n, start + task_branches)
-        end_instr = int(instrs[stop - 1])
-        spec = spec_flags[start:stop]
-        hw_mispred = mispred_flags[start:stop]
-        tasks.append(Task(
-            index=len(tasks),
-            instructions=max(1, end_instr - prev_instr),
-            branches=stop - start,
-            speculated=int(spec.sum()),
-            misspeculated=bool(misspec_flags[start:stop].any()),
-            mispredicted=int((hw_mispred & ~spec).sum()),
-            mispredicted_all=int(hw_mispred.sum()),
-            eliminated=(float(elim_weights[start:stop][spec].sum())
-                        if elim_weights is not None else None),
-        ))
-        prev_instr = end_instr
-    return tasks
+    starts = np.arange(0, n, task_branches)
+    stops = np.minimum(starts + task_branches, n)
+    end_instr = trace.instrs[stops - 1].astype(np.int64)
+    instructions = np.maximum(1, np.diff(end_instr, prepend=0))
+    spec = np.asarray(spec_flags, dtype=bool)
+    mispred = np.asarray(mispred_flags, dtype=bool)
+    speculated = np.add.reduceat(spec, starts, dtype=np.int64)
+    misspeculated = np.logical_or.reduceat(
+        np.asarray(misspec_flags, dtype=bool), starts)
+    mispredicted = np.add.reduceat(mispred & ~spec, starts, dtype=np.int64)
+    mispredicted_all = np.add.reduceat(mispred, starts, dtype=np.int64)
+    if elim_weights is None:
+        eliminated = [None] * len(starts)
+    else:
+        # Each task's speculated weights, led by a zero: reduceat sums
+        # a run as its first value plus the pairwise sum of the rest,
+        # so the zero makes it the pairwise sum ndarray.sum takes of
+        # elim_weights[start:stop][spec], bit for bit.
+        weights = np.asarray(elim_weights)[spec]
+        before = np.cumsum(speculated) - speculated
+        runs = np.insert(weights, before, 0)
+        eliminated = np.add.reduceat(
+            runs, before + np.arange(len(starts))).tolist()
+    return [Task(index=i, instructions=ins, branches=branches,
+                 speculated=sp, misspeculated=ms, mispredicted=mp,
+                 mispredicted_all=mpa, eliminated=el)
+            for i, (ins, branches, sp, ms, mp, mpa, el) in enumerate(zip(
+                instructions.tolist(), (stops - starts).tolist(),
+                speculated.tolist(), misspeculated.tolist(),
+                mispredicted.tolist(), mispredicted_all.tolist(),
+                eliminated))]

@@ -585,10 +585,19 @@ class ColumnarBank:
         rows = self._key_rows[slots]
         self.dead[rows] = True
         self.n_dead += int(rows.size)
-        keep = np.ones(self._keys.size, dtype=bool)
-        keep[slots] = False
-        self._keys = self._keys[keep]
-        self._key_rows = self._key_rows[keep]
+        if (np.diff(slots) == 1).all():
+            lo = int(slots[0])
+            hi = lo + int(slots.size)
+            # One run of the index (a tenant's key range): two slice
+            # copies instead of a pass through a mask.
+            self._keys = np.concatenate((self._keys[:lo], self._keys[hi:]))
+            self._key_rows = np.concatenate((self._key_rows[:lo],
+                                             self._key_rows[hi:]))
+        else:
+            keep = np.ones(self._keys.size, dtype=bool)
+            keep[slots] = False
+            self._keys = self._keys[keep]
+            self._key_rows = self._key_rows[keep]
         if self.n_dead > max(1024, self.n_rows - self.n_dead):
             self._compact()
 

@@ -1,13 +1,77 @@
-"""Tests for the hot-region detector."""
+"""Tests for the hot-region detector.
+
+:func:`detect_hot_regions` is array code; ``observe_all`` keeps the
+per-event :meth:`HotRegionDetector.observe` loop it must match: the
+same per-event coverage and a detector in the same state (regions,
+covered set, counts and successor weights in insertion order, last
+branch), which then keeps observing alike.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.mssp.hotregion import HotRegionDetector, detect_hot_regions
 from repro.trace.model import BenchmarkModel, Region, StaticBranch
 from repro.trace.patterns import ConstantBias
 from repro.trace.stream import generate_trace
+from repro.trace.stream import Trace
 from repro.trace.synthetic import single_branch_trace, uniform_model
+
+
+def make_trace(ids) -> Trace:
+    n = len(ids)
+    return Trace("t", "in", np.asarray(ids, dtype=np.int32),
+                 np.ones(n, dtype=bool), np.arange(1, n + 1, dtype=np.int64))
+
+
+def observe_all(detector, ids) -> np.ndarray:
+    """The per-event reference: events inside a region at their time."""
+    covered: set[int] = set()
+    in_region = np.zeros(len(ids), dtype=bool)
+    for i, branch in enumerate(np.asarray(ids).tolist()):
+        formed = detector.observe(branch)
+        if formed is not None:
+            covered.update(formed.branches)
+        in_region[i] = branch in covered
+    return in_region
+
+
+def detector_state(detector):
+    """Everything observe() reads or writes, orders included."""
+    return (detector.regions, detector.covered_branches(),
+            list(detector._counts.items()),
+            [(src, list(dst.items())) for src, dst in detector._succ.items()],
+            detector._prev)
+
+
+def assert_matches_loop(ids, *params, more=(3, 1, 3, 0)):
+    ref = HotRegionDetector(*params)
+    expected = observe_all(ref, ids)
+    detector, in_region = detect_hot_regions(make_trace(ids), *params)
+    np.testing.assert_array_equal(in_region, expected)
+    assert detector_state(detector) == detector_state(ref)
+    for branch in more:
+        assert detector.observe(branch) == ref.observe(branch)
+    assert detector_state(detector) == detector_state(ref)
+    return detector
+
+
+def looping_ids(seed: int, n: int, n_ids: int) -> np.ndarray:
+    """Loop bodies of a few branches with random exits: hot paths with
+    dominant, tied and diffuse successors."""
+    rng = np.random.default_rng(seed)
+    bodies = [rng.integers(0, n_ids, int(rng.integers(1, 6)))
+              for _ in range(3)]
+    chunks, total = [], 0
+    while total < n:
+        body = bodies[int(rng.integers(len(bodies)))]
+        chunk = np.tile(body, int(rng.integers(1, 40)))
+        noise = rng.random(len(chunk)) < 0.05
+        chunk[noise] = rng.integers(0, n_ids, int(noise.sum()))
+        chunks.append(chunk)
+        total += len(chunk)
+    return np.concatenate(chunks)[:n]
 
 
 def hot_cold_model():
@@ -87,3 +151,41 @@ class TestDetectOverTrace:
         # An unreachable threshold means no regions, no speculation.
         assert gated.mean_distillation == pytest.approx(1.0)
         assert ungated.mean_distillation < 1.0
+
+
+class TestDetectMatchesLoop:
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 3000), st.integers(1, 30),
+           st.sampled_from([1, 2, 7, 50, 500, 10**9]), st.integers(1, 16),
+           st.sampled_from([0.1, 0.3, 0.5, 1.0]))
+    def test_looping_traces(self, seed, n, n_ids, threshold, length,
+                            fraction):
+        assert_matches_loop(looping_ids(seed, n, n_ids), threshold, length,
+                            fraction)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=300),
+           st.sampled_from([1, 2, 3, 50]), st.integers(1, 5))
+    def test_random_traces(self, ids, threshold, length):
+        assert_matches_loop(ids, threshold, length, 0.3)
+
+    @pytest.mark.parametrize("threshold", [1, 50, 500, 10**9])
+    def test_spec_like_trace(self, threshold):
+        trace = generate_trace(hot_cold_model(), 20_000, seed=1)
+        assert_matches_loop(trace.branch_ids, threshold, 16, 0.3)
+
+    def test_one_event(self):
+        assert_matches_loop([4], 2, 16, 0.3)
+        detector = assert_matches_loop([4], 1, 16, 0.3)
+        assert detector.regions[0].branches == (4,)
+
+    def test_self_loop_only(self):
+        detector = assert_matches_loop([5] * 40, 10, 16, 0.3, more=(5, 5))
+        assert [r.branches for r in detector.regions] == [(5,)]
+
+    @pytest.mark.parametrize("first, second", [(1, 2), (2, 1)])
+    def test_equal_weights_pick_the_earlier_edge(self, first, second):
+        # At 0's third execution 0->first and 0->second weigh 1 each.
+        ids = [0, first, 0, second, 0, first, 0, second]
+        detector = assert_matches_loop(ids, 3, 16, 0.3)
+        assert detector.regions[0].branches == (0, first)

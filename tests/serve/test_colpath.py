@@ -420,6 +420,34 @@ def test_presorted_batch_skips_the_argsort(monkeypatch):
     assert one.events == 2
 
 
+@pytest.mark.parametrize("pick", ["run", "one", "scattered"])
+def test_evict_keys_run_leaves_what_the_mask_leaves(pick):
+    """Hit slots forming one run of the key index leave it by two slice
+    copies, others through a mask.  The same keys shuffled always take
+    the mask; both leave the same index, rows and dead set, and the
+    evicted keys come back alike on their next batch."""
+    pcs, taken, instrs = _interleaved(8_000, 300, seed=11)
+    shards = [BankShard(0, scaled_config()) for _ in range(2)]
+    for shard in shards:
+        shard.apply(pcs, taken, instrs)
+    keys = shards[0].col.keys.copy()
+    gone = {"run": keys[40:200], "one": keys[7:8],
+            "scattered": keys[::3]}[pick]
+    shards[0].col.evict_keys(gone)
+    shards[1].col.evict_keys(np.random.default_rng(1).permutation(gone))
+    a, b = (shard.col for shard in shards)
+    np.testing.assert_array_equal(a.keys, np.setdiff1d(keys, gone))
+    np.testing.assert_array_equal(a.keys, b.keys)
+    np.testing.assert_array_equal(a._key_rows, b._key_rows)
+    np.testing.assert_array_equal(a.dead[:a.n_rows], b.dead[:b.n_rows])
+    assert a.gather() == b.gather()
+    more = _interleaved(3_000, 300, seed=12)
+    for shard in shards:
+        shard.apply(*more)
+    assert bank_states(shards[0]) == bank_states(shards[1])
+    assert shards[0].decisions == shards[1].decisions
+
+
 def test_controller_accessor_reads_flushed_state():
     """bank.controller(pc) must never expose stale hot fields; its
     copy carries an empty transition log."""
